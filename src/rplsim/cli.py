@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import itertools
 import json
@@ -12,7 +13,8 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from .engine import to_s
-from .scenario import ConfigError, load_scenario, scenario_from_dict
+from .scenario import (ConfigError, _is_number, _require, load_json,
+                       load_scenario, scenario_from_dict)
 from .simulate import RunResult, run_scenario
 from .telemetry import TRAFFIC_CLASSES
 
@@ -60,8 +62,19 @@ def result_to_row(result: RunResult) -> dict[str, str]:
     return row
 
 
+def _check_header(path: str) -> bool:
+    """True for a new or empty file; ConfigError if the header differs."""
+    if not os.path.exists(path) or os.path.getsize(path) == 0:
+        return True
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        if next(csv.reader(fh), None) != CSV_COLUMNS:
+            raise ConfigError(f"{path}: existing header differs from the "
+                              "result columns; write to a new file")
+    return False
+
+
 def append_rows(path: str, rows: list[dict[str, str]]) -> None:
-    new_file = not os.path.exists(path) or os.path.getsize(path) == 0
+    new_file = _check_header(path)
     with open(path, "a", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS, lineterminator="\n")
         if new_file:
@@ -89,26 +102,20 @@ def cmd_run(args) -> int:
 # --------------------------------------------------------------------- sweep
 
 def load_sweep(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"sweep file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"sweep file is not valid JSON: {exc}")
+    raw = load_json(path, "sweep")
+    if not isinstance(raw, dict):
+        raise ConfigError("sweep: document must be a JSON object")
     for key in ("node_counts", "objectives", "rx_ratios", "topologies"):
         values = raw.get(key)
-        if not isinstance(values, list) or not values:
-            raise ConfigError(f"{key}: must be a non-empty list")
+        _require(isinstance(values, list) and values, key,
+                 "must be a non-empty list", values)
     seeds = raw.get("seeds_per_cell", 1)
-    if not isinstance(seeds, int) or seeds < 1:
-        raise ConfigError(f"seeds_per_cell: must be an integer >= 1 (got {seeds!r})")
-    base_seed = raw.get("base_seed", 1)
-    if not isinstance(base_seed, int):
-        raise ConfigError(f"base_seed: must be an integer (got {base_seed!r})")
-    base = raw.get("base", {})
-    if not isinstance(base, dict):
-        raise ConfigError("base: must be an object of scenario fields")
+    _require(_is_number(seeds, int) and seeds >= 1, "seeds_per_cell",
+             "must be an integer >= 1", seeds)
+    _require(_is_number(raw.get("base_seed", 1), int), "base_seed",
+             "must be an integer", raw.get("base_seed"))
+    _require(isinstance(raw.get("base", {}), dict), "base",
+             "must be an object of scenario fields", raw.get("base"))
     return raw
 
 
@@ -140,24 +147,31 @@ def _sweep_worker(task: tuple[int, dict]):
         return index, None, str(exc)
 
 
+def _cells(rows: list[dict[str, str]], column: str) -> dict[tuple, list]:
+    """Non-empty values of column per CELL_KEYS cell, in first-seen order."""
+    cells: dict[tuple, list[float]] = {}
+    for row in rows:
+        values = cells.setdefault(tuple(row[k] for k in CELL_KEYS), [])
+        if row[column]:
+            values.append(float(row[column]))
+    return cells
+
+
+def _mean_std(values: list[float]) -> tuple[str, str]:
+    if not values:
+        return "", ""
+    std = statistics.stdev(values) if len(values) > 1 else 0.0
+    return _fmt(statistics.mean(values)), _fmt(std)
+
+
 def summarize(rows: list[dict[str, str]]) -> list[dict[str, str]]:
     """Per-cell mean/stddev of PDR and power, cells in first-seen order."""
-    cells: dict[tuple, dict[str, list[float]]] = {}
-    for row in rows:
-        key = tuple(row[k] for k in CELL_KEYS)
-        bucket = cells.setdefault(key, {"pdr": [], "power": []})
-        if row["pdr_total"]:
-            bucket["pdr"].append(float(row["pdr_total"]))
-        bucket["power"].append(float(row["avg_power_mw"]))
+    pdr = _cells(rows, "pdr_total")
     out = []
-    for key, bucket in cells.items():
-        entry = dict(zip(CELL_KEYS, key))
-        entry["runs"] = str(len(bucket["power"]))
-        for label, values in (("pdr", bucket["pdr"]), ("power", bucket["power"])):
-            mean = statistics.mean(values) if values else None
-            std = statistics.stdev(values) if len(values) > 1 else 0.0
-            entry[f"{label}_mean"] = _fmt(mean)
-            entry[f"{label}_stddev"] = _fmt(std if values else None)
+    for key, power in _cells(rows, "avg_power_mw").items():
+        entry = dict(zip(CELL_KEYS, key), runs=str(len(power)))
+        entry["pdr_mean"], entry["pdr_stddev"] = _mean_std(pdr[key])
+        entry["power_mean"], entry["power_stddev"] = _mean_std(power)
         out.append(entry)
     return out
 
@@ -168,24 +182,15 @@ SUMMARY_COLUMNS = list(CELL_KEYS) + ["runs", "pdr_mean", "pdr_stddev",
 
 def cmd_sweep(args) -> int:
     spec = load_sweep(args.spec)
+    _check_header(args.out)             # refuse a bad --out before the runs
     tasks = list(enumerate(sweep_tasks(spec)))
-    results: dict[int, dict[str, str] | None] = {}
-    errors: list[tuple[int, str]] = []
-    if args.parallel > 1:
-        with ProcessPoolExecutor(max_workers=args.parallel) as pool:
-            for index, row, error in pool.map(_sweep_worker, tasks,
-                                              chunksize=1):
-                results[index] = row
-                if error is not None:
-                    errors.append((index, error))
-    else:
-        for task in tasks:
-            index, row, error = _sweep_worker(task)
-            results[index] = row
-            if error is not None:
-                errors.append((index, error))
-
-    rows = [results[i] for i in sorted(results) if results[i] is not None]
+    with (ProcessPoolExecutor(max_workers=args.parallel)
+          if args.parallel > 1 else contextlib.nullcontext()) as pool:
+        # either map yields the outcomes in task (grid) order
+        outcomes = list((pool.map if pool else map)(_sweep_worker, tasks))
+    rows = [row for _, row, _ in outcomes if row is not None]
+    errors = [(index, error) for index, _, error in outcomes
+              if error is not None]
     append_rows(args.out, rows)
 
     if errors:
@@ -206,8 +211,7 @@ def cmd_sweep(args) -> int:
         writer.writeheader()
         writer.writerows(summary)
 
-    header = " ".join(f"{c:>12}" for c in SUMMARY_COLUMNS)
-    print(header)
+    print(" ".join(f"{c:>12}" for c in SUMMARY_COLUMNS))
     for entry in summary:
         print(" ".join(f"{entry[c]:>12}" for c in SUMMARY_COLUMNS))
     print(f"{len(rows)} runs -> {args.out} (summary: {summary_path})")
@@ -220,22 +224,14 @@ def cmd_plot_data(args) -> int:
     metric = {"pdr": "pdr_total", "power": "avg_power_mw"}[args.figure]
     with open(args.infile, "r", encoding="utf-8", newline="") as fh:
         rows = list(csv.DictReader(fh))
-    cells: dict[tuple, list[float]] = {}
-    for row in rows:
-        if not row[metric]:
-            continue
-        key = tuple(row[k] for k in CELL_KEYS)
-        cells.setdefault(key, []).append(float(row[metric]))
-    out_columns = ["figure"] + list(CELL_KEYS) + ["mean", "stddev", "runs"]
+    cells = {key: values for key, values in _cells(rows, metric).items()
+             if values}
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(out_columns)
+        writer.writerow(["figure", *CELL_KEYS, "mean", "stddev", "runs"])
         for key in sorted(cells, key=lambda k: (k[0], k[1], k[2], int(k[3]))):
-            values = cells[key]
-            std = statistics.stdev(values) if len(values) > 1 else 0.0
-            writer.writerow([args.figure, *key,
-                             _fmt(statistics.mean(values)), _fmt(std),
-                             len(values)])
+            writer.writerow([args.figure, *key, *_mean_std(cells[key]),
+                             len(cells[key])])
     print(f"{len(cells)} cells -> {args.out}")
     return 0
 

@@ -102,39 +102,16 @@ class Simulator:
         self._now = end_time
         return self._now
 
-    def pending(self) -> int:
-        return sum(1 for _, _, e in self._heap if not e.cancelled)
 
-
-class RandomStream:
-    """Isolated PRNG keyed by (master_seed, purpose_tag, node_scope).
+def derive_stream(master_seed: int, purpose_tag: str,
+                  node_scope: int | None = None) -> random.Random:
+    """Derive the isolated PRNG for one (master_seed, purpose, node) slot.
 
     The key is hashed with sha256 so derivation is stable across processes
     and Python versions (unlike the salted builtin hash()).
     """
-
-    def __init__(self, master_seed: int, purpose_tag: str,
-                 node_scope: int | None = None):
-        if purpose_tag not in STREAM_PURPOSES:
-            raise ValueError(f"unknown stream purpose: {purpose_tag!r}")
-        self.master_seed = master_seed
-        self.purpose_tag = purpose_tag
-        self.node_scope = node_scope
-        material = f"{master_seed}|{purpose_tag}|{node_scope}".encode()
-        digest = hashlib.sha256(material).digest()
-        self._rng = random.Random(int.from_bytes(digest[:8], "big"))
-
-    def random(self) -> float:
-        return self._rng.random()
-
-    def uniform(self, a: float, b: float) -> float:
-        return self._rng.uniform(a, b)
-
-    def randrange(self, n: int) -> int:
-        return self._rng.randrange(n)
-
-
-def derive_stream(master_seed: int, purpose_tag: str,
-                  node_scope: int | None = None) -> RandomStream:
-    """Derive the deterministic stream for one (purpose, node) slot."""
-    return RandomStream(master_seed, purpose_tag, node_scope)
+    if purpose_tag not in STREAM_PURPOSES:
+        raise ValueError(f"unknown stream purpose: {purpose_tag!r}")
+    material = f"{master_seed}|{purpose_tag}|{node_scope}".encode()
+    digest = hashlib.sha256(material).digest()
+    return random.Random(int.from_bytes(digest[:8], "big"))

@@ -15,12 +15,13 @@ carrier sensing and are subject to the same loss model as data.
 from __future__ import annotations
 
 import math
+import random
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
-from .engine import Event, EventKind, RandomStream, Simulator, US_PER_S, to_us
+from .engine import Event, EventKind, Simulator, US_PER_S, to_us
 from .telemetry import CPU, RX, TX, EnergyLedger, TraceRecorder, NULL_TRACE
 
 
@@ -135,14 +136,13 @@ class Medium:
 
     def __init__(self, sim: Simulator, cfg: MediumConfig,
                  positions: dict[int, tuple[float, float]],
-                 stream: RandomStream,
-                 jitter_streams: dict[int, RandomStream],
+                 stream: random.Random,
+                 jitter_streams: dict[int, random.Random],
                  ledgers: dict[int, EnergyLedger],
                  trace: TraceRecorder = NULL_TRACE,
                  link_rx: dict[tuple[int, int], float] | None = None):
         self.sim = sim
         self.cfg = cfg
-        self.positions = positions
         self._stream = stream
         self._jitter = jitter_streams
         self._ledgers = ledgers
@@ -199,7 +199,7 @@ class Medium:
         self._submit(sender, _UnicastJob(frame, receiver, on_complete))
 
     def deliver(self, tx: Transmission, receiver: int,
-                stream: RandomStream) -> Outcome:
+                stream: random.Random) -> Outcome:
         """Reception outcome for one receiver of one frame."""
         if receiver in tx.corrupted:
             return Outcome.LOST_COLLISION
@@ -225,12 +225,7 @@ class Medium:
         job = radio.queue.popleft()
         radio.current = job
         if isinstance(job, _UnicastJob):
-            self._begin_attempt(radio, job)
-        else:
-            self._begin_csma(radio, job)
-
-    def _begin_attempt(self, radio: _Radio, job: _UnicastJob) -> None:
-        job.attempts += 1
+            job.attempts += 1
         self._begin_csma(radio, job)
 
     def _begin_csma(self, radio: _Radio, job) -> None:
@@ -369,7 +364,8 @@ class Medium:
     def _ack_timeout(self, radio: _Radio, job: _UnicastJob) -> None:
         job.waiting = False
         if job.attempts < self.cfg.max_transmissions:
-            self._begin_attempt(radio, job)
+            job.attempts += 1
+            self._begin_csma(radio, job)
         else:
             radio.current = None
             job.on_complete(False, job.attempts, job.data_delivered)

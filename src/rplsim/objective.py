@@ -40,21 +40,26 @@ def of0_rank(parent_advertised_rank: int) -> int:
     return min(parent_advertised_rank + RANK_UNIT, INFINITE_RANK)
 
 
-def of0_select_parent(candidates: dict[int, int],
-                      current: int | None = None) -> int | None:
-    """Pick the minimum-rank candidate, ids breaking ties.
+def _select_parent(candidates: dict[int, int], current: int | None,
+                   threshold: int) -> int | None:
+    """Pick the minimum-value candidate, ids breaking ties.
 
-    A current parent still present among the candidates is kept unless some
-    candidate advertises a strictly lower rank.
+    A current parent still present among the candidates is kept unless the
+    best candidate beats it by more than threshold.
     """
     if not candidates:
         return None
     best = min(candidates.items(), key=lambda item: (item[1], item[0]))
-    if current is not None and current in candidates:
-        if best[1] < candidates[current]:
-            return best[0]
+    if current in candidates and best[1] >= candidates[current] - threshold:
         return current
     return best[0]
+
+
+def of0_select_parent(candidates: dict[int, int],
+                      current: int | None = None) -> int | None:
+    """Minimum-rank candidate; the current parent yields only to a strictly
+    lower rank."""
+    return _select_parent(candidates, current, 0)
 
 
 def etx_update(stats: LinkStats, attempts_used: int, success: bool,
@@ -100,16 +105,6 @@ def mrhof_rank(parent_advertised_rank: int, path_cost: int) -> int:
 
 def mrhof_select_parent(candidates: dict[int, int],
                         current: int | None = None) -> int | None:
-    """Pick the minimum-cost candidate with switch hysteresis.
-
-    With a current parent still usable, switch only when the best
-    alternative beats it by more than the hysteresis threshold.
-    """
-    if not candidates:
-        return None
-    best = min(candidates.items(), key=lambda item: (item[1], item[0]))
-    if current is not None and current in candidates:
-        if best[1] < candidates[current] - PARENT_SWITCH_THRESHOLD:
-            return best[0]
-        return current
-    return best[0]
+    """Minimum-cost candidate; the current parent yields only to a path
+    cheaper by more than the hysteresis threshold."""
+    return _select_parent(candidates, current, PARENT_SWITCH_THRESHOLD)

@@ -13,10 +13,11 @@ beacon rate is governed by structural changes, not per-sample ETX jitter.
 
 from __future__ import annotations
 
+import random
 from collections import deque
 from dataclasses import dataclass
 
-from .engine import EventKind, RandomStream, Simulator, to_us
+from .engine import EventKind, Simulator, to_us
 from .medium import Frame, FrameKind, Medium
 from .objective import (INFINITE_RANK, LinkStats, MAX_PATH_COST, MRHOF_ETX,
                         OF0, RANK_UNIT, ROOT_RANK, etx_update, mrhof_path_cost,
@@ -43,8 +44,14 @@ class ProtocolConfig:
     etx_initial: int = 256
 
     def __post_init__(self):
-        if self.trickle_i_min_s <= 0 or self.trickle_doublings < 0:
-            raise ValueError("invalid trickle parameters")
+        # timers draw whole microseconds; a DIS wait can be 0.9x its period
+        for name, floor in (("trickle_i_min_s", 1.0), ("dis_period_s", 0.9),
+                            ("housekeeping_period_s", 1.0)):
+            if to_us(getattr(self, name) * floor) < 1:
+                raise ValueError(f"{name} must be at least 1 us" + (
+                    f" at its {floor:g}x jitter floor" if floor < 1 else ""))
+        if self.trickle_doublings < 0:
+            raise ValueError("trickle_doublings must be >= 0")
         if self.queue_capacity < 1 or self.ttl < 1:
             raise ValueError("queue_capacity and ttl must be >= 1")
 
@@ -53,8 +60,6 @@ class ProtocolConfig:
 class DioMessage:
     sender: int
     advertised_rank: int
-    dodag_version: int
-    of_identifier: str
     path_cost: int | None = None
 
 
@@ -91,14 +96,12 @@ class DataPacket:
 class Node:
     """One sensor or the sink; owned and mutated only by the event loop."""
 
-    def __init__(self, node_id: int, position: tuple[float, float], role: str,
-                 traffic_class: str | None, objective: str,
-                 proto: ProtocolConfig, sim: Simulator, medium: Medium,
-                 ledger: EnergyLedger, jitter: RandomStream,
+    def __init__(self, node_id: int, role: str, traffic_class: str | None,
+                 objective: str, proto: ProtocolConfig, sim: Simulator,
+                 medium: Medium, ledger: EnergyLedger, jitter: random.Random,
                  metrics: MetricsReport, trace: TraceRecorder = NULL_TRACE,
                  on_join_change=None):
         self.id = node_id
-        self.position = position
         self.role = role
         self.traffic_class = traffic_class
         self.objective = objective
@@ -164,11 +167,7 @@ class Node:
         else:
             self.candidates[dio.sender] = CandidateInfo(
                 dio.advertised_rank, dio.path_cost, self.sim.now)
-        old_rank, old_parent = self._evaluate()
-        if self._selection_inconsistent(old_rank, old_parent):
-            if self.joined:
-                self._trickle_reset()
-        elif self.joined:
+        if self._reselect() and self.joined:
             self.trickle.counter += 1
 
     def on_dis(self, from_id: int) -> None:
@@ -206,15 +205,17 @@ class Node:
             self.link_stats[neighbor] = stats
         return stats
 
-    def _selection_inconsistent(self, old_rank: int,
-                                old_parent: int | None) -> bool:
-        """True when a re-selection warrants a trickle reset: the parent
-        switched, or the rank moved and now sits a full hop increment away
-        from what this node last advertised."""
-        if old_parent != self.preferred_parent:
-            return True
-        return (self.rank != old_rank
-                and abs(self.rank - self._last_advertised_rank) >= RANK_UNIT)
+    def _reselect(self) -> bool:
+        """Re-run parent selection; True when it stayed consistent, else
+        reset trickle: the parent switched, or the rank moved and now sits a
+        full hop increment away from what this node last advertised."""
+        old_rank, old_parent = self._evaluate()
+        inconsistent = old_parent != self.preferred_parent or (
+            self.rank != old_rank
+            and abs(self.rank - self._last_advertised_rank) >= RANK_UNIT)
+        if inconsistent and self.joined:
+            self._trickle_reset()
+        return not inconsistent
 
     def _evaluate(self) -> tuple[int, int | None]:
         """Re-run parent selection; returns the (rank, parent) it replaced."""
@@ -223,12 +224,10 @@ class Node:
 
         usable = {nid: c for nid, c in self.candidates.items()
                   if c.rank < self.rank}
-        choice = None
         new_rank, new_cost = INFINITE_RANK, None
         if self.objective == OF0:
             ranks = {nid: c.rank for nid, c in usable.items()}
-            current = old_parent if old_parent in ranks else None
-            choice = of0_select_parent(ranks, current)
+            choice = of0_select_parent(ranks, old_parent)
             if choice is not None:
                 new_rank = of0_rank(usable[choice].rank)
         else:
@@ -239,8 +238,7 @@ class Node:
                 through = mrhof_path_cost(c.cost, self._link(nid).etx_estimate)
                 if through < MAX_PATH_COST:
                     costs[nid] = through
-            current = old_parent if old_parent in costs else None
-            choice = mrhof_select_parent(costs, current)
+            choice = mrhof_select_parent(costs, old_parent)
             if choice is not None:
                 new_cost = costs[choice]
                 new_rank = mrhof_rank(usable[choice].rank, new_cost)
@@ -287,10 +285,7 @@ class Node:
         if stale:
             for nid in stale:
                 del self.candidates[nid]
-            old_rank, old_parent = self._evaluate()
-            if self._selection_inconsistent(old_rank, old_parent) \
-                    and self.joined:
-                self._trickle_reset()
+            self._reselect()
         self.sim.schedule_in(to_us(self.proto.housekeeping_period_s),
                              EventKind.TIMER_FIRE, self.id, self._housekeeping)
 
@@ -332,7 +327,7 @@ class Node:
 
     def _send_dio(self) -> None:
         cost = self.path_cost if self.objective == MRHOF_ETX else None
-        dio = DioMessage(self.id, self.rank, 0, self.objective, cost)
+        dio = DioMessage(self.id, self.rank, cost)
         self._last_advertised_rank = self.rank
         self.metrics.dio_count += 1
         self.medium.broadcast(self.id, FrameKind.DIO, dio)
@@ -396,10 +391,7 @@ class Node:
         if success and parent in self.candidates:
             self.candidates[parent].last_heard = self.sim.now
         if self.objective == MRHOF_ETX:
-            old_rank, old_parent = self._evaluate()
-            if self._selection_inconsistent(old_rank, old_parent) \
-                    and self.joined:
-                self._trickle_reset()
+            self._reselect()
         if not success and not data_delivered:
             self._drop(packet, "mac-failure")
         self._service_queue()

@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import json
 import math
+import random
 from collections import deque
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
-from .engine import RandomStream, to_us
+from .engine import to_us
 from .medium import MediumConfig
 from .rpl import ProtocolConfig
 from .telemetry import EnergyCurrents, TRAFFIC_CLASSES
@@ -69,7 +70,8 @@ class ScenarioConfig:
             self.scenario_id = (f"{self.topology}{self.node_count}"
                                 f"_{self.objective}"
                                 f"_rx{round(self.rx_success_ratio * 100)}")
-        self.medium.rx_success_ratio = self.rx_success_ratio
+        self.medium = replace(self.medium,
+                              rx_success_ratio=self.rx_success_ratio)
 
 
 def _require(cond: bool, name: str, problem: str, value) -> None:
@@ -77,15 +79,23 @@ def _require(cond: bool, name: str, problem: str, value) -> None:
         raise ConfigError(f"{name}: {problem} (got {value!r})")
 
 
+def _is_number(value, kinds=(int, float)) -> bool:
+    """isinstance(value, kinds), except that JSON booleans are no numbers."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
 def _build_section(name: str, raw: dict, cls):
-    known = {f.name: f for f in fields(cls)}
-    kwargs = {}
+    """Build an override section; each value must match its field's type."""
+    _require(isinstance(raw, dict), name, "must be an object", raw)
+    types = {f.name: f.type for f in fields(cls)}
     for key, value in raw.items():
-        if key not in known:
+        if key not in types:
             raise ConfigError(f"{name}.{key}: unknown field")
-        kwargs[key] = value
+        kinds = int if types[key] == "int" else (int, float)
+        _require(_is_number(value, kinds), f"{name}.{key}",
+                 f"must be of type {types[key]}", value)
     try:
-        return cls(**kwargs)
+        return cls(**raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{name}: {exc}") from exc
 
@@ -103,7 +113,7 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
             raise ConfigError(f"{key}: required field is missing")
 
     node_count = raw["node_count"]
-    _require(isinstance(node_count, int) and node_count >= 2,
+    _require(_is_number(node_count, int) and node_count >= 2,
              "node_count", "must be an integer >= 2", node_count)
     topology = raw["topology"]
     _require(topology in ("random", "grid"),
@@ -112,24 +122,24 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
     _require(objective in ("of0", "etx"),
              "objective", "must be 'of0' or 'etx'", objective)
     rx = raw["rx_success_ratio"]
-    _require(isinstance(rx, (int, float)) and 0.0 <= rx <= 1.0,
-             "rx_success_ratio", "must be within [0, 1]", rx)
+    _require(_is_number(rx) and 0.0 <= rx <= 1.0,
+             "rx_success_ratio", "must be a number within [0, 1]", rx)
 
     seed = raw.get("seed", 1)
-    _require(isinstance(seed, int), "seed", "must be an integer", seed)
+    _require(_is_number(seed, int), "seed", "must be an integer", seed)
     duration = raw.get("duration_s", 900.0)
     warmup = raw.get("warmup_s", 60.0)
-    _require(isinstance(duration, (int, float)) and duration > 0,
+    _require(_is_number(duration) and duration > 0,
              "duration_s", "must be positive", duration)
-    _require(isinstance(warmup, (int, float)) and warmup >= 0,
+    _require(_is_number(warmup) and warmup >= 0,
              "warmup_s", "must be >= 0", warmup)
     _require(duration > warmup, "duration_s",
              f"must exceed warmup_s={warmup}", duration)
     area = raw.get("area_side_m", 300.0)
-    _require(isinstance(area, (int, float)) and area > 0,
+    _require(_is_number(area) and area > 0,
              "area_side_m", "must be positive", area)
     spacing = raw.get("grid_spacing_m", 60.0)
-    _require(isinstance(spacing, (int, float)) and spacing > 0,
+    _require(_is_number(spacing) and spacing > 0,
              "grid_spacing_m", "must be positive", spacing)
 
     classes = raw.get("traffic_classes", list(TRAFFIC_CLASSES))
@@ -140,6 +150,9 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
                  f"unknown class (choose from {sorted(TRAFFIC_PROFILES)})", cls)
 
     medium = _build_section("medium", raw.get("medium", {}), MediumConfig)
+    if "rx_success_ratio" in raw.get("medium", {}):
+        raise ConfigError("medium.rx_success_ratio: not allowed; the "
+                          "top-level rx_success_ratio sets it")
     protocol = _build_section("protocol", raw.get("protocol", {}), ProtocolConfig)
     currents = _build_section("currents", raw.get("currents", {}), EnergyCurrents)
 
@@ -158,15 +171,19 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
     return cfg
 
 
-def load_scenario(path: str) -> ScenarioConfig:
+def load_json(path: str, what: str):
+    """Parse a JSON file; an unreadable or malformed one is a ConfigError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}")
-    return scenario_from_dict(raw)
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"{what} file cannot be read: {exc}") from None
+    except ValueError as exc:
+        raise ConfigError(f"{what} file is not valid JSON: {exc}") from None
+
+
+def load_scenario(path: str) -> ScenarioConfig:
+    return scenario_from_dict(load_json(path, "config"))
 
 
 # ------------------------------------------------------------------ topology
@@ -189,7 +206,7 @@ def unit_disk_connected(positions: dict[int, tuple[float, float]],
 
 
 def generate_random_topology(cfg: ScenarioConfig,
-                             stream: RandomStream) -> dict[int, tuple[float, float]]:
+                             stream: random.Random) -> dict[int, tuple[float, float]]:
     """Sink at the square's center, sensors i.i.d. uniform, resampled until
     the radio graph is connected."""
     side = cfg.area_side_m
@@ -235,7 +252,7 @@ def generate_grid_topology(cfg: ScenarioConfig) -> dict[int, tuple[float, float]
 
 
 def generate_topology(cfg: ScenarioConfig,
-                      stream: RandomStream) -> dict[int, tuple[float, float]]:
+                      stream: random.Random) -> dict[int, tuple[float, float]]:
     if cfg.topology == "grid":
         return generate_grid_topology(cfg)
     return generate_random_topology(cfg, stream)
@@ -265,7 +282,7 @@ def assign_traffic_classes(sensor_ids: list[int],
 
 
 def next_send_time(traffic_class: str, now_us: int,
-                   stream: RandomStream) -> int:
+                   stream: random.Random) -> int:
     """Next application send: exact period for fixed classes, uniform jitter
     over [T/2, 3T/2] for the averaged ones."""
     profile = TRAFFIC_PROFILES[traffic_class]

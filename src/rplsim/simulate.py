@@ -20,7 +20,6 @@ from .telemetry import EnergyLedger, MetricsReport, TraceRecorder, NULL_TRACE
 @dataclass
 class NodeSnapshot:
     id: int
-    position: tuple[float, float]
     role: str
     traffic_class: str | None
     rank: int
@@ -104,10 +103,9 @@ def run_scenario(cfg: ScenarioConfig,
     nodes: dict[int, Node] = {}
     for nid in node_ids:
         role = SINK if nid == 0 else SENSOR
-        nodes[nid] = Node(nid, positions[nid], role, classes.get(nid),
-                          cfg.objective, cfg.protocol, sim, medium,
-                          ledgers[nid], jitter[nid], metrics, recorder,
-                          on_join_change)
+        nodes[nid] = Node(nid, role, classes.get(nid), cfg.objective,
+                          cfg.protocol, sim, medium, ledgers[nid],
+                          jitter[nid], metrics, recorder, on_join_change)
     for nid in node_ids:
         nodes[nid].start()
 
@@ -141,7 +139,7 @@ def run_scenario(cfg: ScenarioConfig,
                       if parent is not None and parent in node.candidates
                       else None)
         snapshots[nid] = NodeSnapshot(
-            id=nid, position=positions[nid], role=node.role,
+            id=nid, role=node.role,
             traffic_class=node.traffic_class,
             rank=node.rank, preferred_parent=parent,
             parent_advertised_rank=advertised,

@@ -5,6 +5,7 @@ Run with `pytest tests/test_acceptance.py -v -s`.  The paper-grid runs
 execute once.
 """
 
+import hashlib
 import itertools
 import json
 import random
@@ -16,7 +17,7 @@ import pytest
 
 from oracles import (bfs_hops, dijkstra_etx, disk_edges, replay_energy,
                      unicast_expectation)
-from rplsim.cli import result_to_row
+from rplsim.cli import append_rows, result_to_row
 from rplsim.engine import derive_stream, to_us
 from rplsim.scenario import (ScenarioConfig, generate_random_topology,
                              next_send_time)
@@ -27,6 +28,11 @@ GRID_OBJECTIVES = ("of0", "etx")
 GRID_RX = (0.8, 1.0)
 GRID_TOPOLOGIES = ("random", "grid")
 GRID_SEEDS = (1, 2, 3)
+
+# sha256 of the paper grid's CSV as `rplsim sweep --spec
+# configs/paper_sweep.json` writes it; pins the rows across commits
+PAPER_GRID_SHA256 = \
+    "e35e1edd39766954c8dbe798a3686ab037864b52e5a0e0548f0bbf421a760af2"
 
 
 @contextmanager
@@ -178,6 +184,7 @@ def paper_grid_runs():
             "tree": check_tree(result),
             "energy": check_energy(result),
             "replay": check_replay(result),
+            "row": result_to_row(result),
         })
     return checks
 
@@ -188,6 +195,12 @@ def test_criterion_4_loop_freedom(paper_grid_runs):
         problems = [f"{c['cell']}: {c['tree']}" for c in paper_grid_runs
                     if c["tree"] is not None]
         assert not problems, "\n".join(problems)
+
+
+def test_paper_grid_csv_digest(paper_grid_runs, tmp_path):
+    path = tmp_path / "paper_grid.csv"
+    append_rows(str(path), [c["row"] for c in paper_grid_runs])
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PAPER_GRID_SHA256
 
 
 # --------------------------------------------------------------- criterion 5

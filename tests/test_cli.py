@@ -30,6 +30,21 @@ SWEEP_SPEC = {
 }
 
 
+# configs that must fail at load time, keyed by the field the error must
+# name; each would otherwise hang, crash mid-run or run on a wrong value
+REJECTED = {
+    "dis_period_s": {"protocol": {"dis_period_s": 0}},
+    "housekeeping_period_s": {"protocol": {"housekeeping_period_s": 0}},
+    "trickle_i_min_s": {"protocol": {"trickle_i_min_s": 1e-7}},
+    "trickle_doublings": {"protocol": {"trickle_doublings": 1.5}},
+    "voltage_v": {"currents": {"voltage_v": -3}},
+    "tx_ma": {"currents": {"tx_ma": -1.0}},
+    "rx_success_ratio": {"rx_success_ratio": True},
+    "seed": {"seed": True},
+    "medium.rx_success_ratio": {"medium": {"rx_success_ratio": 0.1}},
+}
+
+
 def write_json(path, payload):
     path.write_text(json.dumps(payload), encoding="utf-8")
     return str(path)
@@ -82,6 +97,33 @@ class TestRun:
                      str(tmp_path / "o.csv")])
         assert code == 2
         assert "rx_success_ratio" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", REJECTED)
+    def test_rejected_config_exits_2_naming_field(self, tmp_path, capsys,
+                                                  field):
+        config = write_json(tmp_path / "c.json",
+                            dict(GOOD_CONFIG, **REJECTED[field]))
+        out = tmp_path / "o.csv"
+        assert main(["run", "--config", config, "--out", str(out)]) == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_foreign_csv_header_exits_2_and_keeps_file(self, tmp_path,
+                                                       capsys):
+        config = write_json(tmp_path / "c.json", GOOD_CONFIG)
+        out = tmp_path / "o.csv"
+        out.write_text("scenario_id,pdr\nx,1.0\n", encoding="utf-8")
+        assert main(["run", "--config", config, "--out", str(out)]) == 2
+        assert "header" in capsys.readouterr().err
+        assert out.read_text(encoding="utf-8") == "scenario_id,pdr\nx,1.0\n"
+
+    def test_appends_under_a_matching_header(self, tmp_path):
+        config = write_json(tmp_path / "c.json", GOOD_CONFIG)
+        out = str(tmp_path / "o.csv")
+        assert main(["run", "--config", config, "--out", out]) == 0
+        assert main(["run", "--config", config, "--out", out]) == 0
+        rows = read_rows(out)
+        assert len(rows) == 2 and rows[0] == rows[1]
 
     def test_malformed_json_exits_2(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -150,6 +192,23 @@ class TestSweep:
         path = write_json(tmp_path / "s.json", {"node_counts": []})
         assert main(["sweep", "--spec", path,
                      "--out", str(tmp_path / "o.csv")]) == 2
+
+    def test_boolean_seeds_per_cell_exits_2(self, tmp_path, capsys):
+        path = write_json(tmp_path / "s.json",
+                          dict(SWEEP_SPEC, seeds_per_cell=True))
+        assert main(["sweep", "--spec", path,
+                     "--out", str(tmp_path / "o.csv")]) == 2
+        assert "seeds_per_cell" in capsys.readouterr().err
+
+    def test_foreign_csv_header_exits_2_before_running(self, tmp_path,
+                                                       capsys):
+        path = write_json(tmp_path / "s.json", SWEEP_SPEC)
+        out = tmp_path / "runs.csv"
+        out.write_text("a,b\n", encoding="utf-8")
+        assert main(["sweep", "--spec", path, "--out", str(out)]) == 2
+        assert "header" in capsys.readouterr().err
+        assert out.read_text(encoding="utf-8") == "a,b\n"
+        assert not (tmp_path / "runs.csv.summary.csv").exists()
 
 
 class TestShippedArtifacts:

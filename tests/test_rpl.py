@@ -29,7 +29,7 @@ def make_net(positions, objective="of0", seed=1, rx=1.0, proto=None,
         if nid == 0 and not with_sink:
             continue
         role = SINK if nid == 0 else SENSOR
-        nodes[nid] = Node(nid, positions[nid], role, "high-critical",
+        nodes[nid] = Node(nid, role, "high-critical",
                           objective, proto, sim, medium, ledgers[nid],
                           jitter[nid], metrics, trace)
     return sim, medium, nodes, metrics
@@ -44,7 +44,7 @@ class TestJoin:
         sim, _, nodes, _ = make_net(line_positions(2))
         n1 = nodes[1]
         assert n1.rank == INFINITE_RANK
-        n1.on_dio(DioMessage(0, ROOT_RANK, 0, "of0"))
+        n1.on_dio(DioMessage(0, ROOT_RANK))
         assert n1.rank == 512
         assert n1.preferred_parent == 0
         assert n1.joined
@@ -52,9 +52,9 @@ class TestJoin:
     def test_worse_dio_leaves_state_and_bumps_counter(self):
         sim, _, nodes, _ = make_net(line_positions(3))
         n1 = nodes[1]
-        n1.on_dio(DioMessage(0, ROOT_RANK, 0, "of0"))
+        n1.on_dio(DioMessage(0, ROOT_RANK))
         counter_before = n1.trickle.counter
-        n1.on_dio(DioMessage(2, 768, 0, "of0"))
+        n1.on_dio(DioMessage(2, 768))
         assert n1.rank == 512
         assert n1.preferred_parent == 0
         assert n1.trickle.counter == counter_before + 1
@@ -62,8 +62,8 @@ class TestJoin:
     def test_infinite_rank_dio_removes_candidate(self):
         sim, _, nodes, _ = make_net(line_positions(2))
         n1 = nodes[1]
-        n1.on_dio(DioMessage(0, ROOT_RANK, 0, "of0"))
-        n1.on_dio(DioMessage(0, INFINITE_RANK, 0, "of0"))
+        n1.on_dio(DioMessage(0, ROOT_RANK))
+        n1.on_dio(DioMessage(0, INFINITE_RANK))
         assert 0 not in n1.candidates
         assert not n1.joined
         assert n1.rank == INFINITE_RANK
@@ -71,7 +71,7 @@ class TestJoin:
     def test_sink_state_is_immutable(self):
         sim, _, nodes, _ = make_net(line_positions(2))
         sink = nodes[0]
-        sink.on_dio(DioMessage(1, 512, 0, "of0"))
+        sink.on_dio(DioMessage(1, 512))
         assert sink.rank == ROOT_RANK
         assert sink.preferred_parent is None
         assert sink.joined
@@ -102,7 +102,7 @@ class TestTrickle:
     def joined_sensor(self):
         sim, _, nodes, metrics = make_net(line_positions(2))
         n1 = nodes[1]
-        n1.on_dio(DioMessage(0, ROOT_RANK, 0, "of0"))
+        n1.on_dio(DioMessage(0, ROOT_RANK))
         return sim, n1, metrics
 
     def test_fire_sends_when_counter_below_k(self):
@@ -206,7 +206,7 @@ class TestForwarding:
         proto = ProtocolConfig(queue_capacity=2)
         sim, _, nodes, metrics = make_net(line_positions(2), proto=proto)
         n1 = nodes[1]
-        n1.on_dio(DioMessage(0, ROOT_RANK, 0, "of0"))
+        n1.on_dio(DioMessage(0, ROOT_RANK))
         for _ in range(5):
             n1.app_generate()
         assert metrics.drops_by_cause("queue-overflow") == 2
@@ -243,7 +243,7 @@ class TestParentExpiry:
                                           with_sink=False)
         n1 = nodes[1]
         n1.start()
-        n1.on_dio(DioMessage(0, ROOT_RANK, 0, "of0"))
+        n1.on_dio(DioMessage(0, ROOT_RANK))
         assert n1.joined
         sim.run_until(to_us(150.0))
         assert not n1.joined

@@ -5,7 +5,9 @@ import math
 import pytest
 
 from rplsim.engine import derive_stream, to_us
-from rplsim.scenario import (ConfigError,
+from rplsim.medium import MediumConfig
+from rplsim.rpl import ProtocolConfig
+from rplsim.scenario import (ConfigError, ScenarioConfig,
                              assign_traffic_classes, generate_grid_topology,
                              generate_random_topology, next_send_time,
                              scenario_from_dict, unit_disk_connected)
@@ -67,6 +69,38 @@ class TestValidation:
     def test_rx_ratio_propagates_to_medium(self):
         cfg = cfg_with(rx_success_ratio=0.8)
         assert cfg.medium.rx_success_ratio == 0.8
+
+    def test_given_medium_config_is_not_mutated(self):
+        medium = MediumConfig()
+        cfg = ScenarioConfig(node_count=5, topology="grid", objective="of0",
+                             rx_success_ratio=0.8, medium=medium)
+        assert cfg.medium.rx_success_ratio == 0.8
+        assert medium.rx_success_ratio == 1.0
+
+    def test_medium_rx_ratio_points_to_top_level_field(self):
+        with pytest.raises(ConfigError, match="top-level rx_success_ratio"):
+            cfg_with(medium={"rx_success_ratio": 0.1})
+
+    def test_section_value_of_wrong_type_names_field(self):
+        with pytest.raises(ConfigError, match="medium.max_transmissions"):
+            cfg_with(medium={"max_transmissions": True})
+        with pytest.raises(ConfigError, match="currents.tx_ma"):
+            cfg_with(currents={"tx_ma": "17"})
+
+    def test_non_object_section_rejected(self):
+        with pytest.raises(ConfigError, match="protocol"):
+            cfg_with(protocol=[1, 2])
+
+    def test_dis_period_checked_at_its_jitter_floor(self):
+        ProtocolConfig(dis_period_s=6e-7)         # 0.9x rounds to 1 us
+        with pytest.raises(ValueError, match="dis_period_s"):
+            ProtocolConfig(dis_period_s=5e-7)     # 0.9x rounds to 0 us
+
+    def test_sub_microsecond_timer_periods_rejected(self):
+        for name in ("trickle_i_min_s", "housekeeping_period_s"):
+            ProtocolConfig(**{name: 1e-6})
+            with pytest.raises(ValueError, match=name):
+                ProtocolConfig(**{name: 4e-7})
 
 
 class TestRandomTopology:
