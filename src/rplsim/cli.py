@@ -13,8 +13,8 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from .engine import to_s
-from .scenario import (ConfigError, _is_number, _require, load_json,
-                       load_scenario, scenario_from_dict)
+from .scenario import (ConfigError, ScenarioConfig, load_json, load_scenario,
+                       load_schema, scenario_from_dict, validate)
 from .simulate import RunResult, run_scenario
 from .telemetry import TRAFFIC_CLASSES
 
@@ -103,19 +103,7 @@ def cmd_run(args) -> int:
 
 def load_sweep(path: str) -> dict:
     raw = load_json(path, "sweep")
-    if not isinstance(raw, dict):
-        raise ConfigError("sweep: document must be a JSON object")
-    for key in ("node_counts", "objectives", "rx_ratios", "topologies"):
-        values = raw.get(key)
-        _require(isinstance(values, list) and values, key,
-                 "must be a non-empty list", values)
-    seeds = raw.get("seeds_per_cell", 1)
-    _require(_is_number(seeds, int) and seeds >= 1, "seeds_per_cell",
-             "must be an integer >= 1", seeds)
-    _require(_is_number(raw.get("base_seed", 1), int), "base_seed",
-             "must be an integer", raw.get("base_seed"))
-    _require(isinstance(raw.get("base", {}), dict), "base",
-             "must be an object of scenario fields", raw.get("base"))
+    validate(raw, load_schema("sweep"))
     return raw
 
 
@@ -138,13 +126,11 @@ def sweep_tasks(spec: dict) -> list[dict]:
     return tasks
 
 
-def _sweep_worker(task: tuple[int, dict]):
-    index, raw = task
+def _sweep_worker(cfg: ScenarioConfig):
     try:
-        cfg = scenario_from_dict(raw)
-        return index, result_to_row(run_scenario(cfg)), None
+        return result_to_row(run_scenario(cfg)), None
     except Exception as exc:
-        return index, None, str(exc)
+        return None, str(exc)
 
 
 def _cells(rows: list[dict[str, str]], column: str) -> dict[tuple, list]:
@@ -182,14 +168,20 @@ SUMMARY_COLUMNS = list(CELL_KEYS) + ["runs", "pdr_mean", "pdr_stddev",
 
 def cmd_sweep(args) -> int:
     spec = load_sweep(args.spec)
-    _check_header(args.out)             # refuse a bad --out before the runs
-    tasks = list(enumerate(sweep_tasks(spec)))
+    tasks = sweep_tasks(spec)
+    configs = []
+    for index, raw in enumerate(tasks):     # refuse a bad cell or --out
+        try:                                # before the first run
+            configs.append(scenario_from_dict(raw))
+        except ConfigError as exc:
+            raise ConfigError(f"sweep cell {index}: {exc}") from None
+    _check_header(args.out)
     with (ProcessPoolExecutor(max_workers=args.parallel)
           if args.parallel > 1 else contextlib.nullcontext()) as pool:
         # either map yields the outcomes in task (grid) order
-        outcomes = list((pool.map if pool else map)(_sweep_worker, tasks))
-    rows = [row for _, row, _ in outcomes if row is not None]
-    errors = [(index, error) for index, _, error in outcomes
+        outcomes = list((pool.map if pool else map)(_sweep_worker, configs))
+    rows = [row for row, _ in outcomes if row is not None]
+    errors = [(index, error) for index, (_, error) in enumerate(outcomes)
               if error is not None]
     append_rows(args.out, rows)
 
@@ -199,7 +191,7 @@ def cmd_sweep(args) -> int:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["task_index", "config", "error"])
             for index, error in errors:
-                writer.writerow([index, json.dumps(tasks[index][1],
+                writer.writerow([index, json.dumps(tasks[index],
                                                    sort_keys=True), error])
                 print(f"sweep cell {index} failed: {error}", file=sys.stderr)
 

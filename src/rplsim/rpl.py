@@ -48,12 +48,8 @@ class ProtocolConfig:
         for name, floor in (("trickle_i_min_s", 1.0), ("dis_period_s", 0.9),
                             ("housekeeping_period_s", 1.0)):
             if to_us(getattr(self, name) * floor) < 1:
-                raise ValueError(f"{name} must be at least 1 us" + (
+                raise ValueError(f"{name}: must be at least 1 us" + (
                     f" at its {floor:g}x jitter floor" if floor < 1 else ""))
-        if self.trickle_doublings < 0:
-            raise ValueError("trickle_doublings must be >= 0")
-        if self.queue_capacity < 1 or self.ttl < 1:
-            raise ValueError("queue_capacity and ttl must be >= 1")
 
 
 @dataclass

@@ -12,11 +12,14 @@ fixed class order below, so any node count gets a balanced mix.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import operator
+import pathlib
 import random
 from collections import deque
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 from .engine import to_us
 from .medium import MediumConfig
@@ -74,100 +77,82 @@ class ScenarioConfig:
                               rx_success_ratio=self.rx_success_ratio)
 
 
-def _require(cond: bool, name: str, problem: str, value) -> None:
-    if not cond:
-        raise ConfigError(f"{name}: {problem} (got {value!r})")
+# the keywords validate() interprets; a schema may use no others
+SCHEMA_KEYWORDS = frozenset({
+    "type", "enum", "minimum", "maximum", "exclusiveMinimum", "minItems",
+    "items", "required", "properties", "additionalProperties"})
+
+_JSON_TYPES = ((bool, "boolean"), (int, "integer"), (float, "number"),
+               (str, "string"), (list, "array"), (dict, "object"))
+_BOUNDS = (("minimum", operator.ge, ">="), ("maximum", operator.le, "<="),
+           ("exclusiveMinimum", operator.gt, ">"))
 
 
-def _is_number(value, kinds=(int, float)) -> bool:
-    """isinstance(value, kinds), except that JSON booleans are no numbers."""
-    return isinstance(value, kinds) and not isinstance(value, bool)
+@functools.cache
+def load_schema(name: str) -> dict:
+    """The bundled `<name>.schema.json`, parsed once per process."""
+    path = pathlib.Path(__file__).with_name("schemas") / f"{name}.schema.json"
+    return json.loads(path.read_text(encoding="utf-8"))
 
 
-def _build_section(name: str, raw: dict, cls):
-    """Build an override section; each value must match its field's type."""
-    _require(isinstance(raw, dict), name, "must be an object", raw)
-    types = {f.name: f.type for f in fields(cls)}
-    for key, value in raw.items():
-        if key not in types:
-            raise ConfigError(f"{name}.{key}: unknown field")
-        kinds = int if types[key] == "int" else (int, float)
-        _require(_is_number(value, kinds), f"{name}.{key}",
-                 f"must be of type {types[key]}", value)
-    try:
-        return cls(**raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name}: {exc}") from exc
+def validate(value, spec: dict, path: str = "") -> None:
+    """Check a JSON value against a schema of SCHEMA_KEYWORDS, raising a
+    ConfigError that names the dotted field.  Neither a boolean, NaN nor an
+    infinity is a number, and a float is never an integer."""
+    def fail(problem):
+        raise ConfigError(f"{path or spec.get('title', 'document')}: "
+                          f"{problem} (got {value!r})")
+    kind = next((name for cls, name in _JSON_TYPES if isinstance(value, cls)),
+                "null")
+    if kind == "number" and not math.isfinite(value):
+        kind = "non-finite"
+    want = spec.get("type", kind)
+    if want != kind and (want, kind) != ("number", "integer"):
+        fail(f"must be of type {want}")
+    if "enum" in spec and value not in spec["enum"]:
+        fail(f"must be one of {spec['enum']}")
+    for key, holds, word in _BOUNDS:
+        if key in spec and kind in ("integer", "number") \
+                and not holds(value, spec[key]):
+            fail(f"must be {word} {spec[key]}")
+    if kind == "array":
+        if len(value) < spec.get("minItems", 0):
+            fail(f"must have at least {spec['minItems']} item(s)")
+        for i, item in enumerate(value if "items" in spec else ()):
+            validate(item, spec["items"], f"{path}[{i}]")
+    if kind == "object":
+        prefix = f"{path}." if path else ""
+        for key in spec.get("required", ()):
+            if key not in value:
+                raise ConfigError(f"{prefix}{key}: required field is missing")
+        properties = spec.get("properties", {})
+        for key, item in value.items():
+            if key in properties:
+                validate(item, properties[key], prefix + key)
+            elif spec.get("additionalProperties") is False:
+                raise ConfigError(f"{prefix}{key}: unknown field")
 
 
 def scenario_from_dict(raw: dict) -> ScenarioConfig:
-    """Validate a raw JSON document and build a ScenarioConfig from it."""
-    if not isinstance(raw, dict):
-        raise ConfigError("scenario: document must be a JSON object")
-    allowed = {f.name for f in fields(ScenarioConfig)}
-    for key in raw:
-        if key not in allowed:
-            raise ConfigError(f"{key}: unknown field")
-    for key in ("node_count", "topology", "objective", "rx_success_ratio"):
-        if key not in raw:
-            raise ConfigError(f"{key}: required field is missing")
-
-    node_count = raw["node_count"]
-    _require(_is_number(node_count, int) and node_count >= 2,
-             "node_count", "must be an integer >= 2", node_count)
-    topology = raw["topology"]
-    _require(topology in ("random", "grid"),
-             "topology", "must be 'random' or 'grid'", topology)
-    objective = raw["objective"]
-    _require(objective in ("of0", "etx"),
-             "objective", "must be 'of0' or 'etx'", objective)
-    rx = raw["rx_success_ratio"]
-    _require(_is_number(rx) and 0.0 <= rx <= 1.0,
-             "rx_success_ratio", "must be a number within [0, 1]", rx)
-
-    seed = raw.get("seed", 1)
-    _require(_is_number(seed, int), "seed", "must be an integer", seed)
-    duration = raw.get("duration_s", 900.0)
-    warmup = raw.get("warmup_s", 60.0)
-    _require(_is_number(duration) and duration > 0,
-             "duration_s", "must be positive", duration)
-    _require(_is_number(warmup) and warmup >= 0,
-             "warmup_s", "must be >= 0", warmup)
-    _require(duration > warmup, "duration_s",
-             f"must exceed warmup_s={warmup}", duration)
-    area = raw.get("area_side_m", 300.0)
-    _require(_is_number(area) and area > 0,
-             "area_side_m", "must be positive", area)
-    spacing = raw.get("grid_spacing_m", 60.0)
-    _require(_is_number(spacing) and spacing > 0,
-             "grid_spacing_m", "must be positive", spacing)
-
-    classes = raw.get("traffic_classes", list(TRAFFIC_CLASSES))
-    _require(isinstance(classes, (list, tuple)), "traffic_classes",
-             "must be a list of class names", classes)
-    for cls in classes:
-        _require(cls in TRAFFIC_PROFILES, "traffic_classes",
-                 f"unknown class (choose from {sorted(TRAFFIC_PROFILES)})", cls)
-
-    medium = _build_section("medium", raw.get("medium", {}), MediumConfig)
-    if "rx_success_ratio" in raw.get("medium", {}):
-        raise ConfigError("medium.rx_success_ratio: not allowed; the "
-                          "top-level rx_success_ratio sets it")
-    protocol = _build_section("protocol", raw.get("protocol", {}), ProtocolConfig)
-    currents = _build_section("currents", raw.get("currents", {}), EnergyCurrents)
-
-    cfg = ScenarioConfig(
-        node_count=node_count, topology=topology, objective=objective,
-        rx_success_ratio=float(rx), seed=seed,
-        area_side_m=float(area), grid_spacing_m=float(spacing),
-        duration_s=float(duration), warmup_s=float(warmup),
-        scenario_id=raw.get("scenario_id", ""),
-        traffic_classes=tuple(classes),
-        medium=medium, protocol=protocol, currents=currents)
-    if cfg.topology == "grid":
-        _require(cfg.grid_spacing_m <= cfg.medium.tx_range_m, "grid_spacing_m",
-                 f"must not exceed medium.tx_range_m={cfg.medium.tx_range_m} "
-                 "(lattice would be disconnected)", cfg.grid_spacing_m)
+    """Validate a raw JSON document against the scenario schema and build a
+    ScenarioConfig from it; the code checks only the cross-field rules."""
+    validate(raw, load_schema("scenario"))
+    values = dict(raw, traffic_classes=tuple(raw.get("traffic_classes",
+                                                     TRAFFIC_CLASSES)))
+    for name, cls in (("medium", MediumConfig), ("protocol", ProtocolConfig),
+                      ("currents", EnergyCurrents)):
+        try:
+            values[name] = cls(**raw.get(name, {}))
+        except ValueError as exc:       # a cross-field rule of the section
+            raise ConfigError(f"{name}.{exc}") from None
+    cfg = ScenarioConfig(**values)
+    if cfg.duration_s <= cfg.warmup_s:
+        raise ConfigError(f"duration_s: must exceed warmup_s={cfg.warmup_s} "
+                          f"(got {cfg.duration_s!r})")
+    if cfg.topology == "grid" and cfg.grid_spacing_m > cfg.medium.tx_range_m:
+        raise ConfigError(f"grid_spacing_m: must not exceed medium.tx_range_m"
+                          f"={cfg.medium.tx_range_m}, or the lattice is "
+                          f"disconnected (got {cfg.grid_spacing_m!r})")
     return cfg
 
 
@@ -228,10 +213,6 @@ def generate_grid_topology(cfg: ScenarioConfig) -> dict[int, tuple[float, float]
     cell nearest the centroid of the occupied cells."""
     n = cfg.node_count
     spacing = cfg.grid_spacing_m
-    if spacing > cfg.medium.tx_range_m:
-        raise ConfigError(
-            f"grid_spacing_m: must not exceed medium.tx_range_m="
-            f"{cfg.medium.tx_range_m} (got {spacing})")
     cols = math.isqrt(n)
     if cols * cols < n:
         cols += 1

@@ -34,7 +34,6 @@ class RunResult:
     config: ScenarioConfig
     metrics: MetricsReport
     nodes: dict[int, NodeSnapshot]
-    positions: dict[int, tuple[float, float]]
     ledgers: dict[int, EnergyLedger]
     trace: TraceRecorder
     elapsed_us: int
@@ -144,5 +143,4 @@ def run_scenario(cfg: ScenarioConfig,
             rank=node.rank, preferred_parent=parent,
             parent_advertised_rank=advertised,
             path_cost=node.path_cost, joined=node.joined)
-    return RunResult(cfg, metrics, snapshots, positions, ledgers,
-                     recorder, duration_us)
+    return RunResult(cfg, metrics, snapshots, ledgers, recorder, duration_us)

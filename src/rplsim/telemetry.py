@@ -38,13 +38,6 @@ class EnergyCurrents:
     lpm_ma: float = 0.0545
     voltage_v: float = 3.0
 
-    def __post_init__(self):
-        for name in ("tx_ma", "rx_ma", "cpu_ma", "lpm_ma"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        if self.voltage_v <= 0:
-            raise ValueError("voltage_v must be positive")
-
 
 class EnergyLedger:
     """Integer-microsecond duty-cycle ledger for one node."""

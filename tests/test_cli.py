@@ -1,12 +1,20 @@
 """CLI surface: run/sweep/plot-data, schema errors, parallel equivalence."""
 
+import copy
 import csv
 import json
+import math
+import pathlib
 import statistics
 
 import pytest
 
-from rplsim.cli import CSV_COLUMNS, main
+from rplsim.cli import CSV_COLUMNS, load_sweep, main, sweep_tasks
+from rplsim.scenario import (SCHEMA_KEYWORDS, ConfigError, load_scenario,
+                             load_schema, scenario_from_dict)
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SCHEMA_DIR = ROOT / "src" / "rplsim" / "schemas"
 
 GOOD_CONFIG = {
     "node_count": 9,
@@ -42,7 +50,43 @@ REJECTED = {
     "rx_success_ratio": {"rx_success_ratio": True},
     "seed": {"seed": True},
     "medium.rx_success_ratio": {"medium": {"rx_success_ratio": 0.1}},
+    "protocol.cpu_process_s": {"protocol": {"cpu_process_s": -0.001}},
+    "medium.ack_turnaround_s": {"medium": {"ack_turnaround_s": -0.0001}},
+    "traffic_classes": {"traffic_classes": [["critical"]]},
+    "protocol.ttl": {"protocol": {"ttl": 0}},
+    "duration_s": {"duration_s": math.inf},
 }
+
+# sweeps whose bad field must stop the sweep before its first run
+BAD_SWEEPS = {
+    "bogus": dict(SWEEP_SPEC, base=dict(SWEEP_SPEC["base"], bogus=1)),
+    "rx_ratios[0]": dict(SWEEP_SPEC, rx_ratios=[True]),
+}
+
+
+def schema_nodes(spec, path=()):
+    """Every (path, sub-schema) pair of a schema; a path item is a property
+    name, or 0 for the first item of an array."""
+    yield path, spec
+    for key, sub in spec.get("properties", {}).items():
+        yield from schema_nodes(sub, path + (key,))
+    if "items" in spec:
+        yield from schema_nodes(spec["items"], path + (0,))
+
+
+def past_bounds(spec):
+    """The first value past each bound a sub-schema sets."""
+    integer = spec.get("type") == "integer"
+    if "minimum" in spec:
+        yield (spec["minimum"] - 1 if integer
+               else math.nextafter(spec["minimum"], -math.inf))
+    if "maximum" in spec:
+        yield (spec["maximum"] + 1 if integer
+               else math.nextafter(spec["maximum"], math.inf))
+    if "exclusiveMinimum" in spec:
+        yield spec["exclusiveMinimum"]
+    if "minItems" in spec:
+        yield [None] * (spec["minItems"] - 1)
 
 
 def write_json(path, payload):
@@ -200,6 +244,15 @@ class TestSweep:
                      "--out", str(tmp_path / "o.csv")]) == 2
         assert "seeds_per_cell" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", BAD_SWEEPS)
+    def test_bad_field_exits_2_before_running(self, tmp_path, capsys, field):
+        path = write_json(tmp_path / "s.json", BAD_SWEEPS[field])
+        out = tmp_path / "runs.csv"
+        assert main(["sweep", "--spec", path, "--out", str(out)]) == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "runs.csv.failures.csv").exists()
+
     def test_foreign_csv_header_exits_2_before_running(self, tmp_path,
                                                        capsys):
         path = write_json(tmp_path / "s.json", SWEEP_SPEC)
@@ -213,28 +266,57 @@ class TestSweep:
 
 class TestShippedArtifacts:
     def test_schema_documents_are_valid_json(self):
-        import pathlib
-        root = pathlib.Path(__file__).resolve().parents[1]
-        for name in ("scenario.schema.json", "sweep.schema.json"):
-            payload = json.loads((root / "schemas" / name).read_text())
+        for name in ("scenario", "sweep"):
+            text = (SCHEMA_DIR / f"{name}.schema.json").read_text("utf-8")
+            payload = json.loads(text)
             assert payload["$schema"].startswith("https://json-schema.org/")
+            assert payload == load_schema(name)
+            # validate() must interpret every keyword; none may be ignored
+            for where, spec in schema_nodes(payload):
+                unknown = set(spec) - SCHEMA_KEYWORDS - {"$schema", "$id",
+                                                         "title"}
+                assert not unknown, f"{name} {where}: {unknown}"
+                assert spec.get("additionalProperties", False) is False
+
+    @pytest.mark.parametrize("name", ["scenario", "sweep"])
+    def test_schema_bounds_reject_first_value_past_them(self, tmp_path, name):
+        good = {"scenario": GOOD_CONFIG, "sweep": SWEEP_SPEC}[name]
+        checked = 0
+        for where, spec in schema_nodes(load_schema(name)):
+            field = "".join(f".{p}" if isinstance(p, str) else f"[{p}]"
+                            for p in where).lstrip(".")
+            for value in past_bounds(spec):
+                bad = copy.deepcopy(good)
+                target = bad
+                for part in where[:-1]:
+                    target = target.setdefault(part, {})
+                target[where[-1]] = value
+                with pytest.raises(ConfigError) as err:
+                    if name == "scenario":
+                        scenario_from_dict(bad)
+                    else:
+                        load_sweep(write_json(tmp_path / "s.json", bad))
+                assert str(err.value).startswith(f"{field}: "), value
+                checked += 1
+        # the walk reached every bound the schema's text sets
+        text = (SCHEMA_DIR / f"{name}.schema.json").read_text("utf-8")
+        assert checked == sum(text.count(f'"{key}"') for key in (
+            "minimum", "maximum", "exclusiveMinimum", "minItems"))
 
     def test_bundled_configs_validate(self):
-        import pathlib
-        from rplsim.cli import load_sweep
-        from rplsim.scenario import load_scenario
-        root = pathlib.Path(__file__).resolve().parents[1] / "configs"
-        load_scenario(str(root / "grid20_of0.json"))
-        load_scenario(str(root / "random40_etx_rx80.json"))
-        for name in ("paper_sweep.json", "directional_sweep.json"):
-            spec = load_sweep(str(root / name))
+        configs = sorted((ROOT / "configs").glob("*.json"))
+        assert configs
+        for path in configs:
+            if "node_counts" not in json.loads(path.read_text()):
+                load_scenario(str(path))
+                continue
+            spec = load_sweep(str(path))
             assert spec["seeds_per_cell"] >= 3
+            for raw in sweep_tasks(spec):
+                scenario_from_dict(raw)
 
     def test_paper_sweep_covers_the_comparison_grid(self):
-        import pathlib
-        from rplsim.cli import load_sweep, sweep_tasks
-        root = pathlib.Path(__file__).resolve().parents[1] / "configs"
-        spec = load_sweep(str(root / "paper_sweep.json"))
+        spec = load_sweep(str(ROOT / "configs" / "paper_sweep.json"))
         assert spec["node_counts"] == [20, 40, 60, 80, 100]
         assert sorted(spec["objectives"]) == ["etx", "of0"]
         assert sorted(spec["rx_ratios"]) == [0.8, 1.0]

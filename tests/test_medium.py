@@ -6,6 +6,7 @@ from scipy import stats as scipy_stats
 from oracles import unicast_expectation
 from rplsim.engine import Simulator, derive_stream, to_us
 from rplsim.medium import (FrameKind, Medium, MediumConfig, Outcome, in_range)
+from rplsim.scenario import ConfigError, scenario_from_dict
 from rplsim.telemetry import NULL_TRACE, EnergyLedger
 
 SEC = to_us(1.0)
@@ -46,13 +47,18 @@ class TestInRange:
 
 
 class TestConfig:
+    # the schema bounds the medium's values when a scenario is loaded
+    BASE = {"node_count": 5, "topology": "grid", "objective": "of0",
+            "rx_success_ratio": 1.0}
+
     def test_rx_ratio_bounds(self):
-        with pytest.raises(ValueError):
-            MediumConfig(rx_success_ratio=1.3)
+        with pytest.raises(ConfigError, match="^rx_success_ratio: "):
+            scenario_from_dict(dict(self.BASE, rx_success_ratio=1.3))
 
     def test_max_transmissions_floor(self):
-        with pytest.raises(ValueError):
-            MediumConfig(max_transmissions=0)
+        with pytest.raises(ConfigError, match="^medium.max_transmissions: "):
+            scenario_from_dict(dict(self.BASE,
+                                    medium={"max_transmissions": 0}))
 
     def test_airtime_is_exact_at_default_bitrate(self):
         cfg = MediumConfig()

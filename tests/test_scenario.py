@@ -78,7 +78,7 @@ class TestValidation:
         assert medium.rx_success_ratio == 1.0
 
     def test_medium_rx_ratio_points_to_top_level_field(self):
-        with pytest.raises(ConfigError, match="top-level rx_success_ratio"):
+        with pytest.raises(ConfigError, match="^medium.rx_success_ratio: "):
             cfg_with(medium={"rx_success_ratio": 0.1})
 
     def test_section_value_of_wrong_type_names_field(self):
@@ -153,12 +153,6 @@ class TestGridTopology:
     def test_grid_is_deterministic_without_randomness(self):
         cfg = cfg_with(node_count=20, topology="grid", grid_spacing_m=60.0)
         assert generate_grid_topology(cfg) == generate_grid_topology(cfg)
-
-    def test_spacing_beyond_range_raises(self):
-        cfg = cfg_with(node_count=9)  # validated lazily for random topology
-        cfg.grid_spacing_m = 120.0
-        with pytest.raises(ConfigError, match="grid_spacing_m"):
-            generate_grid_topology(cfg)
 
 
 class TestClassAssignment:
