@@ -1,7 +1,11 @@
 """Whole-run behavior: determinism, warmup alignment, OF equivalences."""
 
+import hashlib
 import json
 
+import pytest
+
+from rplsim.cli import result_to_row
 from rplsim.engine import to_us
 from rplsim.scenario import ScenarioConfig
 from rplsim.simulate import run_scenario
@@ -78,3 +82,36 @@ class TestObjectiveEquivalence:
             elif snap.joined:
                 assert snap.path_cost is not None
                 assert snap.path_cost >= 128 * result.depth(snap.id)
+
+
+# sha256 of (JSONL trace as write_jsonl writes it, result_to_row as sorted
+# JSON) for one 40-node, 300 s, rx 0.8, seed-1 run per topology/objective
+# pair; pins the event-by-event behaviour across commits
+TRACE_DIGESTS = {
+    ("random", "of0"): (
+        "3ffd538bd00b2e8111c05d8b6f373e1c2f1c67b858a6686480f0fbadf8b01df5",
+        "87269c252a35a7ad5dbea43bff08b362d3eba1e825e20742ae525916c7d08dc4"),
+    ("random", "etx"): (
+        "2c0d951f7f825d47d1e50e4a6428b32d43cac587de7dca4c87f240d8980619a9",
+        "6fb2b363d88c800bb1775ed3cb707b585e611e7cbc5bb851f03a38011c73aef9"),
+    ("grid", "of0"): (
+        "f37b4b2306193a9c3040627a08dd78958eaaedfa94a1f369a72b1a4c437c58dd",
+        "d7247c4c19097bc6313f7cc2931302832b55acbcbc5559b07dcd2ec6d9ee4852"),
+    ("grid", "etx"): (
+        "15bbe4c86d0f033d7c7aba4651f1d6fba967eb755e5c24d8ffb67efb7d8a14ae",
+        "e0a1b2b57cf5ca60ef15ff6daf2e884bb3cb76faf858e51352e616f3a47a30ff"),
+}
+
+
+@pytest.mark.parametrize("topology,objective", sorted(TRACE_DIGESTS))
+def test_trace_and_row_digests(topology, objective, tmp_path):
+    cfg = ScenarioConfig(node_count=40, topology=topology, objective=objective,
+                         rx_success_ratio=0.8, duration_s=300.0,
+                         warmup_s=60.0, seed=1)
+    result = run_scenario(cfg, trace=True)
+    path = tmp_path / "trace.jsonl"
+    result.trace.write_jsonl(str(path))
+    row = json.dumps(result_to_row(result), sort_keys=True).encode()
+    assert (hashlib.sha256(path.read_bytes()).hexdigest(),
+            hashlib.sha256(row).hexdigest()) == \
+        TRACE_DIGESTS[(topology, objective)]
