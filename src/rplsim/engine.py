@@ -10,10 +10,9 @@ independent of how many draws the others make.
 from __future__ import annotations
 
 import hashlib
-import heapq
 import random
-from dataclasses import dataclass, field
 from enum import Enum
+from heapq import heappop, heappush
 from typing import Callable
 
 US_PER_S = 1_000_000
@@ -32,7 +31,6 @@ def to_s(us: int) -> float:
 
 class EventKind(Enum):
     TIMER_FIRE = "timer-fire"
-    TX_START = "tx-start"
     TX_END = "tx-end"
     RX_DELIVER = "rx-deliver"
     APP_SEND = "app-send"
@@ -42,14 +40,14 @@ class SchedulingError(Exception):
     """An event was scheduled before the current virtual clock."""
 
 
-@dataclass
 class Event:
-    fire_time: int
-    sequence: int
-    kind: EventKind
-    target: int | str
-    action: Callable[[], None] = field(repr=False)
-    cancelled: bool = False
+    """Handle of one queued callback; cancel() withdraws it."""
+
+    __slots__ = ("action", "cancelled")
+
+    def __init__(self, action: Callable[[], None]) -> None:
+        self.action = action
+        self.cancelled = False
 
     def cancel(self) -> None:
         self.cancelled = True
@@ -76,8 +74,8 @@ class Simulator:
             raise SchedulingError(
                 f"event scheduled in the past: t={fire_time} < clock={self._now}"
             )
-        event = Event(fire_time, self._seq, kind, target, action)
-        heapq.heappush(self._heap, (fire_time, self._seq, event))
+        event = Event(action)
+        heappush(self._heap, (fire_time, self._seq, event))
         self._seq += 1
         return event
 
@@ -92,13 +90,18 @@ class Simulator:
                 f"run_until into the past: t={end_time} < clock={self._now}"
             )
         heap = self._heap
-        while heap and heap[0][0] <= end_time:
-            fire_time, _, event = heapq.heappop(heap)
-            if event.cancelled:
-                continue
-            self._now = fire_time
-            event.action()
-            self.events_processed += 1
+        pop = heappop
+        processed = 0
+        try:
+            while heap and heap[0][0] <= end_time:
+                fire_time, _, event = pop(heap)
+                if event.cancelled:
+                    continue
+                self._now = fire_time
+                event.action()
+                processed += 1
+        finally:
+            self.events_processed += processed
         self._now = end_time
         return self._now
 

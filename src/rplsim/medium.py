@@ -73,7 +73,7 @@ def in_range(a: tuple[float, float], b: tuple[float, float],
     return math.dist(a, b) <= cfg.tx_range_m
 
 
-@dataclass
+@dataclass(slots=True)
 class Frame:
     kind: FrameKind
     src: int
@@ -83,7 +83,7 @@ class Frame:
     frame_id: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class Transmission:
     sender: int
     frame: Frame
@@ -160,6 +160,8 @@ class Medium:
         self._backoff_window_us = max(1, to_us(cfg.backoff_window_s))
         self._ack_turnaround_us = to_us(cfg.ack_turnaround_s)
         self._ack_timeout_us = to_us(cfg.ack_timeout_s)
+        self._airtime_us = {n: cfg.airtime_us(n) for n in (
+            cfg.control_frame_bytes, cfg.data_frame_bytes, cfg.ack_frame_bytes)}
 
     # ------------------------------------------------------------------ API
 
@@ -168,6 +170,8 @@ class Medium:
         self._receivers[node_id] = callback
 
     def rx_ratio(self, a: int, b: int) -> float:
+        if not self._link_rx:
+            return self.cfg.rx_success_ratio
         return self._link_rx.get((min(a, b), max(a, b)), self.cfg.rx_success_ratio)
 
     def broadcast(self, sender: int, kind: FrameKind, payload: object = None,
@@ -247,7 +251,7 @@ class Medium:
     def _transmit(self, radio: _Radio, job, frame: Frame,
                   victims: tuple[int, ...]) -> None:
         now = self.sim.now
-        airtime = self.cfg.airtime_us(frame.size_bytes)
+        airtime = self._airtime_us[frame.size_bytes]
         tx = Transmission(radio.node_id, frame, now, now + airtime, victims)
         self._register(tx)
         self.sim.schedule_in(airtime, EventKind.TX_END, radio.node_id,

@@ -52,7 +52,7 @@ class ProtocolConfig:
                     f" at its {floor:g}x jitter floor" if floor < 1 else ""))
 
 
-@dataclass
+@dataclass(slots=True)
 class DioMessage:
     sender: int
     advertised_rank: int
@@ -73,14 +73,14 @@ class TrickleState:
         return self.i_min_us << self.doublings
 
 
-@dataclass
+@dataclass(slots=True)
 class CandidateInfo:
     rank: int
     cost: int | None
     last_heard: int
 
 
-@dataclass
+@dataclass(slots=True)
 class DataPacket:
     pid: str
     traffic_class: str
@@ -127,6 +127,10 @@ class Node:
         self._pkt_seq = 0
         self._cpu_process_us = to_us(proto.cpu_process_s)
         self._last_advertised_rank = self.rank
+        # set when a selection input (a candidate's rank or cost, its link
+        # ETX, this node's rank or parent) may have moved since _evaluate
+        self._dirty = True
+        self._heard_floor = 0    # <= every candidate's last_heard, which grows
         medium.set_receiver(node_id, self._on_frame)
 
     @property
@@ -158,11 +162,15 @@ class Node:
         if self.role == SINK:
             self.trickle.counter += 1
             return
+        known = self.candidates.get(dio.sender)
         if dio.advertised_rank >= INFINITE_RANK:
             self.candidates.pop(dio.sender, None)
+            self._dirty |= known is not None
         else:
             self.candidates[dio.sender] = CandidateInfo(
                 dio.advertised_rank, dio.path_cost, self.sim.now)
+            self._dirty |= known is None or (known.rank, known.cost) != (
+                dio.advertised_rank, dio.path_cost)
         if self._reselect() and self.joined:
             self.trickle.counter += 1
 
@@ -202,9 +210,12 @@ class Node:
         return stats
 
     def _reselect(self) -> bool:
-        """Re-run parent selection; True when it stayed consistent, else
-        reset trickle: the parent switched, or the rank moved and now sits a
-        full hop increment away from what this node last advertised."""
+        """Re-run parent selection if an input moved; True when it stayed
+        consistent, else reset trickle: the parent switched, or the rank moved
+        and now sits a full hop increment away from what this node last
+        advertised."""
+        if not self._dirty:
+            return True
         old_rank, old_parent = self._evaluate()
         inconsistent = old_parent != self.preferred_parent or (
             self.rank != old_rank
@@ -218,18 +229,19 @@ class Node:
         old_rank, old_parent = self.rank, self.preferred_parent
         was_joined = self.joined
 
-        usable = {nid: c for nid, c in self.candidates.items()
-                  if c.rank < self.rank}
+        candidates = self.candidates
         new_rank, new_cost = INFINITE_RANK, None
         if self.objective == OF0:
-            ranks = {nid: c.rank for nid, c in usable.items()}
+            ranks = {nid: c.rank for nid, c in candidates.items()
+                     if c.rank < old_rank}
             choice = of0_select_parent(ranks, old_parent)
             if choice is not None:
-                new_rank = of0_rank(usable[choice].rank)
+                new_rank = of0_rank(ranks[choice])
         else:
             costs = {}
-            for nid, c in usable.items():
-                if c.cost is None or c.cost >= MAX_PATH_COST:
+            for nid, c in candidates.items():
+                if c.rank >= old_rank or c.cost is None \
+                        or c.cost >= MAX_PATH_COST:
                     continue
                 through = mrhof_path_cost(c.cost, self._link(nid).etx_estimate)
                 if through < MAX_PATH_COST:
@@ -237,7 +249,7 @@ class Node:
             choice = mrhof_select_parent(costs, old_parent)
             if choice is not None:
                 new_cost = costs[choice]
-                new_rank = mrhof_rank(usable[choice].rank, new_cost)
+                new_rank = mrhof_rank(candidates[choice].rank, new_cost)
         if new_rank >= INFINITE_RANK:
             choice = None
 
@@ -246,12 +258,14 @@ class Node:
             self.path_cost = None
             self.preferred_parent = None
         else:
-            assert new_rank > usable[choice].rank
+            assert new_rank > candidates[choice].rank
             self.rank = new_rank
             self.path_cost = new_cost
             self.preferred_parent = choice
 
-        if (self.rank, self.preferred_parent) != (old_rank, old_parent):
+        # an unchanged (rank, parent) is a fixpoint until an input moves
+        self._dirty = (self.rank, self.preferred_parent) != (old_rank, old_parent)
+        if self._dirty:
             if self.trace.enabled:
                 self.trace.emit({"t": self.sim.now, "ev": "parent",
                                  "node": self.id, "parent": self.preferred_parent,
@@ -276,12 +290,16 @@ class Node:
             adaptive = round(self.proto.parent_expiry_trickle_factor
                              * self.trickle.current_interval_us)
             expiry = max(expiry, adaptive)
-        stale = [nid for nid, c in self.candidates.items()
-                 if now - c.last_heard > expiry]
-        if stale:
-            for nid in stale:
-                del self.candidates[nid]
-            self._reselect()
+        if now - self._heard_floor > expiry:
+            stale = [nid for nid, c in self.candidates.items()
+                     if now - c.last_heard > expiry]
+            if stale:
+                for nid in stale:
+                    del self.candidates[nid]
+                self._dirty = True
+                self._reselect()
+            self._heard_floor = min(
+                (c.last_heard for c in self.candidates.values()), default=now)
         self.sim.schedule_in(to_us(self.proto.housekeeping_period_s),
                              EventKind.TIMER_FIRE, self.id, self._housekeeping)
 
@@ -382,11 +400,14 @@ class Node:
     def _unicast_done(self, packet: DataPacket, parent: int, success: bool,
                       attempts: int, data_delivered: bool) -> None:
         self._mac_busy = False
-        etx_update(self._link(parent), attempts, success,
+        link = self._link(parent)
+        etx_before = link.etx_estimate
+        etx_update(link, attempts, success,
                    self.medium.cfg.max_transmissions, self.sim.now)
         if success and parent in self.candidates:
             self.candidates[parent].last_heard = self.sim.now
         if self.objective == MRHOF_ETX:
+            self._dirty |= link.etx_estimate != etx_before
             self._reselect()
         if not success and not data_delivered:
             self._drop(packet, "mac-failure")

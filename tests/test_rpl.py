@@ -1,5 +1,10 @@
 """RPL node behavior: joining, trickle, parent maintenance, forwarding."""
 
+import random
+
+import pytest
+
+from rplsim.cli import result_to_row
 from rplsim.engine import Simulator, derive_stream, to_us
 from rplsim.medium import Medium, MediumConfig
 from rplsim.objective import INFINITE_RANK, ROOT_RANK
@@ -259,3 +264,130 @@ class TestParentExpiry:
                              traffic_classes=())
         result = run_scenario(cfg)
         assert all(snap.joined for snap in result.nodes.values())
+
+
+class TestReselectSkip:
+    """Skipping a re-evaluation whose inputs did not move changes nothing."""
+
+    @staticmethod
+    def run(monkeypatch, forced, link_rx=None, **overrides):
+        if forced:
+            reselect = Node._reselect
+
+            def always_evaluate(self):
+                self._dirty = True
+                return reselect(self)
+            monkeypatch.setattr(Node, "_reselect", always_evaluate)
+        evaluations = []
+        evaluate = Node._evaluate
+
+        def counted(self):
+            evaluations.append(self.id)
+            return evaluate(self)
+        monkeypatch.setattr(Node, "_evaluate", counted)
+        cfg = ScenarioConfig(node_count=30, topology="random",
+                             duration_s=600.0, warmup_s=60.0, seed=2,
+                             **overrides)
+        result = run_scenario(cfg, link_rx=link_rx, trace=True)
+        monkeypatch.undo()
+        return result_to_row(result), result.trace.records, len(evaluations)
+
+    @pytest.mark.parametrize("objective", ["of0", "etx"])
+    @pytest.mark.parametrize("rx", [0.8, 1.0])
+    def test_same_rows_and_traces_as_always_evaluating(self, monkeypatch,
+                                                       objective, rx):
+        shipped = self.run(monkeypatch, False, objective=objective,
+                           rx_success_ratio=rx)
+        forced = self.run(monkeypatch, True, objective=objective,
+                          rx_success_ratio=rx)
+        assert shipped[:2] == forced[:2]
+        assert shipped[2] < forced[2]
+
+    def test_same_with_per_link_ratios(self, monkeypatch):
+        # half the pairs get their own ratio, the rest fall back to 0.9
+        rng = random.Random(5)
+        link_rx = {(a, b): rng.choice((0.5, 0.8, 0.95))
+                   for a in range(30) for b in range(a + 1, 30)
+                   if rng.random() < 0.5}
+        case = dict(objective="etx", rx_success_ratio=0.9)
+        shipped = self.run(monkeypatch, False, link_rx, **case)
+        forced = self.run(monkeypatch, True, link_rx, **case)
+        assert shipped[:2] == forced[:2]
+        assert shipped[2] < forced[2]
+
+
+EXPIRY_US = to_us(100.0)
+
+
+class TestHousekeepingBound:
+    """The bounded scan purges exactly when a full scan every tick would."""
+
+    @staticmethod
+    def lone_node():
+        proto = ProtocolConfig(parent_expiry_trickle_factor=0.0,
+                               parent_expiry_floor_s=100.0)
+        sim, _, nodes, _ = make_net(line_positions(2), proto=proto,
+                                    with_sink=False)
+        n1 = nodes[1]
+        ticks = []
+        housekeeping = n1._housekeeping
+
+        def logged():
+            housekeeping()
+            ticks.append((sim.now, set(n1.candidates)))
+        n1._housekeeping = logged      # re-armed through the instance, too
+        n1.start()
+        return sim, n1, ticks
+
+    @staticmethod
+    def assert_purged_on_time(ticks, last_heard, nid=0):
+        """From last_heard on, nid is kept at every tick up to the expiry
+        and gone at every tick after it."""
+        seen = [(t, nid in kept) for t, kept in ticks if t >= last_heard]
+        assert any(not present for _, present in seen)
+        assert all(present == (t - last_heard <= EXPIRY_US)
+                   for t, present in seen)
+
+    def test_silent_candidate_purged_at_first_tick_past_expiry(self):
+        sim, n1, ticks = self.lone_node()
+        sim.run_until(to_us(10.0) - 1)          # the first, staggered tick
+        heard = ticks[0][0] + to_us(10.0) - 1   # a tick lands 1 us past expiry
+        sim.run_until(heard)
+        n1.on_dio(DioMessage(0, ROOT_RANK))
+        sim.run_until(to_us(250.0))
+        self.assert_purged_on_time(ticks, heard)
+        assert not n1.joined
+
+    def test_unicast_success_refresh_keeps_candidate(self):
+        sim, n1, ticks = self.lone_node()
+        n1.on_dio(DioMessage(0, ROOT_RANK))
+        sim.run_until(to_us(60.0))
+        n1.app_generate()               # node 0's radio acknowledges it
+        sim.run_until(to_us(61.0))
+        refreshed = n1.candidates[0].last_heard
+        assert refreshed >= to_us(60.0)
+        sim.run_until(to_us(300.0))
+        assert any(t > EXPIRY_US and 0 in kept for t, kept in ticks)
+        self.assert_purged_on_time(ticks, refreshed)
+
+    def test_candidate_removed_and_readded_is_tracked_again(self):
+        sim, n1, ticks = self.lone_node()
+        n1.on_dio(DioMessage(0, ROOT_RANK))
+        sim.run_until(to_us(50.0))
+        n1.on_dio(DioMessage(0, INFINITE_RANK))
+        assert 0 not in n1.candidates
+        sim.run_until(to_us(60.0))
+        n1.on_dio(DioMessage(0, ROOT_RANK))
+        sim.run_until(to_us(300.0))
+        self.assert_purged_on_time(ticks, to_us(60.0))
+
+    def test_each_of_several_candidates_purged_on_time(self):
+        # senders 5 and 6 are not on the air; nothing refreshes them
+        sim, n1, ticks = self.lone_node()
+        heard = {0: 0, 5: to_us(30.0), 6: to_us(50.0)}
+        for nid, t in heard.items():
+            sim.run_until(t)
+            n1.on_dio(DioMessage(nid, ROOT_RANK))
+        sim.run_until(to_us(300.0))
+        for nid, t in heard.items():
+            self.assert_purged_on_time(ticks, t, nid)
