@@ -160,8 +160,6 @@ class Medium:
         self._backoff_window_us = max(1, to_us(cfg.backoff_window_s))
         self._ack_turnaround_us = to_us(cfg.ack_turnaround_s)
         self._ack_timeout_us = to_us(cfg.ack_timeout_s)
-        self._airtime_us = {n: cfg.airtime_us(n) for n in (
-            cfg.control_frame_bytes, cfg.data_frame_bytes, cfg.ack_frame_bytes)}
 
     # ------------------------------------------------------------------ API
 
@@ -251,7 +249,7 @@ class Medium:
     def _transmit(self, radio: _Radio, job, frame: Frame,
                   victims: tuple[int, ...]) -> None:
         now = self.sim.now
-        airtime = self._airtime_us[frame.size_bytes]
+        airtime = self.cfg.airtime_us(frame.size_bytes)
         tx = Transmission(radio.node_id, frame, now, now + airtime, victims)
         self._register(tx)
         self.sim.schedule_in(airtime, EventKind.TX_END, radio.node_id,

@@ -130,7 +130,6 @@ class Node:
         # set when a selection input (a candidate's rank or cost, its link
         # ETX, this node's rank or parent) may have moved since _evaluate
         self._dirty = True
-        self._heard_floor = 0    # <= every candidate's last_heard, which grows
         medium.set_receiver(node_id, self._on_frame)
 
     @property
@@ -290,16 +289,13 @@ class Node:
             adaptive = round(self.proto.parent_expiry_trickle_factor
                              * self.trickle.current_interval_us)
             expiry = max(expiry, adaptive)
-        if now - self._heard_floor > expiry:
-            stale = [nid for nid, c in self.candidates.items()
-                     if now - c.last_heard > expiry]
-            if stale:
-                for nid in stale:
-                    del self.candidates[nid]
-                self._dirty = True
-                self._reselect()
-            self._heard_floor = min(
-                (c.last_heard for c in self.candidates.values()), default=now)
+        stale = [nid for nid, c in self.candidates.items()
+                 if now - c.last_heard > expiry]
+        if stale:
+            for nid in stale:
+                del self.candidates[nid]
+            self._dirty = True
+            self._reselect()
         self.sim.schedule_in(to_us(self.proto.housekeeping_period_s),
                              EventKind.TIMER_FIRE, self.id, self._housekeeping)
 

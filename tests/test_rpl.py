@@ -255,6 +255,22 @@ class TestParentExpiry:
         assert n1.rank == INFINITE_RANK
         assert metrics.dis_count > 0
 
+    def test_purge_reselects_after_selection_settled(self):
+        # the repeated DIO re-evaluates to an unchanged (rank, parent), so
+        # only the purge itself can make the node look at its inputs again
+        proto = ProtocolConfig(parent_expiry_trickle_factor=0.0,
+                               parent_expiry_floor_s=100.0)
+        sim, _, nodes, _ = make_net(line_positions(2), proto=proto,
+                                    with_sink=False)
+        n1 = nodes[1]
+        n1.start()
+        n1.on_dio(DioMessage(0, ROOT_RANK))
+        n1.on_dio(DioMessage(0, ROOT_RANK))
+        assert not n1._dirty
+        sim.run_until(to_us(150.0))
+        assert not n1.candidates
+        assert not n1.joined
+
     def test_adaptive_window_keeps_parent_during_trickle_backoff(self):
         # defaults: expiry stretches with the trickle interval, so a healthy
         # but quiet parent is not purged
@@ -315,79 +331,3 @@ class TestReselectSkip:
         assert shipped[:2] == forced[:2]
         assert shipped[2] < forced[2]
 
-
-EXPIRY_US = to_us(100.0)
-
-
-class TestHousekeepingBound:
-    """The bounded scan purges exactly when a full scan every tick would."""
-
-    @staticmethod
-    def lone_node():
-        proto = ProtocolConfig(parent_expiry_trickle_factor=0.0,
-                               parent_expiry_floor_s=100.0)
-        sim, _, nodes, _ = make_net(line_positions(2), proto=proto,
-                                    with_sink=False)
-        n1 = nodes[1]
-        ticks = []
-        housekeeping = n1._housekeeping
-
-        def logged():
-            housekeeping()
-            ticks.append((sim.now, set(n1.candidates)))
-        n1._housekeeping = logged      # re-armed through the instance, too
-        n1.start()
-        return sim, n1, ticks
-
-    @staticmethod
-    def assert_purged_on_time(ticks, last_heard, nid=0):
-        """From last_heard on, nid is kept at every tick up to the expiry
-        and gone at every tick after it."""
-        seen = [(t, nid in kept) for t, kept in ticks if t >= last_heard]
-        assert any(not present for _, present in seen)
-        assert all(present == (t - last_heard <= EXPIRY_US)
-                   for t, present in seen)
-
-    def test_silent_candidate_purged_at_first_tick_past_expiry(self):
-        sim, n1, ticks = self.lone_node()
-        sim.run_until(to_us(10.0) - 1)          # the first, staggered tick
-        heard = ticks[0][0] + to_us(10.0) - 1   # a tick lands 1 us past expiry
-        sim.run_until(heard)
-        n1.on_dio(DioMessage(0, ROOT_RANK))
-        sim.run_until(to_us(250.0))
-        self.assert_purged_on_time(ticks, heard)
-        assert not n1.joined
-
-    def test_unicast_success_refresh_keeps_candidate(self):
-        sim, n1, ticks = self.lone_node()
-        n1.on_dio(DioMessage(0, ROOT_RANK))
-        sim.run_until(to_us(60.0))
-        n1.app_generate()               # node 0's radio acknowledges it
-        sim.run_until(to_us(61.0))
-        refreshed = n1.candidates[0].last_heard
-        assert refreshed >= to_us(60.0)
-        sim.run_until(to_us(300.0))
-        assert any(t > EXPIRY_US and 0 in kept for t, kept in ticks)
-        self.assert_purged_on_time(ticks, refreshed)
-
-    def test_candidate_removed_and_readded_is_tracked_again(self):
-        sim, n1, ticks = self.lone_node()
-        n1.on_dio(DioMessage(0, ROOT_RANK))
-        sim.run_until(to_us(50.0))
-        n1.on_dio(DioMessage(0, INFINITE_RANK))
-        assert 0 not in n1.candidates
-        sim.run_until(to_us(60.0))
-        n1.on_dio(DioMessage(0, ROOT_RANK))
-        sim.run_until(to_us(300.0))
-        self.assert_purged_on_time(ticks, to_us(60.0))
-
-    def test_each_of_several_candidates_purged_on_time(self):
-        # senders 5 and 6 are not on the air; nothing refreshes them
-        sim, n1, ticks = self.lone_node()
-        heard = {0: 0, 5: to_us(30.0), 6: to_us(50.0)}
-        for nid, t in heard.items():
-            sim.run_until(t)
-            n1.on_dio(DioMessage(nid, ROOT_RANK))
-        sim.run_until(to_us(300.0))
-        for nid, t in heard.items():
-            self.assert_purged_on_time(ticks, t, nid)
