@@ -2,11 +2,14 @@
 
 import hashlib
 import json
+import random
 
 import pytest
 
 from rplsim.cli import result_to_row
 from rplsim.engine import to_us
+from rplsim.medium import MediumConfig
+from rplsim.rpl import ProtocolConfig
 from rplsim.scenario import ScenarioConfig
 from rplsim.simulate import run_scenario
 
@@ -84,34 +87,84 @@ class TestObjectiveEquivalence:
                 assert snap.path_cost >= 128 * result.depth(snap.id)
 
 
+def per_link_ratios(node_count, seed, ratios):
+    """One ratio per node pair, drawn from `ratios` by a seeded stream."""
+    rng = random.Random(seed)
+    return {(a, b): rng.choice(ratios)
+            for a in range(node_count) for b in range(a + 1, node_count)}
+
+
+# Each case is one traced 300 s run with warmup 60 s: the ScenarioConfig
+# fields, plus the per-link ratios it runs with (or None).  The first four
+# are 40-node, rx 0.8, seed-1 runs, one per topology/objective pair; the
+# others pin a zero ACK turnaround, a near-zero backoff window, a short
+# parent expiry with frequent housekeeping, and per-link ratios.
+TRACE_CASES = {
+    "random-of0": (dict(topology="random", objective="of0"), None),
+    "random-etx": (dict(topology="random", objective="etx"), None),
+    "grid-of0": (dict(topology="grid", objective="of0"), None),
+    "grid-etx": (dict(topology="grid", objective="etx"), None),
+    "ack-turnaround-0": (
+        dict(topology="grid", objective="etx", seed=3,
+             medium=MediumConfig(ack_turnaround_s=0.0)), None),
+    "ack-turnaround-0-backoff-1ms": (
+        dict(topology="random", objective="of0", rx_success_ratio=1.0,
+             seed=4, medium=MediumConfig(ack_turnaround_s=0.0,
+                                         backoff_window_s=0.001)), None),
+    "expiry-20s-housekeeping-1s": (
+        dict(topology="random", objective="etx", rx_success_ratio=0.9,
+             node_count=30, seed=6,
+             protocol=ProtocolConfig(parent_expiry_floor_s=20.0,
+                                     housekeeping_period_s=1.0)), None),
+    "per-link-ratios": (
+        dict(topology="random", objective="etx", node_count=30, seed=7),
+        per_link_ratios(30, 7, (0.6, 0.8, 1.0))),
+}
+
 # sha256 of (JSONL trace as write_jsonl writes it, result_to_row as sorted
-# JSON) for one 40-node, 300 s, rx 0.8, seed-1 run per topology/objective
-# pair; pins the event-by-event behaviour across commits
+# JSON) for each case; pins the event-by-event behaviour across commits
 TRACE_DIGESTS = {
-    ("random", "of0"): (
+    "random-of0": (
         "3ffd538bd00b2e8111c05d8b6f373e1c2f1c67b858a6686480f0fbadf8b01df5",
         "87269c252a35a7ad5dbea43bff08b362d3eba1e825e20742ae525916c7d08dc4"),
-    ("random", "etx"): (
+    "random-etx": (
         "2c0d951f7f825d47d1e50e4a6428b32d43cac587de7dca4c87f240d8980619a9",
         "6fb2b363d88c800bb1775ed3cb707b585e611e7cbc5bb851f03a38011c73aef9"),
-    ("grid", "of0"): (
+    "grid-of0": (
         "f37b4b2306193a9c3040627a08dd78958eaaedfa94a1f369a72b1a4c437c58dd",
         "d7247c4c19097bc6313f7cc2931302832b55acbcbc5559b07dcd2ec6d9ee4852"),
-    ("grid", "etx"): (
+    "grid-etx": (
         "15bbe4c86d0f033d7c7aba4651f1d6fba967eb755e5c24d8ffb67efb7d8a14ae",
         "e0a1b2b57cf5ca60ef15ff6daf2e884bb3cb76faf858e51352e616f3a47a30ff"),
+    "ack-turnaround-0": (
+        "7864dfc88b713419676f295c1ccfbcd7c9f1cc839fc5b7d299391744f8dad5b5",
+        "87862bf58b367f5f7d3af95a767b15565dbf91e1277c0b10edcc52145d24b4bb"),
+    "ack-turnaround-0-backoff-1ms": (
+        "be74edadf3c8803bdde3482f66cad352b721fd8b85cce3b710156ee036e318de",
+        "21757f8ac2db0c4f1af6e8121a699032b43a4f2b85ca95f557066d9b6b82eee4"),
+    "expiry-20s-housekeeping-1s": (
+        "706456858b46574b84043c8cecb8429ab58c6c0181371671cbf49092eb9aea99",
+        "c8cdb5b456967481f1e916affbb554070fefee2d47df2b6a40691a25e9126e68"),
+    "per-link-ratios": (
+        "376b2aaae07208aaa1a02324bb9283366c67fa87a2a01e8225d5919bd0d87a70",
+        "e8e0f3a4c05da9d9486a7d60af80b784ad364b95552fd844b9becf95bfcf9b94"),
 }
 
 
-@pytest.mark.parametrize("topology,objective", sorted(TRACE_DIGESTS))
-def test_trace_and_row_digests(topology, objective, tmp_path):
-    cfg = ScenarioConfig(node_count=40, topology=topology, objective=objective,
-                         rx_success_ratio=0.8, duration_s=300.0,
-                         warmup_s=60.0, seed=1)
-    result = run_scenario(cfg, trace=True)
+def trace_and_row_digests(case, tmp_path):
+    fields, link_rx = TRACE_CASES[case]
+    values = dict(node_count=40, rx_success_ratio=0.8, duration_s=300.0,
+                  warmup_s=60.0, seed=1)
+    values.update(fields)
+    cfg = ScenarioConfig(**values)
+    result = run_scenario(cfg, link_rx=link_rx, trace=True)
     path = tmp_path / "trace.jsonl"
     result.trace.write_jsonl(str(path))
     row = json.dumps(result_to_row(result), sort_keys=True).encode()
-    assert (hashlib.sha256(path.read_bytes()).hexdigest(),
-            hashlib.sha256(row).hexdigest()) == \
-        TRACE_DIGESTS[(topology, objective)]
+    return (hashlib.sha256(path.read_bytes()).hexdigest(),
+            hashlib.sha256(row).hexdigest())
+
+
+@pytest.mark.parametrize("case", sorted(TRACE_DIGESTS))
+def test_trace_and_row_digests(case, tmp_path):
+    assert trace_and_row_digests(case, tmp_path) == TRACE_DIGESTS[case]
