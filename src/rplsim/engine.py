@@ -32,7 +32,6 @@ def to_s(us: int) -> float:
 class EventKind(Enum):
     TIMER_FIRE = "timer-fire"
     TX_END = "tx-end"
-    RX_DELIVER = "rx-deliver"
     APP_SEND = "app-send"
 
 

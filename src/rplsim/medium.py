@@ -10,6 +10,10 @@ Unicast frames are acknowledged and retried up to max_transmissions times;
 every attempt performs a uniform random backoff and senses the channel
 before transmitting.  ACKs are sent after a fixed turnaround without
 carrier sensing and are subject to the same loss model as data.
+
+A frame reaches its receivers in the event that ends its airtime, in
+ascending id order, after the sender's bookkeeping (broadcast completion
+and the next queued job, or the ACK timeout) is done.
 """
 
 from __future__ import annotations
@@ -102,7 +106,6 @@ class _BroadcastJob:
 @dataclass
 class _UnicastJob:
     frame: Frame
-    dst: int
     on_complete: Callable[[bool, int, bool], None]
     attempts: int = 0
     data_delivered: bool = False     # ground truth, for packet accounting
@@ -154,8 +157,7 @@ class Medium:
 
         self._radios = {nid: _Radio(nid) for nid in ids}
         self._receivers: dict[int, Callable[[Frame, int], None]] = {}
-        self._active: dict[int, Transmission] = {}
-        self._transmitting: set[int] = set()
+        self._active: dict[int, Transmission] = {}   # by sender; one at most
         self._next_frame_id = 0
         self._backoff_window_us = max(1, to_us(cfg.backoff_window_s))
         self._ack_turnaround_us = to_us(cfg.ack_turnaround_s)
@@ -189,7 +191,7 @@ class Medium:
         """
         frame = self._new_frame(FrameKind.DATA, sender, receiver,
                                 self.cfg.data_frame_bytes, payload)
-        self._submit(sender, _UnicastJob(frame, receiver, on_complete))
+        self._submit(sender, _UnicastJob(frame, on_complete))
 
     def deliver(self, tx: Transmission, receiver: int,
                 stream: random.Random) -> Outcome:
@@ -227,32 +229,29 @@ class Medium:
                              lambda: self._sense(radio, job))
 
     def _channel_busy(self, node_id: int) -> bool:
-        if node_id in self._transmitting:
-            return True
         audible = self._neighbor_sets[node_id]
-        return any(tx.sender in audible for tx in self._active.values())
+        return node_id in self._active or any(
+            tx.sender in audible for tx in self._active.values())
 
     def _sense(self, radio: _Radio, job) -> None:
         if self._channel_busy(radio.node_id):
             self._begin_csma(radio, job)      # defer with a fresh backoff
             return
-        self._transmit(radio, job, job.frame,
-                       victims=self._victims_of(radio.node_id, job.frame))
+        self._transmit(radio, job, job.frame)
 
-    def _victims_of(self, sender: int, frame: Frame) -> tuple[int, ...]:
+    def _transmit(self, radio: _Radio, job, frame: Frame) -> None:
+        sender = radio.node_id
         if frame.dst is None:
-            return self.neighbors[sender]
-        if frame.dst in self._neighbor_sets[sender]:
-            return (frame.dst,)
-        return ()
-
-    def _transmit(self, radio: _Radio, job, frame: Frame,
-                  victims: tuple[int, ...]) -> None:
+            victims = self.neighbors[sender]
+        elif frame.dst in self._neighbor_sets[sender]:
+            victims = (frame.dst,)
+        else:
+            victims = ()
         now = self.sim.now
         airtime = self.cfg.airtime_us(frame.size_bytes)
-        tx = Transmission(radio.node_id, frame, now, now + airtime, victims)
+        tx = Transmission(sender, frame, now, now + airtime, victims)
         self._register(tx)
-        self.sim.schedule_in(airtime, EventKind.TX_END, radio.node_id,
+        self.sim.schedule_in(airtime, EventKind.TX_END, sender,
                              lambda: self._tx_end(radio, job, tx))
 
     def _register(self, tx: Transmission) -> None:
@@ -268,63 +267,60 @@ class Medium:
                     other.corrupted.add(r)
         # a node busy transmitting cannot receive
         for r in tx.victims:
-            if r in self._transmitting:
+            if r in self._active:
                 tx.corrupted.add(r)
-        self._active[tx.frame.frame_id] = tx
-        self._transmitting.add(tx.sender)
+        self._active[tx.sender] = tx
 
     def _tx_end(self, radio: _Radio, job, tx: Transmission) -> None:
-        del self._active[tx.frame.frame_id]
-        self._transmitting.discard(tx.sender)
+        sender, frame = tx.sender, tx.frame
+        del self._active[sender]
         airtime = tx.end - tx.start
-        ledger = self._ledgers[tx.sender]
+        ledger = self._ledgers[sender]
         ledger.charge(TX, airtime)
         ledger.charge(CPU, airtime)
         if self.trace.enabled:
-            self.trace.emit({"t": tx.start, "ev": "tx", "node": tx.sender,
-                             "kind": tx.frame.kind.value,
-                             "bytes": tx.frame.size_bytes,
-                             "frame": tx.frame.frame_id})
+            self.trace.emit({"t": tx.start, "ev": "tx", "node": sender,
+                             "kind": frame.kind.value, "bytes": frame.size_bytes,
+                             "frame": frame.frame_id})
         outcomes: dict[int, Outcome] = {}
+        delivered = []
         for r in tx.victims:
-            outcome = self.deliver(tx, r, self._stream)
-            outcomes[r] = outcome
+            outcome = outcomes[r] = self.deliver(tx, r, self._stream)
             if outcome is Outcome.DELIVERED:
-                self._deliver_to(r, tx)
+                delivered.append(r)
+                ledger = self._ledgers[r]
+                ledger.charge(RX, airtime)
+                ledger.charge(CPU, airtime)
+                if self.trace.enabled:
+                    self.trace.emit({"t": tx.end, "ev": "rx", "node": r,
+                                     "from": sender, "bytes": frame.size_bytes,
+                                     "frame": frame.frame_id})
 
         if isinstance(job, _BroadcastJob):
             if job.on_done is not None:
                 job.on_done(outcomes)
             radio.current = None
             self._start_next(radio)
-        elif tx.frame.kind is FrameKind.ACK:
+        elif frame.kind is FrameKind.ACK:
             pass                                   # fire and forget
         else:                                      # unicast data attempt
-            if outcomes.get(job.dst) is Outcome.DELIVERED:
+            if delivered:
                 job.data_delivered = True
             job.waiting = True
             job.timeout_event = self.sim.schedule_in(
-                self._ack_timeout_us, EventKind.TIMER_FIRE, radio.node_id,
+                self._ack_timeout_us, EventKind.TIMER_FIRE, sender,
                 lambda: self._ack_timeout(radio, job))
-
-    def _deliver_to(self, receiver: int, tx: Transmission) -> None:
-        airtime = tx.end - tx.start
-        ledger = self._ledgers[receiver]
-        ledger.charge(RX, airtime)
-        ledger.charge(CPU, airtime)
-        if self.trace.enabled:
-            self.trace.emit({"t": self.sim.now, "ev": "rx", "node": receiver,
-                             "from": tx.sender, "bytes": tx.frame.size_bytes,
-                             "frame": tx.frame.frame_id})
-        self.sim.schedule_in(0, EventKind.RX_DELIVER, receiver,
-                             lambda: self._receive(receiver, tx.frame, tx.sender))
+        # receivers react last, so whatever the sender scheduled above
+        # keeps its place ahead of what they schedule
+        for r in delivered:
+            self._receive(r, frame, sender)
 
     def _receive(self, node_id: int, frame: Frame, from_id: int) -> None:
         radio = self._radios[node_id]
         if frame.kind is FrameKind.ACK:
             job = radio.current
             if (isinstance(job, _UnicastJob) and job.waiting
-                    and job.dst == from_id):
+                    and job.frame.dst == from_id):
                 job.waiting = False
                 job.timeout_event.cancel()
                 radio.current = None
@@ -346,10 +342,9 @@ class Medium:
                               self.cfg.ack_frame_bytes, None)
 
         def fire() -> None:
-            if node_id in self._transmitting:
+            if node_id in self._active:
                 return                     # half duplex: drop the ACK
-            radio = self._radios[node_id]
-            self._transmit(radio, None, ack, self._victims_of(node_id, ack))
+            self._transmit(self._radios[node_id], None, ack)
 
         self.sim.schedule_in(self._ack_turnaround_us, EventKind.TIMER_FIRE,
                              node_id, fire)

@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 from .engine import EventKind, Simulator, to_us
 from .medium import Frame, FrameKind, Medium
-from .objective import (INFINITE_RANK, LinkStats, MAX_PATH_COST, MRHOF_ETX,
-                        OF0, RANK_UNIT, ROOT_RANK, etx_update, mrhof_path_cost,
-                        mrhof_rank, mrhof_select_parent, of0_rank,
-                        of0_select_parent)
+from .objective import (ETX_INITIAL, INFINITE_RANK, LinkStats, MAX_PATH_COST,
+                        MRHOF_ETX, OF0, RANK_UNIT, ROOT_RANK, etx_update,
+                        mrhof_path_cost, mrhof_rank, mrhof_select_parent,
+                        of0_rank, of0_select_parent)
 from .telemetry import CPU, EnergyLedger, MetricsReport, TraceRecorder, NULL_TRACE
 
 SINK = "sink"
@@ -41,7 +41,7 @@ class ProtocolConfig:
     parent_expiry_trickle_factor: float = 3.0
     housekeeping_period_s: float = 10.0
     cpu_process_s: float = 0.001
-    etx_initial: int = 256
+    etx_initial: int = ETX_INITIAL
 
     def __post_init__(self):
         # timers draw whole microseconds; a DIS wait can be 0.9x its period

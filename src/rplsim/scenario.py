@@ -146,9 +146,9 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
         except ValueError as exc:       # a cross-field rule of the section
             raise ConfigError(f"{name}.{exc}") from None
     cfg = ScenarioConfig(**values)
-    if cfg.duration_s <= cfg.warmup_s:
+    if to_us(cfg.duration_s) <= to_us(cfg.warmup_s):
         raise ConfigError(f"duration_s: must exceed warmup_s={cfg.warmup_s} "
-                          f"(got {cfg.duration_s!r})")
+                          f"by at least 1 us (got {cfg.duration_s!r})")
     if cfg.topology == "grid" and cfg.grid_spacing_m > cfg.medium.tx_range_m:
         raise ConfigError(f"grid_spacing_m: must not exceed medium.tx_range_m"
                           f"={cfg.medium.tx_range_m}, or the lattice is "

@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import dataclasses
 import json
 import math
 import pathlib
@@ -10,8 +11,11 @@ import statistics
 import pytest
 
 from rplsim.cli import CSV_COLUMNS, load_sweep, main, sweep_tasks
-from rplsim.scenario import (SCHEMA_KEYWORDS, ConfigError, load_scenario,
-                             load_schema, scenario_from_dict)
+from rplsim.medium import MediumConfig
+from rplsim.rpl import ProtocolConfig
+from rplsim.scenario import (SCHEMA_KEYWORDS, ConfigError, ScenarioConfig,
+                             load_scenario, load_schema, scenario_from_dict)
+from rplsim.telemetry import EnergyCurrents
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SCHEMA_DIR = ROOT / "src" / "rplsim" / "schemas"
@@ -55,6 +59,8 @@ REJECTED = {
     "traffic_classes": {"traffic_classes": [["critical"]]},
     "protocol.ttl": {"protocol": {"ttl": 0}},
     "duration_s": {"duration_s": math.inf},
+    # rounds to a zero-length run, whose average power is undefined
+    "duration_s: must exceed warmup_s": {"warmup_s": 0, "duration_s": 1e-7},
 }
 
 # sweeps whose bad field must stop the sweep before its first run
@@ -277,6 +283,20 @@ class TestShippedArtifacts:
                                                          "title"}
                 assert not unknown, f"{name} {where}: {unknown}"
                 assert spec.get("additionalProperties", False) is False
+
+    def test_schema_properties_match_config_fields(self):
+        # a dataclass field missing from the schema cannot be set, and a
+        # schema property missing from the dataclass crashes its constructor
+        schema = load_schema("scenario")
+        sections = {"medium": MediumConfig, "protocol": ProtocolConfig,
+                    "currents": EnergyCurrents}
+        pairs = [(schema, ScenarioConfig)] + [
+            (schema["properties"][name], cls) for name, cls in sections.items()]
+        for spec, cls in pairs:
+            fields = {f.name for f in dataclasses.fields(cls)}
+            if cls is MediumConfig:     # the top-level field sets it
+                fields.remove("rx_success_ratio")
+            assert set(spec["properties"]) == fields, cls.__name__
 
     @pytest.mark.parametrize("name", ["scenario", "sweep"])
     def test_schema_bounds_reject_first_value_past_them(self, tmp_path, name):

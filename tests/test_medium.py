@@ -7,7 +7,7 @@ from oracles import unicast_expectation
 from rplsim.engine import Simulator, derive_stream, to_us
 from rplsim.medium import (FrameKind, Medium, MediumConfig, Outcome, in_range)
 from rplsim.scenario import ConfigError, scenario_from_dict
-from rplsim.telemetry import NULL_TRACE, EnergyLedger
+from rplsim.telemetry import NULL_TRACE, EnergyLedger, TraceRecorder
 
 SEC = to_us(1.0)
 
@@ -147,6 +147,25 @@ class TestBroadcast:
         expected = [trials * scipy_stats.binom.pmf(k, 4, 0.8) for k in range(5)]
         statistic, _ = scipy_stats.chisquare(counts, expected)
         assert statistic < scipy_stats.chi2.ppf(0.999, df=4)
+
+
+class TestDelivery:
+    def test_broadcast_reaches_receivers_inside_its_tx_end_event(self):
+        # receivers are inserted out of id order; the medium sorts them
+        positions = {0: (0.0, 0.0), 3: (50.0, 0.0), 1: (0.0, 50.0),
+                     2: (-50.0, 0.0)}
+        trace = TraceRecorder(enabled=True)
+        sim, medium, _ = make_medium(positions, trace=trace)
+        heard = []
+        for nid in positions:
+            medium.set_receiver(nid, lambda frame, src, nid=nid:
+                                heard.append((sim.now, nid)))
+        medium.broadcast(0, FrameKind.DIS)
+        sim.run_until(SEC)
+        assert sim.events_processed == 2        # CSMA sense, TX_END
+        (tx,) = [r for r in trace.records if r["ev"] == "tx"]
+        end = tx["t"] + medium.cfg.airtime_us(medium.cfg.control_frame_bytes)
+        assert heard == [(end, 1), (end, 2), (end, 3)]
 
 
 class TestUnicast:
