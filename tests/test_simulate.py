@@ -151,20 +151,16 @@ TRACE_DIGESTS = {
 }
 
 
-def trace_and_row_digests(case, tmp_path):
+@pytest.mark.parametrize("case", sorted(TRACE_DIGESTS))
+def test_trace_and_row_digests(case, tmp_path):
     fields, link_rx = TRACE_CASES[case]
     values = dict(node_count=40, rx_success_ratio=0.8, duration_s=300.0,
                   warmup_s=60.0, seed=1)
     values.update(fields)
-    cfg = ScenarioConfig(**values)
-    result = run_scenario(cfg, link_rx=link_rx, trace=True)
+    result = run_scenario(ScenarioConfig(**values), link_rx=link_rx,
+                          trace=True)
     path = tmp_path / "trace.jsonl"
     result.trace.write_jsonl(str(path))
     row = json.dumps(result_to_row(result), sort_keys=True).encode()
-    return (hashlib.sha256(path.read_bytes()).hexdigest(),
-            hashlib.sha256(row).hexdigest())
-
-
-@pytest.mark.parametrize("case", sorted(TRACE_DIGESTS))
-def test_trace_and_row_digests(case, tmp_path):
-    assert trace_and_row_digests(case, tmp_path) == TRACE_DIGESTS[case]
+    assert (hashlib.sha256(path.read_bytes()).hexdigest(),
+            hashlib.sha256(row).hexdigest()) == TRACE_DIGESTS[case]
