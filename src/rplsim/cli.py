@@ -175,15 +175,19 @@ def cmd_sweep(args) -> int:
             configs.append(scenario_from_dict(raw))
         except ConfigError as exc:
             raise ConfigError(f"sweep cell {index}: {exc}") from None
-    _check_header(args.out)
+    append_rows(args.out, [])               # the header, or refuse --out
+    rows, errors = [], []
     with (ProcessPoolExecutor(max_workers=args.parallel)
           if args.parallel > 1 else contextlib.nullcontext()) as pool:
-        # either map yields the outcomes in task (grid) order
-        outcomes = list((pool.map if pool else map)(_sweep_worker, configs))
-    rows = [row for row, _ in outcomes if row is not None]
-    errors = [(index, error) for index, (_, error) in enumerate(outcomes)
-              if error is not None]
-    append_rows(args.out, rows)
+        # either map yields the outcomes in task (grid) order; each row is
+        # appended as it comes, so an interrupted sweep keeps those done
+        outcomes = (pool.map if pool else map)(_sweep_worker, configs)
+        for index, (row, error) in enumerate(outcomes):
+            if row is None:
+                errors.append((index, error))
+            else:
+                rows.append(row)
+                append_rows(args.out, [row])
 
     if errors:
         failures_path = args.out + ".failures.csv"

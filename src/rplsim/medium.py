@@ -109,8 +109,7 @@ class _UnicastJob:
     on_complete: Callable[[bool, int, bool], None]
     attempts: int = 0
     data_delivered: bool = False     # ground truth, for packet accounting
-    waiting: bool = False
-    timeout_event: Event | None = None
+    timeout_event: Event | None = None   # set while awaiting an ACK
 
 
 class _Radio:
@@ -306,7 +305,6 @@ class Medium:
         else:                                      # unicast data attempt
             if delivered:
                 job.data_delivered = True
-            job.waiting = True
             job.timeout_event = self.sim.schedule_in(
                 self._ack_timeout_us, EventKind.TIMER_FIRE, sender,
                 lambda: self._ack_timeout(radio, job))
@@ -319,10 +317,10 @@ class Medium:
         radio = self._radios[node_id]
         if frame.kind is FrameKind.ACK:
             job = radio.current
-            if (isinstance(job, _UnicastJob) and job.waiting
+            if (isinstance(job, _UnicastJob) and job.timeout_event is not None
                     and job.frame.dst == from_id):
-                job.waiting = False
                 job.timeout_event.cancel()
+                job.timeout_event = None
                 radio.current = None
                 job.on_complete(True, job.attempts, job.data_delivered)
                 self._start_next(radio)
@@ -350,7 +348,7 @@ class Medium:
                              node_id, fire)
 
     def _ack_timeout(self, radio: _Radio, job: _UnicastJob) -> None:
-        job.waiting = False
+        job.timeout_event = None
         if job.attempts < self.cfg.max_transmissions:
             job.attempts += 1
             self._begin_csma(radio, job)

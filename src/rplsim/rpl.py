@@ -1,9 +1,10 @@
 """Per-node RPL upward-routing state machine.
 
-Each node joins a single grounded DODAG rooted at the sink, paces its DIO
-beacons with a trickle timer, keeps a candidate-parent set fed by heard
-DIOs, and forwards data packets hop by hop toward its preferred parent.
-Parent choice and rank are delegated to the configured objective function.
+Each node joins a single grounded DODAG rooted at the sink, keeps a
+candidate-parent set fed by heard DIOs, and forwards data hop by hop to
+the parent the configured objective function picks.  Its one DODAG timer
+is DIS while it is detached and trickle while joined, never both; trickle
+(RFC 6206) arms it for the send point t, then for the interval's rest I - t.
 
 Trickle resets follow the usual inconsistency rules with one damping
 refinement: a DIO that merely drifts this node's rank by less than one
@@ -120,9 +121,7 @@ class Node:
                                     proto.trickle_redundancy_k)
         self.queue: deque[DataPacket] = deque()
 
-        self._trickle_fire_ev = None
-        self._trickle_end_ev = None
-        self._dis_ev = None
+        self._timer = None       # DIS while detached, trickle while joined
         self._mac_busy = False
         self._pkt_seq = 0
         self._cpu_process_us = to_us(proto.cpu_process_s)
@@ -271,12 +270,8 @@ class Node:
                                  "rank": self.rank})
         if self.joined != was_joined:
             if self.joined:
-                if self._dis_ev is not None:
-                    self._dis_ev.cancel()
-                    self._dis_ev = None
                 self._trickle_reset()
             else:
-                self._trickle_stop()
                 self._schedule_dis()
             if self.on_join_change is not None:
                 self.on_join_change(self.id, self.joined)
@@ -299,38 +294,36 @@ class Node:
         self.sim.schedule_in(to_us(self.proto.housekeeping_period_s),
                              EventKind.TIMER_FIRE, self.id, self._housekeeping)
 
-    # --------------------------------------------------------------- trickle
+    # ------------------------------------------------------- trickle and DIS
+
+    def _arm(self, delay_us: int, action) -> None:
+        """Make `action` the one pending timer; handlers clear `_timer` first."""
+        if self._timer is not None:
+            self._timer.cancel()
+        self._timer = self.sim.schedule_in(delay_us, EventKind.TIMER_FIRE,
+                                           self.id, action)
 
     def _trickle_reset(self) -> None:
-        self._trickle_stop()
         self.trickle.current_interval_us = self.trickle.i_min_us
         self._trickle_start_interval()
-
-    def _trickle_stop(self) -> None:
-        if self._trickle_fire_ev is not None:
-            self._trickle_fire_ev.cancel()
-            self._trickle_fire_ev = None
-        if self._trickle_end_ev is not None:
-            self._trickle_end_ev.cancel()
-            self._trickle_end_ev = None
 
     def _trickle_start_interval(self) -> None:
         st = self.trickle
         st.counter = 0
         half = st.current_interval_us // 2
         st.t_us = half + self.jitter.randrange(st.current_interval_us - half)
-        self._trickle_fire_ev = self.sim.schedule_in(
-            st.t_us, EventKind.TIMER_FIRE, self.id, self._trickle_fire)
-        self._trickle_end_ev = self.sim.schedule_in(
-            st.current_interval_us, EventKind.TIMER_FIRE, self.id,
-            self._trickle_interval_end)
+        self._arm(st.t_us, self._trickle_fire)
 
     def _trickle_fire(self) -> None:
-        if self.trickle.counter < self.trickle.redundancy_k:
+        st = self.trickle
+        self._timer = None          # armed before the DIO's MAC events
+        self._arm(st.current_interval_us - st.t_us, self._trickle_interval_end)
+        if st.counter < st.redundancy_k:
             self._send_dio()
 
     def _trickle_interval_end(self) -> None:
         st = self.trickle
+        self._timer = None
         st.current_interval_us = min(st.current_interval_us * 2,
                                      st.max_interval_us)
         self._trickle_start_interval()
@@ -342,17 +335,12 @@ class Node:
         self.metrics.dio_count += 1
         self.medium.broadcast(self.id, FrameKind.DIO, dio)
 
-    # ------------------------------------------------------------------ DIS
-
     def _schedule_dis(self) -> None:
         period = self.proto.dis_period_s * self.jitter.uniform(0.9, 1.1)
-        self._dis_ev = self.sim.schedule_in(to_us(period), EventKind.TIMER_FIRE,
-                                            self.id, self._dis_fire)
+        self._arm(to_us(period), self._dis_fire)
 
     def _dis_fire(self) -> None:
-        self._dis_ev = None
-        if self.joined:
-            return
+        self._timer = None
         self.metrics.dis_count += 1
         self.medium.broadcast(self.id, FrameKind.DIS)
         self._schedule_dis()

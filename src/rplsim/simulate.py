@@ -7,6 +7,7 @@ traffic scheduling, and end-of-run bookkeeping.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 
 from .engine import EventKind, Simulator, derive_stream, to_us
@@ -69,6 +70,9 @@ def run_scenario(cfg: ScenarioConfig,
     positions and link_rx exist for programmatic studies (fixture graphs,
     heterogeneous links); JSON-driven runs leave them unset.
     """
+    # callbacks tie each run's objects into cycles; collecting them here keeps
+    # a process that runs many scenarios at one run's memory in any gc phase
+    gc.collect()
     sim = Simulator()
     topo_stream = derive_stream(cfg.seed, "topology")
     medium_stream = derive_stream(cfg.seed, "medium")

@@ -6,8 +6,8 @@ execute once.
 """
 
 import hashlib
-import itertools
 import json
+import pathlib
 import random
 import statistics
 import time
@@ -17,22 +17,24 @@ import pytest
 
 from oracles import (bfs_hops, dijkstra_etx, disk_edges, replay_energy,
                      unicast_expectation)
-from rplsim.cli import append_rows, result_to_row
+from rplsim.cli import append_rows, load_sweep, result_to_row, sweep_tasks
 from rplsim.engine import derive_stream, to_us
 from rplsim.scenario import (ScenarioConfig, generate_random_topology,
-                             next_send_time)
+                             next_send_time, scenario_from_dict)
 from rplsim.simulate import run_scenario
 
-GRID_NODE_COUNTS = (20, 40, 60, 80, 100)
-GRID_OBJECTIVES = ("of0", "etx")
-GRID_RX = (0.8, 1.0)
-GRID_TOPOLOGIES = ("random", "grid")
-GRID_SEEDS = (1, 2, 3)
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 # sha256 of the paper grid's CSV as `rplsim sweep --spec
 # configs/paper_sweep.json` writes it; pins the rows across commits
 PAPER_GRID_SHA256 = \
     "e35e1edd39766954c8dbe798a3686ab037864b52e5a0e0548f0bbf421a760af2"
+
+
+def shipped_sweep(name):
+    """The scenarios of configs/<name>.json, as `rplsim sweep` expands them."""
+    for raw in sweep_tasks(load_sweep(str(CONFIGS / f"{name}.json"))):
+        yield scenario_from_dict(raw)
 
 
 @contextmanager
@@ -172,15 +174,11 @@ def check_replay(result):
 @pytest.fixture(scope="module")
 def paper_grid_runs():
     checks = []
-    cells = itertools.product(GRID_TOPOLOGIES, GRID_OBJECTIVES, GRID_RX,
-                              GRID_NODE_COUNTS, GRID_SEEDS)
-    for topology, objective, rx, node_count, seed in cells:
-        cfg = ScenarioConfig(node_count=node_count, topology=topology,
-                             objective=objective, rx_success_ratio=rx,
-                             duration_s=900.0, warmup_s=60.0, seed=seed)
+    for cfg in shipped_sweep("paper_sweep"):
         result = run_scenario(cfg, trace=True)
         checks.append({
-            "cell": f"{topology}/{objective}/rx{rx}/n{node_count}/s{seed}",
+            "cell": f"{cfg.topology}/{cfg.objective}/rx{cfg.rx_success_ratio}"
+                    f"/n{cfg.node_count}/s{cfg.seed}",
             "tree": check_tree(result),
             "energy": check_energy(result),
             "replay": check_replay(result),
@@ -222,22 +220,20 @@ def test_criterion_5_perfect_channel_pdr():
 
 def test_criterion_6_directional_claim():
     with criterion(6, "OF0 vs ETX: PDR and power comparable (random, rx 0.8)"):
-        seeds = range(1, 11)
+        runs = {}
+        for cfg in shipped_sweep("directional_sweep"):
+            assert (cfg.topology, cfg.rx_success_ratio) == ("random", 0.8)
+            result = run_scenario(cfg)
+            pdrs, powers = runs.setdefault(
+                (cfg.node_count, cfg.objective), ([], []))
+            pdrs.append(result.metrics.pdr())
+            powers.append(result.avg_power_mw())
         print()
         for node_count in (20, 40, 60):
             cell = {}
             for objective in ("of0", "etx"):
-                pdrs, powers = [], []
-                for seed in seeds:
-                    cfg = ScenarioConfig(node_count=node_count,
-                                         topology="random",
-                                         objective=objective,
-                                         rx_success_ratio=0.8,
-                                         duration_s=900.0, warmup_s=60.0,
-                                         seed=seed)
-                    result = run_scenario(cfg)
-                    pdrs.append(result.metrics.pdr())
-                    powers.append(result.avg_power_mw())
+                pdrs, powers = runs[(node_count, objective)]
+                assert len(pdrs) == 10
                 cell[objective] = (statistics.mean(pdrs),
                                    statistics.stdev(pdrs),
                                    statistics.mean(powers),

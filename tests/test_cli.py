@@ -1,5 +1,6 @@
 """CLI surface: run/sweep/plot-data, schema errors, parallel equivalence."""
 
+import ast
 import copy
 import csv
 import dataclasses
@@ -7,9 +8,11 @@ import json
 import math
 import pathlib
 import statistics
+import sys
 
 import pytest
 
+from rplsim import cli
 from rplsim.cli import CSV_COLUMNS, load_sweep, main, sweep_tasks
 from rplsim.medium import MediumConfig
 from rplsim.rpl import ProtocolConfig
@@ -222,6 +225,27 @@ class TestSweep:
             statistics.mean(members), abs=1e-6)
         assert cell["runs"] == str(len(members))
 
+    @pytest.mark.parametrize("done", [0, 5])
+    def test_interrupted_sweep_keeps_finished_rows(self, tmp_path,
+                                                   monkeypatch, done):
+        spec = write_json(tmp_path / "s.json", SWEEP_SPEC)
+        full = tmp_path / "full.csv"
+        main(["sweep", "--spec", spec, "--out", str(full)])
+        worker = cli._sweep_worker
+        calls = []
+
+        def interrupted(cfg):
+            if len(calls) == done:
+                raise KeyboardInterrupt
+            calls.append(cfg)
+            return worker(cfg)
+        monkeypatch.setattr(cli, "_sweep_worker", interrupted)
+        out = tmp_path / "cut.csv"
+        with pytest.raises(KeyboardInterrupt):
+            main(["sweep", "--spec", spec, "--out", str(out)])
+        lines = full.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert out.read_text(encoding="utf-8") == "".join(lines[:1 + done])
+
     def test_failed_cell_is_recorded_and_sweep_continues(self, tmp_path,
                                                          capsys):
         spec = dict(SWEEP_SPEC, node_counts=[5], rx_ratios=[1.0],
@@ -271,6 +295,22 @@ class TestSweep:
 
 
 class TestShippedArtifacts:
+    def test_package_imports_only_itself_and_the_stdlib(self):
+        # the runtime declares no dependencies, so nothing else may be needed
+        foreign = []
+        for path in sorted((ROOT / "src" / "rplsim").rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                foreign += [f"{path.name}: {name}" for name in names
+                            if name.split(".")[0] != "rplsim" and
+                            name.split(".")[0] not in sys.stdlib_module_names]
+        assert not foreign
+
     def test_schema_documents_are_valid_json(self):
         for name in ("scenario", "sweep"):
             text = (SCHEMA_DIR / f"{name}.schema.json").read_text("utf-8")

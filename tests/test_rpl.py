@@ -5,7 +5,7 @@ import random
 import pytest
 
 from rplsim.cli import result_to_row
-from rplsim.engine import Simulator, derive_stream, to_us
+from rplsim.engine import Event, Simulator, derive_stream, to_us
 from rplsim.medium import Medium, MediumConfig
 from rplsim.objective import INFINITE_RANK, ROOT_RANK
 from rplsim.rpl import DioMessage, Node, ProtocolConfig, SENSOR, SINK
@@ -42,6 +42,18 @@ def make_net(positions, objective="of0", seed=1, rx=1.0, proto=None,
 
 def line_positions(n, spacing=80.0):
     return {i: (i * spacing, 0.0) for i in range(n)}
+
+
+def count_cancels(monkeypatch):
+    """The events cancelled from now on, in order."""
+    cancels = []
+    cancel = Event.cancel
+
+    def counted(event):
+        cancels.append(event)
+        cancel(event)
+    monkeypatch.setattr(Event, "cancel", counted)
+    return cancels
 
 
 class TestJoin:
@@ -164,8 +176,48 @@ class TestTrickle:
             assert I_MIN_US <= n1.trickle.current_interval_us \
                 <= n1.trickle.max_interval_us
 
+    # one timer serves the send point and then the interval end, so a reset
+    # withdraws exactly one pending event and never one that already fired
+    def test_reset_before_send_point_cancels_one_event(self, monkeypatch):
+        _, n1, _ = self.joined_sensor()
+        cancels = count_cancels(monkeypatch)
+        n1._trickle_reset()
+        assert [event.action for event in cancels] == [n1._trickle_fire]
+
+    def test_reset_after_send_point_cancels_only_the_interval_end(
+            self, monkeypatch):
+        sim, n1, metrics = self.joined_sensor()
+        sim.run_until(n1.trickle.t_us)
+        assert metrics.dio_count == 1
+        cancels = count_cancels(monkeypatch)
+        n1._trickle_reset()
+        assert [event.action for event in cancels] == \
+            [n1._trickle_interval_end]
+
 
 class TestDis:
+    # a node runs the DIS timer while detached and trickle while joined
+    def test_joining_replaces_the_pending_dis(self):
+        sim, _, nodes, metrics = make_net(line_positions(2), with_sink=False)
+        n1 = nodes[1]
+        n1.start()
+        n1.on_dio(DioMessage(0, ROOT_RANK))
+        assert n1.joined
+        sim.run_until(to_us(n1.proto.dis_period_s * 1.1) + 1)
+        assert metrics.dis_count == 0
+        assert metrics.dio_count >= 1
+
+    def test_detaching_replaces_the_pending_trickle(self):
+        sim, _, nodes, metrics = make_net(line_positions(2), with_sink=False)
+        n1 = nodes[1]
+        n1.start()
+        n1.on_dio(DioMessage(0, ROOT_RANK))
+        n1.on_dio(DioMessage(0, INFINITE_RANK))
+        assert not n1.joined
+        sim.run_until(to_us(60.0))
+        assert metrics.dio_count == 0
+        assert metrics.dis_count > 0
+
     def test_isolated_node_solicits_forever_and_delivers_nothing(self):
         cfg = ScenarioConfig(node_count=2, topology="random", objective="of0",
                              rx_success_ratio=1.0, duration_s=120.0,

@@ -1,8 +1,10 @@
 """Whole-run behavior: determinism, warmup alignment, OF equivalences."""
 
+import gc
 import hashlib
 import json
 import random
+import weakref
 
 import pytest
 
@@ -39,6 +41,22 @@ class TestDeterminism:
         a = run_scenario(ScenarioConfig(seed=1, **base), trace=True)
         b = run_scenario(ScenarioConfig(seed=2, **base), trace=True)
         assert trace_bytes(a) != trace_bytes(b)
+
+
+class TestMemory:
+    def test_next_run_frees_a_dropped_run(self):
+        # callbacks make a run's object graph cyclic; with the collector
+        # off, only run_scenario's own collection can free the first run
+        cfg = ScenarioConfig(node_count=10, topology="random", objective="etx",
+                             rx_success_ratio=0.8, duration_s=120.0,
+                             warmup_s=30.0, seed=3)
+        gc.disable()
+        try:
+            first = weakref.ref(run_scenario(cfg, trace=True).trace)
+            run_scenario(cfg)
+            assert first() is None
+        finally:
+            gc.enable()
 
 
 class TestWarmup:
