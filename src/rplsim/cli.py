@@ -11,6 +11,7 @@ import os
 import statistics
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 from .engine import to_s
 from .scenario import (ConfigError, ScenarioConfig, load_json, load_scenario,
@@ -133,6 +134,16 @@ def _sweep_worker(cfg: ScenarioConfig):
         return None, str(exc)
 
 
+def _pool_outcomes(pool: ProcessPoolExecutor, configs: list):
+    """Each cell's (row, error) in grid order; a cell lost to a dead worker
+    gets the broken pool's error, and the cells done before it their rows."""
+    for future in [pool.submit(_sweep_worker, cfg) for cfg in configs]:
+        try:
+            yield future.result()
+        except BrokenProcessPool as exc:
+            yield None, f"BrokenProcessPool: {exc}"
+
+
 def _cells(rows: list[dict[str, str]], column: str) -> dict[tuple, list]:
     """Non-empty values of column per CELL_KEYS cell, in first-seen order."""
     cells: dict[tuple, list[float]] = {}
@@ -179,9 +190,10 @@ def cmd_sweep(args) -> int:
     rows, errors = [], []
     with (ProcessPoolExecutor(max_workers=args.parallel)
           if args.parallel > 1 else contextlib.nullcontext()) as pool:
-        # either map yields the outcomes in task (grid) order; each row is
-        # appended as it comes, so an interrupted sweep keeps those done
-        outcomes = (pool.map if pool else map)(_sweep_worker, configs)
+        # outcomes come in task (grid) order; each row is appended as it
+        # comes, so an interrupted sweep keeps those done
+        outcomes = (_pool_outcomes(pool, configs) if pool
+                    else map(_sweep_worker, configs))
         for index, (row, error) in enumerate(outcomes):
             if row is None:
                 errors.append((index, error))

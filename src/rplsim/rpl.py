@@ -6,6 +6,12 @@ the parent the configured objective function picks.  Its one DODAG timer
 is DIS while it is detached and trickle while joined, never both; trickle
 (RFC 6206) arms it for the send point t, then for the interval's rest I - t.
 
+Candidates expire (RFC 6550) on a per-node housekeeping tick grid: a random
+origin, then every housekeeping period.  A node keeps at most one tick
+pending, the first grid tick at which its oldest candidate can be stale, so
+it wakes only on the ticks that can purge, and with no candidates it arms
+none.
+
 Trickle resets follow the usual inconsistency rules with one damping
 refinement: a DIO that merely drifts this node's rank by less than one
 hop increment (metric noise under MRHOF) is treated as consistent, so the
@@ -122,6 +128,11 @@ class Node:
         self.queue: deque[DataPacket] = deque()
 
         self._timer = None       # DIS while detached, trickle while joined
+        self._hk_period_us = to_us(proto.housekeeping_period_s)
+        self._expiry_floor_us = to_us(proto.parent_expiry_floor_s)
+        self._hk_origin = 0      # the first tick of the housekeeping grid
+        self._hk_event = None    # the one pending housekeeping tick
+        self._hk_due = 0
         self._mac_busy = False
         self._pkt_seq = 0
         self._cpu_process_us = to_us(proto.cpu_process_s)
@@ -142,9 +153,8 @@ class Node:
             self._trickle_reset()
         else:
             self._schedule_dis()
-            stagger = self.jitter.randrange(to_us(self.proto.housekeeping_period_s))
-            self.sim.schedule_in(stagger, EventKind.TIMER_FIRE, self.id,
-                                 self._housekeeping)
+            self._hk_origin = self.sim.now + self.jitter.randrange(
+                self._hk_period_us)
 
     # ------------------------------------------------------------ reception
 
@@ -167,6 +177,8 @@ class Node:
         else:
             self.candidates[dio.sender] = CandidateInfo(
                 dio.advertised_rank, dio.path_cost, self.sim.now)
+            if self._hk_event is None:  # a newer last_heard purges no sooner
+                self._arm_housekeeping()
             self._dirty |= known is None or (known.rank, known.cost) != (
                 dio.advertised_rank, dio.path_cost)
         if self._reselect() and self.joined:
@@ -273,17 +285,44 @@ class Node:
                 self._trickle_reset()
             else:
                 self._schedule_dis()
+                self._arm_housekeeping()     # the expiry fell to its floor
             if self.on_join_change is not None:
                 self.on_join_change(self.id, self.joined)
         return old_rank, old_parent
 
+    def _expiry_us(self) -> int:
+        if not self.joined:
+            return self._expiry_floor_us
+        return max(self._expiry_floor_us,
+                   round(self.proto.parent_expiry_trickle_factor
+                         * self.trickle.current_interval_us))
+
+    def _arm_housekeeping(self) -> None:
+        """Keep pending the first grid tick after now at which the oldest
+        candidate would be stale, if that is sooner than the pending one.
+
+        A tick that comes early is harmless: last_heard only grows, and the
+        expiry grows except at a trickle reset or a detach, which call this.
+        """
+        if not self.candidates:
+            return
+        oldest = min(c.last_heard for c in self.candidates.values())
+        after = max(oldest + self._expiry_us(), self.sim.now)
+        origin, period = self._hk_origin, self._hk_period_us
+        due = origin if after < origin else \
+            after + period - (after - origin) % period
+        if self._hk_event is not None:
+            if due >= self._hk_due:
+                return
+            self._hk_event.cancel()
+        self._hk_due = due
+        self._hk_event = self.sim.schedule(due, EventKind.TIMER_FIRE, self.id,
+                                           self._housekeeping)
+
     def _housekeeping(self) -> None:
+        self._hk_event = None
         now = self.sim.now
-        expiry = to_us(self.proto.parent_expiry_floor_s)
-        if self.joined:
-            adaptive = round(self.proto.parent_expiry_trickle_factor
-                             * self.trickle.current_interval_us)
-            expiry = max(expiry, adaptive)
+        expiry = self._expiry_us()
         stale = [nid for nid, c in self.candidates.items()
                  if now - c.last_heard > expiry]
         if stale:
@@ -291,8 +330,7 @@ class Node:
                 del self.candidates[nid]
             self._dirty = True
             self._reselect()
-        self.sim.schedule_in(to_us(self.proto.housekeeping_period_s),
-                             EventKind.TIMER_FIRE, self.id, self._housekeeping)
+        self._arm_housekeeping()
 
     # ------------------------------------------------------- trickle and DIS
 
@@ -306,6 +344,7 @@ class Node:
     def _trickle_reset(self) -> None:
         self.trickle.current_interval_us = self.trickle.i_min_us
         self._trickle_start_interval()
+        self._arm_housekeeping()            # the expiry may have shrunk
 
     def _trickle_start_interval(self) -> None:
         st = self.trickle

@@ -173,10 +173,11 @@ class TraceRecorder:
             self.records.append(record)
 
     def write_jsonl(self, path: str) -> None:
+        # one encoder for all records: json.dumps with options builds one each
+        encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
         with open(path, "w", encoding="utf-8") as fh:
             for record in self.records:
-                fh.write(json.dumps(record, sort_keys=True,
-                                    separators=(",", ":")))
+                fh.write(encode(record))
                 fh.write("\n")
 
 

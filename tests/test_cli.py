@@ -6,6 +6,7 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import pathlib
 import statistics
 import sys
@@ -106,6 +107,18 @@ def write_json(path, payload):
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+# the sweep cell whose pool worker dies; the worker is module level so that
+# the pool pickles it by name, and a forked worker sees this cell
+DOOMED_CELL = None
+run_cell = cli._sweep_worker
+
+
+def dying_worker(cfg):
+    if cfg == DOOMED_CELL:
+        os._exit(1)
+    return run_cell(cfg)
 
 
 class TestRun:
@@ -245,6 +258,31 @@ class TestSweep:
             main(["sweep", "--spec", spec, "--out", str(out)])
         lines = full.read_text(encoding="utf-8").splitlines(keepends=True)
         assert out.read_text(encoding="utf-8") == "".join(lines[:1 + done])
+
+    @pytest.mark.parametrize("doomed", [0, 7])
+    def test_dead_worker_loses_only_the_cells_of_its_pool(
+            self, tmp_path, monkeypatch, capsys, doomed):
+        spec = write_json(tmp_path / "s.json", SWEEP_SPEC)
+        full = tmp_path / "full.csv"
+        main(["sweep", "--spec", spec, "--out", str(full)])
+        configs = [scenario_from_dict(raw)
+                   for raw in sweep_tasks(load_sweep(spec))]
+        monkeypatch.setitem(globals(), "DOOMED_CELL", configs[doomed])
+        monkeypatch.setattr(cli, "_sweep_worker", dying_worker)
+        out = tmp_path / "cut.csv"
+        assert main(["sweep", "--spec", spec, "--parallel", "2",
+                     "--out", str(out)]) == 1
+        failures = read_rows(str(out) + ".failures.csv")
+        lost = [int(f["task_index"]) for f in failures]
+        assert doomed in lost and lost == sorted(lost)
+        assert all(f["error"].startswith("BrokenProcessPool")
+                   for f in failures)
+        # every other cell kept its row, in grid order
+        lines = full.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert out.read_text(encoding="utf-8") == "".join(
+            [lines[0]] + [line for index, line in enumerate(lines[1:])
+                          if index not in lost])
+        assert (tmp_path / "cut.csv.summary.csv").exists()
 
     def test_failed_cell_is_recorded_and_sweep_continues(self, tmp_path,
                                                          capsys):

@@ -5,9 +5,9 @@ import random
 import pytest
 
 from rplsim.cli import result_to_row
-from rplsim.engine import Event, Simulator, derive_stream, to_us
+from rplsim.engine import Event, EventKind, Simulator, derive_stream, to_us
 from rplsim.medium import Medium, MediumConfig
-from rplsim.objective import INFINITE_RANK, ROOT_RANK
+from rplsim.objective import INFINITE_RANK, RANK_UNIT, ROOT_RANK
 from rplsim.rpl import DioMessage, Node, ProtocolConfig, SENSOR, SINK
 from rplsim.scenario import ScenarioConfig
 from rplsim.simulate import run_scenario
@@ -54,6 +54,53 @@ def count_cancels(monkeypatch):
         cancel(event)
     monkeypatch.setattr(Event, "cancel", counted)
     return cancels
+
+
+def mixed_link_rx(n=30):
+    """Own ratios for half the pairs of n nodes; the rest use the run's."""
+    rng = random.Random(5)
+    return {(a, b): rng.choice((0.5, 0.8, 0.95))
+            for a in range(n) for b in range(a + 1, n) if rng.random() < 0.5}
+
+
+def poll_every_tick(monkeypatch):
+    """Make each sensor wake on every tick of its housekeeping grid, as a
+    fixed-period poll does: the reference the lazy ticks must match."""
+    start = Node.start
+
+    def schedule_tick(node, due):
+        node._hk_event = node.sim.schedule(due, EventKind.TIMER_FIRE, node.id,
+                                           node._housekeeping)
+
+    def started(self):
+        start(self)
+        if self.role == SENSOR:
+            schedule_tick(self, self._hk_origin)
+
+    def next_tick(self):        # runs only inside a tick once started
+        if self.role == SENSOR and self._hk_event is None:
+            now, period = self.sim.now, self._hk_period_us
+            schedule_tick(self, now + period - (now - self._hk_origin) % period)
+    monkeypatch.setattr(Node, "start", started)
+    monkeypatch.setattr(Node, "_arm_housekeeping", next_tick)
+
+
+def record_wakes(monkeypatch):
+    """Every housekeeping wake as (t, node, ids it purged), in order."""
+    wakes = []
+    housekeeping = Node._housekeeping
+
+    def recorded(self):
+        before = set(self.candidates)
+        housekeeping(self)
+        wakes.append((self.sim.now, self.id,
+                      tuple(sorted(before - set(self.candidates)))))
+    monkeypatch.setattr(Node, "_housekeeping", recorded)
+    return wakes
+
+
+def purges(wakes):
+    return [wake for wake in wakes if wake[2]]
 
 
 class TestJoin:
@@ -372,14 +419,94 @@ class TestReselectSkip:
         assert shipped[2] < forced[2]
 
     def test_same_with_per_link_ratios(self, monkeypatch):
-        # half the pairs get their own ratio, the rest fall back to 0.9
-        rng = random.Random(5)
-        link_rx = {(a, b): rng.choice((0.5, 0.8, 0.95))
-                   for a in range(30) for b in range(a + 1, 30)
-                   if rng.random() < 0.5}
         case = dict(objective="etx", rx_success_ratio=0.9)
-        shipped = self.run(monkeypatch, False, link_rx, **case)
-        forced = self.run(monkeypatch, True, link_rx, **case)
+        shipped = self.run(monkeypatch, False, mixed_link_rx(), **case)
+        forced = self.run(monkeypatch, True, mixed_link_rx(), **case)
         assert shipped[:2] == forced[:2]
         assert shipped[2] < forced[2]
 
+
+class TestLazyHousekeeping:
+    """Waking only on the ticks that can purge purges on the same ticks, and
+    so gives the same rows and traces, as waking on every tick."""
+
+    @staticmethod
+    def run(monkeypatch, polled, link_rx=None, **overrides):
+        if polled:
+            poll_every_tick(monkeypatch)
+        wakes = record_wakes(monkeypatch)
+        cfg = ScenarioConfig(node_count=30, topology="random",
+                             duration_s=600.0, warmup_s=60.0, seed=2,
+                             **overrides)
+        result = run_scenario(cfg, link_rx=link_rx, trace=True)
+        monkeypatch.undo()
+        return result_to_row(result), result.trace.records, wakes
+
+    def check(self, monkeypatch, link_rx=None, **overrides):
+        row, records, wakes = self.run(monkeypatch, False, link_rx,
+                                       **overrides)
+        polled = self.run(monkeypatch, True, link_rx, **overrides)
+        assert (row, records) == polled[:2]
+        assert purges(wakes) == purges(polled[2])
+        assert len(wakes) < len(polled[2])
+        return purges(wakes)
+
+    @pytest.mark.parametrize("objective", ["of0", "etx"])
+    @pytest.mark.parametrize("rx", [0.8, 1.0])
+    def test_same_rows_traces_and_purges_as_polling(self, monkeypatch,
+                                                     objective, rx):
+        self.check(monkeypatch, objective=objective, rx_success_ratio=rx)
+
+    def test_same_with_per_link_ratios(self, monkeypatch):
+        self.check(monkeypatch, mixed_link_rx(), objective="etx",
+                   rx_success_ratio=0.9)
+
+    def test_same_with_short_expiry_and_fine_grid(self, monkeypatch):
+        proto = ProtocolConfig(parent_expiry_floor_s=20.0,
+                               housekeeping_period_s=1.0)
+        assert self.check(monkeypatch, objective="etx", rx_success_ratio=0.8,
+                          protocol=proto)
+
+    @staticmethod
+    def quiet_neighbour_purge(monkeypatch, polled, shrink):
+        """A joined node whose parent keeps speaking, while neighbour 7 (one
+        hop worse) falls silent at 0 s.  At 200 s, with trickle backed off
+        so far that 7 is not yet stale, `shrink` cuts the expiry to its
+        20 s floor; returns the purges that follow."""
+        if polled:
+            poll_every_tick(monkeypatch)
+        wakes = record_wakes(monkeypatch)
+        proto = ProtocolConfig(parent_expiry_floor_s=20.0)
+        sim, _, nodes, _ = make_net(line_positions(2), proto=proto,
+                                    with_sink=False)
+        n1 = nodes[1]
+        n1.start()
+        n1.on_dio(DioMessage(0, ROOT_RANK))
+        n1.on_dio(DioMessage(7, ROOT_RANK + RANK_UNIT))
+        for t in range(10, 200, 10):
+            sim.schedule(to_us(t), EventKind.TIMER_FIRE, 0,
+                         lambda: n1.on_dio(DioMessage(0, ROOT_RANK)))
+        sim.run_until(to_us(200.0))
+        assert 7 in n1.candidates and n1._expiry_us() > to_us(200.0)
+        shrink(n1)
+        sim.run_until(to_us(300.0))
+        monkeypatch.undo()
+        return purges(wakes)
+
+    def test_trickle_reset_brings_the_purge_forward(self, monkeypatch):
+        def solicited(node):
+            node.on_dis(2)
+            assert node.joined
+        lazy = self.quiet_neighbour_purge(monkeypatch, False, solicited)
+        assert [ids for _, _, ids in lazy] == [(7,)]
+        assert lazy == self.quiet_neighbour_purge(monkeypatch, True,
+                                                  solicited)
+
+    def test_detach_brings_the_purge_of_worse_candidates_forward(
+            self, monkeypatch):
+        def poisoned(node):
+            node.on_dio(DioMessage(0, INFINITE_RANK))
+            assert not node.joined and 7 in node.candidates
+        lazy = self.quiet_neighbour_purge(monkeypatch, False, poisoned)
+        assert [ids for _, _, ids in lazy] == [(7,)]
+        assert lazy == self.quiet_neighbour_purge(monkeypatch, True, poisoned)
