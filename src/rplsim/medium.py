@@ -6,14 +6,16 @@ in-range receiver independently with rx_success_ratio, except that frames
 overlapping in time at a receiver destroy each other there (no capture),
 and a node never hears anything while it is itself transmitting.
 
-Unicast frames are acknowledged and retried up to max_transmissions times;
-every attempt performs a uniform random backoff and senses the channel
-before transmitting.  ACKs are sent after a fixed turnaround without
-carrier sensing and are subject to the same loss model as data.
+A radio serves one job (one frame) at a time from a FIFO.  A broadcast
+(dst None) is sent once; a unicast is acknowledged and retried up to
+max_transmissions times.  Every attempt backs off uniformly at random and
+senses the channel first.  ACKs are sent after a fixed turnaround without
+carrier sensing, outside any job, and can be lost like data.
 
-A frame reaches its receivers in the event that ends its airtime, in
-ascending id order, after the sender's bookkeeping (broadcast completion
-and the next queued job, or the ACK timeout) is done.
+Every job ends one way: the radio is freed, the job's callback runs, then
+the next queued job starts unless the callback queued one.  A frame
+reaches its receivers, in ascending id order, in the event that ends its
+airtime, after the sender's bookkeeping (job end or ACK timeout).
 """
 
 from __future__ import annotations
@@ -89,7 +91,6 @@ class Frame:
 
 @dataclass(slots=True)
 class Transmission:
-    sender: int
     frame: Frame
     start: int
     end: int
@@ -97,30 +98,34 @@ class Transmission:
     corrupted: set[int] = field(default_factory=set)
 
 
-@dataclass
-class _BroadcastJob:
+@dataclass(slots=True)
+class _Job:
+    """One queued frame: a broadcast when frame.dst is None, else a unicast
+    with ACK and retries.  on_done gets the broadcast's outcomes by receiver,
+    or a unicast's (success, attempts_used, data_ever_delivered)."""
     frame: Frame
-    on_done: Callable[[dict[int, Outcome]], None] | None = None
-
-
-@dataclass
-class _UnicastJob:
-    frame: Frame
-    on_complete: Callable[[bool, int, bool], None]
+    on_done: Callable | None
     attempts: int = 0
     data_delivered: bool = False     # ground truth, for packet accounting
     timeout_event: Event | None = None   # set while awaiting an ACK
 
 
 class _Radio:
-    """Per-node MAC state: one frame in service, FIFO of pending jobs."""
+    """One node's radio: who it hears, backoff stream, ledger and jobs."""
 
-    __slots__ = ("node_id", "queue", "current", "last_frame_from")
+    __slots__ = ("node_id", "neighbors", "audible", "jitter", "ledger",
+                 "receiver", "queue", "current", "last_frame_from")
 
-    def __init__(self, node_id: int):
+    def __init__(self, node_id: int, neighbors: tuple[int, ...],
+                 jitter: random.Random, ledger: EnergyLedger):
         self.node_id = node_id
-        self.queue: deque = deque()
-        self.current: _BroadcastJob | _UnicastJob | None = None
+        self.neighbors = neighbors            # ascending ids
+        self.audible = frozenset(neighbors)
+        self.jitter = jitter
+        self.ledger = ledger
+        self.receiver: Callable[[Frame, int], None] | None = None
+        self.queue: deque[_Job] = deque()
+        self.current: _Job | None = None
         self.last_frame_from: dict[int, int] = {}
 
 
@@ -137,25 +142,16 @@ class Medium:
         self.sim = sim
         self.cfg = cfg
         self._stream = stream
-        self._jitter = jitter_streams
-        self._ledgers = ledgers
         self.trace = trace
-        self._link_rx = {}
-        if link_rx:
-            for (a, b), ratio in link_rx.items():
-                self._link_rx[(min(a, b), max(a, b))] = ratio
+        self._link_rx = {(min(a, b), max(a, b)): ratio
+                         for (a, b), ratio in (link_rx or {}).items()}
 
         ids = sorted(positions)
-        self.neighbors: dict[int, tuple[int, ...]] = {}
-        self._neighbor_sets: dict[int, frozenset[int]] = {}
-        for nid in ids:
-            near = tuple(m for m in ids
-                         if m != nid and in_range(positions[nid], positions[m], cfg))
-            self.neighbors[nid] = near
-            self._neighbor_sets[nid] = frozenset(near)
-
-        self._radios = {nid: _Radio(nid) for nid in ids}
-        self._receivers: dict[int, Callable[[Frame, int], None]] = {}
+        self._radios = {
+            nid: _Radio(nid, tuple(m for m in ids if m != nid and in_range(
+                positions[nid], positions[m], cfg)),
+                jitter_streams[nid], ledgers[nid])
+            for nid in ids}
         self._active: dict[int, Transmission] = {}   # by sender; one at most
         self._next_frame_id = 0
         self._backoff_window_us = max(1, to_us(cfg.backoff_window_s))
@@ -166,7 +162,7 @@ class Medium:
 
     def set_receiver(self, node_id: int,
                      callback: Callable[[Frame, int], None]) -> None:
-        self._receivers[node_id] = callback
+        self._radios[node_id].receiver = callback
 
     def rx_ratio(self, a: int, b: int) -> float:
         if not self._link_rx:
@@ -178,7 +174,7 @@ class Medium:
         """Queue a single-attempt, unacknowledged frame to every in-range node."""
         frame = self._new_frame(kind, sender, None, self.cfg.control_frame_bytes,
                                 payload)
-        self._submit(sender, _BroadcastJob(frame, on_done))
+        self._submit(sender, _Job(frame, on_done))
 
     def unicast_with_ack(self, sender: int, receiver: int, payload: object,
                          on_complete: Callable[[bool, int, bool], None]) -> None:
@@ -190,14 +186,14 @@ class Medium:
         """
         frame = self._new_frame(FrameKind.DATA, sender, receiver,
                                 self.cfg.data_frame_bytes, payload)
-        self._submit(sender, _UnicastJob(frame, on_complete))
+        self._submit(sender, _Job(frame, on_complete))
 
     def deliver(self, tx: Transmission, receiver: int,
                 stream: random.Random) -> Outcome:
         """Reception outcome for one receiver of one frame."""
         if receiver in tx.corrupted:
             return Outcome.LOST_COLLISION
-        if stream.random() < self.rx_ratio(tx.sender, receiver):
+        if stream.random() < self.rx_ratio(tx.frame.src, receiver):
             return Outcome.DELIVERED
         return Outcome.LOST_RANDOM
 
@@ -207,76 +203,70 @@ class Medium:
         self._next_frame_id += 1
         return Frame(kind, src, dst, size, payload, self._next_frame_id)
 
-    def _submit(self, sender: int, job) -> None:
+    def _submit(self, sender: int, job: _Job) -> None:
         radio = self._radios[sender]
         radio.queue.append(job)
-        if radio.current is None:
-            self._start_next(radio)
+        self._start_next(radio)
 
     def _start_next(self, radio: _Radio) -> None:
         if radio.current is not None or not radio.queue:
             return
-        job = radio.queue.popleft()
-        radio.current = job
-        if isinstance(job, _UnicastJob):
-            job.attempts += 1
+        job = radio.current = radio.queue.popleft()
+        job.attempts += 1
         self._begin_csma(radio, job)
 
-    def _begin_csma(self, radio: _Radio, job) -> None:
-        backoff = self._jitter[radio.node_id].randrange(self._backoff_window_us)
+    def _finish(self, radio: _Radio, *result) -> None:
+        """Free the radio, report the job's result, start the next job."""
+        job = radio.current
+        radio.current = None
+        if job.on_done is not None:
+            job.on_done(*result)
+        self._start_next(radio)
+
+    def _begin_csma(self, radio: _Radio, job: _Job) -> None:
+        backoff = radio.jitter.randrange(self._backoff_window_us)
         self.sim.schedule_in(backoff, EventKind.TIMER_FIRE, radio.node_id,
                              lambda: self._sense(radio, job))
 
-    def _channel_busy(self, node_id: int) -> bool:
-        audible = self._neighbor_sets[node_id]
-        return node_id in self._active or any(
-            tx.sender in audible for tx in self._active.values())
-
-    def _sense(self, radio: _Radio, job) -> None:
-        if self._channel_busy(radio.node_id):
-            self._begin_csma(radio, job)      # defer with a fresh backoff
+    def _sense(self, radio: _Radio, job: _Job) -> None:
+        if (radio.node_id in self._active
+                or not radio.audible.isdisjoint(self._active)):
+            self._begin_csma(radio, job)      # busy: defer with a fresh backoff
             return
         self._transmit(radio, job, job.frame)
 
-    def _transmit(self, radio: _Radio, job, frame: Frame) -> None:
-        sender = radio.node_id
+    def _transmit(self, radio: _Radio, job: _Job | None, frame: Frame) -> None:
         if frame.dst is None:
-            victims = self.neighbors[sender]
-        elif frame.dst in self._neighbor_sets[sender]:
-            victims = (frame.dst,)
+            victims = radio.neighbors
         else:
-            victims = ()
+            victims = (frame.dst,) if frame.dst in radio.audible else ()
         now = self.sim.now
         airtime = self.cfg.airtime_us(frame.size_bytes)
-        tx = Transmission(sender, frame, now, now + airtime, victims)
-        self._register(tx)
-        self.sim.schedule_in(airtime, EventKind.TX_END, sender,
+        tx = Transmission(frame, now, now + airtime, victims)
+        self._register(radio, tx)
+        self.sim.schedule_in(airtime, EventKind.TX_END, radio.node_id,
                              lambda: self._tx_end(radio, job, tx))
 
-    def _register(self, tx: Transmission) -> None:
+    def _register(self, radio: _Radio, tx: Transmission) -> None:
         # mutual interference with every transmission already in flight
-        for other in self._active.values():
-            other_audible = self._neighbor_sets[other.sender]
-            for r in tx.victims:
-                if r in other_audible:
-                    tx.corrupted.add(r)
-            new_audible = self._neighbor_sets[tx.sender]
-            for r in other.victims:
-                if r in new_audible or r == tx.sender:
-                    other.corrupted.add(r)
+        sender = radio.node_id
+        for other_sender, other in self._active.items():
+            tx.corrupted |= self._radios[other_sender].audible.intersection(
+                tx.victims)
+            other.corrupted |= radio.audible.intersection(other.victims)
+            if sender in other.victims:
+                other.corrupted.add(sender)
         # a node busy transmitting cannot receive
-        for r in tx.victims:
-            if r in self._active:
-                tx.corrupted.add(r)
-        self._active[tx.sender] = tx
+        tx.corrupted |= self._active.keys() & tx.victims
+        self._active[sender] = tx
 
-    def _tx_end(self, radio: _Radio, job, tx: Transmission) -> None:
-        sender, frame = tx.sender, tx.frame
+    def _tx_end(self, radio: _Radio, job: _Job | None,
+                tx: Transmission) -> None:
+        sender, frame = radio.node_id, tx.frame
         del self._active[sender]
         airtime = tx.end - tx.start
-        ledger = self._ledgers[sender]
-        ledger.charge(TX, airtime)
-        ledger.charge(CPU, airtime)
+        radio.ledger.charge(TX, airtime)
+        radio.ledger.charge(CPU, airtime)
         if self.trace.enabled:
             self.trace.emit({"t": tx.start, "ev": "tx", "node": sender,
                              "kind": frame.kind.value, "bytes": frame.size_bytes,
@@ -286,73 +276,63 @@ class Medium:
         for r in tx.victims:
             outcome = outcomes[r] = self.deliver(tx, r, self._stream)
             if outcome is Outcome.DELIVERED:
-                delivered.append(r)
-                ledger = self._ledgers[r]
-                ledger.charge(RX, airtime)
-                ledger.charge(CPU, airtime)
+                receiver = self._radios[r]
+                delivered.append(receiver)
+                receiver.ledger.charge(RX, airtime)
+                receiver.ledger.charge(CPU, airtime)
                 if self.trace.enabled:
                     self.trace.emit({"t": tx.end, "ev": "rx", "node": r,
                                      "from": sender, "bytes": frame.size_bytes,
                                      "frame": frame.frame_id})
 
-        if isinstance(job, _BroadcastJob):
-            if job.on_done is not None:
-                job.on_done(outcomes)
-            radio.current = None
-            self._start_next(radio)
-        elif frame.kind is FrameKind.ACK:
-            pass                                   # fire and forget
+        if job is None:
+            pass                                   # an ACK: fire and forget
+        elif frame.dst is None:
+            self._finish(radio, outcomes)
         else:                                      # unicast data attempt
-            if delivered:
-                job.data_delivered = True
+            job.data_delivered |= bool(delivered)
             job.timeout_event = self.sim.schedule_in(
                 self._ack_timeout_us, EventKind.TIMER_FIRE, sender,
                 lambda: self._ack_timeout(radio, job))
         # receivers react last, so whatever the sender scheduled above
         # keeps its place ahead of what they schedule
-        for r in delivered:
-            self._receive(r, frame, sender)
+        for receiver in delivered:
+            self._receive(receiver, frame)
 
-    def _receive(self, node_id: int, frame: Frame, from_id: int) -> None:
-        radio = self._radios[node_id]
+    def _receive(self, radio: _Radio, frame: Frame) -> None:
+        from_id = frame.src
         if frame.kind is FrameKind.ACK:
-            job = radio.current
-            if (isinstance(job, _UnicastJob) and job.timeout_event is not None
+            job = radio.current       # a broadcast never awaits an ACK
+            if (job is not None and job.timeout_event is not None
                     and job.frame.dst == from_id):
                 job.timeout_event.cancel()
-                job.timeout_event = None
-                radio.current = None
-                job.on_complete(True, job.attempts, job.data_delivered)
-                self._start_next(radio)
+                self._finish(radio, True, job.attempts, job.data_delivered)
             return
         if frame.kind is FrameKind.DATA:
             duplicate = radio.last_frame_from.get(from_id) == frame.frame_id
             radio.last_frame_from[from_id] = frame.frame_id
-            self._send_ack(node_id, from_id)
+            self._send_ack(radio, from_id)
             if duplicate:
                 return
-        callback = self._receivers.get(node_id)
-        if callback is not None:
-            callback(frame, from_id)
+        if radio.receiver is not None:
+            radio.receiver(frame, from_id)
 
-    def _send_ack(self, node_id: int, dst: int) -> None:
-        ack = self._new_frame(FrameKind.ACK, node_id, dst,
+    def _send_ack(self, radio: _Radio, dst: int) -> None:
+        ack = self._new_frame(FrameKind.ACK, radio.node_id, dst,
                               self.cfg.ack_frame_bytes, None)
 
         def fire() -> None:
-            if node_id in self._active:
+            if radio.node_id in self._active:
                 return                     # half duplex: drop the ACK
-            self._transmit(self._radios[node_id], None, ack)
+            self._transmit(radio, None, ack)
 
         self.sim.schedule_in(self._ack_turnaround_us, EventKind.TIMER_FIRE,
-                             node_id, fire)
+                             radio.node_id, fire)
 
-    def _ack_timeout(self, radio: _Radio, job: _UnicastJob) -> None:
+    def _ack_timeout(self, radio: _Radio, job: _Job) -> None:
         job.timeout_event = None
         if job.attempts < self.cfg.max_transmissions:
             job.attempts += 1
             self._begin_csma(radio, job)
         else:
-            radio.current = None
-            job.on_complete(False, job.attempts, job.data_delivered)
-            self._start_next(radio)
+            self._finish(radio, False, job.attempts, job.data_delivered)

@@ -26,11 +26,7 @@ MRHOF_ETX = "etx"
 @dataclass
 class LinkStats:
     """Per-neighbor ETX estimate fed by unicast attempt outcomes."""
-    neighbor: int
     etx_estimate: int = ETX_INITIAL
-    tx_attempt_count: int = 0
-    tx_success_count: int = 0
-    last_updated: int = 0
 
 
 def of0_rank(parent_advertised_rank: int) -> int:
@@ -68,6 +64,8 @@ def etx_update(stats: LinkStats, attempts_used: int, success: bool,
 
     A success samples attempts_used in ETX units; a failure samples a
     penalty of twice the attempt budget so dead links turn expensive fast.
+    `now` is unread; it stays because perfbench/hooks.py binds this
+    signature.
     """
     if attempts_used < 1:
         raise ValueError("attempts_used must be >= 1")
@@ -78,9 +76,6 @@ def etx_update(stats: LinkStats, attempts_used: int, success: bool,
     updated = (EWMA_OLD_WEIGHT * stats.etx_estimate
                + (100 - EWMA_OLD_WEIGHT) * sample) // 100
     stats.etx_estimate = max(ETX_SCALE, updated)
-    stats.tx_attempt_count += attempts_used
-    stats.tx_success_count += 1 if success else 0
-    stats.last_updated = now
     return stats
 
 

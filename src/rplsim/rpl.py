@@ -215,7 +215,7 @@ class Node:
     def _link(self, neighbor: int) -> LinkStats:
         stats = self.link_stats.get(neighbor)
         if stats is None:
-            stats = LinkStats(neighbor, etx_estimate=self.proto.etx_initial)
+            stats = LinkStats(self.proto.etx_initial)
             self.link_stats[neighbor] = stats
         return stats
 

@@ -2,15 +2,19 @@
 
 Run with `pytest tests/test_acceptance.py -v -s`.  The paper-grid runs
 (criteria 4 and 8) share one module-scoped fixture so the 120 simulations
-execute once.
+execute once.  The heavy runs go through a process pool with one worker per
+core; each worker returns only its small result, in grid order.
 """
 
 import hashlib
 import json
+import multiprocessing
+import os
 import pathlib
 import random
 import statistics
 import time
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 
 import pytest
@@ -35,6 +39,14 @@ def shipped_sweep(name):
     """The scenarios of configs/<name>.json, as `rplsim sweep` expands them."""
     for raw in sweep_tasks(load_sweep(str(CONFIGS / f"{name}.json"))):
         yield scenario_from_dict(raw)
+
+
+def run_cells(work, cfgs):
+    """[work(cfg) for cfg in cfgs], spread over one worker per core."""
+    with ProcessPoolExecutor(os.cpu_count(),
+                             mp_context=multiprocessing.get_context("spawn")
+                             ) as pool:
+        return list(pool.map(work, cfgs))
 
 
 @contextmanager
@@ -171,20 +183,21 @@ def check_replay(result):
     return None
 
 
+def paper_grid_cell(cfg):
+    result = run_scenario(cfg, trace=True)
+    return {
+        "cell": f"{cfg.topology}/{cfg.objective}/rx{cfg.rx_success_ratio}"
+                f"/n{cfg.node_count}/s{cfg.seed}",
+        "tree": check_tree(result),
+        "energy": check_energy(result),
+        "replay": check_replay(result),
+        "row": result_to_row(result),
+    }
+
+
 @pytest.fixture(scope="module")
 def paper_grid_runs():
-    checks = []
-    for cfg in shipped_sweep("paper_sweep"):
-        result = run_scenario(cfg, trace=True)
-        checks.append({
-            "cell": f"{cfg.topology}/{cfg.objective}/rx{cfg.rx_success_ratio}"
-                    f"/n{cfg.node_count}/s{cfg.seed}",
-            "tree": check_tree(result),
-            "energy": check_energy(result),
-            "replay": check_replay(result),
-            "row": result_to_row(result),
-        })
-    return checks
+    return run_cells(paper_grid_cell, shipped_sweep("paper_sweep"))
 
 
 def test_criterion_4_loop_freedom(paper_grid_runs):
@@ -218,16 +231,21 @@ def test_criterion_5_perfect_channel_pdr():
 
 # --------------------------------------------------------------- criterion 6
 
+def directional_cell(cfg):
+    result = run_scenario(cfg)
+    return result.metrics.pdr(), result.avg_power_mw()
+
+
 def test_criterion_6_directional_claim():
     with criterion(6, "OF0 vs ETX: PDR and power comparable (random, rx 0.8)"):
+        cfgs = list(shipped_sweep("directional_sweep"))
         runs = {}
-        for cfg in shipped_sweep("directional_sweep"):
+        for cfg, (pdr, power) in zip(cfgs, run_cells(directional_cell, cfgs)):
             assert (cfg.topology, cfg.rx_success_ratio) == ("random", 0.8)
-            result = run_scenario(cfg)
             pdrs, powers = runs.setdefault(
                 (cfg.node_count, cfg.objective), ([], []))
-            pdrs.append(result.metrics.pdr())
-            powers.append(result.avg_power_mw())
+            pdrs.append(pdr)
+            powers.append(power)
         print()
         for node_count in (20, 40, 60):
             cell = {}

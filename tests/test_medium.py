@@ -5,7 +5,8 @@ from scipy import stats as scipy_stats
 
 from oracles import unicast_expectation
 from rplsim.engine import Simulator, derive_stream, to_us
-from rplsim.medium import (FrameKind, Medium, MediumConfig, Outcome, in_range)
+from rplsim.medium import (Frame, FrameKind, Medium, MediumConfig, Outcome,
+                           in_range)
 from rplsim.scenario import ConfigError, scenario_from_dict
 from rplsim.telemetry import NULL_TRACE, EnergyLedger, TraceRecorder
 
@@ -234,3 +235,59 @@ class TestUnicast:
                                 lambda ok, a, t: results.append((ok, a)))
         sim.run_until(SEC)
         assert results == [(True, 1)]
+
+
+class TestJobEnd:
+    """Broadcast done, ACK heard and attempts exhausted end a job one way:
+    the radio is freed, the callback runs, then the next job starts."""
+
+    def test_frame_queued_from_broadcast_on_done_starts_next(self):
+        positions = {0: (0.0, 0.0), 1: (50.0, 0.0)}
+        trace = TraceRecorder(enabled=True)
+        sim, medium, _ = make_medium(positions, trace=trace)
+        radio = medium._radios[0]
+        log = []
+
+        def queue_dio(outcomes):
+            medium.broadcast(0, FrameKind.DIO, on_done=log.append)
+            log.append((radio.current.frame.kind, len(radio.queue)))
+
+        medium.broadcast(0, FrameKind.DIS, on_done=queue_dio)
+        sim.run_until(SEC)
+        assert log == [(FrameKind.DIO, 0), {1: Outcome.DELIVERED}]
+        sent = [r["kind"] for r in trace.records if r["ev"] == "tx"]
+        assert sent == ["dis", "dio"]
+
+    def test_ack_during_broadcast_leaves_the_job_alone(self):
+        positions = {0: (0.0, 0.0), 1: (50.0, 0.0)}
+        trace = TraceRecorder(enabled=True)
+        sim, medium, _ = make_medium(positions, trace=trace)
+        seen = []
+        medium.broadcast(0, FrameKind.DIS, on_done=seen.append)
+        medium._send_ack(medium._radios[1], 0)     # heard during 0's backoff
+        sim.run_until(SEC)
+        ack, dis = [r for r in trace.records if r["ev"] == "tx"]
+        assert (ack["kind"], dis["kind"]) == ("ack", "dis")
+        heard = [(r["node"], r["frame"]) for r in trace.records
+                 if r["ev"] == "rx"]
+        assert heard == [(0, ack["frame"]), (1, dis["frame"])]
+        assert seen == [{1: Outcome.DELIVERED}]
+
+    def test_ack_from_another_node_neither_ends_nor_disarms(self):
+        positions = {0: (0.0, 0.0), 1: (50.0, 0.0), 2: (0.0, 50.0)}
+        sim, medium, _ = make_medium(positions)
+        radio = medium._radios[0]
+        results, checked = [], []
+
+        def on_data(frame, src):
+            # 0's ACK timeout is armed; an ACK from 2 arrives first
+            job = radio.current
+            medium._receive(radio, Frame(FrameKind.ACK, 2, 0, 11))
+            checked.append((radio.current is job, job.timeout_event.cancelled))
+
+        medium.set_receiver(1, on_data)
+        medium.unicast_with_ack(0, 1, None,
+                                lambda *result: results.append(result))
+        sim.run_until(SEC)
+        assert checked == [(True, False)]
+        assert results == [(True, 1, True)]

@@ -57,42 +57,34 @@ class TestOf0Select:
 
 class TestEtxUpdate:
     def test_perfect_link_is_fixed_point(self):
-        stats = LinkStats(1, etx_estimate=128)
+        stats = LinkStats(etx_estimate=128)
         etx_update(stats, 1, True)
         assert stats.etx_estimate == 128
 
     def test_three_attempt_success_sample(self):
-        stats = LinkStats(1, etx_estimate=128)
+        stats = LinkStats(etx_estimate=128)
         etx_update(stats, 3, True)
         assert stats.etx_estimate == 153      # floor((90*128 + 10*384)/100)
 
     def test_failure_applies_penalty(self):
-        stats = LinkStats(1, etx_estimate=128)
+        stats = LinkStats(etx_estimate=128)
         etx_update(stats, 4, False, max_transmissions=4)
         assert stats.etx_estimate == (90 * 128 + 10 * 1024) // 100
 
     def test_floor_at_one(self):
-        stats = LinkStats(1, etx_estimate=129)
+        stats = LinkStats(etx_estimate=129)
         for _ in range(50):
             etx_update(stats, 1, True)
         assert stats.etx_estimate == 128
 
-    def test_counters(self):
-        stats = LinkStats(1)
-        etx_update(stats, 3, True, now=7)
-        etx_update(stats, 4, False, now=9)
-        assert stats.tx_attempt_count == 7
-        assert stats.tx_success_count == 1
-        assert stats.last_updated == 9
-
     def test_zero_attempts_rejected(self):
         with pytest.raises(ValueError):
-            etx_update(LinkStats(1), 0, True)
+            etx_update(LinkStats(), 0, True)
 
     @settings(max_examples=100, derandomize=True)
     @given(st.integers(128, 2000))
     def test_all_success_drives_estimate_down_to_floor(self, start):
-        stats = LinkStats(1, etx_estimate=start)
+        stats = LinkStats(etx_estimate=start)
         previous = stats.etx_estimate
         for _ in range(200):
             etx_update(stats, 1, True)
@@ -103,7 +95,7 @@ class TestEtxUpdate:
     @settings(max_examples=100, derandomize=True)
     @given(st.integers(128, 1024))
     def test_all_failure_drives_estimate_up_to_penalty(self, start):
-        stats = LinkStats(1, etx_estimate=start)
+        stats = LinkStats(etx_estimate=start)
         previous = stats.etx_estimate
         for _ in range(300):
             etx_update(stats, 4, False)
@@ -117,7 +109,7 @@ class TestEtxUpdate:
         # iid samples from the true attempt process, q = 0.64 per attempt
         rng = random.Random(12345)
         q, max_tx = 0.64, 4
-        stats = LinkStats(1, etx_estimate=ETX_INITIAL)
+        stats = LinkStats(etx_estimate=ETX_INITIAL)
         history = []
         for _ in range(5000):
             attempts, success = max_tx, False
