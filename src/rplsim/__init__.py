@@ -12,8 +12,7 @@ from .objective import (ETX_INITIAL, ETX_SCALE, INFINITE_RANK, LinkStats,
                         etx_update, mrhof_path_cost, mrhof_rank,
                         mrhof_select_parent, of0_rank, of0_select_parent)
 from .rpl import (DataPacket, DioMessage, Node, ProtocolConfig, TrickleState)
-from .scenario import (ConfigError, ScenarioConfig, TRAFFIC_PROFILES,
-                       TrafficClass, assign_traffic_classes,
+from .scenario import (ConfigError, ScenarioConfig, assign_traffic_classes,
                        generate_grid_topology, generate_random_topology,
                        generate_topology, load_scenario, next_send_time,
                        scenario_from_dict, unit_disk_connected)

@@ -28,7 +28,7 @@ from enum import Enum
 from typing import Callable
 
 from .engine import Event, EventKind, Simulator, US_PER_S, to_us
-from .telemetry import CPU, RX, TX, EnergyLedger, TraceRecorder, NULL_TRACE
+from .telemetry import RX, TX, EnergyLedger, TraceRecorder, NULL_TRACE
 
 
 class FrameKind(Enum):
@@ -266,7 +266,6 @@ class Medium:
         del self._active[sender]
         airtime = tx.end - tx.start
         radio.ledger.charge(TX, airtime)
-        radio.ledger.charge(CPU, airtime)
         if self.trace.enabled:
             self.trace.emit({"t": tx.start, "ev": "tx", "node": sender,
                              "kind": frame.kind.value, "bytes": frame.size_bytes,
@@ -279,7 +278,6 @@ class Medium:
                 receiver = self._radios[r]
                 delivered.append(receiver)
                 receiver.ledger.charge(RX, airtime)
-                receiver.ledger.charge(CPU, airtime)
                 if self.trace.enabled:
                     self.trace.emit({"t": tx.end, "ev": "rx", "node": r,
                                      "from": sender, "bytes": frame.size_bytes,

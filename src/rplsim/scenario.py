@@ -26,25 +26,13 @@ from .medium import MediumConfig
 from .rpl import ProtocolConfig
 from .telemetry import EnergyCurrents, TRAFFIC_CLASSES
 
-UNIFORM_JITTER = "uniform-jitter"
-FIXED = "fixed"
-
 MAX_TOPOLOGY_ATTEMPTS = 1000
 
-
-@dataclass(frozen=True)
-class TrafficClass:
-    name: str
-    mean_interval_s: float
-    jitter_mode: str
-
-
-TRAFFIC_PROFILES = {
-    "high-critical": TrafficClass("high-critical", 10.0, UNIFORM_JITTER),
-    "critical": TrafficClass("critical", 20.0, UNIFORM_JITTER),
-    "low-critical": TrafficClass("low-critical", 300.0, FIXED),
-    "temperature": TrafficClass("temperature", 3600.0, UNIFORM_JITTER),
-}
+# mean send interval (s) per traffic class; the periodic ones send exactly
+# on it, the others jitter uniformly around it
+SEND_INTERVAL_S = {"high-critical": 10.0, "critical": 20.0,
+                   "low-critical": 300.0, "temperature": 3600.0}
+PERIODIC_CLASSES = frozenset({"low-critical"})
 
 
 class ConfigError(Exception):
@@ -264,10 +252,9 @@ def assign_traffic_classes(sensor_ids: list[int],
 
 def next_send_time(traffic_class: str, now_us: int,
                    stream: random.Random) -> int:
-    """Next application send: exact period for fixed classes, uniform jitter
+    """Next application send: exact period for periodic classes, uniform jitter
     over [T/2, 3T/2] for the averaged ones."""
-    profile = TRAFFIC_PROFILES[traffic_class]
-    mean = profile.mean_interval_s
-    if profile.jitter_mode == FIXED:
+    mean = SEND_INTERVAL_S[traffic_class]
+    if traffic_class in PERIODIC_CLASSES:
         return now_us + to_us(mean)
     return now_us + to_us(stream.uniform(0.5 * mean, 1.5 * mean))

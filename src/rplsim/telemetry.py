@@ -8,9 +8,12 @@ the radio dimension (tx, rx) is a subset of it.  Charging rules:
     for every frame actually delivered to it; delivered frames never
     overlap each other or the node's own transmissions, so radio time is
     a disjoint union of intervals.
-  * cpu is charged alongside every tx/rx charge for the same duration,
-    plus a fixed processing cost per application packet handled
-    (generated, forwarded, or delivered at the sink).
+  * the ledger books every tx or rx window as CPU-active time as well, in
+    the same charge; a cpu charge adds the fixed processing cost per
+    application packet handled (generated, forwarded, or delivered at the
+    sink).
+  * low-power time is never charged: finalize sets it to the rest of the
+    elapsed time.
 
 Power follows the two-rail model: every state duration times its current
 draw, summed across both rails, times supply voltage.
@@ -26,7 +29,7 @@ from .engine import US_PER_S
 TRAFFIC_CLASSES = ("high-critical", "critical", "low-critical", "temperature")
 DROP_CAUSES = ("no-route", "mac-failure", "queue-overflow", "ttl")
 
-TX, RX, CPU, LPM = "tx", "rx", "cpu", "lpm"
+TX, RX, CPU = "tx", "rx", "cpu"
 
 
 @dataclass
@@ -56,12 +59,9 @@ class EnergyLedger:
             self.tx_us += duration_us
         elif state == RX:
             self.rx_us += duration_us
-        elif state == CPU:
-            self.cpu_us += duration_us
-        elif state == LPM:
-            self.lpm_us += duration_us
-        else:
+        elif state != CPU:
             raise ValueError(f"unknown energy state: {state!r}")
+        self.cpu_us += duration_us
 
     def finalize(self, elapsed_us: int) -> None:
         """Fill the low-power bucket so cpu + lpm partitions elapsed time."""
@@ -71,28 +71,12 @@ class EnergyLedger:
             )
         self.lpm_us = elapsed_us - self.cpu_us
 
-    # seconds-facing views
-    @property
-    def t_tx(self) -> float:
-        return self.tx_us / US_PER_S
-
-    @property
-    def t_rx(self) -> float:
-        return self.rx_us / US_PER_S
-
-    @property
-    def t_cpu_active(self) -> float:
-        return self.cpu_us / US_PER_S
-
-    @property
-    def t_lpm(self) -> float:
-        return self.lpm_us / US_PER_S
-
     def charge_mc(self) -> float:
         """Accumulated charge in millicoulombs (mA * s) across both rails."""
         c = self.currents
-        return (self.t_tx * c.tx_ma + self.t_rx * c.rx_ma
-                + self.t_cpu_active * c.cpu_ma + self.t_lpm * c.lpm_ma)
+        return (self.tx_us / US_PER_S * c.tx_ma + self.rx_us / US_PER_S * c.rx_ma
+                + self.cpu_us / US_PER_S * c.cpu_ma
+                + self.lpm_us / US_PER_S * c.lpm_ma)
 
     def average_power_mw(self, elapsed_us: int) -> float:
         if elapsed_us <= 0:
@@ -138,8 +122,7 @@ class MetricsReport:
     def pdr(self, traffic_class: str | None = None) -> float | None:
         """Delivery ratio for one class or overall; None when nothing was sent."""
         if traffic_class is None:
-            sent = sum(self.sent.values())
-            delivered = sum(self.delivered.values())
+            sent, delivered = self.total_sent(), self.total_delivered()
         else:
             sent = self.sent[traffic_class]
             delivered = self.delivered[traffic_class]

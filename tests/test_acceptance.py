@@ -95,49 +95,64 @@ def test_criterion_1_determinism():
 
 # --------------------------------------------------------------- criterion 2
 
+def of0_bfs_failures(graph):
+    cfg, positions = graph
+    result = run_scenario(cfg, positions=positions)
+    hops = bfs_hops(positions, cfg.medium.tx_range_m)
+    failures = []
+    for nid, snap in result.nodes.items():
+        if snap.rank >= 0xFFFF:
+            failures.append(f"seed={cfg.seed} node {nid} never joined")
+        elif snap.rank // 256 - 1 != hops[nid]:
+            failures.append(f"seed={cfg.seed} node {nid}: rank {snap.rank} "
+                            f"vs bfs {hops[nid]}")
+    return failures
+
+
 def test_criterion_2_of0_bfs_oracle():
     with criterion(2, "OF0 rank == BFS depth"):
-        for cfg, positions in oracle_graphs():
-            result = run_scenario(cfg, positions=positions)
-            hops = bfs_hops(positions, cfg.medium.tx_range_m)
-            for nid, snap in result.nodes.items():
-                assert snap.rank < 0xFFFF, \
-                    f"seed={cfg.seed} node {nid} never joined"
-                assert snap.rank // 256 - 1 == hops[nid], (
-                    f"seed={cfg.seed} node {nid}: rank {snap.rank} vs "
-                    f"bfs {hops[nid]}")
+        failures = sum(run_cells(of0_bfs_failures, oracle_graphs()), [])
+        assert not failures, "\n".join(failures)
 
 
 # --------------------------------------------------------------- criterion 3
 
+def mrhof_dijkstra_failures(graph):
+    cfg, positions = graph
+    link_rng = random.Random(90_000 + cfg.seed)
+    link_rx = {}
+    for a, nbrs in disk_edges(positions, cfg.medium.tx_range_m).items():
+        for b in nbrs:
+            if a < b:
+                link_rx[(a, b)] = link_rng.choice((0.8, 1.0))
+    run_cfg = ScenarioConfig(
+        node_count=cfg.node_count, topology="random", objective="etx",
+        rx_success_ratio=1.0, area_side_m=cfg.area_side_m,
+        duration_s=600.0, warmup_s=10.0, seed=cfg.seed,
+        traffic_classes=("high-critical",))
+    result = run_scenario(run_cfg, positions=positions, link_rx=link_rx)
+    optimal = dijkstra_etx(positions, cfg.medium.tx_range_m, link_rx)
+    failures = []
+    for nid, snap in result.nodes.items():
+        if snap.role == "sink":
+            continue
+        if not snap.joined:
+            failures.append(f"seed={cfg.seed} node {nid} not joined")
+            continue
+        depth = result.depth(nid)
+        slack = 192 * depth
+        target = 128 * optimal[nid]
+        if abs(snap.path_cost - target) > slack:
+            failures.append(f"seed={cfg.seed} node {nid}: cost "
+                            f"{snap.path_cost} vs dijkstra {target:.1f} "
+                            f"(slack {slack})")
+    return failures
+
+
 def test_criterion_3_mrhof_dijkstra_proximity():
     with criterion(3, "MRHOF cost near Dijkstra optimum"):
-        for cfg, positions in oracle_graphs():
-            link_rng = random.Random(90_000 + cfg.seed)
-            link_rx = {}
-            for a, nbrs in disk_edges(positions,
-                                      cfg.medium.tx_range_m).items():
-                for b in nbrs:
-                    if a < b:
-                        link_rx[(a, b)] = link_rng.choice((0.8, 1.0))
-            run_cfg = ScenarioConfig(
-                node_count=cfg.node_count, topology="random", objective="etx",
-                rx_success_ratio=1.0, area_side_m=cfg.area_side_m,
-                duration_s=600.0, warmup_s=10.0, seed=cfg.seed,
-                traffic_classes=("high-critical",))
-            result = run_scenario(run_cfg, positions=positions,
-                                  link_rx=link_rx)
-            optimal = dijkstra_etx(positions, cfg.medium.tx_range_m, link_rx)
-            for nid, snap in result.nodes.items():
-                if snap.role == "sink":
-                    continue
-                assert snap.joined, f"seed={cfg.seed} node {nid} not joined"
-                depth = result.depth(nid)
-                slack = 192 * depth
-                target = 128 * optimal[nid]
-                assert abs(snap.path_cost - target) <= slack, (
-                    f"seed={cfg.seed} node {nid}: cost {snap.path_cost} vs "
-                    f"dijkstra {target:.1f} (slack {slack})")
+        failures = sum(run_cells(mrhof_dijkstra_failures, oracle_graphs()), [])
+        assert not failures, "\n".join(failures)
 
 
 # ---------------------------------------------------- criteria 4 and 8 fixture

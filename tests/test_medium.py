@@ -93,6 +93,7 @@ class TestBroadcast:
         sim.run_until(SEC)
         assert seen == {}
         assert ledgers[0].tx_us == 2048
+        assert ledgers[0].cpu_us == 2048
         assert ledgers[1].rx_us == 0
 
     def test_sender_never_receives_own_frame(self):

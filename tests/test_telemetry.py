@@ -6,7 +6,7 @@ from oracles import replay_energy
 from rplsim.engine import to_us
 from rplsim.scenario import ScenarioConfig
 from rplsim.simulate import run_scenario
-from rplsim.telemetry import (CPU, EnergyCurrents, EnergyLedger, LPM,
+from rplsim.telemetry import (CPU, EnergyCurrents, EnergyLedger,
                               MetricsReport, RX, TX)
 
 
@@ -20,16 +20,27 @@ class TestLedger:
         ledger = EnergyLedger()
         ledger.charge(TX, 1000)
         ledger.charge(RX, 2000)
-        assert ledger.t_tx == 0.001
-        assert ledger.t_rx == 0.002
+        ledger.charge(TX, 500)
+        assert (ledger.tx_us, ledger.rx_us, ledger.lpm_us) == (1500, 2000, 0)
+
+    def test_radio_window_also_books_cpu_time(self):
+        ledger = EnergyLedger()
+        ledger.charge(TX, 1234)
+        assert ledger.cpu_us == 1234
+        ledger.charge(RX, 766)
+        assert ledger.cpu_us == 2000
+        ledger.charge(CPU, 1000)
+        assert (ledger.tx_us, ledger.rx_us, ledger.cpu_us) == (1234, 766, 3000)
 
     def test_negative_duration_rejected(self):
         with pytest.raises(ValueError):
             EnergyLedger().charge(TX, -1)
 
     def test_unknown_state_rejected(self):
-        with pytest.raises(ValueError):
-            EnergyLedger().charge("sleepwalk", 10)
+        # low-power time is not chargeable: finalize alone sets lpm_us
+        for state in ("sleepwalk", "lpm"):
+            with pytest.raises(ValueError, match="unknown energy state"):
+                EnergyLedger().charge(state, 10)
 
     def test_finalize_partitions_cpu_time(self):
         ledger = EnergyLedger()
@@ -46,10 +57,11 @@ class TestLedger:
     def test_one_second_tx_power(self):
         ledger = EnergyLedger()
         ledger.charge(TX, to_us(1.0))
-        ledger.charge(LPM, to_us(899.0))
+        ledger.finalize(to_us(900.0))
         power = ledger.average_power_mw(to_us(900.0))
-        assert power == pytest.approx((1 * 17.4 + 899 * 0.0545) * 3 / 900)
-        assert power == pytest.approx(0.2213, abs=5e-5)
+        assert power == pytest.approx(
+            (1 * 17.4 + 1 * 1.8 + 899 * 0.0545) * 3 / 900)
+        assert power == pytest.approx(0.2273, abs=5e-5)
 
     def test_zero_elapsed_power_is_an_error(self):
         with pytest.raises(ValueError):
@@ -58,7 +70,9 @@ class TestLedger:
     def test_custom_currents(self):
         ledger = EnergyLedger(EnergyCurrents(tx_ma=10.0, voltage_v=2.0))
         ledger.charge(TX, to_us(9.0))
-        assert ledger.total_energy_mj() == pytest.approx(9 * 10 * 2.0)
+        # 9 s of tx at 10 mA plus the same 9 s of cpu at the default 1.8 mA
+        assert ledger.total_energy_mj() == pytest.approx((90 + 16.2) * 2.0)
+        assert ledger.total_energy_mj() == pytest.approx(212.4)
 
 
 class TestMetricsReport:
