@@ -112,11 +112,13 @@ def per_link_ratios(node_count, seed, ratios):
             for a in range(node_count) for b in range(a + 1, node_count)}
 
 
-# Each case is one traced 300 s run with warmup 60 s: the ScenarioConfig
-# fields, plus the per-link ratios it runs with (or None).  The first four
-# are 40-node, rx 0.8, seed-1 runs, one per topology/objective pair; the
-# others pin a zero ACK turnaround, a near-zero backoff window, a short
-# parent expiry with frequent housekeeping, and per-link ratios.
+# Each case is one traced 300 s run with warmup 60 s unless it says
+# otherwise: the ScenarioConfig fields, plus the per-link ratios it runs with
+# (or None).  The first four are 40-node, rx 0.8, seed-1 runs, one per
+# topology/objective pair; the others pin a zero ACK turnaround, a near-zero
+# backoff window, a short parent expiry with frequent housekeeping, per-link
+# ratios, and a lossy, congested run whose trace holds every record shape:
+# detaches (a null parent) and all four drop causes.
 TRACE_CASES = {
     "random-of0": (dict(topology="random", objective="of0"), None),
     "random-etx": (dict(topology="random", objective="etx"), None),
@@ -137,6 +139,13 @@ TRACE_CASES = {
     "per-link-ratios": (
         dict(topology="random", objective="etx", node_count=30, seed=7),
         per_link_ratios(30, 7, (0.6, 0.8, 1.0))),
+    "every-record-shape": (
+        dict(topology="random", objective="etx", node_count=30,
+             rx_success_ratio=0.5, warmup_s=5.0, seed=2,
+             medium=MediumConfig(bitrate_bps=20000, ack_timeout_s=0.02),
+             protocol=ProtocolConfig(parent_expiry_floor_s=20.0,
+                                     housekeeping_period_s=1.0,
+                                     queue_capacity=1, ttl=3)), None),
 }
 
 # sha256 of (JSONL trace as write_jsonl writes it, result_to_row as sorted
@@ -166,6 +175,9 @@ TRACE_DIGESTS = {
     "per-link-ratios": (
         "376b2aaae07208aaa1a02324bb9283366c67fa87a2a01e8225d5919bd0d87a70",
         "e8e0f3a4c05da9d9486a7d60af80b784ad364b95552fd844b9becf95bfcf9b94"),
+    "every-record-shape": (
+        "921f8844f199c60805cef366245da404589b83a2a3dea24977064233fc429c74",
+        "f74a41a9f5bb26e1e970e2449268d78d860a5641cd14329eeb073ff2fa8737d9"),
 }
 
 
