@@ -267,9 +267,8 @@ class Medium:
         airtime = tx.end - tx.start
         radio.ledger.charge(TX, airtime)
         if self.trace.enabled:
-            self.trace.emit({"t": tx.start, "ev": "tx", "node": sender,
-                             "kind": frame.kind.value, "bytes": frame.size_bytes,
-                             "frame": frame.frame_id})
+            self.trace.emit((tx.start, "tx", sender, frame.kind.value,
+                             frame.size_bytes, frame.frame_id))
         outcomes: dict[int, Outcome] = {}
         delivered = []
         for r in tx.victims:
@@ -279,9 +278,8 @@ class Medium:
                 delivered.append(receiver)
                 receiver.ledger.charge(RX, airtime)
                 if self.trace.enabled:
-                    self.trace.emit({"t": tx.end, "ev": "rx", "node": r,
-                                     "from": sender, "bytes": frame.size_bytes,
-                                     "frame": frame.frame_id})
+                    self.trace.emit((tx.end, "rx", r, sender,
+                                     frame.size_bytes, frame.frame_id))
 
         if job is None:
             pass                                   # an ACK: fire and forget

@@ -197,13 +197,11 @@ class Node:
                                        hops=packet.hops,
                                        latency_us=now - packet.created)
             if self.trace.enabled:
-                self.trace.emit({"t": now, "ev": "deliver", "node": self.id,
-                                 "pkt": packet.pid, "hops": packet.hops,
-                                 "lat": now - packet.created})
+                self.trace.emit((now, "deliver", self.id, packet.pid,
+                                 packet.hops, now - packet.created))
             return
         if self.trace.enabled:
-            self.trace.emit({"t": now, "ev": "fwd", "node": self.id,
-                             "pkt": packet.pid})
+            self.trace.emit((now, "fwd", self.id, packet.pid))
         packet.ttl -= 1
         if packet.ttl <= 0:
             self._drop(packet, "ttl")
@@ -275,11 +273,9 @@ class Node:
 
         # an unchanged (rank, parent) is a fixpoint until an input moves
         self._dirty = (self.rank, self.preferred_parent) != (old_rank, old_parent)
-        if self._dirty:
-            if self.trace.enabled:
-                self.trace.emit({"t": self.sim.now, "ev": "parent",
-                                 "node": self.id, "parent": self.preferred_parent,
-                                 "rank": self.rank})
+        if self._dirty and self.trace.enabled:
+            self.trace.emit((self.sim.now, "parent", self.id,
+                             self.preferred_parent, self.rank))
         if self.joined != was_joined:
             if self.joined:
                 self._trickle_reset()
@@ -393,8 +389,8 @@ class Node:
                             created=self.sim.now, ttl=self.proto.ttl)
         self.ledger.charge(CPU, self._cpu_process_us)
         if self.trace.enabled:
-            self.trace.emit({"t": self.sim.now, "ev": "send", "node": self.id,
-                             "pkt": packet.pid, "cls": packet.traffic_class})
+            self.trace.emit((self.sim.now, "send", self.id, packet.pid,
+                             packet.traffic_class))
         if self.preferred_parent is None:
             self._drop(packet, "no-route")
             return
@@ -439,5 +435,4 @@ class Node:
     def _drop(self, packet: DataPacket, cause: str) -> None:
         self.metrics.record_packet(packet.traffic_class, cause)
         if self.trace.enabled:
-            self.trace.emit({"t": self.sim.now, "ev": "drop", "node": self.id,
-                             "pkt": packet.pid, "cause": cause})
+            self.trace.emit((self.sim.now, "drop", self.id, packet.pid, cause))

@@ -21,8 +21,8 @@ draw, summed across both rails, times supply voltage.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .engine import US_PER_S
 
@@ -140,28 +140,51 @@ class MetricsReport:
         return sum(self.delivered.values())
 
 
-class TraceRecorder:
-    """Collects structured event records for replay oracles and debugging.
+# Record tuples hold these fields in order; fixed-vocabulary strings need no escaping.
+_HEAD = {"t": int, "ev": str, "node": int}
+TRACE_FIELDS = {
+    "tx": {**_HEAD, "kind": str, "bytes": int, "frame": int},
+    "rx": {**_HEAD, "from": int, "bytes": int, "frame": int},
+    "send": {**_HEAD, "pkt": str, "cls": str},
+    "fwd": {**_HEAD, "pkt": str},
+    "deliver": {**_HEAD, "pkt": str, "hops": int, "lat": int},
+    "drop": {**_HEAD, "pkt": str, "cause": str},
+    "parent": {**_HEAD, "parent": int | None, "rank": int},
+}
 
-    Records are plain dicts with integer-microsecond timestamps under 't'.
-    Disabled recorders drop everything, so the hot path stays cheap.
-    """
+
+def _line_format(fields: dict) -> tuple:
+    """A kind's JSON line as a %-template with sorted keys, and its filler."""
+    get = itemgetter(*map(list(fields).index, sorted(fields)))
+    if any(isinstance(None, kind) for kind in fields.values()):
+        get = lambda r, g=get: tuple("null" if v is None else v for v in g(r))
+    return "{%s}\n" % ",".join(f'"{k}":"%s"' if fields[k] is str else f'"{k}":%s'
+                               for k in sorted(fields)), get
+
+
+class TraceRecorder:
+    """Collects trace records: tuples laid out by TRACE_FIELDS, shown as dicts by
+    `records`.  Writing fails on an unknown kind or width; disabled, it keeps none."""
+
+    _formats = {(ev, len(f)): _line_format(f) for ev, f in TRACE_FIELDS.items()}
 
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
-        self.records: list[dict] = []
+        self._rows: list[tuple] = []
 
-    def emit(self, record: dict) -> None:
+    @property
+    def records(self) -> list[dict]:
+        return [dict(zip(TRACE_FIELDS[r[1]], r, strict=True)) for r in self._rows]
+
+    def emit(self, record: tuple) -> None:
         if self.enabled:
-            self.records.append(record)
+            self._rows.append(record)
 
     def write_jsonl(self, path: str) -> None:
-        # one encoder for all records: json.dumps with options builds one each
-        encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
         with open(path, "w", encoding="utf-8") as fh:
-            for record in self.records:
-                fh.write(encode(record))
-                fh.write("\n")
+            for record in self._rows:
+                template, get = self._formats[record[1], len(record)]
+                fh.write(template % get(record))
 
 
 NULL_TRACE = TraceRecorder(enabled=False)

@@ -181,14 +181,18 @@ TRACE_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(TRACE_DIGESTS))
-def test_trace_and_row_digests(case, tmp_path):
+def run_trace_case(case):
+    """The traced run of TRACE_CASES[case]."""
     fields, link_rx = TRACE_CASES[case]
     values = dict(node_count=40, rx_success_ratio=0.8, duration_s=300.0,
                   warmup_s=60.0, seed=1)
     values.update(fields)
-    result = run_scenario(ScenarioConfig(**values), link_rx=link_rx,
-                          trace=True)
+    return run_scenario(ScenarioConfig(**values), link_rx=link_rx, trace=True)
+
+
+@pytest.mark.parametrize("case", sorted(TRACE_DIGESTS))
+def test_trace_and_row_digests(case, tmp_path):
+    result = run_trace_case(case)
     path = tmp_path / "trace.jsonl"
     result.trace.write_jsonl(str(path))
     row = json.dumps(result_to_row(result), sort_keys=True).encode()

@@ -1,4 +1,6 @@
-"""Energy ledger arithmetic, packet accounting, trace replay."""
+"""Energy ledger arithmetic, packet accounting, trace encoding and replay."""
+
+import json
 
 import pytest
 
@@ -6,8 +8,10 @@ from oracles import replay_energy
 from rplsim.engine import to_us
 from rplsim.scenario import ScenarioConfig
 from rplsim.simulate import run_scenario
-from rplsim.telemetry import (CPU, EnergyCurrents, EnergyLedger,
-                              MetricsReport, RX, TX)
+from rplsim.telemetry import (CPU, DROP_CAUSES, TRACE_FIELDS, EnergyCurrents,
+                              EnergyLedger, MetricsReport, RX, TraceRecorder,
+                              TX)
+from test_simulate import run_trace_case
 
 
 class TestLedger:
@@ -143,13 +147,51 @@ class TestConvergence:
                 f"seed {seed} converged late"
 
 
+class TestTraceEncoding:
+    def test_lines_match_the_json_module(self, tmp_path):
+        trace = run_trace_case("every-record-shape").trace
+        records = trace.records
+        # the case holds every kind, a detach and every drop cause
+        assert {r["ev"] for r in records} == set(TRACE_FIELDS)
+        assert any(r["ev"] == "parent" and r["parent"] is None
+                   for r in records)
+        assert ({r["cause"] for r in records if r["ev"] == "drop"}
+                == set(DROP_CAUSES))
+        for record in records:
+            for key, value in record.items():
+                assert isinstance(value, TRACE_FIELDS[record["ev"]][key])
+                assert (value is None or type(value) is int
+                        or json.dumps(value) == f'"{value}"'), (key, value)
+        path = tmp_path / "trace.jsonl"
+        trace.write_jsonl(str(path))
+        with open(path, encoding="utf-8", newline="") as fh:
+            lines = fh.readlines()
+        assert lines == [json.dumps(r, sort_keys=True, separators=(",", ":"))
+                         + "\n" for r in records]
+
+    @pytest.mark.parametrize("record", [
+        (5, "fwd", 1), (5, "fwd", 1, "1-1", 2), (5, "hop", 1, "1-1")],
+        ids=["short", "long", "unknown-ev"])
+    def test_malformed_record_raises(self, record, tmp_path):
+        trace = TraceRecorder(enabled=True)
+        trace.emit(record)
+        with pytest.raises(KeyError):
+            trace.write_jsonl(str(tmp_path / "trace.jsonl"))
+        with pytest.raises((KeyError, ValueError)):
+            trace.records
+
+
 class TestTraceReplay:
-    def test_replay_reproduces_ledgers_exactly(self):
+    def test_replay_reproduces_ledgers_exactly(self, tmp_path):
         cfg = ScenarioConfig(node_count=9, topology="grid", objective="etx",
                              rx_success_ratio=0.8, grid_spacing_m=60.0,
                              duration_s=200.0, warmup_s=30.0, seed=4)
         result = run_scenario(cfg, trace=True)
-        replayed = replay_energy(result.trace.records,
+        path = tmp_path / "trace.jsonl"
+        result.trace.write_jsonl(str(path))
+        with open(path, encoding="utf-8") as fh:
+            records = [json.loads(line) for line in fh]
+        replayed = replay_energy(records,
                                  cfg.medium.bitrate_bps,
                                  to_us(cfg.protocol.cpu_process_s))
         for nid, ledger in result.ledgers.items():
