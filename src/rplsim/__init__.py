@@ -16,7 +16,7 @@ from .scenario import (ConfigError, ScenarioConfig, assign_traffic_classes,
                        generate_grid_topology, generate_random_topology,
                        generate_topology, load_scenario, next_send_time,
                        scenario_from_dict, unit_disk_connected)
-from .simulate import NodeSnapshot, RunResult, run_scenario
+from .simulate import RunResult, run_scenario
 from .telemetry import (DROP_CAUSES, EnergyCurrents, EnergyLedger,
                         MetricsReport, TRAFFIC_CLASSES, TraceRecorder)
 

@@ -89,6 +89,9 @@ def cmd_run(args) -> int:
     cfg = load_scenario(args.config)
     if args.seed is not None:
         cfg.seed = args.seed
+    if args.trace is not None:              # refuse a bad --trace or --out
+        open(args.trace, "a").close()       # before the run
+    append_rows(args.out, [])
     result = run_scenario(cfg, trace=args.trace is not None)
     append_rows(args.out, [result_to_row(result)])
     if args.trace is not None:
@@ -284,6 +287,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:                  # names the file it could not open
+        print(f"file error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -3,8 +3,9 @@
 Connectivity is binary: nodes within tx_range hear each other (closed
 boundary), nobody else does.  Inside the disk every frame reaches each
 in-range receiver independently with rx_success_ratio, except that frames
-overlapping in time at a receiver destroy each other there (no capture),
-and a node never hears anything while it is itself transmitting.
+overlapping in time at a receiver destroy each other there (no capture).
+A radio is half duplex: it hears itself, so while it transmits it receives
+nothing and senses the channel busy.
 
 A radio serves one job (one frame) at a time from a FIFO.  A broadcast
 (dst None) is sent once; a unicast is acknowledged and retried up to
@@ -64,6 +65,10 @@ class MediumConfig:
         if self.ack_timeout_s <= min_timeout:
             raise ValueError("ack_timeout_s: must exceed turnaround + ACK "
                              f"airtime (got {self.ack_timeout_s!r})")
+        # a 1 us window draws every backoff as 0: a busy channel hangs the run
+        if to_us(self.backoff_window_s) < 2:
+            raise ValueError("backoff_window_s: must be at least 2 us once "
+                             f"rounded (got {self.backoff_window_s!r})")
 
     def airtime_us(self, nbytes: int) -> int:
         return round(nbytes * 8 * US_PER_S / self.bitrate_bps)
@@ -120,7 +125,7 @@ class _Radio:
                  jitter: random.Random, ledger: EnergyLedger):
         self.node_id = node_id
         self.neighbors = neighbors            # ascending ids
-        self.audible = frozenset(neighbors)
+        self.audible = frozenset(neighbors).union((node_id,))  # half duplex
         self.jitter = jitter
         self.ledger = ledger
         self.receiver: Callable[[Frame, int], None] | None = None
@@ -154,7 +159,7 @@ class Medium:
             for nid in ids}
         self._active: dict[int, Transmission] = {}   # by sender; one at most
         self._next_frame_id = 0
-        self._backoff_window_us = max(1, to_us(cfg.backoff_window_s))
+        self._backoff_window_us = to_us(cfg.backoff_window_s)
         self._ack_turnaround_us = to_us(cfg.ack_turnaround_s)
         self._ack_timeout_us = to_us(cfg.ack_timeout_s)
 
@@ -229,8 +234,7 @@ class Medium:
                              lambda: self._sense(radio, job))
 
     def _sense(self, radio: _Radio, job: _Job) -> None:
-        if (radio.node_id in self._active
-                or not radio.audible.isdisjoint(self._active)):
+        if not radio.audible.isdisjoint(self._active):
             self._begin_csma(radio, job)      # busy: defer with a fresh backoff
             return
         self._transmit(radio, job, job.frame)
@@ -248,17 +252,13 @@ class Medium:
                              lambda: self._tx_end(radio, job, tx))
 
     def _register(self, radio: _Radio, tx: Transmission) -> None:
-        # mutual interference with every transmission already in flight
-        sender = radio.node_id
+        # mutual interference with every transmission already in flight;
+        # audible holds the radio itself, so a sender cannot also receive
         for other_sender, other in self._active.items():
             tx.corrupted |= self._radios[other_sender].audible.intersection(
                 tx.victims)
             other.corrupted |= radio.audible.intersection(other.victims)
-            if sender in other.victims:
-                other.corrupted.add(sender)
-        # a node busy transmitting cannot receive
-        tx.corrupted |= self._active.keys() & tx.victims
-        self._active[sender] = tx
+        self._active[radio.node_id] = tx
 
     def _tx_end(self, radio: _Radio, job: _Job | None,
                 tx: Transmission) -> None:

@@ -92,8 +92,7 @@ class DataPacket:
     pid: str
     traffic_class: str
     created: int
-    ttl: int
-    hops: int = 0
+    hops: int = 0            # receptions so far; proto.ttl bounds them
 
 
 class Node:
@@ -202,8 +201,7 @@ class Node:
             return
         if self.trace.enabled:
             self.trace.emit((now, "fwd", self.id, packet.pid))
-        packet.ttl -= 1
-        if packet.ttl <= 0:
+        if packet.hops >= self.proto.ttl:
             self._drop(packet, "ttl")
             return
         self._enqueue(packet)
@@ -258,18 +256,11 @@ class Node:
             if choice is not None:
                 new_cost = costs[choice]
                 new_rank = mrhof_rank(candidates[choice].rank, new_cost)
-        if new_rank >= INFINITE_RANK:
-            choice = None
-
-        if choice is None:
-            self.rank = INFINITE_RANK
-            self.path_cost = None
-            self.preferred_parent = None
-        else:
-            assert new_rank > candidates[choice].rank
-            self.rank = new_rank
-            self.path_cost = new_cost
-            self.preferred_parent = choice
+        if choice is None or new_rank >= INFINITE_RANK:
+            choice, new_rank, new_cost = None, INFINITE_RANK, None
+        assert choice is None or new_rank > candidates[choice].rank
+        self.rank, self.path_cost, self.preferred_parent = \
+            new_rank, new_cost, choice
 
         # an unchanged (rank, parent) is a fixpoint until an input moves
         self._dirty = (self.rank, self.preferred_parent) != (old_rank, old_parent)
@@ -386,7 +377,7 @@ class Node:
         self._pkt_seq += 1
         packet = DataPacket(pid=f"{self.id}-{self._pkt_seq}",
                             traffic_class=self.traffic_class,
-                            created=self.sim.now, ttl=self.proto.ttl)
+                            created=self.sim.now)
         self.ledger.charge(CPU, self._cpu_process_us)
         if self.trace.enabled:
             self.trace.emit((self.sim.now, "send", self.id, packet.pid,

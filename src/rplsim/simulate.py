@@ -2,7 +2,8 @@
 
 run_scenario is the single entry point used by the CLI, the sweep driver,
 and the test suite; it owns stream derivation, topology construction,
-traffic scheduling, and end-of-run bookkeeping.
+traffic scheduling, and end-of-run bookkeeping.  Its RunResult holds the
+run's own Node objects, as the run left them.
 """
 
 from __future__ import annotations
@@ -19,22 +20,10 @@ from .telemetry import EnergyLedger, MetricsReport, TraceRecorder, NULL_TRACE
 
 
 @dataclass
-class NodeSnapshot:
-    id: int
-    role: str
-    traffic_class: str | None
-    rank: int
-    preferred_parent: int | None
-    parent_advertised_rank: int | None   # rank the parent last advertised here
-    path_cost: int | None
-    joined: bool
-
-
-@dataclass
 class RunResult:
     config: ScenarioConfig
     metrics: MetricsReport
-    nodes: dict[int, NodeSnapshot]
+    nodes: dict[int, Node]              # as the run left them
     ledgers: dict[int, EnergyLedger]
     trace: TraceRecorder
     elapsed_us: int
@@ -44,12 +33,12 @@ class RunResult:
         hops = 0
         current = node_id
         while hops <= len(self.nodes):
-            snap = self.nodes[current]
-            if snap.role == SINK:
+            node = self.nodes[current]
+            if node.role == SINK:
                 return hops
-            if snap.preferred_parent is None:
+            if node.preferred_parent is None:
                 return None
-            current = snap.preferred_parent
+            current = node.preferred_parent
             hops += 1
         return None
 
@@ -134,17 +123,4 @@ def run_scenario(cfg: ScenarioConfig,
 
     for ledger in ledgers.values():
         ledger.finalize(duration_us)
-
-    snapshots = {}
-    for nid, node in nodes.items():
-        parent = node.preferred_parent
-        advertised = (node.candidates[parent].rank
-                      if parent is not None and parent in node.candidates
-                      else None)
-        snapshots[nid] = NodeSnapshot(
-            id=nid, role=node.role,
-            traffic_class=node.traffic_class,
-            rank=node.rank, preferred_parent=parent,
-            parent_advertised_rank=advertised,
-            path_cost=node.path_cost, joined=node.joined)
-    return RunResult(cfg, metrics, snapshots, ledgers, recorder, duration_us)
+    return RunResult(cfg, metrics, nodes, ledgers, recorder, duration_us)

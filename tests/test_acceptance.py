@@ -165,9 +165,10 @@ def check_tree(result):
         parent = result.nodes[snap.preferred_parent]
         if not parent.joined:
             return f"node {nid} has unjoined parent {parent.id}"
-        if snap.rank <= snap.parent_advertised_rank:
+        advertised = snap.candidates[snap.preferred_parent].rank
+        if snap.rank <= advertised:
             return (f"node {nid} rank {snap.rank} <= parent advertised "
-                    f"rank {snap.parent_advertised_rank}")
+                    f"rank {advertised}")
         depth = result.depth(nid)
         if depth is None:
             return f"node {nid} parent chain does not reach the sink"

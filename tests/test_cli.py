@@ -65,6 +65,8 @@ REJECTED = {
     "duration_s": {"duration_s": math.inf},
     # rounds to a zero-length run, whose average power is undefined
     "duration_s: must exceed warmup_s": {"warmup_s": 0, "duration_s": 1e-7},
+    # rounds to a 1 us window: every backoff draws 0 and time stops
+    "medium.backoff_window_s": {"medium": {"backoff_window_s": 0.000001}},
 }
 
 # sweeps whose bad field must stop the sweep before its first run
@@ -119,6 +121,15 @@ def dying_worker(cfg):
     if cfg == DOOMED_CELL:
         os._exit(1)
     return run_cell(cfg)
+
+
+def never_run(*args, **kwargs):
+    raise AssertionError("a run started despite a bad path")
+
+
+def unopenable(tmp_path):
+    """A file path whose directory does not exist."""
+    return str(tmp_path / "missing" / "file")
 
 
 class TestRun:
@@ -201,6 +212,18 @@ class TestRun:
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "o.csv")]) == 2
+
+    @pytest.mark.parametrize("flag", ["--out", "--trace"])
+    def test_unopenable_path_exits_2_before_running(self, tmp_path, capsys,
+                                                    monkeypatch, flag):
+        monkeypatch.setattr(cli, "run_scenario", never_run)
+        config = write_json(tmp_path / "c.json", GOOD_CONFIG)
+        out, bad = tmp_path / "o.csv", unopenable(tmp_path)
+        paths = {"--out": ["--out", bad],
+                 "--trace": ["--out", str(out), "--trace", bad]}[flag]
+        assert main(["run", "--config", config, *paths]) == 2
+        assert bad in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSweep:
@@ -320,6 +343,14 @@ class TestSweep:
         assert field in capsys.readouterr().err
         assert not out.exists()
         assert not (tmp_path / "runs.csv.failures.csv").exists()
+
+    def test_unopenable_out_exits_2_before_running(self, tmp_path, capsys,
+                                                   monkeypatch):
+        monkeypatch.setattr(cli, "_sweep_worker", never_run)
+        path = write_json(tmp_path / "s.json", SWEEP_SPEC)
+        bad = unopenable(tmp_path)
+        assert main(["sweep", "--spec", path, "--out", bad]) == 2
+        assert bad in capsys.readouterr().err
 
     def test_foreign_csv_header_exits_2_before_running(self, tmp_path,
                                                        capsys):
@@ -445,3 +476,14 @@ class TestPlotData:
         main(["plot-data", "--in", runs, "--figure", "power", "--out", out])
         rows = read_rows(out)
         assert all(float(row["mean"]) > 0 for row in rows)
+
+    @pytest.mark.parametrize("flag", ["--in", "--out"])
+    def test_unopenable_path_exits_2(self, tmp_path, capsys, flag):
+        runs = tmp_path / "runs.csv"
+        runs.write_text(",".join(CSV_COLUMNS) + "\n", encoding="utf-8")
+        bad = unopenable(tmp_path)
+        paths = {"--in": [bad, str(tmp_path / "pdr.csv")],
+                 "--out": [str(runs), bad]}[flag]
+        assert main(["plot-data", "--in", paths[0], "--figure", "pdr",
+                     "--out", paths[1]]) == 2
+        assert bad in capsys.readouterr().err

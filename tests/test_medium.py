@@ -4,7 +4,7 @@ import pytest
 from scipy import stats as scipy_stats
 
 from oracles import unicast_expectation
-from rplsim.engine import Simulator, derive_stream, to_us
+from rplsim.engine import EventKind, Simulator, derive_stream, to_us
 from rplsim.medium import (Frame, FrameKind, Medium, MediumConfig, Outcome,
                            in_range)
 from rplsim.scenario import ConfigError, scenario_from_dict
@@ -71,6 +71,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             MediumConfig(ack_timeout_s=0.0001)
 
+    def test_backoff_window_must_round_to_two_us(self):
+        # a 1 us window draws every backoff as 0: a radio that finds the
+        # channel busy would sense again at the same instant forever
+        with pytest.raises(ValueError, match="^backoff_window_s: "):
+            MediumConfig(backoff_window_s=1.4e-6)
+        assert MediumConfig(backoff_window_s=1.5e-6).backoff_window_s == 1.5e-6
+
 
 class TestBroadcast:
     def test_all_receivers_at_ratio_one(self):
@@ -107,7 +114,7 @@ class TestBroadcast:
     def test_hidden_senders_collide_at_shared_receiver(self):
         # 0 and 2 cannot hear each other; both are audible at 1
         positions = {0: (0.0, 0.0), 1: (80.0, 0.0), 2: (160.0, 0.0)}
-        sim, medium, _ = make_medium(positions, backoff_window_s=1e-6)
+        sim, medium, _ = make_medium(positions, backoff_window_s=2e-6)
         outcomes = []
         medium.broadcast(0, FrameKind.DIS, on_done=lambda o: outcomes.append((0, o)))
         medium.broadcast(2, FrameKind.DIS, on_done=lambda o: outcomes.append((2, o)))
@@ -168,6 +175,25 @@ class TestDelivery:
         (tx,) = [r for r in trace.records if r["ev"] == "tx"]
         end = tx["t"] + medium.cfg.airtime_us(medium.cfg.control_frame_bytes)
         assert heard == [(end, 1), (end, 2), (end, 3)]
+
+    def test_radio_on_air_cannot_receive(self):
+        # 0 and 2 cannot hear each other; 1 sends its ACK to 2 while 0's
+        # DIS is on air, so 1 misses the DIS
+        positions = {0: (0.0, 0.0), 1: (80.0, 0.0), 2: (160.0, 0.0)}
+        trace = TraceRecorder(enabled=True)
+        sim, medium, ledgers = make_medium(positions, trace=trace,
+                                           backoff_window_s=2e-6)
+        collect_frames(medium, positions)
+        unicasts, broadcasts = [], []
+        medium.unicast_with_ack(2, 1, None, lambda *r: unicasts.append(r))
+        sim.schedule(1700, EventKind.TIMER_FIRE, 0, lambda: medium.broadcast(
+            0, FrameKind.DIS, on_done=broadcasts.append))
+        sim.run_until(SEC)
+        start = {r["kind"]: r["t"] for r in trace.records if r["ev"] == "tx"}
+        assert start["dis"] < start["ack"] < start["dis"] + 2048
+        assert broadcasts == [{1: Outcome.LOST_COLLISION}]
+        assert ledgers[1].rx_us == 1600          # 2's data frame only
+        assert unicasts == [(True, 1, True)]
 
 
 class TestUnicast:

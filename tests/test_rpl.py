@@ -159,7 +159,7 @@ class TestLineConvergence:
         result = run_scenario(cfg)
         for snap in result.nodes.values():
             if snap.preferred_parent is not None:
-                assert snap.rank > snap.parent_advertised_rank
+                assert snap.rank > snap.candidates[snap.preferred_parent].rank
 
 
 class TestTrickle:
