@@ -2,8 +2,8 @@
 wireless sensor networks, comparing the OF0 and ETX/MRHOF objective
 functions under healthcare-style traffic profiles."""
 
-from .engine import (Event, EventKind, SchedulingError, Simulator,
-                     derive_stream, to_s, to_us)
+from .engine import (Event, SchedulingError, Simulator, derive_stream, to_s,
+                     to_us)
 from .medium import (Frame, FrameKind, Medium, MediumConfig, Outcome,
                      Transmission, in_range)
 from .objective import (ETX_INITIAL, ETX_SCALE, INFINITE_RANK, LinkStats,

@@ -191,8 +191,9 @@ def cmd_sweep(args) -> int:
             raise ConfigError(f"sweep cell {index}: {exc}") from None
     append_rows(args.out, [])               # the header, or refuse --out
     rows, errors = [], []
-    with (ProcessPoolExecutor(max_workers=args.parallel)
-          if args.parallel > 1 else contextlib.nullcontext()) as pool:
+    workers = min(args.parallel, len(configs))  # the pool forks them all
+    with (ProcessPoolExecutor(max_workers=workers)
+          if workers > 1 else contextlib.nullcontext()) as pool:
         # outcomes come in task (grid) order; each row is appended as it
         # comes, so an interrupted sweep keeps those done
         outcomes = (_pool_outcomes(pool, configs) if pool
@@ -234,7 +235,13 @@ def cmd_sweep(args) -> int:
 def cmd_plot_data(args) -> int:
     metric = {"pdr": "pdr_total", "power": "avg_power_mw"}[args.figure]
     with open(args.infile, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.DictReader(fh))
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    missing = [c for c in (*CELL_KEYS, metric)
+               if c not in (reader.fieldnames or ())]
+    if missing:
+        raise ConfigError(f"{args.infile}: missing result column(s) "
+                          + ", ".join(missing))
     cells = {key: values for key, values in _cells(rows, metric).items()
              if values}
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -248,6 +255,13 @@ def cmd_plot_data(args) -> int:
 
 
 # ---------------------------------------------------------------------- main
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1 (got {value})")
+    return value
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -266,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="run a grid of scenarios")
     p_sweep.add_argument("--spec", required=True, help="sweep JSON file")
-    p_sweep.add_argument("--parallel", type=int, default=1,
+    p_sweep.add_argument("--parallel", type=positive_int, default=1,
                          help="worker processes (results are order-independent)")
     p_sweep.add_argument("--out", required=True, help="CSV for per-run rows")
     p_sweep.set_defaults(func=cmd_sweep)

@@ -1,17 +1,17 @@
 """Deterministic discrete-event kernel and reproducible random streams.
 
 Virtual time is a 64-bit count of microseconds so event ordering is exact
-and identical on every platform.  Events with equal fire times dequeue in
-scheduling (FIFO) order.  Randomness is drawn from streams derived from
-(master_seed, purpose, node), so each subsystem's draw sequence is
-independent of how many draws the others make.
+and identical on every platform.  An event is an action queued a delay
+after now; equal fire times dequeue in scheduling (FIFO) order.
+Randomness is drawn from streams derived from (master_seed, purpose,
+node), so each subsystem's draw sequence is independent of how many draws
+the others make.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from enum import Enum
 from heapq import heappop, heappush
 from typing import Callable
 
@@ -27,12 +27,6 @@ def to_us(seconds: float) -> int:
 
 def to_s(us: int) -> float:
     return us / US_PER_S
-
-
-class EventKind(Enum):
-    TIMER_FIRE = "timer-fire"
-    TX_END = "tx-end"
-    APP_SEND = "app-send"
 
 
 class SchedulingError(Exception):
@@ -66,9 +60,11 @@ class Simulator:
         """Current virtual clock in microseconds."""
         return self._now
 
-    def schedule(self, fire_time: int, kind: EventKind, target: int | str,
+    def schedule(self, fire_time: int, kind: object, target: object,
                  action: Callable[[], None]) -> Event:
-        """Queue an event; returns a handle whose cancel() withdraws it."""
+        """Queue an event at fire_time; returns a handle whose cancel()
+        withdraws it.  `kind` and `target` are unread; they stay because
+        perfbench/hooks.py binds this signature."""
         if fire_time < self._now:
             raise SchedulingError(
                 f"event scheduled in the past: t={fire_time} < clock={self._now}"
@@ -78,9 +74,9 @@ class Simulator:
         self._seq += 1
         return event
 
-    def schedule_in(self, delay: int, kind: EventKind, target: int | str,
-                    action: Callable[[], None]) -> Event:
-        return self.schedule(self._now + delay, kind, target, action)
+    def schedule_in(self, delay: int, action: Callable[[], None]) -> Event:
+        """Queue action to run delay microseconds from now."""
+        return self.schedule(self._now + delay, None, None, action)
 
     def run_until(self, end_time: int) -> int:
         """Process every event with fire_time <= end_time; clock ends at end_time."""

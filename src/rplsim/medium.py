@@ -2,7 +2,7 @@
 
 Connectivity is binary: nodes within tx_range hear each other (closed
 boundary), nobody else does.  Inside the disk every frame reaches each
-in-range receiver independently with rx_success_ratio, except that frames
+in-range receiver independently with its link's ratio, except that frames
 overlapping in time at a receiver destroy each other there (no capture).
 A radio is half duplex: it hears itself, so while it transmits it receives
 nothing and senses the channel busy.
@@ -26,9 +26,9 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
+from typing import Callable, Collection
 
-from .engine import Event, EventKind, Simulator, US_PER_S, to_us
+from .engine import Event, Simulator, US_PER_S, to_us
 from .telemetry import RX, TX, EnergyLedger, TraceRecorder, NULL_TRACE
 
 
@@ -99,7 +99,7 @@ class Transmission:
     frame: Frame
     start: int
     end: int
-    victims: tuple[int, ...]             # receivers whose outcome matters
+    victims: Collection[int]     # receivers whose outcome matters, ascending
     corrupted: set[int] = field(default_factory=set)
 
 
@@ -121,10 +121,10 @@ class _Radio:
     __slots__ = ("node_id", "neighbors", "audible", "jitter", "ledger",
                  "receiver", "queue", "current", "last_frame_from")
 
-    def __init__(self, node_id: int, neighbors: tuple[int, ...],
+    def __init__(self, node_id: int, neighbors: dict[int, float],
                  jitter: random.Random, ledger: EnergyLedger):
         self.node_id = node_id
-        self.neighbors = neighbors            # ascending ids
+        self.neighbors = neighbors    # reception ratio by id, ascending ids
         self.audible = frozenset(neighbors).union((node_id,))  # half duplex
         self.jitter = jitter
         self.ledger = ledger
@@ -148,14 +148,16 @@ class Medium:
         self.cfg = cfg
         self._stream = stream
         self.trace = trace
-        self._link_rx = {(min(a, b), max(a, b)): ratio
-                         for (a, b), ratio in (link_rx or {}).items()}
 
+        # one ratio per link, either way round; the run's ratio by default
+        ratios = {frozenset(pair): r for pair, r in (link_rx or {}).items()}
         ids = sorted(positions)
         self._radios = {
-            nid: _Radio(nid, tuple(m for m in ids if m != nid and in_range(
-                positions[nid], positions[m], cfg)),
-                jitter_streams[nid], ledgers[nid])
+            nid: _Radio(nid, {m: ratios.get(frozenset((nid, m)),
+                                            cfg.rx_success_ratio)
+                              for m in ids if m != nid and in_range(
+                                  positions[nid], positions[m], cfg)},
+                        jitter_streams[nid], ledgers[nid])
             for nid in ids}
         self._active: dict[int, Transmission] = {}   # by sender; one at most
         self._next_frame_id = 0
@@ -168,11 +170,6 @@ class Medium:
     def set_receiver(self, node_id: int,
                      callback: Callable[[Frame, int], None]) -> None:
         self._radios[node_id].receiver = callback
-
-    def rx_ratio(self, a: int, b: int) -> float:
-        if not self._link_rx:
-            return self.cfg.rx_success_ratio
-        return self._link_rx.get((min(a, b), max(a, b)), self.cfg.rx_success_ratio)
 
     def broadcast(self, sender: int, kind: FrameKind, payload: object = None,
                   on_done: Callable[[dict[int, Outcome]], None] | None = None) -> None:
@@ -198,7 +195,7 @@ class Medium:
         """Reception outcome for one receiver of one frame."""
         if receiver in tx.corrupted:
             return Outcome.LOST_COLLISION
-        if stream.random() < self.rx_ratio(tx.frame.src, receiver):
+        if stream.random() < self._radios[tx.frame.src].neighbors[receiver]:
             return Outcome.DELIVERED
         return Outcome.LOST_RANDOM
 
@@ -230,8 +227,7 @@ class Medium:
 
     def _begin_csma(self, radio: _Radio, job: _Job) -> None:
         backoff = radio.jitter.randrange(self._backoff_window_us)
-        self.sim.schedule_in(backoff, EventKind.TIMER_FIRE, radio.node_id,
-                             lambda: self._sense(radio, job))
+        self.sim.schedule_in(backoff, lambda: self._sense(radio, job))
 
     def _sense(self, radio: _Radio, job: _Job) -> None:
         if not radio.audible.isdisjoint(self._active):
@@ -241,15 +237,14 @@ class Medium:
 
     def _transmit(self, radio: _Radio, job: _Job | None, frame: Frame) -> None:
         if frame.dst is None:
-            victims = radio.neighbors
+            victims = radio.neighbors.keys()
         else:
             victims = (frame.dst,) if frame.dst in radio.audible else ()
         now = self.sim.now
         airtime = self.cfg.airtime_us(frame.size_bytes)
         tx = Transmission(frame, now, now + airtime, victims)
         self._register(radio, tx)
-        self.sim.schedule_in(airtime, EventKind.TX_END, radio.node_id,
-                             lambda: self._tx_end(radio, job, tx))
+        self.sim.schedule_in(airtime, lambda: self._tx_end(radio, job, tx))
 
     def _register(self, radio: _Radio, tx: Transmission) -> None:
         # mutual interference with every transmission already in flight;
@@ -288,8 +283,7 @@ class Medium:
         else:                                      # unicast data attempt
             job.data_delivered |= bool(delivered)
             job.timeout_event = self.sim.schedule_in(
-                self._ack_timeout_us, EventKind.TIMER_FIRE, sender,
-                lambda: self._ack_timeout(radio, job))
+                self._ack_timeout_us, lambda: self._ack_timeout(radio, job))
         # receivers react last, so whatever the sender scheduled above
         # keeps its place ahead of what they schedule
         for receiver in delivered:
@@ -322,8 +316,7 @@ class Medium:
                 return                     # half duplex: drop the ACK
             self._transmit(radio, None, ack)
 
-        self.sim.schedule_in(self._ack_turnaround_us, EventKind.TIMER_FIRE,
-                             radio.node_id, fire)
+        self.sim.schedule_in(self._ack_turnaround_us, fire)
 
     def _ack_timeout(self, radio: _Radio, job: _Job) -> None:
         job.timeout_event = None

@@ -24,7 +24,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 
-from .engine import EventKind, Simulator, to_us
+from .engine import Simulator, to_us
 from .medium import Frame, FrameKind, Medium
 from .objective import (ETX_INITIAL, INFINITE_RANK, LinkStats, MAX_PATH_COST,
                         MRHOF_ETX, OF0, RANK_UNIT, ROOT_RANK, etx_update,
@@ -101,8 +101,7 @@ class Node:
     def __init__(self, node_id: int, role: str, traffic_class: str | None,
                  objective: str, proto: ProtocolConfig, sim: Simulator,
                  medium: Medium, ledger: EnergyLedger, jitter: random.Random,
-                 metrics: MetricsReport, trace: TraceRecorder = NULL_TRACE,
-                 on_join_change=None):
+                 metrics: MetricsReport, trace: TraceRecorder = NULL_TRACE):
         self.id = node_id
         self.role = role
         self.traffic_class = traffic_class
@@ -114,7 +113,6 @@ class Node:
         self.jitter = jitter
         self.metrics = metrics
         self.trace = trace
-        self.on_join_change = on_join_change
 
         self.rank = ROOT_RANK if role == SINK else INFINITE_RANK
         self.path_cost: int | None = 0 if role == SINK else None
@@ -137,7 +135,7 @@ class Node:
         self._cpu_process_us = to_us(proto.cpu_process_s)
         self._last_advertised_rank = self.rank
         # set when a selection input (a candidate's rank or cost, its link
-        # ETX, this node's rank or parent) may have moved since _evaluate
+        # ETX, this node's rank or parent) may have moved since selection ran
         self._dirty = True
         medium.set_receiver(node_id, self._on_frame)
 
@@ -222,16 +220,6 @@ class Node:
         advertised."""
         if not self._dirty:
             return True
-        old_rank, old_parent = self._evaluate()
-        inconsistent = old_parent != self.preferred_parent or (
-            self.rank != old_rank
-            and abs(self.rank - self._last_advertised_rank) >= RANK_UNIT)
-        if inconsistent and self.joined:
-            self._trickle_reset()
-        return not inconsistent
-
-    def _evaluate(self) -> tuple[int, int | None]:
-        """Re-run parent selection; returns the (rank, parent) it replaced."""
         old_rank, old_parent = self.rank, self.preferred_parent
         was_joined = self.joined
 
@@ -273,9 +261,14 @@ class Node:
             else:
                 self._schedule_dis()
                 self._arm_housekeeping()     # the expiry fell to its floor
-            if self.on_join_change is not None:
-                self.on_join_change(self.id, self.joined)
-        return old_rank, old_parent
+            self.metrics.join_changed(self.joined, self.sim.now)
+        # a join resets trickle again below, its parent having changed
+        inconsistent = old_parent != self.preferred_parent or (
+            self.rank != old_rank
+            and abs(self.rank - self._last_advertised_rank) >= RANK_UNIT)
+        if inconsistent and self.joined:
+            self._trickle_reset()
+        return not inconsistent
 
     def _expiry_us(self) -> int:
         if not self.joined:
@@ -303,8 +296,8 @@ class Node:
                 return
             self._hk_event.cancel()
         self._hk_due = due
-        self._hk_event = self.sim.schedule(due, EventKind.TIMER_FIRE, self.id,
-                                           self._housekeeping)
+        self._hk_event = self.sim.schedule_in(due - self.sim.now,
+                                              self._housekeeping)
 
     def _housekeeping(self) -> None:
         self._hk_event = None
@@ -325,8 +318,7 @@ class Node:
         """Make `action` the one pending timer; handlers clear `_timer` first."""
         if self._timer is not None:
             self._timer.cancel()
-        self._timer = self.sim.schedule_in(delay_us, EventKind.TIMER_FIRE,
-                                           self.id, action)
+        self._timer = self.sim.schedule_in(delay_us, action)
 
     def _trickle_reset(self) -> None:
         self.trickle.current_interval_us = self.trickle.i_min_us

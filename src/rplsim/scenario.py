@@ -141,6 +141,23 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
         raise ConfigError(f"grid_spacing_m: must not exceed medium.tx_range_m"
                           f"={cfg.medium.tx_range_m}, or the lattice is "
                           f"disconnected (got {cfg.grid_spacing_m!r})")
+    # a control timer that fires faster than the radio can send its frame
+    # queues frames without bound, and the run grows until it is killed
+    med, proto = cfg.medium, cfg.protocol
+    send_us = (to_us(med.backoff_window_s)
+               + med.airtime_us(med.control_frame_bytes))
+    # i_min is at least 1 us, so doublings past send_us's bit length pass
+    doublings = min(proto.trickle_doublings, send_us.bit_length())
+    for name, what, period_us in (
+            ("trickle_i_min_s", "the longest trickle interval",
+             to_us(proto.trickle_i_min_s) << doublings),
+            ("dis_period_s", "the shortest DIS wait (0.9x)",
+             to_us(proto.dis_period_s * 0.9))):
+        if period_us < send_us:
+            raise ConfigError(
+                f"protocol.{name}: {what}, {period_us} us, must be at least "
+                f"medium.backoff_window_s plus a control frame's airtime, "
+                f"{send_us} us (got {getattr(proto, name)!r})")
     return cfg
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import gc
 from dataclasses import dataclass
 
-from .engine import EventKind, Simulator, derive_stream, to_us
+from .engine import Simulator, derive_stream, to_us
 from .medium import Medium
 from .rpl import Node, SENSOR, SINK
 from .scenario import (ScenarioConfig, assign_traffic_classes,
@@ -77,27 +77,16 @@ def run_scenario(cfg: ScenarioConfig,
     recorder = TraceRecorder(enabled=True) if trace else NULL_TRACE
     medium = Medium(sim, cfg.medium, positions, medium_stream, jitter,
                     ledgers, recorder, link_rx)
-    metrics = MetricsReport()
-
     sensor_ids = [nid for nid in node_ids if nid != 0]
+    metrics = MetricsReport(len(sensor_ids))
     classes = assign_traffic_classes(sensor_ids, cfg.traffic_classes)
-
-    joined: set[int] = set()
-
-    def on_join_change(node_id: int, is_joined: bool) -> None:
-        if is_joined:
-            joined.add(node_id)
-            if metrics.convergence_us is None and len(joined) == len(sensor_ids):
-                metrics.convergence_us = sim.now
-        else:
-            joined.discard(node_id)
 
     nodes: dict[int, Node] = {}
     for nid in node_ids:
         role = SINK if nid == 0 else SENSOR
         nodes[nid] = Node(nid, role, classes.get(nid), cfg.objective,
                           cfg.protocol, sim, medium, ledgers[nid],
-                          jitter[nid], metrics, recorder, on_join_change)
+                          jitter[nid], metrics, recorder)
     for nid in node_ids:
         nodes[nid].start()
 
@@ -109,11 +98,11 @@ def run_scenario(cfg: ScenarioConfig,
 
         def fire() -> None:
             node.app_generate()
-            sim.schedule(next_send_time(node.traffic_class, sim.now, stream),
-                         EventKind.APP_SEND, node.id, fire)
+            sim.schedule_in(next_send_time(node.traffic_class, sim.now, stream)
+                            - sim.now, fire)
 
         first = next_send_time(node.traffic_class, warmup_us, stream)
-        sim.schedule(first, EventKind.APP_SEND, node.id, fire)
+        sim.schedule_in(first - sim.now, fire)
 
     for nid in sensor_ids:
         if nodes[nid].traffic_class is not None:

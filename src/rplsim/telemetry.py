@@ -95,16 +95,23 @@ class MetricsReport:
     and in total by construction.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, sensors: int = 0) -> None:
         self.sent = {cls: 0 for cls in TRAFFIC_CLASSES}
         self.delivered = {cls: 0 for cls in TRAFFIC_CLASSES}
         self.drops = {cls: {cause: 0 for cause in DROP_CAUSES}
                       for cls in TRAFFIC_CLASSES}
         self.dio_count = 0
         self.dis_count = 0
-        self.convergence_us: int | None = None
+        self.convergence_us: int | None = None  # all sensors first joined
+        self._unjoined = sensors
         self.hop_total = 0
         self.latency_total_us = 0
+
+    def join_changed(self, joined: bool, now: int) -> None:
+        """Count one sensor joining or leaving the DODAG at now."""
+        self._unjoined += -1 if joined else 1
+        if self._unjoined == 0 and self.convergence_us is None:
+            self.convergence_us = now
 
     def record_packet(self, traffic_class: str, outcome: str,
                       hops: int = 0, latency_us: int = 0) -> None:

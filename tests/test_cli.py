@@ -67,6 +67,11 @@ REJECTED = {
     "duration_s: must exceed warmup_s": {"warmup_s": 0, "duration_s": 1e-7},
     # rounds to a 1 us window: every backoff draws 0 and time stops
     "medium.backoff_window_s": {"medium": {"backoff_window_s": 0.000001}},
+    # control frames would queue faster than the radio sends them, and the
+    # run grows until it is killed
+    "protocol.trickle_i_min_s": {"protocol": {"trickle_i_min_s": 0.00001,
+                                              "trickle_doublings": 0}},
+    "protocol.dis_period_s": {"protocol": {"dis_period_s": 0.001}},
 }
 
 # sweeps whose bad field must stop the sweep before its first run
@@ -323,6 +328,37 @@ class TestSweep:
         assert len(failures) == 2
         assert all("density" in f["error"] for f in failures)
 
+    @pytest.mark.parametrize("parallel", ["0", "-3"])
+    def test_parallel_below_one_exits_2(self, tmp_path, capsys, monkeypatch,
+                                        parallel):
+        monkeypatch.setattr(cli, "run_scenario", never_run)
+        spec = write_json(tmp_path / "s.json", SWEEP_SPEC)
+        out = tmp_path / "o.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--spec", spec, "--parallel", parallel,
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--parallel" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_pool_has_no_more_workers_than_cells(self, tmp_path,
+                                                 monkeypatch):
+        pool = cli.ProcessPoolExecutor
+        spec = dict(SWEEP_SPEC, node_counts=[5], objectives=["of0"],
+                    seeds_per_cell=2)
+        cells = len(sweep_tasks(spec))
+        pools = []
+
+        def checked(max_workers):
+            assert max_workers <= cells
+            pools.append(max_workers)
+            return pool(max_workers=max_workers)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", checked)
+        out = str(tmp_path / "o.csv")
+        assert main(["sweep", "--spec", write_json(tmp_path / "s.json", spec),
+                     "--parallel", "64", "--out", out]) == 0
+        assert len(read_rows(out)) == cells == 2 and pools == [2]
+
     def test_invalid_spec_exits_2(self, tmp_path, capsys):
         path = write_json(tmp_path / "s.json", {"node_counts": []})
         assert main(["sweep", "--spec", path,
@@ -487,3 +523,13 @@ class TestPlotData:
         assert main(["plot-data", "--in", paths[0], "--figure", "pdr",
                      "--out", paths[1]]) == 2
         assert bad in capsys.readouterr().err
+
+    def test_csv_without_result_columns_exits_2(self, tmp_path, capsys):
+        runs = tmp_path / "runs.csv"
+        runs.write_text("a,b\n1,2\n", encoding="utf-8")
+        out = tmp_path / "pdr.csv"
+        assert main(["plot-data", "--in", str(runs), "--figure", "pdr",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(runs) in err and "topology" in err
+        assert not out.exists()

@@ -4,15 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rplsim.engine import (EventKind, SchedulingError, Simulator,
-                           derive_stream, to_us)
+from rplsim.engine import SchedulingError, Simulator, derive_stream, to_us
 
 
 def test_schedule_at_current_time_fires_first():
     sim = Simulator()
     fired = []
-    sim.schedule(0, EventKind.TIMER_FIRE, 0, lambda: fired.append("a"))
-    sim.schedule(10, EventKind.TIMER_FIRE, 0, lambda: fired.append("b"))
+    sim.schedule(0, None, None, lambda: fired.append("a"))
+    sim.schedule(10, None, None, lambda: fired.append("b"))
     sim.run_until(10)
     assert fired == ["a", "b"]
 
@@ -21,18 +20,18 @@ def test_equal_times_dequeue_fifo():
     sim = Simulator()
     fired = []
     t = to_us(5.0)
-    sim.schedule(t, EventKind.TIMER_FIRE, 0, lambda: fired.append("A"))
-    sim.schedule(t, EventKind.TIMER_FIRE, 0, lambda: fired.append("B"))
+    sim.schedule(t, None, None, lambda: fired.append("A"))
+    sim.schedule(t, None, None, lambda: fired.append("B"))
     sim.run_until(t)
     assert fired == ["A", "B"]
 
 
 def test_schedule_in_past_is_rejected():
     sim = Simulator()
-    sim.schedule(to_us(2.0), EventKind.TIMER_FIRE, 0, lambda: None)
+    sim.schedule(to_us(2.0), None, None, lambda: None)
     sim.run_until(to_us(2.0))
     with pytest.raises(SchedulingError):
-        sim.schedule(to_us(1.0), EventKind.TIMER_FIRE, 0, lambda: None)
+        sim.schedule(to_us(1.0), None, None, lambda: None)
 
 
 def test_run_until_empty_queue_advances_clock():
@@ -46,7 +45,7 @@ def test_run_until_empty_queue_advances_clock():
 def test_future_event_stays_queued():
     sim = Simulator()
     fired = []
-    sim.schedule(to_us(10.0), EventKind.TIMER_FIRE, 0, lambda: fired.append(1))
+    sim.schedule(to_us(10.0), None, None, lambda: fired.append(1))
     sim.run_until(to_us(5.0))
     assert fired == []
     sim.run_until(to_us(10.0))
@@ -63,7 +62,7 @@ def test_run_until_backwards_is_rejected():
 def test_cancelled_event_does_not_fire():
     sim = Simulator()
     fired = []
-    handle = sim.schedule(5, EventKind.TIMER_FIRE, 0, lambda: fired.append(1))
+    handle = sim.schedule(5, None, None, lambda: fired.append(1))
     handle.cancel()
     sim.run_until(10)
     assert fired == []
@@ -76,7 +75,7 @@ def test_events_fire_in_time_then_fifo_order(times):
     sim = Simulator()
     fired = []
     for i, t in enumerate(times):
-        sim.schedule(t, EventKind.TIMER_FIRE, 0,
+        sim.schedule(t, None, None,
                      lambda i=i, t=t: fired.append((t, i)))
     sim.run_until(1000)
     assert fired == sorted(fired)

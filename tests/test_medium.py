@@ -4,7 +4,7 @@ import pytest
 from scipy import stats as scipy_stats
 
 from oracles import unicast_expectation
-from rplsim.engine import EventKind, Simulator, derive_stream, to_us
+from rplsim.engine import Simulator, derive_stream, to_us
 from rplsim.medium import (Frame, FrameKind, Medium, MediumConfig, Outcome,
                            in_range)
 from rplsim.scenario import ConfigError, scenario_from_dict
@@ -186,7 +186,7 @@ class TestDelivery:
         collect_frames(medium, positions)
         unicasts, broadcasts = [], []
         medium.unicast_with_ack(2, 1, None, lambda *r: unicasts.append(r))
-        sim.schedule(1700, EventKind.TIMER_FIRE, 0, lambda: medium.broadcast(
+        sim.schedule(1700, None, None, lambda: medium.broadcast(
             0, FrameKind.DIS, on_done=broadcasts.append))
         sim.run_until(SEC)
         start = {r["kind"]: r["t"] for r in trace.records if r["ev"] == "tx"}

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from rplsim.cli import result_to_row
-from rplsim.engine import Event, EventKind, Simulator, derive_stream, to_us
+from rplsim.engine import Event, Simulator, derive_stream, to_us
 from rplsim.medium import Medium, MediumConfig
 from rplsim.objective import INFINITE_RANK, RANK_UNIT, ROOT_RANK
 from rplsim.rpl import DioMessage, Node, ProtocolConfig, SENSOR, SINK
@@ -69,8 +69,7 @@ def poll_every_tick(monkeypatch):
     start = Node.start
 
     def schedule_tick(node, due):
-        node._hk_event = node.sim.schedule(due, EventKind.TIMER_FIRE, node.id,
-                                           node._housekeeping)
+        node._hk_event = node.sim.schedule(due, None, None, node._housekeeping)
 
     def started(self):
         start(self)
@@ -386,20 +385,19 @@ class TestReselectSkip:
 
     @staticmethod
     def run(monkeypatch, forced, link_rx=None, **overrides):
-        if forced:
-            reselect = Node._reselect
+        evaluations = []
+        reselect = Node._reselect
 
+        def counted(self):                  # a call that will evaluate
+            if self._dirty:
+                evaluations.append(self.id)
+            return reselect(self)
+        monkeypatch.setattr(Node, "_reselect", counted)
+        if forced:
             def always_evaluate(self):
                 self._dirty = True
-                return reselect(self)
+                return counted(self)
             monkeypatch.setattr(Node, "_reselect", always_evaluate)
-        evaluations = []
-        evaluate = Node._evaluate
-
-        def counted(self):
-            evaluations.append(self.id)
-            return evaluate(self)
-        monkeypatch.setattr(Node, "_evaluate", counted)
         cfg = ScenarioConfig(node_count=30, topology="random",
                              duration_s=600.0, warmup_s=60.0, seed=2,
                              **overrides)
@@ -484,7 +482,7 @@ class TestLazyHousekeeping:
         n1.on_dio(DioMessage(0, ROOT_RANK))
         n1.on_dio(DioMessage(7, ROOT_RANK + RANK_UNIT))
         for t in range(10, 200, 10):
-            sim.schedule(to_us(t), EventKind.TIMER_FIRE, 0,
+            sim.schedule(to_us(t), None, None,
                          lambda: n1.on_dio(DioMessage(0, ROOT_RANK)))
         sim.run_until(to_us(200.0))
         assert 7 in n1.candidates and n1._expiry_us() > to_us(200.0)

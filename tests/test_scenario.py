@@ -96,6 +96,28 @@ class TestValidation:
         with pytest.raises(ValueError, match="dis_period_s"):
             ProtocolConfig(dis_period_s=5e-7)     # 0.9x rounds to 0 us
 
+    @pytest.mark.parametrize("protocol, medium, field", [
+        # the longest trickle interval is i_min << doublings
+        ({"trickle_i_min_s": 0.008, "trickle_doublings": 20}, {}, None),
+        ({"trickle_i_min_s": 0.001, "trickle_doublings": 7}, {}, None),
+        ({"trickle_i_min_s": 0.001, "trickle_doublings": 6}, {},
+         "protocol.trickle_i_min_s"),
+        # a DIS wait can be 0.9x its period
+        ({"dis_period_s": 0.15}, {}, None),
+        ({"dis_period_s": 0.14}, {}, "protocol.dis_period_s"),
+        # the floor is the backoff window plus the control frame's airtime
+        ({"dis_period_s": 0.004}, {"backoff_window_s": 0.001}, None),
+        ({"dis_period_s": 0.003}, {"backoff_window_s": 0.001},
+         "protocol.dis_period_s"),
+    ])
+    def test_control_timers_no_faster_than_the_radio_sends(
+            self, protocol, medium, field):
+        if field is None:
+            cfg_with(protocol=protocol, medium=medium)
+        else:
+            with pytest.raises(ConfigError, match=field):
+                cfg_with(protocol=protocol, medium=medium)
+
     def test_sub_microsecond_timer_periods_rejected(self):
         for name in ("trickle_i_min_s", "housekeeping_period_s"):
             ProtocolConfig(**{name: 1e-6})

@@ -117,6 +117,18 @@ class TestMetricsReport:
                               "ttl"))
         assert report.total_delivered() + drops == report.total_sent()
 
+    def test_converges_when_every_sensor_is_joined_at_once(self):
+        # three joins among two sensors are not convergence while one left
+        report = MetricsReport(sensors=2)
+        for joined, now in ((True, 10), (False, 20), (True, 30)):
+            report.join_changed(joined, now)
+            assert report.convergence_us is None
+        report.join_changed(True, 40)
+        assert report.convergence_us == 40
+        report.join_changed(False, 50)
+        report.join_changed(True, 60)
+        assert report.convergence_us == 40      # the first time only
+
 
 class TestConvergence:
     def test_two_node_convergence_before_first_interval_ends(self):
