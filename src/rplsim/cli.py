@@ -147,13 +147,23 @@ def _pool_outcomes(pool: ProcessPoolExecutor, configs: list):
             yield None, f"BrokenProcessPool: {exc}"
 
 
-def _cells(rows: list[dict[str, str]], column: str) -> dict[tuple, list]:
+def _number(path: str, column: str, text, parse=float):
+    """text parsed as a number; a ConfigError naming path and column if not."""
+    try:
+        return parse(text)
+    except (TypeError, ValueError):     # TypeError: None from a short row
+        raise ConfigError(f"{path}: {column} must be a number "
+                          f"(got {text!r})") from None
+
+
+def _cells(rows: list[dict[str, str]], column: str,
+           path: str = "") -> dict[tuple, list]:
     """Non-empty values of column per CELL_KEYS cell, in first-seen order."""
     cells: dict[tuple, list[float]] = {}
     for row in rows:
         values = cells.setdefault(tuple(row[k] for k in CELL_KEYS), [])
         if row[column]:
-            values.append(float(row[column]))
+            values.append(_number(path, column, row[column]))
     return cells
 
 
@@ -242,15 +252,18 @@ def cmd_plot_data(args) -> int:
     if missing:
         raise ConfigError(f"{args.infile}: missing result column(s) "
                           + ", ".join(missing))
-    cells = {key: values for key, values in _cells(rows, metric).items()
-             if values}
+    # every value is parsed before --out is opened
+    cells = _cells(rows, metric, args.infile)
+    keys = [key for key in sorted(cells, key=lambda k: (
+                *k[:3], _number(args.infile, "node_count", k[3], int)))
+            if cells[key]]
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["figure", *CELL_KEYS, "mean", "stddev", "runs"])
-        for key in sorted(cells, key=lambda k: (k[0], k[1], k[2], int(k[3]))):
+        for key in keys:
             writer.writerow([args.figure, *key, *_mean_std(cells[key]),
                              len(cells[key])])
-    print(f"{len(cells)} cells -> {args.out}")
+    print(f"{len(keys)} cells -> {args.out}")
     return 0
 
 

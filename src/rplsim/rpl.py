@@ -50,14 +50,6 @@ class ProtocolConfig:
     cpu_process_s: float = 0.001
     etx_initial: int = ETX_INITIAL
 
-    def __post_init__(self):
-        # timers draw whole microseconds; a DIS wait can be 0.9x its period
-        for name, floor in (("trickle_i_min_s", 1.0), ("dis_period_s", 0.9),
-                            ("housekeeping_period_s", 1.0)):
-            if to_us(getattr(self, name) * floor) < 1:
-                raise ValueError(f"{name}: must be at least 1 us" + (
-                    f" at its {floor:g}x jitter floor" if floor < 1 else ""))
-
 
 @dataclass(slots=True)
 class DioMessage:
@@ -402,13 +394,13 @@ class Node:
     def _unicast_done(self, packet: DataPacket, parent: int, success: bool,
                       attempts: int, data_delivered: bool) -> None:
         self._mac_busy = False
-        link = self._link(parent)
-        etx_before = link.etx_estimate
-        etx_update(link, attempts, success,
-                   self.medium.cfg.max_transmissions, self.sim.now)
         if success and parent in self.candidates:
             self.candidates[parent].last_heard = self.sim.now
-        if self.objective == MRHOF_ETX:
+        if self.objective == MRHOF_ETX:     # only MRHOF reads link_stats
+            link = self._link(parent)
+            etx_before = link.etx_estimate
+            etx_update(link, attempts, success,
+                       self.medium.cfg.max_transmissions, self.sim.now)
             self._dirty |= link.etx_estimate != etx_before
             self._reselect()
         if not success and not data_delivered:

@@ -21,7 +21,7 @@ import random
 from collections import deque
 from dataclasses import dataclass, field, replace
 
-from .engine import to_us
+from .engine import US_PER_S, to_us
 from .medium import MediumConfig
 from .rpl import ProtocolConfig
 from .telemetry import EnergyCurrents, TRAFFIC_CLASSES
@@ -41,6 +41,9 @@ class ConfigError(Exception):
 
 @dataclass
 class ScenarioConfig:
+    """One run's description.  Building one, from JSON or in Python, checks
+    the cross-field rules the schema cannot express and raises a
+    ConfigError naming the dotted field."""
     node_count: int
     topology: str
     objective: str
@@ -63,6 +66,42 @@ class ScenarioConfig:
                                 f"_rx{round(self.rx_success_ratio * 100)}")
         self.medium = replace(self.medium,
                               rx_success_ratio=self.rx_success_ratio)
+        med, proto = self.medium, self.protocol
+        ack_airtime_s = med.airtime_us(med.ack_frame_bytes) / US_PER_S
+        if med.ack_timeout_s <= med.ack_turnaround_s + ack_airtime_s:
+            raise ConfigError("medium.ack_timeout_s: must exceed turnaround "
+                              f"+ ACK airtime (got {med.ack_timeout_s!r})")
+        # a 1 us window draws every backoff as 0: a busy channel hangs the run
+        if to_us(med.backoff_window_s) < 2:
+            raise ConfigError("medium.backoff_window_s: must be at least 2 us "
+                              f"once rounded (got {med.backoff_window_s!r})")
+        if to_us(proto.housekeeping_period_s) < 1:
+            raise ConfigError(
+                "protocol.housekeeping_period_s: must be at least 1 us")
+        if to_us(self.duration_s) <= to_us(self.warmup_s):
+            raise ConfigError(f"duration_s: must exceed warmup_s="
+                              f"{self.warmup_s} by at least 1 us "
+                              f"(got {self.duration_s!r})")
+        if self.topology == "grid" and self.grid_spacing_m > med.tx_range_m:
+            raise ConfigError(f"grid_spacing_m: must not exceed medium."
+                              f"tx_range_m={med.tx_range_m}, or the lattice "
+                              f"is disconnected (got {self.grid_spacing_m!r})")
+        # a control timer that fires faster than the radio can send its frame
+        # queues frames without bound, and the run grows until it is killed;
+        # send_us is at least the 2 us backoff, so this also refuses a timer
+        # that rounds to 0 us
+        send_us = (to_us(med.backoff_window_s)
+                   + med.airtime_us(med.control_frame_bytes))
+        for name, what, period_us in (
+                ("trickle_i_min_s", "the longest trickle interval",
+                 to_us(proto.trickle_i_min_s) << proto.trickle_doublings),
+                ("dis_period_s", "the shortest DIS wait (0.9x)",
+                 to_us(proto.dis_period_s * 0.9))):
+            if period_us < send_us:
+                raise ConfigError(
+                    f"protocol.{name}: {what}, {period_us} us, must be at "
+                    f"least medium.backoff_window_s plus a control frame's "
+                    f"airtime, {send_us} us (got {getattr(proto, name)!r})")
 
 
 # the keywords validate() interprets; a schema may use no others
@@ -123,42 +162,14 @@ def validate(value, spec: dict, path: str = "") -> None:
 
 def scenario_from_dict(raw: dict) -> ScenarioConfig:
     """Validate a raw JSON document against the scenario schema and build a
-    ScenarioConfig from it; the code checks only the cross-field rules."""
+    ScenarioConfig from it, which checks the cross-field rules."""
     validate(raw, load_schema("scenario"))
     values = dict(raw, traffic_classes=tuple(raw.get("traffic_classes",
                                                      TRAFFIC_CLASSES)))
     for name, cls in (("medium", MediumConfig), ("protocol", ProtocolConfig),
                       ("currents", EnergyCurrents)):
-        try:
-            values[name] = cls(**raw.get(name, {}))
-        except ValueError as exc:       # a cross-field rule of the section
-            raise ConfigError(f"{name}.{exc}") from None
-    cfg = ScenarioConfig(**values)
-    if to_us(cfg.duration_s) <= to_us(cfg.warmup_s):
-        raise ConfigError(f"duration_s: must exceed warmup_s={cfg.warmup_s} "
-                          f"by at least 1 us (got {cfg.duration_s!r})")
-    if cfg.topology == "grid" and cfg.grid_spacing_m > cfg.medium.tx_range_m:
-        raise ConfigError(f"grid_spacing_m: must not exceed medium.tx_range_m"
-                          f"={cfg.medium.tx_range_m}, or the lattice is "
-                          f"disconnected (got {cfg.grid_spacing_m!r})")
-    # a control timer that fires faster than the radio can send its frame
-    # queues frames without bound, and the run grows until it is killed
-    med, proto = cfg.medium, cfg.protocol
-    send_us = (to_us(med.backoff_window_s)
-               + med.airtime_us(med.control_frame_bytes))
-    # i_min is at least 1 us, so doublings past send_us's bit length pass
-    doublings = min(proto.trickle_doublings, send_us.bit_length())
-    for name, what, period_us in (
-            ("trickle_i_min_s", "the longest trickle interval",
-             to_us(proto.trickle_i_min_s) << doublings),
-            ("dis_period_s", "the shortest DIS wait (0.9x)",
-             to_us(proto.dis_period_s * 0.9))):
-        if period_us < send_us:
-            raise ConfigError(
-                f"protocol.{name}: {what}, {period_us} us, must be at least "
-                f"medium.backoff_window_s plus a control frame's airtime, "
-                f"{send_us} us (got {getattr(proto, name)!r})")
-    return cfg
+        values[name] = cls(**raw.get(name, {}))
+    return ScenarioConfig(**values)
 
 
 def load_json(path: str, what: str):

@@ -53,6 +53,8 @@ REJECTED = {
     "housekeeping_period_s": {"protocol": {"housekeeping_period_s": 0}},
     "trickle_i_min_s": {"protocol": {"trickle_i_min_s": 1e-7}},
     "trickle_doublings": {"protocol": {"trickle_doublings": 1.5}},
+    # an 8-bit field in RFC 6550's DIO
+    "protocol.trickle_doublings": {"protocol": {"trickle_doublings": 256}},
     "voltage_v": {"currents": {"voltage_v": -3}},
     "tx_ma": {"currents": {"tx_ma": -1.0}},
     "rx_success_ratio": {"rx_success_ratio": True},
@@ -532,4 +534,22 @@ class TestPlotData:
                      "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert str(runs) in err and "topology" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("column, value", [("node_count", "x"),
+                                               ("pdr_total", "abc")])
+    def test_non_numeric_cell_exits_2_before_out(self, tmp_path, capsys,
+                                                 column, value):
+        row = dict.fromkeys(CSV_COLUMNS, "")
+        row.update(topology="grid", rx_ratio="1", objective="of0",
+                   node_count="9", pdr_total="0.5")
+        row[column] = value
+        runs = tmp_path / "runs.csv"
+        runs.write_text(",".join(CSV_COLUMNS) + "\n"
+                        + ",".join(row.values()) + "\n", encoding="utf-8")
+        out = tmp_path / "pdr.csv"
+        assert main(["plot-data", "--in", str(runs), "--figure", "pdr",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(runs) in err and column in err and repr(value) in err
         assert not out.exists()

@@ -7,7 +7,8 @@ from oracles import unicast_expectation
 from rplsim.engine import Simulator, derive_stream, to_us
 from rplsim.medium import (Frame, FrameKind, Medium, MediumConfig, Outcome,
                            in_range)
-from rplsim.scenario import ConfigError, scenario_from_dict
+from rplsim.scenario import (ConfigError, ScenarioConfig,
+                             scenario_from_dict)
 from rplsim.telemetry import NULL_TRACE, EnergyLedger, TraceRecorder
 
 SEC = to_us(1.0)
@@ -68,15 +69,20 @@ class TestConfig:
         assert cfg.airtime_us(11) == 352
 
     def test_ack_timeout_must_cover_ack(self):
-        with pytest.raises(ValueError):
-            MediumConfig(ack_timeout_s=0.0001)
+        # 0.1 ms is below the 192 us turnaround plus the 352 us ACK airtime
+        with pytest.raises(ConfigError, match="^medium.ack_timeout_s: "):
+            ScenarioConfig(**self.BASE,
+                           medium=MediumConfig(ack_timeout_s=0.0001))
 
     def test_backoff_window_must_round_to_two_us(self):
         # a 1 us window draws every backoff as 0: a radio that finds the
         # channel busy would sense again at the same instant forever
-        with pytest.raises(ValueError, match="^backoff_window_s: "):
-            MediumConfig(backoff_window_s=1.4e-6)
-        assert MediumConfig(backoff_window_s=1.5e-6).backoff_window_s == 1.5e-6
+        with pytest.raises(ConfigError, match="^medium.backoff_window_s: "):
+            ScenarioConfig(**self.BASE,
+                           medium=MediumConfig(backoff_window_s=1.4e-6))
+        cfg = ScenarioConfig(**self.BASE,
+                             medium=MediumConfig(backoff_window_s=1.5e-6))
+        assert cfg.medium.backoff_window_s == 1.5e-6
 
 
 class TestBroadcast:

@@ -92,9 +92,17 @@ class TestValidation:
             cfg_with(protocol=[1, 2])
 
     def test_dis_period_checked_at_its_jitter_floor(self):
-        ProtocolConfig(dis_period_s=6e-7)         # 0.9x rounds to 1 us
-        with pytest.raises(ValueError, match="dis_period_s"):
-            ProtocolConfig(dis_period_s=5e-7)     # 0.9x rounds to 0 us
+        # 0.9x rounds to 0 us, below any radio's send time
+        with pytest.raises(ConfigError, match="^protocol.dis_period_s: "):
+            cfg_with(protocol={"dis_period_s": 5e-7})
+
+    def test_config_built_in_python_is_checked(self):
+        # a 0.9 ms DIS wait queues DISs faster than the radio sends them;
+        # running this config would grow until the process is killed
+        with pytest.raises(ConfigError, match="^protocol.dis_period_s: "):
+            ScenarioConfig(node_count=20, topology="random", objective="etx",
+                           rx_success_ratio=0.8,
+                           protocol=ProtocolConfig(dis_period_s=0.001))
 
     @pytest.mark.parametrize("protocol, medium, field", [
         # the longest trickle interval is i_min << doublings
@@ -119,10 +127,10 @@ class TestValidation:
                 cfg_with(protocol=protocol, medium=medium)
 
     def test_sub_microsecond_timer_periods_rejected(self):
+        cfg_with(protocol={"housekeeping_period_s": 1e-6})
         for name in ("trickle_i_min_s", "housekeeping_period_s"):
-            ProtocolConfig(**{name: 1e-6})
-            with pytest.raises(ValueError, match=name):
-                ProtocolConfig(**{name: 4e-7})
+            with pytest.raises(ConfigError, match=f"^protocol.{name}: "):
+                cfg_with(protocol={name: 4e-7})
 
 
 class TestRandomTopology:
