@@ -12,6 +12,7 @@ import statistics
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 
 from .engine import to_s
 from .scenario import (ConfigError, ScenarioConfig, load_json, load_scenario,
@@ -88,7 +89,7 @@ def append_rows(path: str, rows: list[dict[str, str]]) -> None:
 def cmd_run(args) -> int:
     cfg = load_scenario(args.config)
     if args.seed is not None:
-        cfg.seed = args.seed
+        cfg = replace(cfg, seed=args.seed)
     if args.trace is not None:              # refuse a bad --trace or --out
         open(args.trace, "a").close()       # before the run
     append_rows(args.out, [])

@@ -2,10 +2,10 @@
 
 Connectivity is binary: nodes within tx_range hear each other (closed
 boundary), nobody else does.  Inside the disk every frame reaches each
-in-range receiver independently with its link's ratio, except that frames
-overlapping in time at a receiver destroy each other there (no capture).
-A radio is half duplex: it hears itself, so while it transmits it receives
-nothing and senses the channel busy.
+in-range receiver independently with its link's ratio (from link_rx, else
+the run's), except that frames overlapping in time at a receiver destroy
+each other there (no capture).  A radio is half duplex: it hears itself,
+so while it transmits it receives nothing and senses the channel busy.
 
 A radio serves one job (one frame) at a time from a FIFO.  A broadcast
 (dst None) is sent once; a unicast is acknowledged and retried up to
@@ -48,7 +48,6 @@ class Outcome(Enum):
 @dataclass
 class MediumConfig:
     tx_range_m: float = 100.0
-    rx_success_ratio: float = 1.0
     bitrate_bps: int = 250_000
     max_transmissions: int = 4      # 1 attempt + 3 retries
     ack_timeout_s: float = 0.002
@@ -127,6 +126,7 @@ class Medium:
     """Shared radio channel for one simulation run."""
 
     def __init__(self, sim: Simulator, cfg: MediumConfig,
+                 rx_success_ratio: float,
                  positions: dict[int, tuple[float, float]],
                  stream: random.Random,
                  jitter_streams: dict[int, random.Random],
@@ -143,7 +143,7 @@ class Medium:
         ids = sorted(positions)
         self._radios = {
             nid: _Radio(nid, {m: ratios.get(frozenset((nid, m)),
-                                            cfg.rx_success_ratio)
+                                            rx_success_ratio)
                               for m in ids if m != nid and in_range(
                                   positions[nid], positions[m], cfg)},
                         jitter_streams[nid], ledgers[nid])

@@ -2,8 +2,9 @@
 
 A scenario is a JSON document naming the topology family, objective
 function, reception ratio, node count, duration, and seed, with optional
-medium/protocol/energy overrides.  Topology generation is deterministic
-given (config, seed); the grid family uses no randomness at all.
+medium/protocol/energy overrides; scenario.schema.json holds its per-field
+rules.  Topology generation is deterministic given (config, seed); the grid
+family uses no randomness at all.
 
 Four healthcare traffic classes exist.  Sensors are sorted by id and
 partitioned into contiguous blocks as equal as possible, assigned in the
@@ -19,7 +20,7 @@ import operator
 import pathlib
 import random
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 from .engine import US_PER_S, to_us
 from .medium import MediumConfig
@@ -42,8 +43,8 @@ class ConfigError(Exception):
 @dataclass
 class ScenarioConfig:
     """One run's description.  Building one, from JSON or in Python, checks
-    the cross-field rules the schema cannot express and raises a
-    ConfigError naming the dotted field."""
+    the schema, then the cross-field rules the schema cannot express, and
+    raises a ConfigError naming the dotted field."""
     node_count: int
     topology: str
     objective: str
@@ -60,12 +61,12 @@ class ScenarioConfig:
     currents: EnergyCurrents = field(default_factory=EnergyCurrents)
 
     def __post_init__(self):
+        validate(asdict(self), load_schema("scenario"))
+        self.traffic_classes = tuple(self.traffic_classes)
         if not self.scenario_id:
             self.scenario_id = (f"{self.topology}{self.node_count}"
                                 f"_{self.objective}"
                                 f"_rx{round(self.rx_success_ratio * 100)}")
-        self.medium = replace(self.medium,
-                              rx_success_ratio=self.rx_success_ratio)
         med, proto = self.medium, self.protocol
         ack_airtime_s = med.airtime_us(med.ack_frame_bytes) / US_PER_S
         if med.ack_timeout_s <= med.ack_turnaround_s + ack_airtime_s:
@@ -110,7 +111,7 @@ SCHEMA_KEYWORDS = frozenset({
     "items", "required", "properties", "additionalProperties"})
 
 _JSON_TYPES = ((bool, "boolean"), (int, "integer"), (float, "number"),
-               (str, "string"), (list, "array"), (dict, "object"))
+               (str, "string"), ((list, tuple), "array"), (dict, "object"))
 _BOUNDS = (("minimum", operator.ge, ">="), ("maximum", operator.le, "<="),
            ("exclusiveMinimum", operator.gt, ">"))
 
@@ -125,7 +126,8 @@ def load_schema(name: str) -> dict:
 def validate(value, spec: dict, path: str = "") -> None:
     """Check a JSON value against a schema of SCHEMA_KEYWORDS, raising a
     ConfigError that names the dotted field.  Neither a boolean, NaN nor an
-    infinity is a number, and a float is never an integer."""
+    infinity is a number, a float is never an integer, a tuple is an array,
+    and unknown keys fail first, then properties in the schema's order."""
     def fail(problem):
         raise ConfigError(f"{path or spec.get('title', 'document')}: "
                           f"{problem} (got {value!r})")
@@ -153,23 +155,24 @@ def validate(value, spec: dict, path: str = "") -> None:
             if key not in value:
                 raise ConfigError(f"{prefix}{key}: required field is missing")
         properties = spec.get("properties", {})
-        for key, item in value.items():
-            if key in properties:
-                validate(item, properties[key], prefix + key)
-            elif spec.get("additionalProperties") is False:
+        for key in value:
+            if key not in properties \
+                    and spec.get("additionalProperties") is False:
                 raise ConfigError(f"{prefix}{key}: unknown field")
+        for key, item in properties.items():
+            if key in value:
+                validate(value[key], item, prefix + key)
 
 
 def scenario_from_dict(raw: dict) -> ScenarioConfig:
-    """Validate a raw JSON document against the scenario schema and build a
-    ScenarioConfig from it, which checks the cross-field rules."""
+    """Build a ScenarioConfig from a raw JSON document.  The document is
+    validated here as well only because an unknown key or a non-object
+    section must be refused before it reaches a constructor."""
     validate(raw, load_schema("scenario"))
-    values = dict(raw, traffic_classes=tuple(raw.get("traffic_classes",
-                                                     TRAFFIC_CLASSES)))
-    for name, cls in (("medium", MediumConfig), ("protocol", ProtocolConfig),
-                      ("currents", EnergyCurrents)):
-        values[name] = cls(**raw.get(name, {}))
-    return ScenarioConfig(**values)
+    return ScenarioConfig(**dict(raw, **{
+        name: cls(**raw.get(name, {})) for name, cls in (
+            ("medium", MediumConfig), ("protocol", ProtocolConfig),
+            ("currents", EnergyCurrents))}))
 
 
 def load_json(path: str, what: str):
@@ -193,8 +196,6 @@ def unit_disk_connected(positions: dict[int, tuple[float, float]],
                         tx_range: float) -> bool:
     """True when the closed-boundary unit-disk graph is one component."""
     ids = list(positions)
-    if len(ids) <= 1:
-        return True
     seen = {ids[0]}
     frontier = deque([ids[0]])
     while frontier:
@@ -229,9 +230,7 @@ def generate_grid_topology(cfg: ScenarioConfig) -> dict[int, tuple[float, float]
     cell nearest the centroid of the occupied cells."""
     n = cfg.node_count
     spacing = cfg.grid_spacing_m
-    cols = math.isqrt(n)
-    if cols * cols < n:
-        cols += 1
+    cols = math.isqrt(n - 1) + 1  # ceil(sqrt(n))
     cells = [((i % cols) * spacing, (i // cols) * spacing) for i in range(n)]
     cx = sum(x for x, _ in cells) / n
     cy = sum(y for _, y in cells) / n

@@ -75,8 +75,8 @@ def run_scenario(cfg: ScenarioConfig,
                for nid in node_ids}
     ledgers = {nid: EnergyLedger(cfg.currents) for nid in node_ids}
     recorder = TraceRecorder(enabled=True) if trace else NULL_TRACE
-    medium = Medium(sim, cfg.medium, positions, medium_stream, jitter,
-                    ledgers, recorder, link_rx)
+    medium = Medium(sim, cfg.medium, cfg.rx_success_ratio, positions,
+                    medium_stream, jitter, ledgers, recorder, link_rx)
     sensor_ids = [nid for nid in node_ids if nid != 0]
     metrics = MetricsReport(len(sensor_ids))
     classes = assign_traffic_classes(sensor_ids, cfg.traffic_classes)

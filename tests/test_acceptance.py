@@ -298,8 +298,8 @@ def test_criterion_7_medium_statistics():
         def microbench(rx):
             sim = Simulator()
             positions = {0: (0.0, 0.0), 1: (50.0, 0.0)}
-            cfg = MediumConfig(rx_success_ratio=rx, backoff_window_s=0.004)
-            medium = Medium(sim, cfg, positions, derive_stream(1, "medium"),
+            cfg = MediumConfig(backoff_window_s=0.004)
+            medium = Medium(sim, cfg, rx, positions, derive_stream(1, "medium"),
                             {nid: derive_stream(1, "protocol-jitter", nid)
                              for nid in positions},
                             {nid: EnergyLedger() for nid in positions},

@@ -12,6 +12,8 @@ import statistics
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rplsim import cli
 from rplsim.cli import CSV_COLUMNS, load_sweep, main, sweep_tasks
@@ -106,6 +108,70 @@ def past_bounds(spec):
         yield spec["exclusiveMinimum"]
     if "minItems" in spec:
         yield [None] * (spec["minItems"] - 1)
+
+
+SECTIONS = {"medium": MediumConfig, "protocol": ProtocolConfig,
+            "currents": EnergyCurrents}
+
+
+def build_in_python(document):
+    """A scenario document's config built without the loader: each object
+    section becomes its dataclass, any other value is passed as it is, and
+    nothing is validated first."""
+    return ScenarioConfig(**{
+        key: SECTIONS[key](**value)
+        if key in SECTIONS and isinstance(value, dict) else value
+        for key, value in document.items()})
+
+
+def build_outcome(build, document):
+    """The config a build returns, or the text of its ConfigError."""
+    try:
+        return build(document)
+    except ConfigError as exc:
+        return str(exc)
+
+
+# one value of each JSON type, NaN and an infinity: for any schema node
+# some are of the wrong type
+ANY_TYPE = [None, True, "x", [], {}, 3, 0.5, math.nan, -math.inf]
+
+
+def schema_values(spec):
+    """Values for one schema node: mostly in range, else the first value
+    past one of its bounds or a value of another JSON type.  One value in
+    eight is out of range, so a document holds none, one or a few."""
+    if "properties" in spec:
+        fit = schema_documents(spec)
+    elif "enum" in spec:
+        fit = st.sampled_from(spec["enum"])
+    elif spec["type"] == "integer":
+        low = spec.get("minimum")
+        if "exclusiveMinimum" in spec:
+            low = spec["exclusiveMinimum"] + 1
+        fit = st.integers(low, spec.get("maximum"))
+    elif spec["type"] == "number":
+        fit = st.floats(spec.get("minimum", spec.get("exclusiveMinimum")),
+                        spec.get("maximum"), allow_nan=False,
+                        allow_infinity=False,
+                        exclude_min="exclusiveMinimum" in spec)
+    elif spec["type"] == "array":
+        fit = st.lists(schema_values(spec["items"]), max_size=3)
+    else:
+        fit = st.text(max_size=6)
+    spoilt = st.sampled_from([*past_bounds(spec), *ANY_TYPE])
+    return st.sampled_from(range(8)).flatmap(lambda i: fit if i else spoilt)
+
+
+def schema_documents(spec):
+    """Objects with every required property of a schema node and any of
+    the others."""
+    values = {key: schema_values(sub)
+              for key, sub in spec["properties"].items()}
+    required = spec.get("required", ())
+    return st.fixed_dictionaries(
+        {key: values[key] for key in required},
+        optional={key: v for key, v in values.items() if key not in required})
 
 
 def write_json(path, payload):
@@ -435,14 +501,10 @@ class TestShippedArtifacts:
         # a dataclass field missing from the schema cannot be set, and a
         # schema property missing from the dataclass crashes its constructor
         schema = load_schema("scenario")
-        sections = {"medium": MediumConfig, "protocol": ProtocolConfig,
-                    "currents": EnergyCurrents}
         pairs = [(schema, ScenarioConfig)] + [
-            (schema["properties"][name], cls) for name, cls in sections.items()]
+            (schema["properties"][name], cls) for name, cls in SECTIONS.items()]
         for spec, cls in pairs:
             fields = {f.name for f in dataclasses.fields(cls)}
-            if cls is MediumConfig:     # the top-level field sets it
-                fields.remove("rx_success_ratio")
             assert set(spec["properties"]) == fields, cls.__name__
 
     @pytest.mark.parametrize("name", ["scenario", "sweep"])
@@ -458,17 +520,27 @@ class TestShippedArtifacts:
                 for part in where[:-1]:
                     target = target.setdefault(part, {})
                 target[where[-1]] = value
-                with pytest.raises(ConfigError) as err:
-                    if name == "scenario":
-                        scenario_from_dict(bad)
-                    else:
-                        load_sweep(write_json(tmp_path / "s.json", bad))
-                assert str(err.value).startswith(f"{field}: "), value
+                # a scenario gets the same rules however it is built
+                builds = ([scenario_from_dict, build_in_python]
+                          if name == "scenario" else
+                          [lambda bad: load_sweep(
+                              write_json(tmp_path / "s.json", bad))])
+                for build in builds:
+                    with pytest.raises(ConfigError) as err:
+                        build(bad)
+                    assert str(err.value).startswith(f"{field}: "), value
                 checked += 1
         # the walk reached every bound the schema's text sets
         text = (SCHEMA_DIR / f"{name}.schema.json").read_text("utf-8")
         assert checked == sum(text.count(f'"{key}"') for key in (
             "minimum", "maximum", "exclusiveMinimum", "minItems"))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(schema_documents(load_schema("scenario")))
+    def test_loaded_and_python_built_configs_agree(self, document):
+        # both refuse a document with the same text, or build equal configs
+        assert build_outcome(scenario_from_dict, document) \
+            == build_outcome(build_in_python, document)
 
     def test_bundled_configs_validate(self):
         configs = sorted((ROOT / "configs").glob("*.json"))

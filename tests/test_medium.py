@@ -14,14 +14,16 @@ from rplsim.telemetry import NULL_TRACE, EnergyLedger, TraceRecorder
 SEC = to_us(1.0)
 
 
-def make_medium(positions, seed=1, trace=None, link_rx=None, **cfg_kwargs):
+def make_medium(positions, seed=1, trace=None, link_rx=None,
+                rx_success_ratio=1.0, **cfg_kwargs):
     sim = Simulator()
     cfg = MediumConfig(**cfg_kwargs)
     ledgers = {nid: EnergyLedger() for nid in positions}
     jitter = {nid: derive_stream(seed, "protocol-jitter", nid)
               for nid in positions}
-    medium = Medium(sim, cfg, positions, derive_stream(seed, "medium"),
-                    jitter, ledgers, trace or NULL_TRACE, link_rx)
+    medium = Medium(sim, cfg, rx_success_ratio, positions,
+                    derive_stream(seed, "medium"), jitter, ledgers,
+                    trace or NULL_TRACE, link_rx)
     return sim, medium, ledgers
 
 

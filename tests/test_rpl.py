@@ -21,13 +21,12 @@ def make_net(positions, objective="of0", seed=1, rx=1.0, proto=None,
              with_sink=True, trace=None):
     sim = Simulator()
     proto = proto or ProtocolConfig()
-    medium_cfg = MediumConfig(rx_success_ratio=rx)
     ledgers = {nid: EnergyLedger() for nid in positions}
     jitter = {nid: derive_stream(seed, "protocol-jitter", nid)
               for nid in positions}
     trace = trace or TraceRecorder(enabled=False)
-    medium = Medium(sim, medium_cfg, positions, derive_stream(seed, "medium"),
-                    jitter, ledgers, trace)
+    medium = Medium(sim, MediumConfig(), rx, positions,
+                    derive_stream(seed, "medium"), jitter, ledgers, trace)
     metrics = MetricsReport()
     nodes = {}
     for nid in sorted(positions):
