@@ -13,6 +13,10 @@ max_transmissions times.  Every attempt backs off uniformly at random and
 senses the channel first.  ACKs are sent after a fixed turnaround without
 carrier sensing, outside any job, and can be lost like data.
 
+A unicast attempt's ACK timeout is due ack_timeout after its data ends and
+is queued only once no ACK can come (data missed, destination on air at the
+turnaround, ACK lost); the config keeps every ACK's end before its timeout.
+
 Every job ends one way: the radio is freed, the job's callback runs, then
 the next queued job starts unless the callback queued one.  A frame
 reaches its receivers, in ascending id order, in the event that ends its
@@ -28,7 +32,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Collection
 
-from .engine import Event, Simulator, US_PER_S, to_us
+from .engine import Simulator, US_PER_S, to_us
 from .telemetry import RX, TX, EnergyLedger, TraceRecorder, NULL_TRACE
 
 
@@ -100,7 +104,7 @@ class _Job:
     on_done: Callable | None
     attempts: int = 0
     data_delivered: bool = False     # ground truth, for packet accounting
-    timeout_event: Event | None = None   # set while awaiting an ACK
+    ack_due: int | None = None   # while awaiting an ACK: when it times out
 
 
 class _Radio:
@@ -265,14 +269,14 @@ class Medium:
                     self.trace.emit((tx.end, "rx", r, sender,
                                      frame.size_bytes, frame.frame_id))
 
-        if job is None:
-            pass                                   # an ACK: fire and forget
-        elif frame.dst is None:
+        if frame.dst is None:
             self._finish(radio, outcomes)
-        else:                                      # unicast data attempt
-            job.data_delivered |= bool(delivered)
-            job.timeout_event = self.sim.schedule_in(
-                self._ack_timeout_us, lambda: self._ack_timeout(radio, job))
+        else:                                      # data, or an ACK (no job)
+            if job is not None:
+                job.data_delivered |= bool(delivered)
+                job.ack_due = tx.end + self._ack_timeout_us
+            if not delivered:                      # no ACK can come now
+                self._no_ack(sender if job is not None else frame.dst)
         # receivers react last, so whatever the sender scheduled above
         # keeps its place ahead of what they schedule
         for receiver in delivered:
@@ -282,9 +286,8 @@ class Medium:
         from_id = frame.src
         if frame.kind is FrameKind.ACK:
             job = radio.current       # a broadcast never awaits an ACK
-            if (job is not None and job.timeout_event is not None
+            if (job is not None and job.ack_due is not None
                     and job.frame.dst == from_id):
-                job.timeout_event.cancel()
                 self._finish(radio, True, job.attempts, job.data_delivered)
             return
         if frame.kind is FrameKind.DATA:
@@ -302,13 +305,21 @@ class Medium:
 
         def fire() -> None:
             if radio.node_id in self._active:
-                return                     # half duplex: drop the ACK
+                self._no_ack(dst)          # half duplex: drop the ACK
+                return
             self._transmit(radio, None, ack)
 
         self.sim.schedule_in(self._ack_turnaround_us, fire)
 
+    def _no_ack(self, sender: int) -> None:
+        """No ACK can reach sender's job now: queue its timeout for ack_due."""
+        radio = self._radios[sender]
+        job = radio.current
+        self.sim.schedule_in(job.ack_due - self.sim.now,
+                             lambda: self._ack_timeout(radio, job))
+
     def _ack_timeout(self, radio: _Radio, job: _Job) -> None:
-        job.timeout_event = None
+        job.ack_due = None
         if job.attempts < self.cfg.max_transmissions:
             job.attempts += 1
             self._begin_csma(radio, job)

@@ -45,10 +45,10 @@ def _select_parent(candidates: dict[int, int], current: int | None,
     """
     if not candidates:
         return None
-    best = min(candidates.items(), key=lambda item: (item[1], item[0]))
-    if current in candidates and best[1] >= candidates[current] - threshold:
+    value, best = min(zip(candidates.values(), candidates))
+    if current in candidates and value >= candidates[current] - threshold:
         return current
-    return best[0]
+    return best
 
 
 def of0_select_parent(candidates: dict[int, int],

@@ -16,6 +16,10 @@ Trickle resets follow the usual inconsistency rules with one damping
 refinement: a DIO that merely drifts this node's rank by less than one
 hop increment (metric noise under MRHOF) is treated as consistent, so the
 beacon rate is governed by structural changes, not per-sample ETX jitter.
+
+Under MRHOF a candidate carries its through-cost, priced as its DIO arrives
+and as its link's ETX moves; a DIO from a sender selection skips before and
+after it (rank not below this node's, or a saturated cost) selects nothing.
 """
 
 from __future__ import annotations
@@ -76,6 +80,7 @@ class TrickleState:
 class CandidateInfo:
     rank: int
     cost: int | None
+    through: int         # MRHOF cost through it; MAX_PATH_COST if unusable
     last_heard: int
 
 
@@ -161,15 +166,17 @@ class Node:
             return
         known = self.candidates.get(dio.sender)
         if dio.advertised_rank >= INFINITE_RANK:
+            heard = None
             self.candidates.pop(dio.sender, None)
-            self._dirty |= known is not None
         else:
-            self.candidates[dio.sender] = CandidateInfo(
-                dio.advertised_rank, dio.path_cost, self.sim.now)
+            heard = self.candidates[dio.sender] = CandidateInfo(
+                dio.advertised_rank, dio.path_cost,
+                self._price(dio.sender, dio.path_cost), self.sim.now)
             if self._hk_event is None:  # a newer last_heard purges no sooner
                 self._arm_housekeeping()
-            self._dirty |= known is None or (known.rank, known.cost) != (
-                dio.advertised_rank, dio.path_cost)
+        if self._selectable(known) or self._selectable(heard):
+            self._dirty |= known is None or heard is None or (
+                known.rank, known.cost) != (heard.rank, heard.cost)
         if self._reselect() and self.joined:
             self.trickle.counter += 1
 
@@ -205,6 +212,19 @@ class Node:
             self.link_stats[neighbor] = stats
         return stats
 
+    def _price(self, neighbor: int, cost: int | None) -> int:
+        """MRHOF cost through neighbor; MAX_PATH_COST if cost cannot extend."""
+        if cost is None or cost >= MAX_PATH_COST:
+            return MAX_PATH_COST
+        stats = self.link_stats.get(neighbor)     # None until a unicast
+        return mrhof_path_cost(cost, stats.etx_estimate if stats is not None
+                               else self.proto.etx_initial)
+
+    def _selectable(self, c: CandidateInfo | None) -> bool:
+        """Whether selection would weigh c now; OF0 skips none."""
+        return c is not None and (self.objective == OF0 or (
+            c.rank < self.rank and c.through < MAX_PATH_COST))
+
     def _reselect(self) -> bool:
         """Re-run parent selection if an input moved; True when it stayed
         consistent, else reset trickle: the parent switched, or the rank moved
@@ -224,14 +244,8 @@ class Node:
             if choice is not None:
                 new_rank = of0_rank(ranks[choice])
         else:
-            costs = {}
-            for nid, c in candidates.items():
-                if c.rank >= old_rank or c.cost is None \
-                        or c.cost >= MAX_PATH_COST:
-                    continue
-                through = mrhof_path_cost(c.cost, self._link(nid).etx_estimate)
-                if through < MAX_PATH_COST:
-                    costs[nid] = through
+            costs = {nid: c.through for nid, c in candidates.items()
+                     if c.rank < old_rank and c.through < MAX_PATH_COST}
             choice = mrhof_select_parent(costs, old_parent)
             if choice is not None:
                 new_cost = costs[choice]
@@ -401,7 +415,11 @@ class Node:
             etx_before = link.etx_estimate
             etx_update(link, attempts, success,
                        self.medium.cfg.max_transmissions, self.sim.now)
-            self._dirty |= link.etx_estimate != etx_before
+            if link.etx_estimate != etx_before:
+                self._dirty = True
+                known = self.candidates.get(parent)
+                if known is not None:
+                    known.through = self._price(parent, known.cost)
             self._reselect()
         if not success and not data_delivered:
             self._drop(packet, "mac-failure")

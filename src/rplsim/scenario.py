@@ -22,7 +22,7 @@ import random
 from collections import deque
 from dataclasses import asdict, dataclass, field
 
-from .engine import US_PER_S, to_us
+from .engine import to_us
 from .medium import MediumConfig
 from .rpl import ProtocolConfig
 from .telemetry import EnergyCurrents, TRAFFIC_CLASSES
@@ -68,8 +68,9 @@ class ScenarioConfig:
                                 f"_{self.objective}"
                                 f"_rx{round(self.rx_success_ratio * 100)}")
         med, proto = self.medium, self.protocol
-        ack_airtime_s = med.airtime_us(med.ack_frame_bytes) / US_PER_S
-        if med.ack_timeout_s <= med.ack_turnaround_s + ack_airtime_s:
+        # in the run's microseconds: an ACK ending as it times out is lost
+        if to_us(med.ack_timeout_s) <= (to_us(med.ack_turnaround_s)
+                                        + med.airtime_us(med.ack_frame_bytes)):
             raise ConfigError("medium.ack_timeout_s: must exceed turnaround "
                               f"+ ACK airtime (got {med.ack_timeout_s!r})")
         # a 1 us window draws every backoff as 0: a busy channel hangs the run

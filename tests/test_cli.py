@@ -64,6 +64,10 @@ REJECTED = {
     "medium.rx_success_ratio": {"medium": {"rx_success_ratio": 0.1}},
     "protocol.cpu_process_s": {"protocol": {"cpu_process_s": -0.001}},
     "medium.ack_turnaround_s": {"medium": {"ack_turnaround_s": -0.0001}},
+    # 20 + 352 us is the 372 us timeout once rounded: each ACK would land on
+    # its timeout's microsecond, where the timeout wins, and every unicast fail
+    "medium.ack_timeout_s": {"medium": {"ack_turnaround_s": 0.0000196,
+                                        "ack_timeout_s": 0.0003717}},
     "traffic_classes": {"traffic_classes": [["critical"]]},
     "protocol.ttl": {"protocol": {"ttl": 0}},
     "duration_s": {"duration_s": math.inf},

@@ -315,10 +315,10 @@ class TestJobEnd:
         results, checked = [], []
 
         def on_data(frame, src):
-            # 0's ACK timeout is armed; an ACK from 2 arrives first
+            # 0's job awaits an ACK; an ACK from 2 arrives first
             job = radio.current
             medium._receive(radio, Frame(FrameKind.ACK, 2, 0, 11))
-            checked.append((radio.current is job, job.timeout_event.cancelled))
+            checked.append((radio.current is job, job.ack_due is None))
 
         medium.set_receiver(1, on_data)
         medium.unicast_with_ack(0, 1, None,
@@ -326,3 +326,51 @@ class TestJobEnd:
         sim.run_until(SEC)
         assert checked == [(True, False)]
         assert results == [(True, 1, True)]
+
+
+class TestAckTimeout:
+    """A unicast attempt's timeout is queued only once no ACK can come, and
+    is due ack_timeout after the data frame's end whichever way the ACK is
+    missed.  Without its timeout the job would never end."""
+
+    @staticmethod
+    def run(positions, on_data=None, **cfg_kwargs):
+        trace = TraceRecorder(enabled=True)
+        sim, medium, _ = make_medium(positions, trace=trace,
+                                     backoff_window_s=2e-6,
+                                     max_transmissions=1, **cfg_kwargs)
+        if on_data is not None:
+            medium.set_receiver(1, lambda frame, src: on_data(sim, medium))
+        results = []
+        medium.unicast_with_ack(0, 1, None,
+                                lambda *r: results.append((sim.now, *r)))
+        sim.run_until(SEC)
+        sent = {r["kind"]: r["t"] for r in trace.records if r["ev"] == "tx"}
+        cfg = medium.cfg
+        due = (sent["data"] + cfg.airtime_us(cfg.data_frame_bytes)
+               + to_us(cfg.ack_timeout_s))
+        return results, due, sent
+
+    def test_armed_when_the_destination_missed_the_data(self):
+        results, due, sent = self.run({0: (0.0, 0.0), 1: (50.0, 0.0)},
+                                      rx_success_ratio=0.0)
+        assert "ack" not in sent
+        assert results == [(due, False, 1, False)]
+
+    def test_armed_when_the_destination_is_on_air_at_turnaround(self):
+        # 1 starts a broadcast as the data arrives, so its ACK is dropped
+        results, due, sent = self.run(
+            {0: (0.0, 0.0), 1: (50.0, 0.0)},
+            on_data=lambda sim, medium: medium.broadcast(1, FrameKind.DIS))
+        assert "ack" not in sent
+        assert results == [(due, False, 1, True)]
+
+    def test_armed_when_the_ack_is_lost(self):
+        # 2 cannot hear 1; its DIS, begun after the data frame, destroys
+        # 1's ACK at 0
+        results, due, sent = self.run(
+            {0: (0.0, 0.0), 1: (80.0, 0.0), 2: (-80.0, 0.0)},
+            on_data=lambda sim, medium: sim.schedule_in(
+                100, lambda: medium.broadcast(2, FrameKind.DIS)))
+        assert sent["dis"] < sent["ack"] < sent["dis"] + 2048
+        assert results == [(due, False, 1, True)]

@@ -7,7 +7,8 @@ import pytest
 from rplsim.cli import result_to_row
 from rplsim.engine import Event, Simulator, derive_stream, to_us
 from rplsim.medium import Medium, MediumConfig
-from rplsim.objective import INFINITE_RANK, RANK_UNIT, ROOT_RANK
+from rplsim.objective import (INFINITE_RANK, MAX_PATH_COST, RANK_UNIT,
+                              ROOT_RANK, mrhof_path_cost)
 from rplsim.rpl import DioMessage, Node, ProtocolConfig, SENSOR, SINK
 from rplsim.scenario import ScenarioConfig
 from rplsim.simulate import run_scenario
@@ -421,6 +422,36 @@ class TestReselectSkip:
         forced = self.run(monkeypatch, True, mixed_link_rx(), **case)
         assert shipped[:2] == forced[:2]
         assert shipped[2] < forced[2]
+
+
+class TestCachedThroughCost:
+    """Each MRHOF candidate's cached through-cost equals a fresh pricing of
+    its cost and the current link ETX whenever selection may read it.  The
+    forced runs of TestReselectSkip read the same cache, so only a check
+    against an independent pricing pins the cache itself."""
+
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_cache_matches_fresh_pricing(self, monkeypatch, mixed):
+        priced = []
+        reselect = Node._reselect
+
+        def checked(self):
+            for nid, c in self.candidates.items():
+                stats = self.link_stats.get(nid)
+                etx = stats.etx_estimate if stats else self.proto.etx_initial
+                fresh = (MAX_PATH_COST
+                         if c.cost is None or c.cost >= MAX_PATH_COST
+                         else mrhof_path_cost(c.cost, etx))
+                assert (self.id, nid, c.through) == (self.id, nid, fresh)
+                priced.append(etx)
+            return reselect(self)
+        monkeypatch.setattr(Node, "_reselect", checked)
+        cfg = ScenarioConfig(node_count=30, topology="random", objective="etx",
+                             rx_success_ratio=0.8, duration_s=600.0,
+                             warmup_s=60.0, seed=2)
+        run_scenario(cfg, link_rx=mixed_link_rx() if mixed else None)
+        # the estimates moved off their initial value, so re-pricing was due
+        assert len(set(priced)) > 10
 
 
 class TestLazyHousekeeping:

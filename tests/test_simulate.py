@@ -117,8 +117,10 @@ def per_link_ratios(node_count, seed, ratios):
 # (or None).  The first four are 40-node, rx 0.8, seed-1 runs, one per
 # topology/objective pair; the others pin a zero ACK turnaround, a near-zero
 # backoff window, a short parent expiry with frequent housekeeping, per-link
-# ratios, and a lossy, congested run whose trace holds every record shape:
-# detaches (a null parent) and all four drop causes.
+# ratios, a lossy, congested run whose trace holds every record shape:
+# detaches (a null parent) and all four drop causes, and two lossy 30-node
+# runs whose data frames are lost, whose ACKs are lost and whose receivers
+# are on air when an ACK is due, so every way an ACK timeout comes is pinned.
 TRACE_CASES = {
     "random-of0": (dict(topology="random", objective="of0"), None),
     "random-etx": (dict(topology="random", objective="etx"), None),
@@ -146,6 +148,12 @@ TRACE_CASES = {
              protocol=ProtocolConfig(parent_expiry_floor_s=20.0,
                                      housekeeping_period_s=1.0,
                                      queue_capacity=1, ttl=3)), None),
+    "lossy-random-etx": (
+        dict(topology="random", objective="etx", node_count=30,
+             rx_success_ratio=0.5), None),
+    "lossy-grid-of0": (
+        dict(topology="grid", objective="of0", node_count=30,
+             rx_success_ratio=0.65), None),
 }
 
 # sha256 of (JSONL trace as write_jsonl writes it, result_to_row as sorted
@@ -178,6 +186,12 @@ TRACE_DIGESTS = {
     "every-record-shape": (
         "921f8844f199c60805cef366245da404589b83a2a3dea24977064233fc429c74",
         "f74a41a9f5bb26e1e970e2449268d78d860a5641cd14329eeb073ff2fa8737d9"),
+    "lossy-random-etx": (
+        "866cd73f64bcc4171f5572e5346f619594de4306f6e3e42d9df966c4e8e1cc51",
+        "c192221b10044bc3a601a00c70e479d5e378281d0be8924e9625ee2743500381"),
+    "lossy-grid-of0": (
+        "402f67ee9237e67cecd580b82d0f517fd548ac65cd9b669e6f6e63e23465f084",
+        "6be85a5970720a7acf103e0e99375a08493dc33f718f3872f75b2195ca76c471"),
 }
 
 
