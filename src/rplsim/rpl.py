@@ -17,9 +17,12 @@ refinement: a DIO that merely drifts this node's rank by less than one
 hop increment (metric noise under MRHOF) is treated as consistent, so the
 beacon rate is governed by structural changes, not per-sample ETX jitter.
 
-Under MRHOF a candidate carries its through-cost, priced as its DIO arrives
-and as its link's ETX moves; a DIO from a sender selection skips before and
-after it (rank not below this node's, or a saturated cost) selects nothing.
+Both objectives select by one rule.  A candidate carries the value its
+objective weighs: the rank through it under OF0, the path cost through it
+under MRHOF (re-priced as its link's ETX moves).  Selection skips a candidate
+ranked no lower than this node or with a saturated value, and a DIO or purge
+that touches only skipped candidates selects nothing.  A detached node goes
+silent and solicits with DIS; it never advertises INFINITE_RANK.
 """
 
 from __future__ import annotations
@@ -65,22 +68,18 @@ class DioMessage:
 @dataclass
 class TrickleState:
     i_min_us: int
-    doublings: int
+    max_interval_us: int
     redundancy_k: int
     current_interval_us: int = 0
     t_us: int = 0
     counter: int = 0
-
-    @property
-    def max_interval_us(self) -> int:
-        return self.i_min_us << self.doublings
 
 
 @dataclass(slots=True)
 class CandidateInfo:
     rank: int
     cost: int | None
-    through: int         # MRHOF cost through it; MAX_PATH_COST if unusable
+    through: int         # the value selection weighs; saturated if unusable
     last_heard: int
 
 
@@ -116,8 +115,8 @@ class Node:
         self.preferred_parent: int | None = None
         self.candidates: dict[int, CandidateInfo] = {}
         self.link_stats: dict[int, LinkStats] = {}
-        self.trickle = TrickleState(to_us(proto.trickle_i_min_s),
-                                    proto.trickle_doublings,
+        i_min = to_us(proto.trickle_i_min_s)
+        self.trickle = TrickleState(i_min, i_min << proto.trickle_doublings,
                                     proto.trickle_redundancy_k)
         self.queue: deque[DataPacket] = deque()
 
@@ -138,9 +137,8 @@ class Node:
 
     @property
     def joined(self) -> bool:
-        if self.role == SINK:
-            return True
-        return self.rank < INFINITE_RANK and self.preferred_parent is not None
+        # selection sets the rank to INFINITE_RANK exactly when no parent
+        return self.role == SINK or self.preferred_parent is not None
 
     def start(self) -> None:
         if self.role == SINK:
@@ -165,17 +163,14 @@ class Node:
             self.trickle.counter += 1
             return
         known = self.candidates.get(dio.sender)
-        if dio.advertised_rank >= INFINITE_RANK:
-            heard = None
-            self.candidates.pop(dio.sender, None)
-        else:
-            heard = self.candidates[dio.sender] = CandidateInfo(
-                dio.advertised_rank, dio.path_cost,
-                self._price(dio.sender, dio.path_cost), self.sim.now)
-            if self._hk_event is None:  # a newer last_heard purges no sooner
-                self._arm_housekeeping()
+        heard = self.candidates[dio.sender] = CandidateInfo(
+            dio.advertised_rank, dio.path_cost,
+            self._price(dio.sender, dio.advertised_rank, dio.path_cost),
+            self.sim.now)
+        if self._hk_event is None:      # a newer last_heard purges no sooner
+            self._arm_housekeeping()
         if self._selectable(known) or self._selectable(heard):
-            self._dirty |= known is None or heard is None or (
+            self._dirty |= known is None or (
                 known.rank, known.cost) != (heard.rank, heard.cost)
         if self._reselect() and self.joined:
             self.trickle.counter += 1
@@ -205,15 +200,11 @@ class Node:
 
     # ----------------------------------------------------- parent selection
 
-    def _link(self, neighbor: int) -> LinkStats:
-        stats = self.link_stats.get(neighbor)
-        if stats is None:
-            stats = LinkStats(self.proto.etx_initial)
-            self.link_stats[neighbor] = stats
-        return stats
-
-    def _price(self, neighbor: int, cost: int | None) -> int:
-        """MRHOF cost through neighbor; MAX_PATH_COST if cost cannot extend."""
+    def _price(self, neighbor: int, rank: int, cost: int | None) -> int:
+        """The value selection weighs for neighbor: the rank through it under
+        OF0, the path cost through it (or MAX_PATH_COST) under MRHOF."""
+        if self.objective == OF0:
+            return of0_rank(rank)
         if cost is None or cost >= MAX_PATH_COST:
             return MAX_PATH_COST
         stats = self.link_stats.get(neighbor)     # None until a unicast
@@ -221,9 +212,9 @@ class Node:
                                else self.proto.etx_initial)
 
     def _selectable(self, c: CandidateInfo | None) -> bool:
-        """Whether selection would weigh c now; OF0 skips none."""
-        return c is not None and (self.objective == OF0 or (
-            c.rank < self.rank and c.through < MAX_PATH_COST))
+        """Whether selection would weigh c now."""
+        return c is not None and c.rank < self.rank \
+            and c.through < MAX_PATH_COST
 
     def _reselect(self) -> bool:
         """Re-run parent selection if an input moved; True when it stayed
@@ -236,20 +227,17 @@ class Node:
         was_joined = self.joined
 
         candidates = self.candidates
+        values = {nid: c.through for nid, c in candidates.items()
+                  if self._selectable(c)}
+        of0 = self.objective == OF0
+        select = of0_select_parent if of0 else mrhof_select_parent
+        choice = select(values, old_parent)
         new_rank, new_cost = INFINITE_RANK, None
-        if self.objective == OF0:
-            ranks = {nid: c.rank for nid, c in candidates.items()
-                     if c.rank < old_rank}
-            choice = of0_select_parent(ranks, old_parent)
-            if choice is not None:
-                new_rank = of0_rank(ranks[choice])
-        else:
-            costs = {nid: c.through for nid, c in candidates.items()
-                     if c.rank < old_rank and c.through < MAX_PATH_COST}
-            choice = mrhof_select_parent(costs, old_parent)
-            if choice is not None:
-                new_cost = costs[choice]
-                new_rank = mrhof_rank(candidates[choice].rank, new_cost)
+        if choice is not None and of0:      # OF0 weighs the rank itself
+            new_rank = values[choice]
+        elif choice is not None:
+            new_cost = values[choice]
+            new_rank = mrhof_rank(candidates[choice].rank, new_cost)
         if choice is None or new_rank >= INFINITE_RANK:
             choice, new_rank, new_cost = None, INFINITE_RANK, None
         assert choice is None or new_rank > candidates[choice].rank
@@ -313,8 +301,7 @@ class Node:
                  if now - c.last_heard > expiry]
         if stale:
             for nid in stale:
-                del self.candidates[nid]
-            self._dirty = True
+                self._dirty |= self._selectable(self.candidates.pop(nid))
             self._reselect()
         self._arm_housekeeping()
 
@@ -353,8 +340,7 @@ class Node:
         self._trickle_start_interval()
 
     def _send_dio(self) -> None:
-        cost = self.path_cost if self.objective == MRHOF_ETX else None
-        dio = DioMessage(self.id, self.rank, cost)
+        dio = DioMessage(self.id, self.rank, self.path_cost)
         self._last_advertised_rank = self.rank
         self.metrics.dio_count += 1
         self.medium.broadcast(self.id, FrameKind.DIO, dio)
@@ -411,7 +397,9 @@ class Node:
         if success and parent in self.candidates:
             self.candidates[parent].last_heard = self.sim.now
         if self.objective == MRHOF_ETX:     # only MRHOF reads link_stats
-            link = self._link(parent)
+            if parent not in self.link_stats:
+                self.link_stats[parent] = LinkStats(self.proto.etx_initial)
+            link = self.link_stats[parent]
             etx_before = link.etx_estimate
             etx_update(link, attempts, success,
                        self.medium.cfg.max_transmissions, self.sim.now)
@@ -419,7 +407,7 @@ class Node:
                 self._dirty = True
                 known = self.candidates.get(parent)
                 if known is not None:
-                    known.through = self._price(parent, known.cost)
+                    known.through = self._price(parent, known.rank, known.cost)
             self._reselect()
         if not success and not data_delivered:
             self._drop(packet, "mac-failure")

@@ -4,11 +4,12 @@ import random
 
 import pytest
 
+import rplsim.rpl
 from rplsim.cli import result_to_row
 from rplsim.engine import Event, Simulator, derive_stream, to_us
 from rplsim.medium import Medium, MediumConfig
 from rplsim.objective import (INFINITE_RANK, MAX_PATH_COST, RANK_UNIT,
-                              ROOT_RANK, mrhof_path_cost)
+                              ROOT_RANK, mrhof_path_cost, of0_rank)
 from rplsim.rpl import DioMessage, Node, ProtocolConfig, SENSOR, SINK
 from rplsim.scenario import ScenarioConfig
 from rplsim.simulate import run_scenario
@@ -102,6 +103,14 @@ def purges(wakes):
     return [wake for wake in wakes if wake[2]]
 
 
+def expire(node, nid):
+    """Purge candidate nid and select again, as a housekeeping tick that
+    finds it stale does."""
+    del node.candidates[nid]
+    node._dirty = True
+    node._reselect()
+
+
 class TestJoin:
     def test_root_dio_joins_with_one_hop_rank(self):
         sim, _, nodes, _ = make_net(line_positions(2))
@@ -122,14 +131,25 @@ class TestJoin:
         assert n1.preferred_parent == 0
         assert n1.trickle.counter == counter_before + 1
 
-    def test_infinite_rank_dio_removes_candidate(self):
-        sim, _, nodes, _ = make_net(line_positions(2))
+    @pytest.mark.parametrize("rank", [512, 768])
+    def test_of0_dio_from_a_sender_not_below_selects_nothing(
+            self, monkeypatch, rank):
+        sim, _, nodes, _ = make_net(line_positions(3))
         n1 = nodes[1]
         n1.on_dio(DioMessage(0, ROOT_RANK))
-        n1.on_dio(DioMessage(0, INFINITE_RANK))
-        assert 0 not in n1.candidates
-        assert not n1.joined
-        assert n1.rank == INFINITE_RANK
+        n1.on_dio(DioMessage(0, ROOT_RANK))     # selection settles
+        assert not n1._dirty
+        selects = []
+        select = rplsim.rpl.of0_select_parent
+
+        def counted(candidates, current=None):
+            selects.append(dict(candidates))
+            return select(candidates, current)
+        monkeypatch.setattr(rplsim.rpl, "of0_select_parent", counted)
+        n1.on_dio(DioMessage(2, rank))
+        n1.on_dio(DioMessage(2, rank + RANK_UNIT))
+        assert selects == []
+        assert (n1.rank, n1.preferred_parent) == (512, 0)
 
     def test_sink_state_is_immutable(self):
         sim, _, nodes, _ = make_net(line_positions(2))
@@ -258,7 +278,7 @@ class TestDis:
         n1 = nodes[1]
         n1.start()
         n1.on_dio(DioMessage(0, ROOT_RANK))
-        n1.on_dio(DioMessage(0, INFINITE_RANK))
+        expire(n1, 0)
         assert not n1.joined
         sim.run_until(to_us(60.0))
         assert metrics.dio_count == 0
@@ -425,33 +445,81 @@ class TestReselectSkip:
 
 
 class TestCachedThroughCost:
-    """Each MRHOF candidate's cached through-cost equals a fresh pricing of
-    its cost and the current link ETX whenever selection may read it.  The
-    forced runs of TestReselectSkip read the same cache, so only a check
-    against an independent pricing pins the cache itself."""
+    """Each candidate's cached value equals a fresh pricing whenever
+    selection may read it: under MRHOF its cost and the current link ETX,
+    under OF0 the rank through it.  The forced runs of TestReselectSkip read
+    the same cache, so only a check against an independent pricing pins the
+    cache itself."""
 
-    @pytest.mark.parametrize("mixed", [False, True])
-    def test_cache_matches_fresh_pricing(self, monkeypatch, mixed):
+    @staticmethod
+    def run(monkeypatch, objective, fresh, link_rx=None):
+        """Check every cached value against fresh(node, nid, c); returns
+        each fresh value."""
         priced = []
         reselect = Node._reselect
 
         def checked(self):
             for nid, c in self.candidates.items():
-                stats = self.link_stats.get(nid)
-                etx = stats.etx_estimate if stats else self.proto.etx_initial
-                fresh = (MAX_PATH_COST
-                         if c.cost is None or c.cost >= MAX_PATH_COST
-                         else mrhof_path_cost(c.cost, etx))
-                assert (self.id, nid, c.through) == (self.id, nid, fresh)
-                priced.append(etx)
+                value = fresh(self, nid, c)
+                assert (self.id, nid, c.through) == (self.id, nid, value)
+                priced.append(value)
             return reselect(self)
         monkeypatch.setattr(Node, "_reselect", checked)
-        cfg = ScenarioConfig(node_count=30, topology="random", objective="etx",
-                             rx_success_ratio=0.8, duration_s=600.0,
-                             warmup_s=60.0, seed=2)
-        run_scenario(cfg, link_rx=mixed_link_rx() if mixed else None)
+        cfg = ScenarioConfig(node_count=30, topology="random",
+                             objective=objective, rx_success_ratio=0.8,
+                             duration_s=600.0, warmup_s=60.0, seed=2)
+        run_scenario(cfg, link_rx=link_rx)
+        return priced
+
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_cache_matches_fresh_pricing(self, monkeypatch, mixed):
+        etxs = []
+
+        def mrhof(node, nid, c):
+            stats = node.link_stats.get(nid)
+            etx = stats.etx_estimate if stats else node.proto.etx_initial
+            etxs.append(etx)
+            return (MAX_PATH_COST if c.cost is None or c.cost >= MAX_PATH_COST
+                    else mrhof_path_cost(c.cost, etx))
+        self.run(monkeypatch, "etx", mrhof,
+                 mixed_link_rx() if mixed else None)
         # the estimates moved off their initial value, so re-pricing was due
-        assert len(set(priced)) > 10
+        assert len(set(etxs)) > 10
+
+    def test_of0_cache_is_the_rank_through(self, monkeypatch):
+        priced = self.run(monkeypatch, "of0",
+                          lambda node, nid, c: of0_rank(c.rank))
+        assert len(set(priced)) > 3
+
+
+class TestJoinedIsTheParent:
+    """`joined` reads the parent alone: on every exit from selection a
+    sensor's rank is INFINITE_RANK exactly when it has no parent."""
+
+    @pytest.mark.parametrize("objective", ["of0", "etx"])
+    def test_rank_is_infinite_exactly_without_a_parent(self, monkeypatch,
+                                                       objective):
+        exits = []
+        reselect = Node._reselect
+
+        def checked(self):
+            consistent = reselect(self)
+            assert (self.rank == INFINITE_RANK) == \
+                (self.preferred_parent is None)
+            exits.append(self.preferred_parent is None)
+            return consistent
+        monkeypatch.setattr(Node, "_reselect", checked)
+        # lossy, with a short flat expiry window: parents expire and
+        # nodes detach and rejoin
+        proto = ProtocolConfig(parent_expiry_floor_s=20.0,
+                               parent_expiry_trickle_factor=0.0,
+                               housekeeping_period_s=1.0)
+        cfg = ScenarioConfig(node_count=30, topology="random",
+                             objective=objective, rx_success_ratio=0.5,
+                             duration_s=300.0, warmup_s=5.0, seed=2,
+                             protocol=proto)
+        run_scenario(cfg)
+        assert True in exits and False in exits
 
 
 class TestLazyHousekeeping:
@@ -532,9 +600,9 @@ class TestLazyHousekeeping:
 
     def test_detach_brings_the_purge_of_worse_candidates_forward(
             self, monkeypatch):
-        def poisoned(node):
-            node.on_dio(DioMessage(0, INFINITE_RANK))
+        def orphaned(node):
+            expire(node, 0)
             assert not node.joined and 7 in node.candidates
-        lazy = self.quiet_neighbour_purge(monkeypatch, False, poisoned)
+        lazy = self.quiet_neighbour_purge(monkeypatch, False, orphaned)
         assert [ids for _, _, ids in lazy] == [(7,)]
-        assert lazy == self.quiet_neighbour_purge(monkeypatch, True, poisoned)
+        assert lazy == self.quiet_neighbour_purge(monkeypatch, True, orphaned)

@@ -118,9 +118,11 @@ def per_link_ratios(node_count, seed, ratios):
 # topology/objective pair; the others pin a zero ACK turnaround, a near-zero
 # backoff window, a short parent expiry with frequent housekeeping, per-link
 # ratios, a lossy, congested run whose trace holds every record shape:
-# detaches (a null parent) and all four drop causes, and two lossy 30-node
-# runs whose data frames are lost, whose ACKs are lost and whose receivers
-# are on air when an ACK is due, so every way an ACK timeout comes is pinned.
+# detaches (a null parent) and all four drop causes, its OF0 twin (with a
+# flat expiry window, so parents expire and nodes detach), and two lossy
+# 30-node runs whose data frames are lost, whose ACKs are lost and whose
+# receivers are on air when an ACK is due, so every way an ACK timeout comes
+# is pinned.
 TRACE_CASES = {
     "random-of0": (dict(topology="random", objective="of0"), None),
     "random-etx": (dict(topology="random", objective="etx"), None),
@@ -146,6 +148,14 @@ TRACE_CASES = {
              rx_success_ratio=0.5, warmup_s=5.0, seed=2,
              medium=MediumConfig(bitrate_bps=20000, ack_timeout_s=0.02),
              protocol=ProtocolConfig(parent_expiry_floor_s=20.0,
+                                     housekeeping_period_s=1.0,
+                                     queue_capacity=1, ttl=3)), None),
+    "every-record-shape-of0": (
+        dict(topology="random", objective="of0", node_count=30,
+             rx_success_ratio=0.5, warmup_s=5.0, seed=2,
+             medium=MediumConfig(bitrate_bps=20000, ack_timeout_s=0.02),
+             protocol=ProtocolConfig(parent_expiry_floor_s=20.0,
+                                     parent_expiry_trickle_factor=0.0,
                                      housekeeping_period_s=1.0,
                                      queue_capacity=1, ttl=3)), None),
     "lossy-random-etx": (
@@ -186,6 +196,9 @@ TRACE_DIGESTS = {
     "every-record-shape": (
         "921f8844f199c60805cef366245da404589b83a2a3dea24977064233fc429c74",
         "f74a41a9f5bb26e1e970e2449268d78d860a5641cd14329eeb073ff2fa8737d9"),
+    "every-record-shape-of0": (
+        "45509295ef584e104be64db35ef8b502bc850684efad38f74c7dfd8638b28dd8",
+        "e80d4a9ee5127956f837acbd1248ee8cf83e1f3b6e4fc4545a540cacd81fd064"),
     "lossy-random-etx": (
         "866cd73f64bcc4171f5572e5346f619594de4306f6e3e42d9df966c4e8e1cc51",
         "c192221b10044bc3a601a00c70e479d5e378281d0be8924e9625ee2743500381"),
