@@ -1,8 +1,9 @@
 """Deterministic discrete-event kernel and reproducible random streams.
 
 Virtual time is a 64-bit count of microseconds so event ordering is exact
-and identical on every platform.  An event is an action queued a delay
-after now; equal fire times dequeue in scheduling (FIFO) order.
+and identical on every platform; the clock is the plain attribute
+Simulator.now, which only run_until writes.  An event is an action queued
+a delay after now; equal fire times dequeue in scheduling (FIFO) order.
 Randomness is drawn from streams derived from (master_seed, purpose,
 node), so each subsystem's draw sequence is independent of how many draws
 the others make.
@@ -52,22 +53,17 @@ class Simulator:
     def __init__(self) -> None:
         self._heap: list[tuple[int, int, Event]] = []
         self._seq = 0
-        self._now = 0
+        self.now = 0             # virtual clock in microseconds
         self.events_processed = 0
-
-    @property
-    def now(self) -> int:
-        """Current virtual clock in microseconds."""
-        return self._now
 
     def schedule(self, fire_time: int, kind: object, target: object,
                  action: Callable[[], None]) -> Event:
         """Queue an event at fire_time; returns a handle whose cancel()
         withdraws it.  `kind` and `target` are unread; they stay because
         perfbench/hooks.py binds this signature."""
-        if fire_time < self._now:
+        if fire_time < self.now:
             raise SchedulingError(
-                f"event scheduled in the past: t={fire_time} < clock={self._now}"
+                f"event scheduled in the past: t={fire_time} < clock={self.now}"
             )
         event = Event(action)
         heappush(self._heap, (fire_time, self._seq, event))
@@ -76,13 +72,13 @@ class Simulator:
 
     def schedule_in(self, delay: int, action: Callable[[], None]) -> Event:
         """Queue action to run delay microseconds from now."""
-        return self.schedule(self._now + delay, None, None, action)
+        return self.schedule(self.now + delay, None, None, action)
 
     def run_until(self, end_time: int) -> int:
         """Process every event with fire_time <= end_time; clock ends at end_time."""
-        if end_time < self._now:
+        if end_time < self.now:
             raise SchedulingError(
-                f"run_until into the past: t={end_time} < clock={self._now}"
+                f"run_until into the past: t={end_time} < clock={self.now}"
             )
         heap = self._heap
         pop = heappop
@@ -92,13 +88,13 @@ class Simulator:
                 fire_time, _, event = pop(heap)
                 if event.cancelled:
                     continue
-                self._now = fire_time
+                self.now = fire_time
                 event.action()
                 processed += 1
         finally:
             self.events_processed += processed
-        self._now = end_time
-        return self._now
+        self.now = end_time
+        return self.now
 
 
 def derive_stream(master_seed: int, purpose_tag: str,

@@ -49,6 +49,15 @@ class Outcome(Enum):
     LOST_COLLISION = "lost-collision"
 
 
+DIO = FrameKind.DIO      # per-event paths read these names, not Enum members
+DIS = FrameKind.DIS
+DATA = FrameKind.DATA
+ACK = FrameKind.ACK
+DELIVERED = Outcome.DELIVERED
+LOST_RANDOM = Outcome.LOST_RANDOM
+LOST_COLLISION = Outcome.LOST_COLLISION
+
+
 @dataclass
 class MediumConfig:
     tx_range_m: float = 100.0
@@ -157,6 +166,8 @@ class Medium:
         self._backoff_window_us = to_us(cfg.backoff_window_s)
         self._ack_turnaround_us = to_us(cfg.ack_turnaround_s)
         self._ack_timeout_us = to_us(cfg.ack_timeout_s)
+        self._airtime_us = {size: cfg.airtime_us(size) for size in (
+            cfg.control_frame_bytes, cfg.data_frame_bytes, cfg.ack_frame_bytes)}
 
     # ------------------------------------------------------------------ API
 
@@ -179,7 +190,7 @@ class Medium:
         the third argument is the medium's ground truth of whether any data
         attempt reached the receiver (it may be True on ACK-only losses).
         """
-        frame = self._new_frame(FrameKind.DATA, sender, receiver,
+        frame = self._new_frame(DATA, sender, receiver,
                                 self.cfg.data_frame_bytes, payload)
         self._submit(sender, _Job(frame, on_complete))
 
@@ -187,10 +198,10 @@ class Medium:
                 stream: random.Random) -> Outcome:
         """Reception outcome for one receiver of one frame."""
         if receiver in tx.corrupted:
-            return Outcome.LOST_COLLISION
+            return LOST_COLLISION
         if stream.random() < self._radios[tx.frame.src].neighbors[receiver]:
-            return Outcome.DELIVERED
-        return Outcome.LOST_RANDOM
+            return DELIVERED
+        return LOST_RANDOM
 
     # ------------------------------------------------------------- MAC layer
 
@@ -234,7 +245,7 @@ class Medium:
         else:
             victims = (frame.dst,) if frame.dst in radio.audible else ()
         now = self.sim.now
-        airtime = self.cfg.airtime_us(frame.size_bytes)
+        airtime = self._airtime_us[frame.size_bytes]
         tx = Transmission(frame, now, now + airtime, victims)
         self._register(radio, tx)
         self.sim.schedule_in(airtime, lambda: self._tx_end(radio, job, tx))
@@ -242,10 +253,11 @@ class Medium:
     def _register(self, radio: _Radio, tx: Transmission) -> None:
         # mutual interference with every transmission already in flight;
         # audible holds the radio itself, so a sender cannot also receive
-        for other_sender, other in self._active.items():
-            tx.corrupted |= self._radios[other_sender].audible.intersection(
-                tx.victims)
-            other.corrupted |= radio.audible.intersection(other.victims)
+        if self._active:
+            for other_sender, other in self._active.items():
+                tx.corrupted |= self._radios[other_sender].audible.intersection(
+                    tx.victims)
+                other.corrupted |= radio.audible.intersection(other.victims)
         self._active[radio.node_id] = tx
 
     def _tx_end(self, radio: _Radio, job: _Job | None,
@@ -254,22 +266,27 @@ class Medium:
         del self._active[sender]
         airtime = tx.end - tx.start
         radio.ledger.charge(TX, airtime)
-        if self.trace.enabled:
+        tracing = self.trace.enabled
+        if tracing:
             self.trace.emit((tx.start, "tx", sender, frame.kind.value,
                              frame.size_bytes, frame.frame_id))
+        radios, stream, deliver = self._radios, self._stream, self.deliver
+        broadcast = frame.dst is None      # only its on_done reads outcomes
         outcomes: dict[int, Outcome] = {}
         delivered = []
         for r in tx.victims:
-            outcome = outcomes[r] = self.deliver(tx, r, self._stream)
-            if outcome is Outcome.DELIVERED:
-                receiver = self._radios[r]
+            outcome = deliver(tx, r, stream)
+            if broadcast:
+                outcomes[r] = outcome
+            if outcome is DELIVERED:
+                receiver = radios[r]
                 delivered.append(receiver)
                 receiver.ledger.charge(RX, airtime)
-                if self.trace.enabled:
+                if tracing:
                     self.trace.emit((tx.end, "rx", r, sender,
                                      frame.size_bytes, frame.frame_id))
 
-        if frame.dst is None:
+        if broadcast:
             self._finish(radio, outcomes)
         else:                                      # data, or an ACK (no job)
             if job is not None:
@@ -283,14 +300,14 @@ class Medium:
             self._receive(receiver, frame)
 
     def _receive(self, radio: _Radio, frame: Frame) -> None:
-        from_id = frame.src
-        if frame.kind is FrameKind.ACK:
+        from_id, kind = frame.src, frame.kind
+        if kind is ACK:
             job = radio.current       # a broadcast never awaits an ACK
             if (job is not None and job.ack_due is not None
                     and job.frame.dst == from_id):
                 self._finish(radio, True, job.attempts, job.data_delivered)
             return
-        if frame.kind is FrameKind.DATA:
+        if kind is DATA:
             duplicate = radio.last_frame_from.get(from_id) == frame.frame_id
             radio.last_frame_from[from_id] = frame.frame_id
             self._send_ack(radio, from_id)
@@ -300,7 +317,7 @@ class Medium:
             radio.receiver(frame, from_id)
 
     def _send_ack(self, radio: _Radio, dst: int) -> None:
-        ack = self._new_frame(FrameKind.ACK, radio.node_id, dst,
+        ack = self._new_frame(ACK, radio.node_id, dst,
                               self.cfg.ack_frame_bytes, None)
 
         def fire() -> None:

@@ -32,7 +32,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .engine import Simulator, to_us
-from .medium import Frame, FrameKind, Medium
+from .medium import DATA, DIO, DIS, Frame, Medium
 from .objective import (ETX_INITIAL, INFINITE_RANK, LinkStats, MAX_PATH_COST,
                         MRHOF_ETX, OF0, RANK_UNIT, ROOT_RANK, etx_update,
                         mrhof_path_cost, mrhof_rank, mrhof_select_parent,
@@ -151,11 +151,11 @@ class Node:
     # ------------------------------------------------------------ reception
 
     def _on_frame(self, frame: Frame, from_id: int) -> None:
-        if frame.kind is FrameKind.DIO:
+        if frame.kind is DIO:
             self.on_dio(frame.payload)
-        elif frame.kind is FrameKind.DIS:
+        elif frame.kind is DIS:
             self.on_dis(from_id)
-        elif frame.kind is FrameKind.DATA:
+        elif frame.kind is DATA:
             self.on_data(frame.payload, from_id)
 
     def on_dio(self, dio: DioMessage) -> None:
@@ -163,15 +163,17 @@ class Node:
             self.trickle.counter += 1
             return
         known = self.candidates.get(dio.sender)
-        heard = self.candidates[dio.sender] = CandidateInfo(
-            dio.advertised_rank, dio.path_cost,
-            self._price(dio.sender, dio.advertised_rank, dio.path_cost),
-            self.sim.now)
+        if known is not None and known.rank == dio.advertised_rank \
+                and known.cost == dio.path_cost:
+            known.last_heard = self.sim.now  # ETX moves keep through current
+        else:
+            heard = self.candidates[dio.sender] = CandidateInfo(
+                dio.advertised_rank, dio.path_cost,
+                self._price(dio.sender, dio.advertised_rank, dio.path_cost),
+                self.sim.now)
+            self._dirty |= self._selectable(known) or self._selectable(heard)
         if self._hk_event is None:      # a newer last_heard purges no sooner
             self._arm_housekeeping()
-        if self._selectable(known) or self._selectable(heard):
-            self._dirty |= known is None or (
-                known.rank, known.cost) != (heard.rank, heard.cost)
         if self._reselect() and self.joined:
             self.trickle.counter += 1
 
@@ -212,7 +214,7 @@ class Node:
                                else self.proto.etx_initial)
 
     def _selectable(self, c: CandidateInfo | None) -> bool:
-        """Whether selection would weigh c now."""
+        """Whether selection would weigh c now (_reselect inlines this test)."""
         return c is not None and c.rank < self.rank \
             and c.through < MAX_PATH_COST
 
@@ -224,11 +226,10 @@ class Node:
         if not self._dirty:
             return True
         old_rank, old_parent = self.rank, self.preferred_parent
-        was_joined = self.joined
 
         candidates = self.candidates
-        values = {nid: c.through for nid, c in candidates.items()
-                  if self._selectable(c)}
+        values = {nid: c.through for nid, c in candidates.items()  # as _selectable
+                  if c.rank < old_rank and c.through < MAX_PATH_COST}
         of0 = self.objective == OF0
         select = of0_select_parent if of0 else mrhof_select_parent
         choice = select(values, old_parent)
@@ -249,18 +250,19 @@ class Node:
         if self._dirty and self.trace.enabled:
             self.trace.emit((self.sim.now, "parent", self.id,
                              self.preferred_parent, self.rank))
-        if self.joined != was_joined:
-            if self.joined:
+        joined = choice is not None         # only sensors select
+        if joined != (old_parent is not None):
+            if joined:
                 self._trickle_reset()
             else:
                 self._schedule_dis()
                 self._arm_housekeeping()     # the expiry fell to its floor
-            self.metrics.join_changed(self.joined, self.sim.now)
+            self.metrics.join_changed(joined, self.sim.now)
         # a join resets trickle again below, its parent having changed
         inconsistent = old_parent != self.preferred_parent or (
             self.rank != old_rank
             and abs(self.rank - self._last_advertised_rank) >= RANK_UNIT)
-        if inconsistent and self.joined:
+        if inconsistent and joined:
             self._trickle_reset()
         return not inconsistent
 
@@ -343,7 +345,7 @@ class Node:
         dio = DioMessage(self.id, self.rank, self.path_cost)
         self._last_advertised_rank = self.rank
         self.metrics.dio_count += 1
-        self.medium.broadcast(self.id, FrameKind.DIO, dio)
+        self.medium.broadcast(self.id, DIO, dio)
 
     def _schedule_dis(self) -> None:
         period = self.proto.dis_period_s * self.jitter.uniform(0.9, 1.1)
@@ -352,7 +354,7 @@ class Node:
     def _dis_fire(self) -> None:
         self._timer = None
         self.metrics.dis_count += 1
-        self.medium.broadcast(self.id, FrameKind.DIS)
+        self.medium.broadcast(self.id, DIS)
         self._schedule_dis()
 
     # ------------------------------------------------------------- data path

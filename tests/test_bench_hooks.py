@@ -59,3 +59,24 @@ def test_hooks_bind_and_count_every_event(hooks, monkeypatch):
     assert others == []
     assert Simulator.__dict__["schedule"] is schedule
     assert "preferred_parent" not in Node.__dict__
+
+
+def test_hooks_count_a_traced_of0_run(hooks):
+    # the trace counts deliveries without the hooks: the hooked count
+    # matches it only while deliver runs once per receiver
+    tracer = hooks.Tracer()
+    restore = hooks.install(tracer)
+    try:
+        cfg = ScenarioConfig(node_count=20, topology="random",
+                             objective="of0", rx_success_ratio=0.8,
+                             duration_s=200.0, warmup_s=60.0, seed=3)
+        result = run_scenario(cfg, trace=True)
+    finally:
+        restore()
+    assert tracer.absent == {}
+    values, absent = hooks.layer_metrics(tracer, 0.0)
+    assert absent == {}
+    rx = sum(r["ev"] == "rx" for r in result.trace.records)
+    assert rx > 0
+    assert values["medium.rx.delivered"] == rx
+    assert values["objective.select_calls"] > 0

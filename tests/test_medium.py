@@ -70,6 +70,24 @@ class TestConfig:
         assert cfg.airtime_us(cfg.data_frame_bytes) == 1600
         assert cfg.airtime_us(11) == 352
 
+    def test_airtime_table_matches_config_where_rounding_matters(self):
+        # at 19,200 bps no frame size is a whole number of microseconds
+        positions = {0: (0.0, 0.0), 1: (50.0, 0.0)}
+        sim, medium, ledgers = make_medium(positions, bitrate_bps=19_200,
+                                           ack_timeout_s=0.01)
+        cfg = medium.cfg
+        sizes = (cfg.control_frame_bytes, cfg.data_frame_bytes,
+                 cfg.ack_frame_bytes)
+        assert all(n * 8 * SEC % cfg.bitrate_bps for n in sizes)
+        assert medium._airtime_us == {n: cfg.airtime_us(n) for n in sizes}
+        done = []
+        medium.broadcast(0, FrameKind.DIS)
+        medium.unicast_with_ack(0, 1, None, lambda *r: done.append(r))
+        sim.run_until(SEC)
+        assert done == [(True, 1, True)]
+        assert ledgers[0].tx_us == cfg.airtime_us(64) + cfg.airtime_us(50)
+        assert ledgers[1].tx_us == cfg.airtime_us(11)
+
     def test_ack_timeout_must_cover_ack(self):
         # 0.1 ms is below the 192 us turnaround plus the 352 us ACK airtime
         with pytest.raises(ConfigError, match="^medium.ack_timeout_s: "):
@@ -130,6 +148,21 @@ class TestBroadcast:
         results = dict(outcomes)
         assert results[0][1] is Outcome.LOST_COLLISION
         assert results[2][1] is Outcome.LOST_COLLISION
+
+    def test_on_done_gets_every_receivers_outcome(self):
+        # 2 is hidden from 0 and collides with it at 1 only; 0's link to 3
+        # loses every frame
+        positions = {0: (0.0, 0.0), 1: (80.0, 0.0), 2: (160.0, 0.0),
+                     3: (0.0, 50.0), 4: (0.0, -50.0)}
+        sim, medium, _ = make_medium(positions, backoff_window_s=2e-6,
+                                     link_rx={(0, 3): 0.0})
+        seen = []
+        medium.broadcast(0, FrameKind.DIO, on_done=seen.append)
+        medium.broadcast(2, FrameKind.DIS)
+        sim.run_until(SEC)
+        assert seen == [{1: Outcome.LOST_COLLISION, 3: Outcome.LOST_RANDOM,
+                         4: Outcome.DELIVERED}]
+        assert list(seen[0]) == [1, 3, 4]
 
     def test_delivery_fraction_matches_rx_ratio(self):
         positions = {0: (0.0, 0.0), 1: (50.0, 0.0)}

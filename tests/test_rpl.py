@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rplsim.rpl
 from rplsim.cli import result_to_row
@@ -10,7 +12,8 @@ from rplsim.engine import Event, Simulator, derive_stream, to_us
 from rplsim.medium import Medium, MediumConfig
 from rplsim.objective import (INFINITE_RANK, MAX_PATH_COST, RANK_UNIT,
                               ROOT_RANK, mrhof_path_cost, of0_rank)
-from rplsim.rpl import DioMessage, Node, ProtocolConfig, SENSOR, SINK
+from rplsim.rpl import (CandidateInfo, DioMessage, Node, ProtocolConfig,
+                        SENSOR, SINK)
 from rplsim.scenario import ScenarioConfig
 from rplsim.simulate import run_scenario
 from rplsim.telemetry import EnergyLedger, MetricsReport, TraceRecorder
@@ -490,6 +493,80 @@ class TestCachedThroughCost:
         priced = self.run(monkeypatch, "of0",
                           lambda node, nid, c: of0_rank(c.rank))
         assert len(set(priced)) > 3
+
+
+class TestRepeatedDio:
+    """A DIO repeating its sender's rank and cost only refreshes
+    last_heard: the candidate's value is already current."""
+
+    @pytest.mark.parametrize("objective", ["of0", "etx"])
+    def test_keeps_the_candidate_and_moves_only_last_heard(self, objective):
+        sim, _, nodes, _ = make_net(line_positions(2), objective=objective)
+        n1 = nodes[1]
+        n1.on_dio(DioMessage(0, ROOT_RANK, 0))
+        n1.on_dio(DioMessage(0, ROOT_RANK, 0))     # selection settles
+        known = n1.candidates[0]
+        values = (known.rank, known.cost, known.through)
+        state = (n1.rank, n1.path_cost, n1.preferred_parent)
+        counter = n1.trickle.counter
+        assert not n1._dirty
+        sim.run_until(SEC)                         # before trickle fires
+        n1.on_dio(DioMessage(0, ROOT_RANK, 0))
+        assert n1.candidates[0] is known
+        assert known.last_heard == SEC
+        assert (known.rank, known.cost, known.through) == values
+        assert (n1.rank, n1.path_cost, n1.preferred_parent) == state
+        assert not n1._dirty
+        assert n1.trickle.counter == counter + 1
+
+    def test_same_rank_with_a_new_cost_is_repriced_under_mrhof(self):
+        _, _, nodes, _ = make_net(line_positions(3), objective="etx")
+        n2 = nodes[2]
+        n2.on_dio(DioMessage(1, 512, 256))
+        etx = n2.proto.etx_initial
+        assert n2.candidates[1].through == mrhof_path_cost(256, etx)
+        n2.on_dio(DioMessage(1, 512, 384))
+        assert n2.candidates[1].cost == 384
+        assert n2.candidates[1].through == mrhof_path_cost(384, etx)
+        assert (n2.preferred_parent, n2.path_cost) == \
+            (1, mrhof_path_cost(384, etx))
+
+
+RANKS = st.one_of(st.sampled_from([ROOT_RANK, 511, 512, 513,
+                                   INFINITE_RANK - 1, INFINITE_RANK]),
+                  st.integers(ROOT_RANK, INFINITE_RANK))
+VALUES = st.one_of(st.sampled_from([0, MAX_PATH_COST - 1, MAX_PATH_COST]),
+                   st.integers(0, MAX_PATH_COST))
+
+
+class TestInlineFilter:
+    """_reselect filters candidates inline; it must weigh exactly the ones
+    _selectable accepts, since the rule is written in both places."""
+
+    @settings(deadline=None)
+    @given(objective=st.sampled_from(["of0", "etx"]), rank=RANKS,
+           candidates=st.dictionaries(st.integers(1, 40),
+                                      st.tuples(RANKS, VALUES), max_size=8))
+    def test_weighs_exactly_the_selectable_candidates(self, objective, rank,
+                                                      candidates):
+        _, _, nodes, _ = make_net(line_positions(2), objective=objective)
+        node = nodes[1]
+        node.rank = rank
+        node.candidates = {nid: CandidateInfo(r, None, through, 0)
+                           for nid, (r, through) in candidates.items()}
+        expected = {nid: c.through for nid, c in node.candidates.items()
+                    if node._selectable(c)}
+        weighed = []
+
+        def recorded(values, current=None):
+            weighed.append(dict(values))
+            return None                # selects nothing: no rank to check
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rplsim.rpl, "of0_select_parent", recorded)
+            mp.setattr(rplsim.rpl, "mrhof_select_parent", recorded)
+            node._dirty = True
+            node._reselect()
+        assert weighed == [expected]
 
 
 class TestJoinedIsTheParent:
