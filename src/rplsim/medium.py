@@ -11,7 +11,9 @@ A radio serves one job (one frame) at a time from a FIFO.  A broadcast
 (dst None) is sent once; a unicast is acknowledged and retried up to
 max_transmissions times.  Every attempt backs off uniformly at random and
 senses the channel first.  ACKs are sent after a fixed turnaround without
-carrier sensing, outside any job, and can be lost like data.
+carrier sensing, outside any job, and can be lost like data.  Each copy of
+a retried data frame is ACKed but passed up once: the job keeps one frame,
+whose only receiver is its destination, so it knows if a copy arrived.
 
 A unicast attempt's ACK timeout is due ack_timeout after its data ends and
 is queued only once no ACK can come (data missed, destination on air at the
@@ -67,16 +69,11 @@ class MediumConfig:
     ack_turnaround_s: float = 0.000192
     backoff_window_s: float = 0.125
     control_frame_bytes: int = 64
-    data_payload_bytes: int = 30
-    data_header_bytes: int = 20
+    data_frame_bytes: int = 50
     ack_frame_bytes: int = 11
 
     def airtime_us(self, nbytes: int) -> int:
         return round(nbytes * 8 * US_PER_S / self.bitrate_bps)
-
-    @property
-    def data_frame_bytes(self) -> int:
-        return self.data_payload_bytes + self.data_header_bytes
 
 
 def in_range(a: tuple[float, float], b: tuple[float, float],
@@ -98,8 +95,6 @@ class Frame:
 @dataclass(slots=True)
 class Transmission:
     frame: Frame
-    start: int
-    end: int
     victims: Collection[int]     # receivers whose outcome matters, ascending
     corrupted: set[int] = field(default_factory=set)
 
@@ -120,7 +115,7 @@ class _Radio:
     """One node's radio: who it hears, backoff stream, ledger and jobs."""
 
     __slots__ = ("node_id", "neighbors", "audible", "jitter", "ledger",
-                 "receiver", "queue", "current", "last_frame_from")
+                 "receiver", "queue", "current")
 
     def __init__(self, node_id: int, neighbors: dict[int, float],
                  jitter: random.Random, ledger: EnergyLedger):
@@ -132,7 +127,6 @@ class _Radio:
         self.receiver: Callable[[Frame, int], None] | None = None
         self.queue: deque[_Job] = deque()
         self.current: _Job | None = None
-        self.last_frame_from: dict[int, int] = {}
 
 
 class Medium:
@@ -244,9 +238,8 @@ class Medium:
             victims = radio.neighbors.keys()
         else:
             victims = (frame.dst,) if frame.dst in radio.audible else ()
-        now = self.sim.now
         airtime = self._airtime_us[frame.size_bytes]
-        tx = Transmission(frame, now, now + airtime, victims)
+        tx = Transmission(frame, victims)
         self._register(radio, tx)
         self.sim.schedule_in(airtime, lambda: self._tx_end(radio, job, tx))
 
@@ -264,11 +257,12 @@ class Medium:
                 tx: Transmission) -> None:
         sender, frame = radio.node_id, tx.frame
         del self._active[sender]
-        airtime = tx.end - tx.start
+        now = self.sim.now                 # one airtime after _transmit
+        airtime = self._airtime_us[frame.size_bytes]
         radio.ledger.charge(TX, airtime)
         tracing = self.trace.enabled
         if tracing:
-            self.trace.emit((tx.start, "tx", sender, frame.kind.value,
+            self.trace.emit((now - airtime, "tx", sender, frame.kind.value,
                              frame.size_bytes, frame.frame_id))
         radios, stream, deliver = self._radios, self._stream, self.deliver
         broadcast = frame.dst is None      # only its on_done reads outcomes
@@ -283,23 +277,25 @@ class Medium:
                 delivered.append(receiver)
                 receiver.ledger.charge(RX, airtime)
                 if tracing:
-                    self.trace.emit((tx.end, "rx", r, sender,
+                    self.trace.emit((now, "rx", r, sender,
                                      frame.size_bytes, frame.frame_id))
 
+        repeat = job is not None and job.data_delivered   # a copy went up
         if broadcast:
             self._finish(radio, outcomes)
         else:                                      # data, or an ACK (no job)
             if job is not None:
                 job.data_delivered |= bool(delivered)
-                job.ack_due = tx.end + self._ack_timeout_us
+                job.ack_due = now + self._ack_timeout_us
             if not delivered:                      # no ACK can come now
                 self._no_ack(sender if job is not None else frame.dst)
         # receivers react last, so whatever the sender scheduled above
         # keeps its place ahead of what they schedule
         for receiver in delivered:
-            self._receive(receiver, frame)
+            self._receive(receiver, frame, repeat)
 
-    def _receive(self, radio: _Radio, frame: Frame) -> None:
+    def _receive(self, radio: _Radio, frame: Frame,
+                 repeat: bool = False) -> None:
         from_id, kind = frame.src, frame.kind
         if kind is ACK:
             job = radio.current       # a broadcast never awaits an ACK
@@ -308,12 +304,8 @@ class Medium:
                 self._finish(radio, True, job.attempts, job.data_delivered)
             return
         if kind is DATA:
-            duplicate = radio.last_frame_from.get(from_id) == frame.frame_id
-            radio.last_frame_from[from_id] = frame.frame_id
-            self._send_ack(radio, from_id)
-            if duplicate:
-                return
-        if radio.receiver is not None:
+            self._send_ack(radio, from_id)     # every copy, but up only once
+        if not repeat and radio.receiver is not None:
             radio.receiver(frame, from_id)
 
     def _send_ack(self, radio: _Radio, dst: int) -> None:

@@ -41,6 +41,7 @@ from .telemetry import CPU, EnergyLedger, MetricsReport, TraceRecorder, NULL_TRA
 
 SINK = "sink"
 SENSOR = "sensor"
+DIS_JITTER = (0.9, 1.1)     # a DIS wait is dis_period_s times a uniform draw
 
 
 @dataclass
@@ -55,7 +56,6 @@ class ProtocolConfig:
     parent_expiry_trickle_factor: float = 3.0
     housekeeping_period_s: float = 10.0
     cpu_process_s: float = 0.001
-    etx_initial: int = ETX_INITIAL
 
 
 @dataclass(slots=True)
@@ -211,7 +211,7 @@ class Node:
             return MAX_PATH_COST
         stats = self.link_stats.get(neighbor)     # None until a unicast
         return mrhof_path_cost(cost, stats.etx_estimate if stats is not None
-                               else self.proto.etx_initial)
+                               else ETX_INITIAL)
 
     def _selectable(self, c: CandidateInfo | None) -> bool:
         """Whether selection would weigh c now (_reselect inlines this test)."""
@@ -348,7 +348,7 @@ class Node:
         self.medium.broadcast(self.id, DIO, dio)
 
     def _schedule_dis(self) -> None:
-        period = self.proto.dis_period_s * self.jitter.uniform(0.9, 1.1)
+        period = self.proto.dis_period_s * self.jitter.uniform(*DIS_JITTER)
         self._arm(to_us(period), self._dis_fire)
 
     def _dis_fire(self) -> None:
@@ -400,7 +400,7 @@ class Node:
             self.candidates[parent].last_heard = self.sim.now
         if self.objective == MRHOF_ETX:     # only MRHOF reads link_stats
             if parent not in self.link_stats:
-                self.link_stats[parent] = LinkStats(self.proto.etx_initial)
+                self.link_stats[parent] = LinkStats()
             link = self.link_stats[parent]
             etx_before = link.etx_estimate
             etx_update(link, attempts, success,

@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field
 
 from .engine import to_us
 from .medium import MediumConfig
-from .rpl import ProtocolConfig
+from .rpl import DIS_JITTER, ProtocolConfig
 from .telemetry import EnergyCurrents, TRAFFIC_CLASSES
 
 MAX_TOPOLOGY_ATTEMPTS = 1000
@@ -97,8 +97,8 @@ class ScenarioConfig:
         for name, what, period_us in (
                 ("trickle_i_min_s", "the longest trickle interval",
                  to_us(proto.trickle_i_min_s) << proto.trickle_doublings),
-                ("dis_period_s", "the shortest DIS wait (0.9x)",
-                 to_us(proto.dis_period_s * 0.9))):
+                ("dis_period_s", f"the shortest DIS wait ({DIS_JITTER[0]}x)",
+                 to_us(proto.dis_period_s * DIS_JITTER[0]))):
             if period_us < send_us:
                 raise ConfigError(
                     f"protocol.{name}: {what}, {period_us} us, must be at "

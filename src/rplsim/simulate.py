@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .engine import Simulator, derive_stream, to_us
 from .medium import Medium
 from .rpl import Node, SENSOR, SINK
-from .scenario import (ScenarioConfig, assign_traffic_classes,
+from .scenario import (ConfigError, ScenarioConfig, assign_traffic_classes,
                        generate_topology, next_send_time)
 from .telemetry import EnergyLedger, MetricsReport, TraceRecorder, NULL_TRACE
 
@@ -57,7 +57,8 @@ def run_scenario(cfg: ScenarioConfig,
     """Execute one scenario to completion.
 
     positions and link_rx exist for programmatic studies (fixture graphs,
-    heterogeneous links); JSON-driven runs leave them unset.
+    heterogeneous links); JSON-driven runs leave them unset.  A link_rx entry
+    must join two of the run's ids with a ratio in [0, 1], else ConfigError.
     """
     # callbacks tie each run's objects into cycles; collecting them here keeps
     # a process that runs many scenarios at one run's memory in any gc phase
@@ -68,6 +69,12 @@ def run_scenario(cfg: ScenarioConfig,
     if positions is None:
         positions = generate_topology(cfg, topo_stream)
     node_ids = sorted(positions)
+    for (a, b), ratio in (link_rx or {}).items():
+        if not (a in positions and b in positions
+                and isinstance(ratio, (int, float)) and 0 <= ratio <= 1):
+            raise ConfigError(f"link_rx[({a}, {b})]: must join two node ids "
+                              f"of the run with a ratio in [0, 1] "
+                              f"(got {ratio!r})")
 
     jitter = {nid: derive_stream(cfg.seed, "protocol-jitter", nid)
               for nid in node_ids}

@@ -62,6 +62,13 @@ REJECTED = {
     "rx_success_ratio": {"rx_success_ratio": True},
     "seed": {"seed": True},
     "medium.rx_success_ratio": {"medium": {"rx_success_ratio": 0.1}},
+    "medium.data_payload_bytes: unknown field": {
+        "medium": {"data_payload_bytes": 30}},
+    "medium.data_header_bytes: unknown field": {
+        "medium": {"data_header_bytes": 20}},
+    "protocol.etx_initial: unknown field": {"protocol": {"etx_initial": 256}},
+    "medium.data_frame_bytes: must be >= 1": {
+        "medium": {"data_frame_bytes": 0}},
     "protocol.cpu_process_s": {"protocol": {"cpu_process_s": -0.001}},
     "medium.ack_turnaround_s": {"medium": {"ack_turnaround_s": -0.0001}},
     # 20 + 352 us is the 372 us timeout once rounded: each ACK would land on

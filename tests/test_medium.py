@@ -304,6 +304,29 @@ class TestUnicast:
         sim.run_until(SEC)
         assert results == [(True, 1)]
 
+    def test_retried_copy_is_acked_but_passed_up_once(self, monkeypatch):
+        # the first ACK is lost, so the data frame is sent twice and
+        # reaches its destination both times
+        positions = {0: (0.0, 0.0), 1: (50.0, 0.0)}
+        sim, medium, _ = make_medium(positions, backoff_window_s=0.004)
+        inbox = collect_frames(medium, positions)
+        deliver, acks = medium.deliver, []
+
+        def lose_first_ack(tx, receiver, stream):
+            if tx.frame.kind is FrameKind.ACK:
+                acks.append(tx.frame.frame_id)
+                if len(acks) == 1:
+                    return Outcome.LOST_RANDOM
+            return deliver(tx, receiver, stream)
+
+        monkeypatch.setattr(medium, "deliver", lose_first_ack)
+        results = []
+        medium.unicast_with_ack(0, 1, "x", lambda *r: results.append(r))
+        sim.run_until(SEC)
+        assert [(nid, src) for nid, _, src in inbox] == [(1, 0)]
+        assert len(set(acks)) == 2
+        assert results == [(True, 2, True)]
+
 
 class TestJobEnd:
     """Broadcast done, ACK heard and attempts exhausted end a job one way:

@@ -10,8 +10,8 @@ import rplsim.rpl
 from rplsim.cli import result_to_row
 from rplsim.engine import Event, Simulator, derive_stream, to_us
 from rplsim.medium import Medium, MediumConfig
-from rplsim.objective import (INFINITE_RANK, MAX_PATH_COST, RANK_UNIT,
-                              ROOT_RANK, mrhof_path_cost, of0_rank)
+from rplsim.objective import (ETX_INITIAL, INFINITE_RANK, MAX_PATH_COST,
+                              RANK_UNIT, ROOT_RANK, mrhof_path_cost, of0_rank)
 from rplsim.rpl import (CandidateInfo, DioMessage, Node, ProtocolConfig,
                         SENSOR, SINK)
 from rplsim.scenario import ScenarioConfig
@@ -480,7 +480,7 @@ class TestCachedThroughCost:
 
         def mrhof(node, nid, c):
             stats = node.link_stats.get(nid)
-            etx = stats.etx_estimate if stats else node.proto.etx_initial
+            etx = stats.etx_estimate if stats else ETX_INITIAL
             etxs.append(etx)
             return (MAX_PATH_COST if c.cost is None or c.cost >= MAX_PATH_COST
                     else mrhof_path_cost(c.cost, etx))
@@ -523,7 +523,7 @@ class TestRepeatedDio:
         _, _, nodes, _ = make_net(line_positions(3), objective="etx")
         n2 = nodes[2]
         n2.on_dio(DioMessage(1, 512, 256))
-        etx = n2.proto.etx_initial
+        etx = ETX_INITIAL
         assert n2.candidates[1].through == mrhof_path_cost(256, etx)
         n2.on_dio(DioMessage(1, 512, 384))
         assert n2.candidates[1].cost == 384

@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import json
+import math
 import random
 import weakref
 
@@ -12,7 +13,7 @@ from rplsim.cli import result_to_row
 from rplsim.engine import to_us
 from rplsim.medium import MediumConfig
 from rplsim.rpl import ProtocolConfig
-from rplsim.scenario import ScenarioConfig
+from rplsim.scenario import ConfigError, ScenarioConfig
 from rplsim.simulate import run_scenario
 
 
@@ -103,6 +104,15 @@ class TestObjectiveEquivalence:
             elif snap.joined:
                 assert snap.path_cost is not None
                 assert snap.path_cost >= 128 * result.depth(snap.id)
+
+
+@pytest.mark.parametrize("link_rx", [{(1, 2): 7.0}, {(1, 2): -1.0},
+                                     {(1, 2): math.nan}, {(1, 999): 0.5}])
+def test_bad_link_rx_is_refused(link_rx):
+    cfg = ScenarioConfig(node_count=9, topology="grid", objective="etx",
+                         rx_success_ratio=0.8, duration_s=120.0, warmup_s=30.0)
+    with pytest.raises(ConfigError, match=r"^link_rx\[\(1, (2|999)\)\]: "):
+        run_scenario(cfg, link_rx=link_rx)
 
 
 def per_link_ratios(node_count, seed, ratios):
