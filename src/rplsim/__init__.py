@@ -6,10 +6,9 @@ from .engine import (Event, SchedulingError, Simulator, derive_stream, to_s,
                      to_us)
 from .medium import (Frame, FrameKind, Medium, MediumConfig, Outcome,
                      Transmission, in_range)
-from .objective import (ETX_INITIAL, ETX_SCALE, INFINITE_RANK, LinkStats,
-                        MAX_PATH_COST, MRHOF_ETX, OF0,
-                        PARENT_SWITCH_THRESHOLD, RANK_UNIT, ROOT_RANK,
-                        etx_update, mrhof_path_cost, mrhof_rank,
+from .objective import (ETX_INITIAL, ETX_SCALE, INFINITE_RANK, MAX_PATH_COST,
+                        MRHOF_ETX, OF0, PARENT_SWITCH_THRESHOLD, RANK_UNIT,
+                        ROOT_RANK, etx_update, mrhof_path_cost, mrhof_rank,
                         mrhof_select_parent, of0_rank, of0_select_parent)
 from .rpl import (DataPacket, DioMessage, Node, ProtocolConfig, TrickleState)
 from .scenario import (ConfigError, ScenarioConfig, assign_traffic_classes,

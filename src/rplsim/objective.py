@@ -1,13 +1,12 @@
 """Objective functions: hop-oriented OF0 and ETX-minimizing MRHOF.
 
 Ranks are unsigned 16-bit with a hop increment of 256; link and path ETX
-are fixed-point with scale 128 (128 == ETX 1.0).  All arithmetic is
-integer with floor truncation so results are identical everywhere.
+are fixed-point with scale 128 (128 == ETX 1.0), and a link's ETX estimate
+is one such integer, ETX_INITIAL until its first unicast.  All arithmetic
+is integer with floor truncation so results are identical everywhere.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 RANK_UNIT = 256            # MinHopRankIncrease
 ROOT_RANK = RANK_UNIT
@@ -21,12 +20,6 @@ EWMA_OLD_WEIGHT = 90            # percent kept from the previous estimate
 
 OF0 = "of0"
 MRHOF_ETX = "etx"
-
-
-@dataclass
-class LinkStats:
-    """Per-neighbor ETX estimate fed by unicast attempt outcomes."""
-    etx_estimate: int = ETX_INITIAL
 
 
 def of0_rank(parent_advertised_rank: int) -> int:
@@ -58,14 +51,14 @@ def of0_select_parent(candidates: dict[int, int],
     return _select_parent(candidates, current, 0)
 
 
-def etx_update(stats: LinkStats, attempts_used: int, success: bool,
-               max_transmissions: int = 4, now: int = 0) -> LinkStats:
-    """Fold one unicast outcome into the EWMA link estimate.
+def etx_update(stats: int, attempts_used: int, success: bool,
+               max_transmissions: int = 4, now: int = 0) -> int:
+    """The EWMA link estimate `stats` with one unicast outcome folded in.
 
     A success samples attempts_used in ETX units; a failure samples a
     penalty of twice the attempt budget so dead links turn expensive fast.
-    `now` is unread; it stays because perfbench/hooks.py binds this
-    signature.
+    The names `stats` and `now` (which is unread) stay because
+    perfbench/hooks.py binds this signature.
     """
     if attempts_used < 1:
         raise ValueError("attempts_used must be >= 1")
@@ -73,10 +66,8 @@ def etx_update(stats: LinkStats, attempts_used: int, success: bool,
         sample = attempts_used * ETX_SCALE
     else:
         sample = max_transmissions * 2 * ETX_SCALE
-    updated = (EWMA_OLD_WEIGHT * stats.etx_estimate
-               + (100 - EWMA_OLD_WEIGHT) * sample) // 100
-    stats.etx_estimate = max(ETX_SCALE, updated)
-    return stats
+    return max(ETX_SCALE, (EWMA_OLD_WEIGHT * stats
+                           + (100 - EWMA_OLD_WEIGHT) * sample) // 100)
 
 
 def mrhof_path_cost(parent_cost: int, link_etx: int) -> int:

@@ -19,7 +19,7 @@ beacon rate is governed by structural changes, not per-sample ETX jitter.
 
 Both objectives select by one rule.  A candidate carries the value its
 objective weighs: the rank through it under OF0, the path cost through it
-under MRHOF (re-priced as its link's ETX moves).  Selection skips a candidate
+under MRHOF (re-priced as its link_etx moves).  Selection skips a candidate
 ranked no lower than this node or with a saturated value, and a DIO or purge
 that touches only skipped candidates selects nothing.  A detached node goes
 silent and solicits with DIS; it never advertises INFINITE_RANK.
@@ -33,10 +33,10 @@ from dataclasses import dataclass
 
 from .engine import Simulator, to_us
 from .medium import DATA, DIO, DIS, Frame, Medium
-from .objective import (ETX_INITIAL, INFINITE_RANK, LinkStats, MAX_PATH_COST,
-                        MRHOF_ETX, OF0, RANK_UNIT, ROOT_RANK, etx_update,
-                        mrhof_path_cost, mrhof_rank, mrhof_select_parent,
-                        of0_rank, of0_select_parent)
+from .objective import (ETX_INITIAL, INFINITE_RANK, MAX_PATH_COST, MRHOF_ETX,
+                        OF0, RANK_UNIT, ROOT_RANK, etx_update, mrhof_path_cost,
+                        mrhof_rank, mrhof_select_parent, of0_rank,
+                        of0_select_parent)
 from .telemetry import CPU, EnergyLedger, MetricsReport, TraceRecorder, NULL_TRACE
 
 SINK = "sink"
@@ -114,7 +114,7 @@ class Node:
         self.path_cost: int | None = 0 if role == SINK else None
         self.preferred_parent: int | None = None
         self.candidates: dict[int, CandidateInfo] = {}
-        self.link_stats: dict[int, LinkStats] = {}
+        self.link_etx: dict[int, int] = {}        # by neighbor; MRHOF only
         i_min = to_us(proto.trickle_i_min_s)
         self.trickle = TrickleState(i_min, i_min << proto.trickle_doublings,
                                     proto.trickle_redundancy_k)
@@ -209,9 +209,7 @@ class Node:
             return of0_rank(rank)
         if cost is None or cost >= MAX_PATH_COST:
             return MAX_PATH_COST
-        stats = self.link_stats.get(neighbor)     # None until a unicast
-        return mrhof_path_cost(cost, stats.etx_estimate if stats is not None
-                               else ETX_INITIAL)
+        return mrhof_path_cost(cost, self.link_etx.get(neighbor, ETX_INITIAL))
 
     def _selectable(self, c: CandidateInfo | None) -> bool:
         """Whether selection would weigh c now (_reselect inlines this test)."""
@@ -398,14 +396,12 @@ class Node:
         self._mac_busy = False
         if success and parent in self.candidates:
             self.candidates[parent].last_heard = self.sim.now
-        if self.objective == MRHOF_ETX:     # only MRHOF reads link_stats
-            if parent not in self.link_stats:
-                self.link_stats[parent] = LinkStats()
-            link = self.link_stats[parent]
-            etx_before = link.etx_estimate
-            etx_update(link, attempts, success,
-                       self.medium.cfg.max_transmissions, self.sim.now)
-            if link.etx_estimate != etx_before:
+        if self.objective == MRHOF_ETX:     # only MRHOF reads link_etx
+            before = self.link_etx.get(parent, ETX_INITIAL)
+            self.link_etx[parent] = etx_update(
+                before, attempts, success, self.medium.cfg.max_transmissions,
+                self.sim.now)
+            if self.link_etx[parent] != before:
                 self._dirty = True
                 known = self.candidates.get(parent)
                 if known is not None:

@@ -12,7 +12,7 @@ import gc
 from dataclasses import dataclass
 
 from .engine import Simulator, derive_stream, to_us
-from .medium import Medium
+from .medium import Medium, in_range
 from .rpl import Node, SENSOR, SINK
 from .scenario import (ConfigError, ScenarioConfig, assign_traffic_classes,
                        generate_topology, next_send_time)
@@ -58,7 +58,7 @@ def run_scenario(cfg: ScenarioConfig,
 
     positions and link_rx exist for programmatic studies (fixture graphs,
     heterogeneous links); JSON-driven runs leave them unset.  A link_rx entry
-    must join two of the run's ids with a ratio in [0, 1], else ConfigError.
+    must name a radio link of the run with a ratio in [0, 1], else ConfigError.
     """
     # callbacks tie each run's objects into cycles; collecting them here keeps
     # a process that runs many scenarios at one run's memory in any gc phase
@@ -70,10 +70,11 @@ def run_scenario(cfg: ScenarioConfig,
         positions = generate_topology(cfg, topo_stream)
     node_ids = sorted(positions)
     for (a, b), ratio in (link_rx or {}).items():
-        if not (a in positions and b in positions
+        if not (a in positions and b in positions and a != b
+                and in_range(positions[a], positions[b], cfg.medium)
                 and isinstance(ratio, (int, float)) and 0 <= ratio <= 1):
-            raise ConfigError(f"link_rx[({a}, {b})]: must join two node ids "
-                              f"of the run with a ratio in [0, 1] "
+            raise ConfigError(f"link_rx[({a}, {b})]: must join two in-range "
+                              f"node ids of the run with a ratio in [0, 1] "
                               f"(got {ratio!r})")
 
     jitter = {nid: derive_stream(cfg.seed, "protocol-jitter", nid)

@@ -170,26 +170,22 @@ def _line_format(fields: dict) -> tuple:
 
 
 class TraceRecorder:
-    """Collects trace records: tuples laid out by TRACE_FIELDS, shown as dicts by
-    `records`.  Writing fails on an unknown kind or width; disabled, it keeps none."""
+    """Collects trace records in `records`, tuples laid out by TRACE_FIELDS.
+    Writing fails on an unknown kind or width; disabled, it keeps none."""
 
     _formats = {(ev, len(f)): _line_format(f) for ev, f in TRACE_FIELDS.items()}
 
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
-        self._rows: list[tuple] = []
-
-    @property
-    def records(self) -> list[dict]:
-        return [dict(zip(TRACE_FIELDS[r[1]], r, strict=True)) for r in self._rows]
+        self.records: list[tuple] = []
 
     def emit(self, record: tuple) -> None:
         if self.enabled:
-            self._rows.append(record)
+            self.records.append(record)
 
     def write_jsonl(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            for record in self._rows:
+            for record in self.records:
                 template, get = self._formats[record[1], len(record)]
                 fh.write(template % get(record))
 

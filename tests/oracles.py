@@ -11,6 +11,8 @@ import heapq
 import math
 from collections import defaultdict, deque
 
+from rplsim.telemetry import TRACE_FIELDS
+
 ETX_SCALE = 128
 US_PER_S = 1_000_000
 
@@ -100,7 +102,16 @@ def unicast_expectation(per_attempt_success: float,
     }
 
 
-def replay_energy(records: list[dict], bitrate_bps: int,
+def record_dict(record: tuple) -> dict:
+    """A trace record tuple as the JSON object its line should hold."""
+    return dict(zip(TRACE_FIELDS[record[1]], record, strict=True))
+
+
+# a record tuple starts (t, ev, node); tx and rx records carry their bytes here
+_BYTES = {ev: list(TRACE_FIELDS[ev]).index("bytes") for ev in ("tx", "rx")}
+
+
+def replay_energy(records: list[tuple], bitrate_bps: int,
                   cpu_process_us: int) -> dict[int, dict[str, int]]:
     """Recompute per-node radio and CPU time from a trace, independently.
 
@@ -111,15 +122,11 @@ def replay_energy(records: list[dict], bitrate_bps: int,
     acc: dict[int, dict[str, int]] = defaultdict(
         lambda: {"tx_us": 0, "rx_us": 0, "cpu_us": 0})
     for rec in records:
-        ev = rec["ev"]
-        if ev == "tx":
-            dur = round(rec["bytes"] * 8 * US_PER_S / bitrate_bps)
-            acc[rec["node"]]["tx_us"] += dur
-            acc[rec["node"]]["cpu_us"] += dur
-        elif ev == "rx":
-            dur = round(rec["bytes"] * 8 * US_PER_S / bitrate_bps)
-            acc[rec["node"]]["rx_us"] += dur
-            acc[rec["node"]]["cpu_us"] += dur
+        ev, node = rec[1], rec[2]
+        if ev in _BYTES:
+            dur = round(rec[_BYTES[ev]] * 8 * US_PER_S / bitrate_bps)
+            acc[node][f"{ev}_us"] += dur
+            acc[node]["cpu_us"] += dur
         elif ev in ("send", "fwd", "deliver"):
-            acc[rec["node"]]["cpu_us"] += cpu_process_us
+            acc[node]["cpu_us"] += cpu_process_us
     return acc

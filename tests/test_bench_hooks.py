@@ -76,7 +76,7 @@ def test_hooks_count_a_traced_of0_run(hooks):
     assert tracer.absent == {}
     values, absent = hooks.layer_metrics(tracer, 0.0)
     assert absent == {}
-    rx = sum(r["ev"] == "rx" for r in result.trace.records)
+    rx = sum(r[1] == "rx" for r in result.trace.records)
     assert rx > 0
     assert values["medium.rx.delivered"] == rx
     assert values["objective.select_calls"] > 0

@@ -213,8 +213,8 @@ class TestDelivery:
         medium.broadcast(0, FrameKind.DIS)
         sim.run_until(SEC)
         assert sim.events_processed == 2        # CSMA sense, TX_END
-        (tx,) = [r for r in trace.records if r["ev"] == "tx"]
-        end = tx["t"] + medium.cfg.airtime_us(medium.cfg.control_frame_bytes)
+        (tx,) = [r for r in trace.records if r[1] == "tx"]
+        end = tx[0] + medium.cfg.airtime_us(medium.cfg.control_frame_bytes)
         assert heard == [(end, 1), (end, 2), (end, 3)]
 
     def test_radio_on_air_cannot_receive(self):
@@ -230,7 +230,7 @@ class TestDelivery:
         sim.schedule(1700, None, None, lambda: medium.broadcast(
             0, FrameKind.DIS, on_done=broadcasts.append))
         sim.run_until(SEC)
-        start = {r["kind"]: r["t"] for r in trace.records if r["ev"] == "tx"}
+        start = {r[3]: r[0] for r in trace.records if r[1] == "tx"}
         assert start["dis"] < start["ack"] < start["dis"] + 2048
         assert broadcasts == [{1: Outcome.LOST_COLLISION}]
         assert ledgers[1].rx_us == 1600          # 2's data frame only
@@ -346,7 +346,7 @@ class TestJobEnd:
         medium.broadcast(0, FrameKind.DIS, on_done=queue_dio)
         sim.run_until(SEC)
         assert log == [(FrameKind.DIO, 0), {1: Outcome.DELIVERED}]
-        sent = [r["kind"] for r in trace.records if r["ev"] == "tx"]
+        sent = [r[3] for r in trace.records if r[1] == "tx"]
         assert sent == ["dis", "dio"]
 
     def test_ack_during_broadcast_leaves_the_job_alone(self):
@@ -357,11 +357,10 @@ class TestJobEnd:
         medium.broadcast(0, FrameKind.DIS, on_done=seen.append)
         medium._send_ack(medium._radios[1], 0)     # heard during 0's backoff
         sim.run_until(SEC)
-        ack, dis = [r for r in trace.records if r["ev"] == "tx"]
-        assert (ack["kind"], dis["kind"]) == ("ack", "dis")
-        heard = [(r["node"], r["frame"]) for r in trace.records
-                 if r["ev"] == "rx"]
-        assert heard == [(0, ack["frame"]), (1, dis["frame"])]
+        ack, dis = [r for r in trace.records if r[1] == "tx"]
+        assert (ack[3], dis[3]) == ("ack", "dis")
+        heard = [(r[2], r[5]) for r in trace.records if r[1] == "rx"]
+        assert heard == [(0, ack[5]), (1, dis[5])]
         assert seen == [{1: Outcome.DELIVERED}]
 
     def test_ack_from_another_node_neither_ends_nor_disarms(self):
@@ -401,7 +400,7 @@ class TestAckTimeout:
         medium.unicast_with_ack(0, 1, None,
                                 lambda *r: results.append((sim.now, *r)))
         sim.run_until(SEC)
-        sent = {r["kind"]: r["t"] for r in trace.records if r["ev"] == "tx"}
+        sent = {r[3]: r[0] for r in trace.records if r[1] == "tx"}
         cfg = medium.cfg
         due = (sent["data"] + cfg.airtime_us(cfg.data_frame_bytes)
                + to_us(cfg.ack_timeout_s))

@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 
 from oracles import unicast_expectation
 from rplsim.objective import (ETX_INITIAL, ETX_SCALE, INFINITE_RANK,
-                              LinkStats, MAX_PATH_COST,
-                              PARENT_SWITCH_THRESHOLD, etx_update,
-                              mrhof_path_cost, mrhof_rank,
+                              MAX_PATH_COST, PARENT_SWITCH_THRESHOLD,
+                              etx_update, mrhof_path_cost, mrhof_rank,
                               mrhof_select_parent, of0_rank,
                               of0_select_parent)
 
@@ -57,59 +56,50 @@ class TestOf0Select:
 
 class TestEtxUpdate:
     def test_perfect_link_is_fixed_point(self):
-        stats = LinkStats(etx_estimate=128)
-        etx_update(stats, 1, True)
-        assert stats.etx_estimate == 128
+        assert etx_update(128, 1, True) == 128
 
     def test_three_attempt_success_sample(self):
-        stats = LinkStats(etx_estimate=128)
-        etx_update(stats, 3, True)
-        assert stats.etx_estimate == 153      # floor((90*128 + 10*384)/100)
+        assert etx_update(128, 3, True) == 153  # floor((90*128 + 10*384)/100)
 
     def test_failure_applies_penalty(self):
-        stats = LinkStats(etx_estimate=128)
-        etx_update(stats, 4, False, max_transmissions=4)
-        assert stats.etx_estimate == (90 * 128 + 10 * 1024) // 100
+        assert etx_update(128, 4, False, max_transmissions=4) == \
+            (90 * 128 + 10 * 1024) // 100
 
     def test_floor_at_one(self):
-        stats = LinkStats(etx_estimate=129)
+        etx = 129
         for _ in range(50):
-            etx_update(stats, 1, True)
-        assert stats.etx_estimate == 128
+            etx = etx_update(etx, 1, True)
+        assert etx == 128
 
     def test_zero_attempts_rejected(self):
         with pytest.raises(ValueError):
-            etx_update(LinkStats(), 0, True)
+            etx_update(ETX_INITIAL, 0, True)
 
     @settings(max_examples=100, derandomize=True)
     @given(st.integers(128, 2000))
     def test_all_success_drives_estimate_down_to_floor(self, start):
-        stats = LinkStats(etx_estimate=start)
-        previous = stats.etx_estimate
+        etx = start
         for _ in range(200):
-            etx_update(stats, 1, True)
-            assert stats.etx_estimate <= previous
-            previous = stats.etx_estimate
-        assert stats.etx_estimate == 128
+            previous, etx = etx, etx_update(etx, 1, True)
+            assert etx <= previous
+        assert etx == 128
 
     @settings(max_examples=100, derandomize=True)
     @given(st.integers(128, 1024))
     def test_all_failure_drives_estimate_up_to_penalty(self, start):
-        stats = LinkStats(etx_estimate=start)
-        previous = stats.etx_estimate
+        etx = start
         for _ in range(300):
-            etx_update(stats, 4, False)
-            assert stats.etx_estimate >= previous
-            previous = stats.etx_estimate
+            previous, etx = etx, etx_update(etx, 4, False)
+            assert etx >= previous
         # floor truncation leaves a small band of fixed points under the
         # penalty value 1024: est is fixed iff 1014 < est <= 1024
-        assert 1014 < stats.etx_estimate <= 1024
+        assert 1014 < etx <= 1024
 
     def test_long_run_matches_enumerated_expectation(self):
         # iid samples from the true attempt process, q = 0.64 per attempt
         rng = random.Random(12345)
         q, max_tx = 0.64, 4
-        stats = LinkStats(etx_estimate=ETX_INITIAL)
+        etx = ETX_INITIAL
         history = []
         for _ in range(5000):
             attempts, success = max_tx, False
@@ -117,8 +107,8 @@ class TestEtxUpdate:
                 if rng.random() < q:
                     attempts, success = k, True
                     break
-            etx_update(stats, attempts, success, max_transmissions=max_tx)
-            history.append(stats.etx_estimate)
+            etx = etx_update(etx, attempts, success, max_transmissions=max_tx)
+            history.append(etx)
         long_run = sum(history[-1000:]) / 1000
         expected = unicast_expectation(q, max_tx)["mean_etx_sample"]
         assert long_run / ETX_SCALE == pytest.approx(

@@ -17,6 +17,7 @@ from rplsim.rpl import (CandidateInfo, DioMessage, Node, ProtocolConfig,
 from rplsim.scenario import ScenarioConfig
 from rplsim.simulate import run_scenario
 from rplsim.telemetry import EnergyLedger, MetricsReport, TraceRecorder
+from test_simulate import links_only
 
 SEC = to_us(1.0)
 I_MIN_US = to_us(4.096)
@@ -60,11 +61,15 @@ def count_cancels(monkeypatch):
     return cancels
 
 
-def mixed_link_rx(n=30):
-    """Own ratios for half the pairs of n nodes; the rest use the run's."""
+def mixed_link_rx():
+    """Own ratios for about half the radio links of the 30-node, seed-2
+    random runs below; the rest use the run's."""
     rng = random.Random(5)
-    return {(a, b): rng.choice((0.5, 0.8, 0.95))
-            for a in range(n) for b in range(a + 1, n) if rng.random() < 0.5}
+    cfg = ScenarioConfig(node_count=30, topology="random", objective="etx",
+                         rx_success_ratio=0.8, seed=2)
+    return links_only(cfg, {(a, b): rng.choice((0.5, 0.8, 0.95))
+                            for a in range(30) for b in range(a + 1, 30)
+                            if rng.random() < 0.5})
 
 
 def poll_every_tick(monkeypatch):
@@ -318,9 +323,9 @@ class TestForwarding:
                              warmup_s=30.0,
                              traffic_classes=("high-critical",))
         result = run_scenario(cfg, positions=line_positions(4), trace=True)
-        deliveries = [r for r in result.trace.records if r["ev"] == "deliver"]
-        far = [r for r in deliveries if r["pkt"].startswith("3-")]
-        assert far and all(r["hops"] == 3 for r in far)
+        deliveries = [r for r in result.trace.records if r[1] == "deliver"]
+        far = [r for r in deliveries if r[3].startswith("3-")]   # pkt
+        assert far and all(r[4] == 3 for r in far)               # hops
 
     def test_unjoined_generation_is_a_no_route_drop(self):
         sim, _, nodes, metrics = make_net(line_positions(2))
@@ -479,8 +484,7 @@ class TestCachedThroughCost:
         etxs = []
 
         def mrhof(node, nid, c):
-            stats = node.link_stats.get(nid)
-            etx = stats.etx_estimate if stats else ETX_INITIAL
+            etx = node.link_etx.get(nid, ETX_INITIAL)
             etxs.append(etx)
             return (MAX_PATH_COST if c.cost is None or c.cost >= MAX_PATH_COST
                     else mrhof_path_cost(c.cost, etx))

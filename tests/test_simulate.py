@@ -6,20 +6,18 @@ import json
 import math
 import random
 import weakref
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
+import rplsim.rpl
 from rplsim.cli import result_to_row
-from rplsim.engine import to_us
-from rplsim.medium import MediumConfig
+from rplsim.engine import Event, Simulator, derive_stream, to_us
+from rplsim.medium import MediumConfig, in_range
 from rplsim.rpl import ProtocolConfig
-from rplsim.scenario import ConfigError, ScenarioConfig
+from rplsim.scenario import ConfigError, ScenarioConfig, generate_topology
 from rplsim.simulate import run_scenario
-
-
-def trace_bytes(result):
-    return "\n".join(json.dumps(r, sort_keys=True)
-                     for r in result.trace.records).encode()
 
 
 class TestDeterminism:
@@ -29,7 +27,7 @@ class TestDeterminism:
                              warmup_s=60.0, seed=11)
         a = run_scenario(cfg, trace=True)
         b = run_scenario(cfg, trace=True)
-        assert trace_bytes(a) == trace_bytes(b)
+        assert a.trace.records == b.trace.records
         assert a.metrics.pdr() == b.metrics.pdr()
         assert a.metrics.convergence_us == b.metrics.convergence_us
         for nid in a.ledgers:
@@ -41,7 +39,7 @@ class TestDeterminism:
                     rx_success_ratio=0.8, duration_s=300.0, warmup_s=60.0)
         a = run_scenario(ScenarioConfig(seed=1, **base), trace=True)
         b = run_scenario(ScenarioConfig(seed=2, **base), trace=True)
-        assert trace_bytes(a) != trace_bytes(b)
+        assert a.trace.records != b.trace.records
 
 
 class TestMemory:
@@ -66,9 +64,9 @@ class TestWarmup:
                              rx_success_ratio=1.0, grid_spacing_m=60.0,
                              duration_s=200.0, warmup_s=60.0, seed=3)
         result = run_scenario(cfg, trace=True)
-        sends = [r for r in result.trace.records if r["ev"] == "send"]
+        sends = [r for r in result.trace.records if r[1] == "send"]
         assert sends
-        assert all(r["t"] > to_us(60.0) for r in sends)
+        assert all(r[0] > to_us(60.0) for r in sends)
 
     def test_low_critical_first_send_at_warmup_plus_period(self):
         cfg = ScenarioConfig(node_count=4, topology="grid", objective="of0",
@@ -76,8 +74,7 @@ class TestWarmup:
                              duration_s=700.0, warmup_s=60.0,
                              traffic_classes=("low-critical",))
         result = run_scenario(cfg, trace=True)
-        sends = sorted(r["t"] for r in result.trace.records
-                       if r["ev"] == "send")
+        sends = sorted(r[0] for r in result.trace.records if r[1] == "send")
         assert sends[0] == to_us(360.0)
 
 
@@ -106,25 +103,42 @@ class TestObjectiveEquivalence:
                 assert snap.path_cost >= 128 * result.depth(snap.id)
 
 
+# a self-pair and an out-of-range pair name no radio link
 @pytest.mark.parametrize("link_rx", [{(1, 2): 7.0}, {(1, 2): -1.0},
-                                     {(1, 2): math.nan}, {(1, 999): 0.5}])
+                                     {(1, 2): math.nan}, {(1, 999): 0.5},
+                                     {(1, 1): 0.0}, {(1, 3): 0.0}])
 def test_bad_link_rx_is_refused(link_rx):
     cfg = ScenarioConfig(node_count=9, topology="grid", objective="etx",
                          rx_success_ratio=0.8, duration_s=120.0, warmup_s=30.0)
-    with pytest.raises(ConfigError, match=r"^link_rx\[\(1, (2|999)\)\]: "):
+    with pytest.raises(ConfigError,
+                       match=r"^link_rx\[\(1, (1|2|3|999)\)\]: "):
         run_scenario(cfg, link_rx=link_rx)
 
 
-def per_link_ratios(node_count, seed, ratios):
-    """One ratio per node pair, drawn from `ratios` by a seeded stream."""
-    rng = random.Random(seed)
-    return {(a, b): rng.choice(ratios)
-            for a in range(node_count) for b in range(a + 1, node_count)}
+def run_positions(cfg):
+    """The positions run_scenario gives cfg's nodes when it is given none."""
+    return generate_topology(cfg, derive_stream(cfg.seed, "topology"))
+
+
+def links_only(cfg, link_rx):
+    """The entries of link_rx that name a radio link of cfg's run."""
+    at = run_positions(cfg)
+    return {(a, b): ratio for (a, b), ratio in link_rx.items()
+            if a != b and in_range(at[a], at[b], cfg.medium)}
+
+
+def per_link_ratios(cfg, ratios):
+    """One ratio per radio link of cfg's run, drawn from `ratios` by a stream
+    seeded with cfg.seed that draws for every node pair in order."""
+    rng = random.Random(cfg.seed)
+    n = cfg.node_count
+    return links_only(cfg, {(a, b): rng.choice(ratios)
+                            for a in range(n) for b in range(a + 1, n)})
 
 
 # Each case is one traced 300 s run with warmup 60 s unless it says
-# otherwise: the ScenarioConfig fields, plus the per-link ratios it runs with
-# (or None).  The first four are 40-node, rx 0.8, seed-1 runs, one per
+# otherwise: the ScenarioConfig fields, plus the ratios its per-link ratios
+# are drawn from (or None).  The first four are 40-node, rx 0.8, seed-1 runs, one per
 # topology/objective pair; the others pin a zero ACK turnaround, a near-zero
 # backoff window, a short parent expiry with frequent housekeeping, per-link
 # ratios, a lossy, congested run whose trace holds every record shape:
@@ -152,7 +166,7 @@ TRACE_CASES = {
                                      housekeeping_period_s=1.0)), None),
     "per-link-ratios": (
         dict(topology="random", objective="etx", node_count=30, seed=7),
-        per_link_ratios(30, 7, (0.6, 0.8, 1.0))),
+        (0.6, 0.8, 1.0)),
     "every-record-shape": (
         dict(topology="random", objective="etx", node_count=30,
              rx_success_ratio=0.5, warmup_s=5.0, seed=2,
@@ -218,20 +232,92 @@ TRACE_DIGESTS = {
 }
 
 
-def run_trace_case(case):
-    """The traced run of TRACE_CASES[case]."""
-    fields, link_rx = TRACE_CASES[case]
+# Work each of two cases does, pinned like its bytes: events processed,
+# scheduled and cancelled, parent selections, ETX updates and frames sent by
+# kind.  A change that adds or removes work re-pins them with a reason.
+WORK_COUNTS = {
+    "lossy-random-etx": dict(
+        processed=5616, scheduled=5874, cancelled=170, selections=817,
+        etx_updates=387, tx=dict(ack=535, data=1050, dio=304, dis=25)),
+    "lossy-grid-of0": dict(
+        processed=5159, scheduled=5348, cancelled=101, selections=84,
+        etx_updates=0, tx=dict(ack=677, data=1032, dio=184, dis=29)),
+}
+
+
+def case_config(case):
+    """The ScenarioConfig of TRACE_CASES[case]."""
     values = dict(node_count=40, rx_success_ratio=0.8, duration_s=300.0,
                   warmup_s=60.0, seed=1)
-    values.update(fields)
-    return run_scenario(ScenarioConfig(**values), link_rx=link_rx, trace=True)
+    values.update(TRACE_CASES[case][0])
+    return ScenarioConfig(**values)
+
+
+def run_trace_case(case):
+    """The traced run of TRACE_CASES[case]."""
+    cfg, ratios = case_config(case), TRACE_CASES[case][1]
+    link_rx = per_link_ratios(cfg, ratios) if ratios else None
+    return run_scenario(cfg, link_rx=link_rx, trace=True)
+
+
+def digests(result, tmp_path):
+    """The run's pair of TRACE_DIGESTS."""
+    path = tmp_path / "trace.jsonl"
+    result.trace.write_jsonl(str(path))
+    row = json.dumps(result_to_row(result), sort_keys=True).encode()
+    return (hashlib.sha256(path.read_bytes()).hexdigest(),
+            hashlib.sha256(row).hexdigest())
 
 
 @pytest.mark.parametrize("case", sorted(TRACE_DIGESTS))
 def test_trace_and_row_digests(case, tmp_path):
+    assert digests(run_trace_case(case), tmp_path) == TRACE_DIGESTS[case]
+
+
+@pytest.mark.parametrize("case", sorted(WORK_COUNTS))
+def test_work_counts(case, monkeypatch):
+    calls = Counter()
+
+    def count(owner, name, key):
+        call = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return call(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    count(Simulator, "schedule", "scheduled")
+    count(Event, "cancel", "cancelled")
+    count(rplsim.rpl, "of0_select_parent", "selections")
+    count(rplsim.rpl, "mrhof_select_parent", "selections")
+    count(rplsim.rpl, "etx_update", "etx_updates")
     result = run_trace_case(case)
-    path = tmp_path / "trace.jsonl"
-    result.trace.write_jsonl(str(path))
-    row = json.dumps(result_to_row(result), sort_keys=True).encode()
-    assert (hashlib.sha256(path.read_bytes()).hexdigest(),
-            hashlib.sha256(row).hexdigest()) == TRACE_DIGESTS[case]
+    tx = Counter(r[3] for r in result.trace.records if r[1] == "tx")
+    assert dict(processed=result.nodes[0].sim.events_processed,
+                scheduled=calls["scheduled"], cancelled=calls["cancelled"],
+                selections=calls["selections"],
+                etx_updates=calls["etx_updates"],
+                tx=dict(sorted(tx.items()))) == WORK_COUNTS[case]
+
+
+# Moves of every position that keep each pair's distance, or that scale
+# positions and radio range together, keep every radio link, so a run that
+# reads positions only through its links gives the same bytes.  Each move is
+# exact in floating point except translation, which may round a distance.
+GEOMETRY = {    # name: (the move of one position, the range's factor)
+    "mirror": (lambda x, y: (-x, y), 1),
+    "rotate-90": (lambda x, y: (-y, x), 1),
+    "translate": (lambda x, y: (x + 1000, y - 1000), 1),
+    "double": (lambda x, y: (2 * x, 2 * y), 2),
+}
+
+
+@pytest.mark.parametrize("relation", sorted(GEOMETRY))
+@pytest.mark.parametrize("case", sorted(WORK_COUNTS))
+def test_geometry_keeps_rows_and_traces(case, relation, tmp_path):
+    cfg = case_config(case)
+    move, factor = GEOMETRY[relation]
+    positions = {nid: move(x, y) for nid, (x, y) in run_positions(cfg).items()}
+    cfg = replace(cfg, medium=replace(
+        cfg.medium, tx_range_m=factor * cfg.medium.tx_range_m))
+    result = run_scenario(cfg, positions=positions, trace=True)
+    assert digests(result, tmp_path) == TRACE_DIGESTS[case]
