@@ -10,8 +10,6 @@ import json
 import os
 import statistics
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
 from .engine import to_s
@@ -138,9 +136,10 @@ def _sweep_worker(cfg: ScenarioConfig):
         return None, str(exc)
 
 
-def _pool_outcomes(pool: ProcessPoolExecutor, configs: list):
+def _pool_outcomes(pool, configs: list):
     """Each cell's (row, error) in grid order; a cell lost to a dead worker
     gets the broken pool's error, and the cells done before it their rows."""
+    from concurrent.futures.process import BrokenProcessPool
     for future in [pool.submit(_sweep_worker, cfg) for cfg in configs]:
         try:
             yield future.result()
@@ -203,7 +202,9 @@ def cmd_sweep(args) -> int:
     append_rows(args.out, [])               # the header, or refuse --out
     rows, errors = [], []
     workers = min(args.parallel, len(configs))  # the pool forks them all
-    with (ProcessPoolExecutor(max_workers=workers)
+    if workers > 1:     # only a parallel sweep loads the pool's modules
+        import concurrent.futures
+    with (concurrent.futures.ProcessPoolExecutor(max_workers=workers)
           if workers > 1 else contextlib.nullcontext()) as pool:
         # outcomes come in task (grid) order; each row is appended as it
         # comes, so an interrupted sweep keeps those done

@@ -1,6 +1,7 @@
 """CLI surface: run/sweep/plot-data, schema errors, parallel equivalence."""
 
 import ast
+import concurrent.futures
 import copy
 import csv
 import dataclasses
@@ -8,7 +9,9 @@ import json
 import math
 import os
 import pathlib
+import random
 import statistics
+import subprocess
 import sys
 
 import pytest
@@ -207,6 +210,37 @@ def dying_worker(cfg):
     return run_cell(cfg)
 
 
+# run in a fresh interpreter: a single run and a serial sweep, then the
+# pool's modules that the interpreter loaded (none, since only a parallel
+# sweep needs a process pool)
+POOL_FREE_CHILD = """
+import sys
+from rplsim.cli import main
+config, spec, out = sys.argv[1:]
+assert main(["run", "--config", config, "--out", out + ".run.csv"]) == 0
+assert main(["sweep", "--spec", spec, "--out", out]) == 0
+print("pool modules:", [name for name in ("multiprocessing",
+                                          "concurrent.futures")
+                        if name in sys.modules])
+"""
+
+
+@pytest.fixture(scope="module")
+def fresh_serial_sweep(tmp_path_factory):
+    """POOL_FREE_CHILD's last line and the rows of its grid-order sweep of
+    SWEEP_SPEC, run in a fresh interpreter with src on PYTHONPATH."""
+    tmp = tmp_path_factory.mktemp("fresh")
+    out = tmp / "o.csv"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    child = subprocess.run(
+        [sys.executable, "-c", POOL_FREE_CHILD,
+         write_json(tmp / "c.json", GOOD_CONFIG),
+         write_json(tmp / "s.json", SWEEP_SPEC), str(out)],
+        env=env, capture_output=True, text=True, check=True)
+    return child.stdout.splitlines()[-1], read_rows(str(out))
+
+
 def never_run(*args, **kwargs):
     raise AssertionError("a run started despite a bad path")
 
@@ -329,6 +363,19 @@ class TestSweep:
               "--out", out_parallel])
         assert open(out_serial, "rb").read() == open(out_parallel, "rb").read()
 
+    def test_rows_do_not_depend_on_run_order(self, fresh_serial_sweep):
+        rows = fresh_serial_sweep[1]
+        configs = [scenario_from_dict(raw) for raw in sweep_tasks(SWEEP_SPEC)]
+        order = list(range(len(configs)))
+        random.Random(1).shuffle(order)
+        assert order != sorted(order)
+        for index in order:
+            assert cli._sweep_worker(configs[index]) == (rows[index], None)
+
+    def test_run_and_serial_sweep_never_load_the_pool(self,
+                                                      fresh_serial_sweep):
+        assert fresh_serial_sweep[0] == "pool modules: []"
+
     def test_summary_mean_matches_rows(self, tmp_path):
         spec = write_json(tmp_path / "s.json", SWEEP_SPEC)
         out = str(tmp_path / "runs.csv")
@@ -422,7 +469,7 @@ class TestSweep:
 
     def test_pool_has_no_more_workers_than_cells(self, tmp_path,
                                                  monkeypatch):
-        pool = cli.ProcessPoolExecutor
+        pool = concurrent.futures.ProcessPoolExecutor
         spec = dict(SWEEP_SPEC, node_counts=[5], objectives=["of0"],
                     seeds_per_cell=2)
         cells = len(sweep_tasks(spec))
@@ -432,7 +479,7 @@ class TestSweep:
             assert max_workers <= cells
             pools.append(max_workers)
             return pool(max_workers=max_workers)
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", checked)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", checked)
         out = str(tmp_path / "o.csv")
         assert main(["sweep", "--spec", write_json(tmp_path / "s.json", spec),
                      "--parallel", "64", "--out", out]) == 0

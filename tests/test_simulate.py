@@ -321,3 +321,14 @@ def test_geometry_keeps_rows_and_traces(case, relation, tmp_path):
         cfg.medium, tx_range_m=factor * cfg.medium.tx_range_m))
     result = run_scenario(cfg, positions=positions, trace=True)
     assert digests(result, tmp_path) == TRACE_DIGESTS[case]
+
+
+# A link_rx that gives every radio link the run's own ratio sets what the
+# run would use anyway, so rows and traces keep their bytes; each link is
+# named once, (a, b) with a < b, so the reverse way must take the same ratio.
+@pytest.mark.parametrize("case", sorted(WORK_COUNTS))
+def test_uniform_link_rx_keeps_rows_and_traces(case, tmp_path):
+    cfg = case_config(case)
+    link_rx = per_link_ratios(cfg, [cfg.rx_success_ratio])
+    result = run_scenario(cfg, link_rx=link_rx, trace=True)
+    assert digests(result, tmp_path) == TRACE_DIGESTS[case]
