@@ -1,11 +1,10 @@
-"""Unit-disk radio medium with probabilistic reception and a simple CSMA MAC.
+"""Radio medium with probabilistic reception and a simple CSMA MAC.
 
-Connectivity is binary: nodes within tx_range hear each other (closed
-boundary), nobody else does.  Inside the disk every frame reaches each
-in-range receiver independently with its link's ratio (from link_rx, else
-the run's), except that frames overlapping in time at a receiver destroy
-each other there (no capture).  A radio is half duplex: it hears itself,
-so while it transmits it receives nothing and senses the channel busy.
+The medium runs the link graph it is given (scenario.radio_links): each
+frame reaches each of its sender's peers independently with their link's
+ratio, except that frames overlapping in time at a receiver destroy each
+other there (no capture).  A radio is half duplex: it hears itself, so
+while it transmits it receives nothing and senses the channel busy.
 
 A radio serves one job (one frame) at a time from a FIFO.  A broadcast
 (dst None) is sent once; a unicast is acknowledged and retried up to
@@ -27,7 +26,6 @@ airtime, after the sender's bookkeeping (job end or ACK timeout).
 
 from __future__ import annotations
 
-import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
@@ -74,12 +72,6 @@ class MediumConfig:
 
     def airtime_us(self, nbytes: int) -> int:
         return round(nbytes * 8 * US_PER_S / self.bitrate_bps)
-
-
-def in_range(a: tuple[float, float], b: tuple[float, float],
-             cfg: MediumConfig) -> bool:
-    """Closed-boundary unit-disk test: distance == tx_range counts as in range."""
-    return math.dist(a, b) <= cfg.tx_range_m
 
 
 @dataclass(slots=True)
@@ -130,31 +122,21 @@ class _Radio:
 
 
 class Medium:
-    """Shared radio channel for one simulation run."""
+    """Shared radio channel for one simulation run.  links maps each radio
+    to its peers, ascending, with their ratios (scenario.radio_links)."""
 
     def __init__(self, sim: Simulator, cfg: MediumConfig,
-                 rx_success_ratio: float,
-                 positions: dict[int, tuple[float, float]],
-                 stream: random.Random,
+                 links: dict[int, dict[int, float]], stream: random.Random,
                  jitter_streams: dict[int, random.Random],
                  ledgers: dict[int, EnergyLedger],
-                 trace: TraceRecorder = NULL_TRACE,
-                 link_rx: dict[tuple[int, int], float] | None = None):
+                 trace: TraceRecorder = NULL_TRACE):
         self.sim = sim
         self.cfg = cfg
         self._stream = stream
         self.trace = trace
-
-        # one ratio per link, either way round; the run's ratio by default
-        ratios = {frozenset(pair): r for pair, r in (link_rx or {}).items()}
-        ids = sorted(positions)
-        self._radios = {
-            nid: _Radio(nid, {m: ratios.get(frozenset((nid, m)),
-                                            rx_success_ratio)
-                              for m in ids if m != nid and in_range(
-                                  positions[nid], positions[m], cfg)},
-                        jitter_streams[nid], ledgers[nid])
-            for nid in ids}
+        self._radios = {nid: _Radio(nid, peers, jitter_streams[nid],
+                                    ledgers[nid])
+                        for nid, peers in links.items()}
         self._active: dict[int, Transmission] = {}   # by sender; one at most
         self._next_frame_id = 0
         self._backoff_window_us = to_us(cfg.backoff_window_s)

@@ -19,7 +19,6 @@ import math
 import operator
 import pathlib
 import random
-from collections import deque
 from dataclasses import asdict, dataclass, field
 
 from .engine import to_us
@@ -193,19 +192,43 @@ def load_scenario(path: str) -> ScenarioConfig:
 
 # ------------------------------------------------------------------ topology
 
+def radio_links(positions: dict[int, tuple[float, float]], tx_range: float,
+                rx_ratio: float = 1.0, link_rx: dict | None = None
+                ) -> dict[int, dict[int, float]]:
+    """Each node's radio links, {id: {peer: reception ratio}}, ids ascending.
+
+    Nodes within tx_range hear each other (closed boundary), nobody else
+    does.  A link's ratio is rx_ratio unless a link_rx entry names the link,
+    either way round (a later entry wins).  An entry naming no link, or
+    whose ratio is not a number in [0, 1], is a ConfigError.
+    """
+    ids = sorted(positions)
+    links: dict[int, dict[int, float]] = {a: {} for a in ids}
+    for i, a in enumerate(ids):
+        for b in ids[i + 1:]:
+            if math.dist(positions[a], positions[b]) <= tx_range:
+                links[a][b] = links[b][a] = rx_ratio
+    for (a, b), ratio in (link_rx or {}).items():
+        if not (b in links.get(a, ()) and not isinstance(ratio, bool)
+                and isinstance(ratio, (int, float)) and 0 <= ratio <= 1):
+            raise ConfigError(f"link_rx[({a}, {b})]: must join two in-range "
+                              f"node ids of the run with a ratio in [0, 1] "
+                              f"(got {ratio!r})")
+        links[a][b] = links[b][a] = ratio
+    return links
+
+
 def unit_disk_connected(positions: dict[int, tuple[float, float]],
                         tx_range: float) -> bool:
     """True when the closed-boundary unit-disk graph is one component."""
-    ids = list(positions)
-    seen = {ids[0]}
-    frontier = deque([ids[0]])
+    links = radio_links(positions, tx_range)
+    seen = {min(links)}
+    frontier = list(seen)
     while frontier:
-        a = frontier.popleft()
-        for b in ids:
-            if b not in seen and math.dist(positions[a], positions[b]) <= tx_range:
-                seen.add(b)
-                frontier.append(b)
-    return len(seen) == len(ids)
+        fresh = links[frontier.pop()].keys() - seen
+        seen |= fresh
+        frontier += fresh
+    return len(seen) == len(links)
 
 
 def generate_random_topology(cfg: ScenarioConfig,

@@ -12,10 +12,10 @@ import gc
 from dataclasses import dataclass
 
 from .engine import Simulator, derive_stream, to_us
-from .medium import Medium, in_range
+from .medium import Medium
 from .rpl import Node, SENSOR, SINK
-from .scenario import (ConfigError, ScenarioConfig, assign_traffic_classes,
-                       generate_topology, next_send_time)
+from .scenario import (ScenarioConfig, assign_traffic_classes,
+                       generate_topology, next_send_time, radio_links)
 from .telemetry import EnergyLedger, MetricsReport, TraceRecorder, NULL_TRACE
 
 
@@ -57,8 +57,8 @@ def run_scenario(cfg: ScenarioConfig,
     """Execute one scenario to completion.
 
     positions and link_rx exist for programmatic studies (fixture graphs,
-    heterogeneous links); JSON-driven runs leave them unset.  A link_rx entry
-    must name a radio link of the run with a ratio in [0, 1], else ConfigError.
+    heterogeneous links); JSON-driven runs leave them unset.  radio_links
+    builds the run's links from them once, and refuses a bad link_rx entry.
     """
     # callbacks tie each run's objects into cycles; collecting them here keeps
     # a process that runs many scenarios at one run's memory in any gc phase
@@ -68,14 +68,9 @@ def run_scenario(cfg: ScenarioConfig,
     medium_stream = derive_stream(cfg.seed, "medium")
     if positions is None:
         positions = generate_topology(cfg, topo_stream)
-    node_ids = sorted(positions)
-    for (a, b), ratio in (link_rx or {}).items():
-        if not (a in positions and b in positions and a != b
-                and in_range(positions[a], positions[b], cfg.medium)
-                and isinstance(ratio, (int, float)) and 0 <= ratio <= 1):
-            raise ConfigError(f"link_rx[({a}, {b})]: must join two in-range "
-                              f"node ids of the run with a ratio in [0, 1] "
-                              f"(got {ratio!r})")
+    links = radio_links(positions, cfg.medium.tx_range_m,
+                        cfg.rx_success_ratio, link_rx)
+    node_ids = list(links)                 # ascending
 
     jitter = {nid: derive_stream(cfg.seed, "protocol-jitter", nid)
               for nid in node_ids}
@@ -83,8 +78,8 @@ def run_scenario(cfg: ScenarioConfig,
                for nid in node_ids}
     ledgers = {nid: EnergyLedger(cfg.currents) for nid in node_ids}
     recorder = TraceRecorder(enabled=True) if trace else NULL_TRACE
-    medium = Medium(sim, cfg.medium, cfg.rx_success_ratio, positions,
-                    medium_stream, jitter, ledgers, recorder, link_rx)
+    medium = Medium(sim, cfg.medium, links, medium_stream, jitter, ledgers,
+                    recorder)
     sensor_ids = [nid for nid in node_ids if nid != 0]
     metrics = MetricsReport(len(sensor_ids))
     classes = assign_traffic_classes(sensor_ids, cfg.traffic_classes)

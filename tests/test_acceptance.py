@@ -23,7 +23,7 @@ from oracles import (bfs_hops, dijkstra_etx, disk_edges, replay_energy,
 from rplsim.cli import append_rows, load_sweep, result_to_row, sweep_tasks
 from rplsim.engine import derive_stream, to_us
 from rplsim.scenario import (ScenarioConfig, generate_random_topology,
-                             next_send_time, scenario_from_dict)
+                             next_send_time, radio_links, scenario_from_dict)
 from rplsim.simulate import run_scenario
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
@@ -295,7 +295,8 @@ def test_criterion_7_medium_statistics():
             sim = Simulator()
             positions = {0: (0.0, 0.0), 1: (50.0, 0.0)}
             cfg = MediumConfig(backoff_window_s=0.004)
-            medium = Medium(sim, cfg, rx, positions, derive_stream(1, "medium"),
+            links = radio_links(positions, cfg.tx_range_m, rx)
+            medium = Medium(sim, cfg, links, derive_stream(1, "medium"),
                             {nid: derive_stream(1, "protocol-jitter", nid)
                              for nid in positions},
                             {nid: EnergyLedger() for nid in positions},

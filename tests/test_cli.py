@@ -593,7 +593,7 @@ class TestShippedArtifacts:
         assert checked == sum(text.count(f'"{key}"') for key in (
             "minimum", "maximum", "exclusiveMinimum", "minItems"))
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
+    @settings(max_examples=200)
     @given(schema_documents(load_schema("scenario")))
     def test_loaded_and_python_built_configs_agree(self, document):
         # both refuse a document with the same text, or build equal configs

@@ -68,7 +68,7 @@ def test_cancelled_event_does_not_fire():
     assert fired == []
 
 
-@settings(max_examples=100, derandomize=True)
+@settings(max_examples=100)
 @given(st.lists(st.integers(min_value=0, max_value=1000), min_size=1,
                 max_size=50))
 def test_events_fire_in_time_then_fifo_order(times):

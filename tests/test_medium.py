@@ -1,13 +1,16 @@
 """Radio medium: range, losses, collisions, CSMA unicast statistics."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
-from oracles import unicast_expectation
+from oracles import disk_edges, unicast_expectation
 from rplsim.engine import Simulator, derive_stream, to_us
-from rplsim.medium import (Frame, FrameKind, Medium, MediumConfig, Outcome,
-                           in_range)
-from rplsim.scenario import (ConfigError, ScenarioConfig,
+from rplsim.medium import Frame, FrameKind, Medium, MediumConfig, Outcome
+from rplsim.scenario import (ConfigError, ScenarioConfig, radio_links,
                              scenario_from_dict)
 from rplsim.telemetry import NULL_TRACE, EnergyLedger, TraceRecorder
 
@@ -21,9 +24,9 @@ def make_medium(positions, seed=1, trace=None, link_rx=None,
     ledgers = {nid: EnergyLedger() for nid in positions}
     jitter = {nid: derive_stream(seed, "protocol-jitter", nid)
               for nid in positions}
-    medium = Medium(sim, cfg, rx_success_ratio, positions,
-                    derive_stream(seed, "medium"), jitter, ledgers,
-                    trace or NULL_TRACE, link_rx)
+    links = radio_links(positions, cfg.tx_range_m, rx_success_ratio, link_rx)
+    medium = Medium(sim, cfg, links, derive_stream(seed, "medium"), jitter,
+                    ledgers, trace or NULL_TRACE)
     return sim, medium, ledgers
 
 
@@ -36,18 +39,65 @@ def collect_frames(medium, nodes):
     return inbox
 
 
+def in_order(links):
+    """A link map as nested item lists, so comparing it compares order too."""
+    return [(a, list(peers.items())) for a, peers in links.items()]
+
+
+# coordinates on a 1/8 m grid within 1024 m of the origin: every difference,
+# square and sum of squares below is exact in floating point, and each move
+# keeps every squared distance or scales all of them by a power of four
+EIGHTHS = st.integers(-8192, 8192).map(lambda k: k / 8)
+MOVES = {    # name: (the move of one position, given a shift and a scale)
+    "mirror": lambda x, y, shift, scale: (-x, y),
+    "rotate-90": lambda x, y, shift, scale: (-y, x),
+    "translate": lambda x, y, shift, scale: (x + shift[0], y + shift[1]),
+    "scale": lambda x, y, shift, scale: (x * scale, y * scale),
+}
+
+
 class TestInRange:
     def test_zero_distance(self):
-        cfg = MediumConfig()
-        assert in_range((5.0, 5.0), (5.0, 5.0), cfg)
+        assert radio_links({0: (5.0, 5.0), 1: (5.0, 5.0)}, 100.0) \
+            == {0: {1: 1.0}, 1: {0: 1.0}}
 
     def test_boundary_is_closed(self):
-        cfg = MediumConfig(tx_range_m=100.0)
-        assert in_range((0.0, 0.0), (100.0, 0.0), cfg)
+        assert radio_links({0: (0.0, 0.0), 1: (100.0, 0.0)}, 100.0) \
+            == {0: {1: 1.0}, 1: {0: 1.0}}
 
     def test_just_outside(self):
-        cfg = MediumConfig(tx_range_m=100.0)
-        assert not in_range((0.0, 0.0), (100.01, 0.0), cfg)
+        assert radio_links({0: (0.0, 0.0), 1: (100.01, 0.0)}, 100.0) \
+            == {0: {}, 1: {}}
+
+    def test_later_link_rx_entry_wins_both_ways(self):
+        links = radio_links({0: (0.0, 0.0), 1: (50.0, 0.0)}, 100.0, 0.9,
+                            {(0, 1): 0.2, (1, 0): 0.7})
+        assert links == {0: {1: 0.7}, 1: {0: 0.7}}
+
+    # the range is the distance of the first two points, so that pair lies
+    # exactly on the boundary; ids are shuffled, so the map sorts them itself
+    @settings(max_examples=100)
+    @given(points=st.lists(st.tuples(EIGHTHS, EIGHTHS), min_size=2,
+                           max_size=12),
+           ids=st.permutations(range(12)),
+           shift=st.tuples(EIGHTHS, EIGHTHS), power=st.integers(-4, 4))
+    def test_matches_the_disk_oracle_and_its_symmetries(self, points, ids,
+                                                       shift, power):
+        positions = dict(zip(ids, points))
+        tx_range = math.dist(points[0], points[1])
+        links = radio_links(positions, tx_range)
+        assert ids[1] in links[ids[0]]
+        assert [(a, list(peers)) for a, peers in links.items()] \
+            == list(disk_edges(positions, tx_range).items())
+        assert {r for peers in links.values() for r in peers.values()} \
+            <= {1.0}
+        scale = 2.0 ** power
+        for name, move in MOVES.items():
+            moved = {nid: move(x, y, shift, scale)
+                     for nid, (x, y) in positions.items()}
+            factor = scale if name == "scale" else 1
+            assert in_order(radio_links(moved, tx_range * factor)) \
+                == in_order(links), name
 
 
 class TestConfig:

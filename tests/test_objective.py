@@ -45,7 +45,7 @@ class TestOf0Select:
     def test_empty_set(self):
         assert of0_select_parent({}) is None
 
-    @settings(max_examples=200, derandomize=True)
+    @settings(max_examples=200)
     @given(st.dictionaries(st.integers(0, 50), st.integers(256, 60000),
                            min_size=1, max_size=10),
            st.integers(1, 5000))
@@ -75,7 +75,7 @@ class TestEtxUpdate:
         with pytest.raises(ValueError):
             etx_update(ETX_INITIAL, 0, True)
 
-    @settings(max_examples=100, derandomize=True)
+    @settings(max_examples=100)
     @given(st.integers(128, 2000))
     def test_all_success_drives_estimate_down_to_floor(self, start):
         etx = start
@@ -84,7 +84,7 @@ class TestEtxUpdate:
             assert etx <= previous
         assert etx == 128
 
-    @settings(max_examples=100, derandomize=True)
+    @settings(max_examples=100)
     @given(st.integers(128, 1024))
     def test_all_failure_drives_estimate_up_to_penalty(self, start):
         etx = start

@@ -14,7 +14,7 @@ from rplsim.objective import (ETX_INITIAL, INFINITE_RANK, MAX_PATH_COST,
                               RANK_UNIT, ROOT_RANK, mrhof_path_cost, of0_rank)
 from rplsim.rpl import (CandidateInfo, DioMessage, Node, ProtocolConfig,
                         SENSOR, SINK)
-from rplsim.scenario import ScenarioConfig
+from rplsim.scenario import ScenarioConfig, radio_links
 from rplsim.simulate import run_scenario
 from rplsim.telemetry import EnergyLedger, MetricsReport, TraceRecorder
 from test_simulate import links_only
@@ -31,7 +31,8 @@ def make_net(positions, objective="of0", seed=1, rx=1.0, proto=None,
     jitter = {nid: derive_stream(seed, "protocol-jitter", nid)
               for nid in positions}
     trace = trace or TraceRecorder(enabled=False)
-    medium = Medium(sim, MediumConfig(), rx, positions,
+    cfg = MediumConfig()
+    medium = Medium(sim, cfg, radio_links(positions, cfg.tx_range_m, rx),
                     derive_stream(seed, "medium"), jitter, ledgers, trace)
     metrics = MetricsReport()
     nodes = {}
@@ -547,7 +548,7 @@ class TestInlineFilter:
     """_reselect filters candidates inline; it must weigh exactly the ones
     _selectable accepts, since the rule is written in both places."""
 
-    @settings(deadline=None)
+    @settings(max_examples=100)
     @given(objective=st.sampled_from(["of0", "etx"]), rank=RANKS,
            candidates=st.dictionaries(st.integers(1, 40),
                                       st.tuples(RANKS, VALUES), max_size=8))

@@ -14,9 +14,10 @@ import pytest
 import rplsim.rpl
 from rplsim.cli import result_to_row
 from rplsim.engine import Event, Simulator, derive_stream, to_us
-from rplsim.medium import MediumConfig, in_range
+from rplsim.medium import MediumConfig
 from rplsim.rpl import ProtocolConfig
-from rplsim.scenario import ConfigError, ScenarioConfig, generate_topology
+from rplsim.scenario import (ConfigError, ScenarioConfig, generate_topology,
+                             radio_links)
 from rplsim.simulate import run_scenario
 
 
@@ -106,7 +107,8 @@ class TestObjectiveEquivalence:
 # a self-pair and an out-of-range pair name no radio link
 @pytest.mark.parametrize("link_rx", [{(1, 2): 7.0}, {(1, 2): -1.0},
                                      {(1, 2): math.nan}, {(1, 999): 0.5},
-                                     {(1, 1): 0.0}, {(1, 3): 0.0}])
+                                     {(1, 1): 0.0}, {(1, 3): 0.0},
+                                     {(1, 2): True}, {(1, 2): False}])
 def test_bad_link_rx_is_refused(link_rx):
     cfg = ScenarioConfig(node_count=9, topology="grid", objective="etx",
                          rx_success_ratio=0.8, duration_s=120.0, warmup_s=30.0)
@@ -122,9 +124,9 @@ def run_positions(cfg):
 
 def links_only(cfg, link_rx):
     """The entries of link_rx that name a radio link of cfg's run."""
-    at = run_positions(cfg)
+    links = radio_links(run_positions(cfg), cfg.medium.tx_range_m)
     return {(a, b): ratio for (a, b), ratio in link_rx.items()
-            if a != b and in_range(at[a], at[b], cfg.medium)}
+            if b in links[a]}
 
 
 def per_link_ratios(cfg, ratios):
@@ -300,9 +302,10 @@ def test_work_counts(case, monkeypatch):
 
 
 # Moves of every position that keep each pair's distance, or that scale
-# positions and radio range together, keep every radio link, so a run that
-# reads positions only through its links gives the same bytes.  Each move is
-# exact in floating point except translation, which may round a distance.
+# positions and radio range together, keep every radio link.  A run reads
+# positions only through scenario.radio_links, so it gives the same bytes.
+# Each move is exact in floating point except translation, which may round
+# a distance.
 GEOMETRY = {    # name: (the move of one position, the range's factor)
     "mirror": (lambda x, y: (-x, y), 1),
     "rotate-90": (lambda x, y: (-y, x), 1),
