@@ -7,6 +7,7 @@ import contextlib
 import csv
 import itertools
 import json
+import math
 import os
 import statistics
 import sys
@@ -148,16 +149,20 @@ def _pool_outcomes(pool, configs: list):
 
 
 def _number(path: str, column: str, text, parse=float):
-    """text parsed as a number; a ConfigError naming path and column if not."""
+    """text parsed as a finite number; a ConfigError naming path and column
+    if not, as statistics cannot summarize an infinity or a NaN."""
     try:
-        return parse(text)
+        value = parse(text)
     except (TypeError, ValueError):     # TypeError: None from a short row
-        raise ConfigError(f"{path}: {column} must be a number "
-                          f"(got {text!r})") from None
+        value = math.nan
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{path}: {column} must be a finite number "
+                          f"(got {text!r})")
+    return value
 
 
 def _cells(rows: list[dict[str, str]], column: str,
-           path: str = "") -> dict[tuple, list]:
+           path: str) -> dict[tuple, list]:
     """Non-empty values of column per CELL_KEYS cell, in first-seen order."""
     cells: dict[tuple, list[float]] = {}
     for row in rows:
@@ -176,9 +181,9 @@ def _mean_std(values: list[float]) -> tuple[str, str]:
 
 def summarize(rows: list[dict[str, str]]) -> list[dict[str, str]]:
     """Per-cell mean/stddev of PDR and power, cells in first-seen order."""
-    pdr = _cells(rows, "pdr_total")
+    pdr = _cells(rows, "pdr_total", "sweep rows")
     out = []
-    for key, power in _cells(rows, "avg_power_mw").items():
+    for key, power in _cells(rows, "avg_power_mw", "sweep rows").items():
         entry = dict(zip(CELL_KEYS, key), runs=str(len(power)))
         entry["pdr_mean"], entry["pdr_stddev"] = _mean_std(pdr[key])
         entry["power_mean"], entry["power_stddev"] = _mean_std(power)

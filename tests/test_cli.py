@@ -90,6 +90,12 @@ REJECTED = {
     "protocol.trickle_i_min_s": {"protocol": {"trickle_i_min_s": 0.00001,
                                               "trickle_doublings": 0}},
     "protocol.dis_period_s": {"protocol": {"dis_period_s": 0.001}},
+    # an expiry or an airtime past a float's range crashes the run or the
+    # config's own checks with an OverflowError
+    "protocol.parent_expiry_trickle_factor": {
+        "protocol": {"parent_expiry_trickle_factor": 1e308}},
+    "medium.ack_frame_bytes: must be <=": {
+        "medium": {"ack_frame_bytes": 10**400}},
 }
 
 # sweeps whose bad field must stop the sweep before its first run
@@ -227,8 +233,9 @@ print("pool modules:", [name for name in ("multiprocessing",
 
 @pytest.fixture(scope="module")
 def fresh_serial_sweep(tmp_path_factory):
-    """POOL_FREE_CHILD's last line and the rows of its grid-order sweep of
-    SWEEP_SPEC, run in a fresh interpreter with src on PYTHONPATH."""
+    """POOL_FREE_CHILD's last line and the CSV of its grid-order sweep of
+    SWEEP_SPEC, run in a fresh interpreter with src on PYTHONPATH: the one
+    serial sweep of SWEEP_SPEC, whose rows and summary the tests share."""
     tmp = tmp_path_factory.mktemp("fresh")
     out = tmp / "o.csv"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -238,7 +245,7 @@ def fresh_serial_sweep(tmp_path_factory):
          write_json(tmp / "c.json", GOOD_CONFIG),
          write_json(tmp / "s.json", SWEEP_SPEC), str(out)],
         env=env, capture_output=True, text=True, check=True)
-    return child.stdout.splitlines()[-1], read_rows(str(out))
+    return child.stdout.splitlines()[-1], out
 
 
 def never_run(*args, **kwargs):
@@ -345,26 +352,21 @@ class TestRun:
 
 
 class TestSweep:
-    def test_product_count(self, tmp_path, capsys):
-        spec = write_json(tmp_path / "s.json", SWEEP_SPEC)
-        out = str(tmp_path / "runs.csv")
-        assert main(["sweep", "--spec", spec, "--out", out]) == 0
-        rows = read_rows(out)
+    def test_product_count(self, fresh_serial_sweep):
+        rows = read_rows(fresh_serial_sweep[1])
         assert len(rows) == 2 * 2 * 1 * 1 * 3
         seeds = {row["seed"] for row in rows}
         assert seeds == {"1", "2", "3"}
 
-    def test_parallel_matches_serial(self, tmp_path):
+    def test_parallel_matches_serial(self, tmp_path, fresh_serial_sweep):
         spec = write_json(tmp_path / "s.json", SWEEP_SPEC)
-        out_serial = str(tmp_path / "serial.csv")
-        out_parallel = str(tmp_path / "parallel.csv")
-        main(["sweep", "--spec", spec, "--out", out_serial])
+        out_parallel = tmp_path / "parallel.csv"
         main(["sweep", "--spec", spec, "--parallel", "4",
-              "--out", out_parallel])
-        assert open(out_serial, "rb").read() == open(out_parallel, "rb").read()
+              "--out", str(out_parallel)])
+        assert fresh_serial_sweep[1].read_bytes() == out_parallel.read_bytes()
 
     def test_rows_do_not_depend_on_run_order(self, fresh_serial_sweep):
-        rows = fresh_serial_sweep[1]
+        rows = read_rows(fresh_serial_sweep[1])
         configs = [scenario_from_dict(raw) for raw in sweep_tasks(SWEEP_SPEC)]
         order = list(range(len(configs)))
         random.Random(1).shuffle(order)
@@ -376,12 +378,10 @@ class TestSweep:
                                                       fresh_serial_sweep):
         assert fresh_serial_sweep[0] == "pool modules: []"
 
-    def test_summary_mean_matches_rows(self, tmp_path):
-        spec = write_json(tmp_path / "s.json", SWEEP_SPEC)
-        out = str(tmp_path / "runs.csv")
-        main(["sweep", "--spec", spec, "--out", out])
+    def test_summary_mean_matches_rows(self, fresh_serial_sweep):
+        out = fresh_serial_sweep[1]
         rows = read_rows(out)
-        summary = read_rows(out + ".summary.csv")
+        summary = read_rows(f"{out}.summary.csv")
         cell = summary[0]
         members = [float(r["pdr_total"]) for r in rows
                    if (r["topology"], r["rx_ratio"], r["objective"],
@@ -393,11 +393,10 @@ class TestSweep:
         assert cell["runs"] == str(len(members))
 
     @pytest.mark.parametrize("done", [0, 5])
-    def test_interrupted_sweep_keeps_finished_rows(self, tmp_path,
-                                                   monkeypatch, done):
+    def test_interrupted_sweep_keeps_finished_rows(
+            self, tmp_path, monkeypatch, fresh_serial_sweep, done):
         spec = write_json(tmp_path / "s.json", SWEEP_SPEC)
-        full = tmp_path / "full.csv"
-        main(["sweep", "--spec", spec, "--out", str(full)])
+        full = fresh_serial_sweep[1]
         worker = cli._sweep_worker
         calls = []
 
@@ -415,10 +414,9 @@ class TestSweep:
 
     @pytest.mark.parametrize("doomed", [0, 7])
     def test_dead_worker_loses_only_the_cells_of_its_pool(
-            self, tmp_path, monkeypatch, capsys, doomed):
+            self, tmp_path, monkeypatch, capsys, fresh_serial_sweep, doomed):
         spec = write_json(tmp_path / "s.json", SWEEP_SPEC)
-        full = tmp_path / "full.csv"
-        main(["sweep", "--spec", spec, "--out", str(full)])
+        full = fresh_serial_sweep[1]
         configs = [scenario_from_dict(raw)
                    for raw in sweep_tasks(load_sweep(spec))]
         monkeypatch.setitem(globals(), "DOOMED_CELL", configs[doomed])
@@ -622,13 +620,10 @@ class TestShippedArtifacts:
 
 
 class TestPlotData:
-    def test_reshape_pdr(self, tmp_path):
-        spec = write_json(tmp_path / "s.json", SWEEP_SPEC)
-        runs = str(tmp_path / "runs.csv")
-        main(["sweep", "--spec", spec, "--out", runs])
+    def test_reshape_pdr(self, tmp_path, fresh_serial_sweep):
         out = str(tmp_path / "pdr.csv")
-        assert main(["plot-data", "--in", runs, "--figure", "pdr",
-                     "--out", out]) == 0
+        assert main(["plot-data", "--in", str(fresh_serial_sweep[1]),
+                     "--figure", "pdr", "--out", out]) == 0
         rows = read_rows(out)
         assert len(rows) == 4            # 2 node counts x 2 objectives
         assert {row["figure"] for row in rows} == {"pdr"}
@@ -636,12 +631,10 @@ class TestPlotData:
             assert 0.0 <= float(row["mean"]) <= 1.0
             assert row["runs"] == "3"
 
-    def test_reshape_power(self, tmp_path):
-        spec = write_json(tmp_path / "s.json", SWEEP_SPEC)
-        runs = str(tmp_path / "runs.csv")
-        main(["sweep", "--spec", spec, "--out", runs])
+    def test_reshape_power(self, tmp_path, fresh_serial_sweep):
         out = str(tmp_path / "power.csv")
-        main(["plot-data", "--in", runs, "--figure", "power", "--out", out])
+        main(["plot-data", "--in", str(fresh_serial_sweep[1]), "--figure",
+              "power", "--out", out])
         rows = read_rows(out)
         assert all(float(row["mean"]) > 0 for row in rows)
 
@@ -667,7 +660,9 @@ class TestPlotData:
         assert not out.exists()
 
     @pytest.mark.parametrize("column, value", [("node_count", "x"),
-                                               ("pdr_total", "abc")])
+                                               ("pdr_total", "abc"),
+                                               ("pdr_total", "inf"),
+                                               ("pdr_total", "nan")])
     def test_non_numeric_cell_exits_2_before_out(self, tmp_path, capsys,
                                                  column, value):
         row = dict.fromkeys(CSV_COLUMNS, "")
