@@ -28,6 +28,10 @@ CSV_COLUMNS = [
 ]
 
 CELL_KEYS = ("topology", "rx_ratio", "objective", "node_count")
+# the fields sweep_tasks sets on each task from the grid and the seed range,
+# in that order; a sweep's base may not set them, as its value would be lost
+GRID_FIELDS = ("topology", "objective", "rx_success_ratio", "node_count",
+               "seed")
 
 
 def _fmt(value: float | None, places: int = 6) -> str:
@@ -108,12 +112,16 @@ def cmd_run(args) -> int:
 def load_sweep(path: str) -> dict:
     raw = load_json(path, "sweep")
     validate(raw, load_schema("sweep"))
+    for key in GRID_FIELDS:
+        if key in raw.get("base", {}):
+            raise ConfigError(f"base.{key}: set by the sweep grid, not the "
+                              f"base (got {raw['base'][key]!r})")
     return raw
 
 
 def sweep_tasks(spec: dict) -> list[dict]:
     """Expand a sweep document into per-run scenario dicts, in grid order."""
-    base = dict(spec.get("base", {}))
+    base = spec.get("base", {})
     seeds = spec.get("seeds_per_cell", 1)
     base_seed = spec.get("base_seed", 1)
     tasks = []
@@ -121,12 +129,8 @@ def sweep_tasks(spec: dict) -> list[dict]:
             spec["topologies"], spec["objectives"], spec["rx_ratios"],
             spec["node_counts"]):
         for offset in range(seeds):
-            raw = dict(base)
-            raw.update(topology=topology, objective=objective,
-                       rx_success_ratio=rx, node_count=node_count,
-                       seed=base_seed + offset)
-            raw.pop("scenario_id", None)
-            tasks.append(raw)
+            cell = (topology, objective, rx, node_count, base_seed + offset)
+            tasks.append({**base, **dict(zip(GRID_FIELDS, cell))})
     return tasks
 
 

@@ -31,13 +31,13 @@ import random
 from collections import deque
 from dataclasses import dataclass
 
-from .engine import Simulator, to_us
+from .engine import to_us
 from .medium import DATA, DIO, DIS, Frame, Medium
 from .objective import (ETX_INITIAL, INFINITE_RANK, MAX_PATH_COST, MRHOF_ETX,
                         OF0, RANK_UNIT, ROOT_RANK, etx_update, mrhof_path_cost,
                         mrhof_rank, mrhof_select_parent, of0_rank,
                         of0_select_parent)
-from .telemetry import CPU, EnergyLedger, MetricsReport, TraceRecorder, NULL_TRACE
+from .telemetry import CPU, EnergyLedger, MetricsReport
 
 SINK = "sink"
 SENSOR = "sensor"
@@ -92,26 +92,27 @@ class DataPacket:
 
 
 class Node:
-    """One sensor or the sink; owned and mutated only by the event loop."""
+    """One sensor, or the sink if its id is 0, on its medium's clock and
+    trace; owned and mutated only by the event loop."""
 
-    def __init__(self, node_id: int, role: str, traffic_class: str | None,
-                 objective: str, proto: ProtocolConfig, sim: Simulator,
-                 medium: Medium, ledger: EnergyLedger, jitter: random.Random,
-                 metrics: MetricsReport, trace: TraceRecorder = NULL_TRACE):
+    def __init__(self, node_id: int, traffic_class: str | None,
+                 objective: str, proto: ProtocolConfig, medium: Medium,
+                 ledger: EnergyLedger, jitter: random.Random,
+                 metrics: MetricsReport):
         self.id = node_id
-        self.role = role
+        self.role = SINK if node_id == 0 else SENSOR
         self.traffic_class = traffic_class
         self.objective = objective
         self.proto = proto
-        self.sim = sim
+        self.sim = medium.sim
         self.medium = medium
         self.ledger = ledger
         self.jitter = jitter
         self.metrics = metrics
-        self.trace = trace
+        self.trace = medium.trace
 
-        self.rank = ROOT_RANK if role == SINK else INFINITE_RANK
-        self.path_cost: int | None = 0 if role == SINK else None
+        self.rank = ROOT_RANK if self.role == SINK else INFINITE_RANK
+        self.path_cost: int | None = 0 if self.role == SINK else None
         self.preferred_parent: int | None = None
         self.candidates: dict[int, CandidateInfo] = {}
         self.link_etx: dict[int, int] = {}        # by neighbor; MRHOF only

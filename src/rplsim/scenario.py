@@ -53,7 +53,6 @@ class ScenarioConfig:
     grid_spacing_m: float = 60.0
     duration_s: float = 900.0
     warmup_s: float = 60.0
-    scenario_id: str = ""
     traffic_classes: tuple[str, ...] = TRAFFIC_CLASSES
     medium: MediumConfig = field(default_factory=MediumConfig)
     protocol: ProtocolConfig = field(default_factory=ProtocolConfig)
@@ -62,10 +61,6 @@ class ScenarioConfig:
     def __post_init__(self):
         validate(asdict(self), load_schema("scenario"))
         self.traffic_classes = tuple(self.traffic_classes)
-        if not self.scenario_id:
-            self.scenario_id = (f"{self.topology}{self.node_count}"
-                                f"_{self.objective}"
-                                f"_rx{round(self.rx_success_ratio * 100)}")
         med, proto = self.medium, self.protocol
         # in the run's microseconds: an ACK ending as it times out is lost
         if to_us(med.ack_timeout_s) <= (to_us(med.ack_turnaround_s)
@@ -103,6 +98,12 @@ class ScenarioConfig:
                     f"protocol.{name}: {what}, {period_us} us, must be at "
                     f"least medium.backoff_window_s plus a control frame's "
                     f"airtime, {send_us} us (got {getattr(proto, name)!r})")
+
+    @property
+    def scenario_id(self) -> str:
+        """The run's CSV key, derived from the inputs that name its cell."""
+        return (f"{self.topology}{self.node_count}_{self.objective}"
+                f"_rx{round(self.rx_success_ratio * 100)}")
 
 
 # the keywords validate() interprets; a schema may use no others

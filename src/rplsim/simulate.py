@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .engine import Simulator, derive_stream, to_us
 from .medium import Medium
-from .rpl import Node, SENSOR, SINK
+from .rpl import Node, SINK
 from .scenario import (ScenarioConfig, assign_traffic_classes,
                        generate_topology, next_send_time, radio_links)
 from .telemetry import EnergyLedger, MetricsReport, TraceRecorder, NULL_TRACE
@@ -78,8 +78,6 @@ def run_scenario(cfg: ScenarioConfig,
 
     jitter = {nid: derive_stream(cfg.seed, "protocol-jitter", nid)
               for nid in node_ids}
-    traffic = {nid: derive_stream(cfg.seed, "traffic", nid)
-               for nid in node_ids}
     ledgers = {nid: EnergyLedger(cfg.currents) for nid in node_ids}
     recorder = TraceRecorder(enabled=True) if trace else NULL_TRACE
     medium = Medium(sim, cfg.medium, links, medium_stream, jitter, ledgers,
@@ -90,10 +88,8 @@ def run_scenario(cfg: ScenarioConfig,
 
     nodes: dict[int, Node] = {}
     for nid in node_ids:
-        role = SINK if nid == 0 else SENSOR
-        nodes[nid] = Node(nid, role, classes.get(nid), cfg.objective,
-                          cfg.protocol, sim, medium, ledgers[nid],
-                          jitter[nid], metrics, recorder)
+        nodes[nid] = Node(nid, classes.get(nid), cfg.objective, cfg.protocol,
+                          medium, ledgers[nid], jitter[nid], metrics)
     for nid in node_ids:
         nodes[nid].start()
 
@@ -101,7 +97,7 @@ def run_scenario(cfg: ScenarioConfig,
     duration_us = to_us(cfg.duration_s)
 
     def schedule_sends(node: Node) -> None:
-        stream = traffic[node.id]
+        stream = derive_stream(cfg.seed, "traffic", node.id)
 
         def fire() -> None:
             node.app_generate()

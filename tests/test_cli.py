@@ -96,12 +96,26 @@ REJECTED = {
         "protocol": {"parent_expiry_trickle_factor": 1e308}},
     "medium.ack_frame_bytes: must be <=": {
         "medium": {"ack_frame_bytes": 10**400}},
+    # past about 2.3e299 s, a candidate's expiry (the factor times the
+    # longest trickle interval) overflows a float and crashes the run
+    "protocol.trickle_i_min_s: must be <=": {
+        "protocol": {"trickle_i_min_s": 1e302}},
+    # the run's power and energy come out infinite
+    "currents.voltage_v: must be <=": {"currents": {"voltage_v": 1e308}},
+    # the id follows from topology, node_count, objective and ratio
+    "scenario_id: unknown field": {"scenario_id": "x"},
 }
 
 # sweeps whose bad field must stop the sweep before its first run
 BAD_SWEEPS = {
     "bogus": dict(SWEEP_SPEC, base=dict(SWEEP_SPEC["base"], bogus=1)),
     "rx_ratios[0]": dict(SWEEP_SPEC, rx_ratios=[True]),
+    # the grid sets these on every task, so a base value would be dropped
+    **{f"base.{key}": dict(SWEEP_SPEC, base=dict(SWEEP_SPEC["base"],
+                                                  **{key: value}))
+       for key, value in (("topology", "random"), ("objective", "etx"),
+                          ("rx_success_ratio", 0.5), ("node_count", 50),
+                          ("seed", 7))},
 }
 
 
@@ -274,7 +288,8 @@ class TestRun:
         out_b = str(tmp_path / "b.csv")
         assert main(["run", "--config", config, "--out", out_a]) == 0
         assert main(["run", "--config", config, "--out", out_b]) == 0
-        assert open(out_a, "rb").read() == open(out_b, "rb").read()
+        assert pathlib.Path(out_a).read_bytes() \
+            == pathlib.Path(out_b).read_bytes()
 
     def test_trace_files_are_byte_identical(self, tmp_path):
         config = write_json(tmp_path / "c.json", GOOD_CONFIG)
@@ -283,7 +298,7 @@ class TestRun:
               "--trace", t_a])
         main(["run", "--config", config, "--out", str(tmp_path / "y.csv"),
               "--trace", t_b])
-        a, b = open(t_a, "rb").read(), open(t_b, "rb").read()
+        a, b = pathlib.Path(t_a).read_bytes(), pathlib.Path(t_b).read_bytes()
         assert a and a == b
 
     def test_seed_override_lands_in_row(self, tmp_path):
@@ -539,6 +554,15 @@ class TestShippedArtifacts:
                             if name.split(".")[0] != "rplsim" and
                             name.split(".")[0] not in sys.stdlib_module_names]
         assert not foreign
+
+    def test_shipped_run_configs_keep_their_ids(self, tmp_path):
+        # the ids these files once set by hand are the derived ones
+        out = str(tmp_path / "out.csv")
+        for name in ("grid20_of0", "random40_etx_rx80"):
+            config = str(ROOT / "configs" / f"{name}.json")
+            assert main(["run", "--config", config, "--out", out]) == 0
+        assert [row["scenario_id"] for row in read_rows(out)] \
+            == ["grid20_of0_rx100", "random40_etx_rx80"]
 
     def test_schema_documents_are_valid_json(self):
         for name in ("scenario", "sweep"):

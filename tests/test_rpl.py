@@ -13,7 +13,7 @@ from rplsim.medium import Medium, MediumConfig
 from rplsim.objective import (ETX_INITIAL, INFINITE_RANK, MAX_PATH_COST,
                               RANK_UNIT, ROOT_RANK, mrhof_path_cost, of0_rank)
 from rplsim.rpl import (CandidateInfo, DioMessage, Node, ProtocolConfig,
-                        SENSOR, SINK)
+                        SENSOR)
 from rplsim.scenario import ScenarioConfig, radio_links
 from rplsim.simulate import run_scenario
 from rplsim.telemetry import EnergyLedger, MetricsReport, TraceRecorder
@@ -39,10 +39,8 @@ def make_net(positions, objective="of0", seed=1, rx=1.0, proto=None,
     for nid in sorted(positions):
         if nid == 0 and not with_sink:
             continue
-        role = SINK if nid == 0 else SENSOR
-        nodes[nid] = Node(nid, role, "high-critical",
-                          objective, proto, sim, medium, ledgers[nid],
-                          jitter[nid], metrics, trace)
+        nodes[nid] = Node(nid, "high-critical", objective, proto, medium,
+                          ledgers[nid], jitter[nid], metrics)
     return sim, medium, nodes, metrics
 
 
