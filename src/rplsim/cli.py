@@ -34,8 +34,8 @@ GRID_FIELDS = ("topology", "objective", "rx_success_ratio", "node_count",
                "seed")
 
 
-def _fmt(value: float | None, places: int = 6) -> str:
-    return "" if value is None else f"{value:.{places}f}"
+def _fmt(value: float | None) -> str:
+    return "" if value is None else f"{value:.6f}"
 
 
 def result_to_row(result: RunResult) -> dict[str, str]:
@@ -78,6 +78,13 @@ def _check_header(path: str) -> bool:
     return False
 
 
+def _write_csv(path: str, header: list[str], rows) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def append_rows(path: str, rows: list[dict[str, str]]) -> None:
     new_file = _check_header(path)
     with open(path, "a", encoding="utf-8", newline="") as fh:
@@ -116,6 +123,14 @@ def load_sweep(path: str) -> dict:
         if key in raw.get("base", {}):
             raise ConfigError(f"base.{key}: set by the sweep grid, not the "
                               f"base (got {raw['base'][key]!r})")
+    # an entry that prints as an earlier one in the rows repeats its cell
+    for key in ("topologies", "objectives", "rx_ratios", "node_counts"):
+        printed = [f"{v:g}" if key == "rx_ratios" else str(v)
+                   for v in raw[key]]
+        for index, text in enumerate(printed):
+            if text in printed[:index]:
+                raise ConfigError(f"{key}[{index}]: repeats an earlier entry "
+                                  f"(got {raw[key][index]!r})")
     return raw
 
 
@@ -165,38 +180,31 @@ def _number(path: str, column: str, text, parse=float):
     return value
 
 
-def _cells(rows: list[dict[str, str]], column: str,
-           path: str) -> dict[tuple, list]:
-    """Non-empty values of column per CELL_KEYS cell, in first-seen order."""
+def _cell_stats(rows: list[dict[str, str]], column: str,
+                path: str) -> dict[tuple, tuple[str, str, int]]:
+    """(mean, stddev, runs) of column's non-empty values per CELL_KEYS
+    cell, cells in first-seen order; a cell without values has ("", "", 0)."""
     cells: dict[tuple, list[float]] = {}
     for row in rows:
         values = cells.setdefault(tuple(row[k] for k in CELL_KEYS), [])
         if row[column]:
             values.append(_number(path, column, row[column]))
-    return cells
-
-
-def _mean_std(values: list[float]) -> tuple[str, str]:
-    if not values:
-        return "", ""
-    std = statistics.stdev(values) if len(values) > 1 else 0.0
-    return _fmt(statistics.mean(values)), _fmt(std)
-
-
-def summarize(rows: list[dict[str, str]]) -> list[dict[str, str]]:
-    """Per-cell mean/stddev of PDR and power, cells in first-seen order."""
-    pdr = _cells(rows, "pdr_total", "sweep rows")
-    out = []
-    for key, power in _cells(rows, "avg_power_mw", "sweep rows").items():
-        entry = dict(zip(CELL_KEYS, key), runs=str(len(power)))
-        entry["pdr_mean"], entry["pdr_stddev"] = _mean_std(pdr[key])
-        entry["power_mean"], entry["power_stddev"] = _mean_std(power)
-        out.append(entry)
-    return out
+    return {key: (_fmt(statistics.mean(v)),
+                  _fmt(statistics.stdev(v) if len(v) > 1 else 0.0), len(v))
+            if v else ("", "", 0) for key, v in cells.items()}
 
 
 SUMMARY_COLUMNS = list(CELL_KEYS) + ["runs", "pdr_mean", "pdr_stddev",
                                      "power_mean", "power_stddev"]
+
+
+def summarize(rows: list[dict[str, str]]) -> list[dict[str, str]]:
+    """Per-cell mean/stddev of PDR and power, cells in first-seen order."""
+    pdr = _cell_stats(rows, "pdr_total", "sweep rows")
+    return [dict(zip(SUMMARY_COLUMNS, (*key, str(runs), *pdr[key][:2],
+                                       mean, std)))
+            for key, (mean, std, runs)
+            in _cell_stats(rows, "avg_power_mw", "sweep rows").items()]
 
 
 def cmd_sweep(args) -> int:
@@ -227,22 +235,17 @@ def cmd_sweep(args) -> int:
                 append_rows(args.out, [row])
 
     if errors:
-        failures_path = args.out + ".failures.csv"
-        with open(failures_path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["task_index", "config", "error"])
-            for index, error in errors:
-                writer.writerow([index, json.dumps(tasks[index],
-                                                   sort_keys=True), error])
-                print(f"sweep cell {index} failed: {error}", file=sys.stderr)
+        _write_csv(args.out + ".failures.csv",
+                   ["task_index", "config", "error"],
+                   [[index, json.dumps(tasks[index], sort_keys=True), error]
+                    for index, error in errors])
+        for index, error in errors:
+            print(f"sweep cell {index} failed: {error}", file=sys.stderr)
 
     summary = summarize(rows)
     summary_path = args.out + ".summary.csv"
-    with open(summary_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=SUMMARY_COLUMNS,
-                                lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(summary)
+    _write_csv(summary_path, SUMMARY_COLUMNS,
+               [[entry[c] for c in SUMMARY_COLUMNS] for entry in summary])
 
     print(" ".join(f"{c:>12}" for c in SUMMARY_COLUMNS))
     for entry in summary:
@@ -264,16 +267,12 @@ def cmd_plot_data(args) -> int:
         raise ConfigError(f"{args.infile}: missing result column(s) "
                           + ", ".join(missing))
     # every value is parsed before --out is opened
-    cells = _cells(rows, metric, args.infile)
+    cells = _cell_stats(rows, metric, args.infile)
     keys = [key for key in sorted(cells, key=lambda k: (
                 *k[:3], _number(args.infile, "node_count", k[3], int)))
-            if cells[key]]
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["figure", *CELL_KEYS, "mean", "stddev", "runs"])
-        for key in keys:
-            writer.writerow([args.figure, *key, *_mean_std(cells[key]),
-                             len(cells[key])])
+            if cells[key][2]]
+    _write_csv(args.out, ["figure", *CELL_KEYS, "mean", "stddev", "runs"],
+               [[args.figure, *key, *cells[key]] for key in keys])
     print(f"{len(keys)} cells -> {args.out}")
     return 0
 

@@ -32,8 +32,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Collection
 
-from .engine import Simulator, US_PER_S, to_us
-from .telemetry import RX, TX, EnergyLedger, TraceRecorder, NULL_TRACE
+from .engine import Simulator, US_PER_S, derive_stream, to_us
+from .telemetry import (RX, TX, EnergyCurrents, EnergyLedger, TraceRecorder,
+                        NULL_TRACE)
 
 
 class FrameKind(Enum):
@@ -104,7 +105,7 @@ class _Job:
 
 
 class _Radio:
-    """One node's radio: who it hears, backoff stream, ledger and jobs."""
+    """One node's radio: who it hears, its node's jitter and ledger, jobs."""
 
     __slots__ = ("node_id", "neighbors", "audible", "jitter", "ledger",
                  "receiver", "queue", "current")
@@ -123,20 +124,22 @@ class _Radio:
 
 class Medium:
     """Shared radio channel for one simulation run.  links maps each radio
-    to its peers, ascending, with their ratios (scenario.radio_links)."""
+    to its peers, ascending, with their ratios (scenario.radio_links).  The
+    medium derives its reception stream and each radio's jitter stream from
+    seed, and gives each radio a ledger drawing currents."""
 
     def __init__(self, sim: Simulator, cfg: MediumConfig,
-                 links: dict[int, dict[int, float]], stream: random.Random,
-                 jitter_streams: dict[int, random.Random],
-                 ledgers: dict[int, EnergyLedger],
+                 links: dict[int, dict[int, float]], seed: int,
+                 currents: EnergyCurrents | None = None,
                  trace: TraceRecorder = NULL_TRACE):
         self.sim = sim
         self.cfg = cfg
-        self._stream = stream
+        self._stream = derive_stream(seed, "medium")
         self.trace = trace
-        self._radios = {nid: _Radio(nid, peers, jitter_streams[nid],
-                                    ledgers[nid])
-                        for nid, peers in links.items()}
+        self.radios = {nid: _Radio(nid, peers,
+                                   derive_stream(seed, "protocol-jitter", nid),
+                                   EnergyLedger(currents))
+                       for nid, peers in links.items()}
         self._active: dict[int, Transmission] = {}   # by sender; one at most
         self._next_frame_id = 0
         self._backoff_window_us = to_us(cfg.backoff_window_s)
@@ -149,7 +152,7 @@ class Medium:
 
     def set_receiver(self, node_id: int,
                      callback: Callable[[Frame, int], None]) -> None:
-        self._radios[node_id].receiver = callback
+        self.radios[node_id].receiver = callback
 
     def broadcast(self, sender: int, kind: FrameKind, payload: object = None,
                   on_done: Callable[[dict[int, Outcome]], None] | None = None) -> None:
@@ -175,7 +178,7 @@ class Medium:
         """Reception outcome for one receiver of one frame."""
         if receiver in tx.corrupted:
             return LOST_COLLISION
-        if stream.random() < self._radios[tx.frame.src].neighbors[receiver]:
+        if stream.random() < self.radios[tx.frame.src].neighbors[receiver]:
             return DELIVERED
         return LOST_RANDOM
 
@@ -186,7 +189,7 @@ class Medium:
         return Frame(kind, src, dst, size, payload, self._next_frame_id)
 
     def _submit(self, sender: int, job: _Job) -> None:
-        radio = self._radios[sender]
+        radio = self.radios[sender]
         radio.queue.append(job)
         self._start_next(radio)
 
@@ -230,7 +233,7 @@ class Medium:
         # audible holds the radio itself, so a sender cannot also receive
         if self._active:
             for other_sender, other in self._active.items():
-                tx.corrupted |= self._radios[other_sender].audible.intersection(
+                tx.corrupted |= self.radios[other_sender].audible.intersection(
                     tx.victims)
                 other.corrupted |= radio.audible.intersection(other.victims)
         self._active[radio.node_id] = tx
@@ -246,7 +249,7 @@ class Medium:
         if tracing:
             self.trace.emit((now - airtime, "tx", sender, frame.kind.value,
                              frame.size_bytes, frame.frame_id))
-        radios, stream, deliver = self._radios, self._stream, self.deliver
+        radios, stream, deliver = self.radios, self._stream, self.deliver
         broadcast = frame.dst is None      # only its on_done reads outcomes
         outcomes: dict[int, Outcome] = {}
         delivered = []
@@ -276,8 +279,7 @@ class Medium:
         for receiver in delivered:
             self._receive(receiver, frame, repeat)
 
-    def _receive(self, radio: _Radio, frame: Frame,
-                 repeat: bool = False) -> None:
+    def _receive(self, radio: _Radio, frame: Frame, repeat: bool) -> None:
         from_id, kind = frame.src, frame.kind
         if kind is ACK:
             job = radio.current       # a broadcast never awaits an ACK
@@ -304,7 +306,7 @@ class Medium:
 
     def _no_ack(self, sender: int) -> None:
         """No ACK can reach sender's job now: queue its timeout for ack_due."""
-        radio = self._radios[sender]
+        radio = self.radios[sender]
         job = radio.current
         self.sim.schedule_in(job.ack_due - self.sim.now,
                              lambda: self._ack_timeout(radio, job))

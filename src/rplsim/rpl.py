@@ -27,7 +27,6 @@ silent and solicits with DIS; it never advertises INFINITE_RANK.
 
 from __future__ import annotations
 
-import random
 from collections import deque
 from dataclasses import dataclass
 
@@ -37,7 +36,7 @@ from .objective import (ETX_INITIAL, INFINITE_RANK, MAX_PATH_COST, MRHOF_ETX,
                         OF0, RANK_UNIT, ROOT_RANK, etx_update, mrhof_path_cost,
                         mrhof_rank, mrhof_select_parent, of0_rank,
                         of0_select_parent)
-from .telemetry import CPU, EnergyLedger, MetricsReport
+from .telemetry import CPU, MetricsReport
 
 SINK = "sink"
 SENSOR = "sensor"
@@ -93,11 +92,10 @@ class DataPacket:
 
 class Node:
     """One sensor, or the sink if its id is 0, on its medium's clock and
-    trace; owned and mutated only by the event loop."""
+    trace and its radio's ledger and jitter; mutated only by the event loop."""
 
     def __init__(self, node_id: int, traffic_class: str | None,
                  objective: str, proto: ProtocolConfig, medium: Medium,
-                 ledger: EnergyLedger, jitter: random.Random,
                  metrics: MetricsReport):
         self.id = node_id
         self.role = SINK if node_id == 0 else SENSOR
@@ -106,8 +104,9 @@ class Node:
         self.proto = proto
         self.sim = medium.sim
         self.medium = medium
-        self.ledger = ledger
-        self.jitter = jitter
+        radio = medium.radios[node_id]
+        self.ledger = radio.ledger
+        self.jitter = radio.jitter
         self.metrics = metrics
         self.trace = medium.trace
 

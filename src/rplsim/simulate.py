@@ -1,9 +1,11 @@
 """Wire one scenario into an engine, medium, and node set, and run it.
 
 run_scenario is the single entry point used by the CLI, the sweep driver,
-and the test suite; it owns stream derivation, topology construction,
-traffic scheduling, and end-of-run bookkeeping.  Its RunResult holds the
-run's own Node objects, as the run left them.
+and the test suite; it derives the topology and traffic streams, builds the
+topology, schedules traffic and keeps the end-of-run books.  The medium
+derives its own and each radio's jitter stream and gives each radio its
+ledger; a Node takes both from its radio.  Its RunResult holds the run's
+own Node objects, as the run left them, and their ledgers.
 """
 
 from __future__ import annotations
@@ -68,20 +70,14 @@ def run_scenario(cfg: ScenarioConfig,
     # tests/conftest.py does; a library must not freeze its host's heap.
     gc.collect()
     sim = Simulator()
-    topo_stream = derive_stream(cfg.seed, "topology")
-    medium_stream = derive_stream(cfg.seed, "medium")
     if positions is None:
-        positions = generate_topology(cfg, topo_stream)
+        positions = generate_topology(cfg, derive_stream(cfg.seed, "topology"))
     links = radio_links(positions, cfg.medium.tx_range_m,
                         cfg.rx_success_ratio, link_rx)
     node_ids = list(links)                 # ascending
 
-    jitter = {nid: derive_stream(cfg.seed, "protocol-jitter", nid)
-              for nid in node_ids}
-    ledgers = {nid: EnergyLedger(cfg.currents) for nid in node_ids}
     recorder = TraceRecorder(enabled=True) if trace else NULL_TRACE
-    medium = Medium(sim, cfg.medium, links, medium_stream, jitter, ledgers,
-                    recorder)
+    medium = Medium(sim, cfg.medium, links, cfg.seed, cfg.currents, recorder)
     sensor_ids = [nid for nid in node_ids if nid != 0]
     metrics = MetricsReport(len(sensor_ids))
     classes = assign_traffic_classes(sensor_ids, cfg.traffic_classes)
@@ -89,7 +85,7 @@ def run_scenario(cfg: ScenarioConfig,
     nodes: dict[int, Node] = {}
     for nid in node_ids:
         nodes[nid] = Node(nid, classes.get(nid), cfg.objective, cfg.protocol,
-                          medium, ledgers[nid], jitter[nid], metrics)
+                          medium, metrics)
     for nid in node_ids:
         nodes[nid].start()
 
@@ -113,6 +109,7 @@ def run_scenario(cfg: ScenarioConfig,
 
     sim.run_until(duration_us)
 
+    ledgers = {nid: node.ledger for nid, node in nodes.items()}
     for ledger in ledgers.values():
         ledger.finalize(duration_us)
     return RunResult(cfg, metrics, nodes, ledgers, recorder, duration_us)

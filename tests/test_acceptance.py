@@ -20,6 +20,7 @@ import pytest
 
 from oracles import (bfs_hops, dijkstra_etx, disk_edges, replay_energy,
                      unicast_expectation)
+from rplsim import cli
 from rplsim.cli import append_rows, load_sweep, result_to_row, sweep_tasks
 from rplsim.engine import derive_stream, to_us
 from rplsim.scenario import (ScenarioConfig, generate_random_topology,
@@ -32,6 +33,16 @@ CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 # configs/paper_sweep.json` writes it; pins the rows across commits
 PAPER_GRID_SHA256 = \
     "e35e1edd39766954c8dbe798a3686ab037864b52e5a0e0548f0bbf421a760af2"
+# sha256 of what the CLI derives from those rows: the sweep's summary, and
+# `rplsim plot-data` of the rows for each figure
+DERIVED_SHA256 = {
+    "summary":
+        "6798eb9abee94282c89808615dd2f74ecbe7cfe79c398c3aa8060bcec91037c3",
+    "pdr":
+        "a3d14893ea44df0d79187f53a2f86b9934c57ca42c5786831a39642be5aaaac2",
+    "power":
+        "7da040519522ff82637730783b5333bc3e2db3dff1bf443fba84532a69d40ab0",
+}
 
 
 def shipped_sweep(name):
@@ -226,6 +237,26 @@ def test_paper_grid_csv_digest(paper_grid_runs, tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == PAPER_GRID_SHA256
 
 
+def test_paper_grid_derived_digests(paper_grid_runs, tmp_path, monkeypatch):
+    """`rplsim sweep` of the paper grid, its runs replaced by the fixture's
+    rows, then `rplsim plot-data` of its CSV for each figure."""
+    rows = {(c["row"]["scenario_id"], c["row"]["seed"]): c["row"]
+            for c in paper_grid_runs}
+    monkeypatch.setattr(cli, "_sweep_worker", lambda cfg: (
+        rows[cfg.scenario_id, str(cfg.seed)], None))
+    out = tmp_path / "grid.csv"
+    assert cli.main(["sweep", "--spec", str(CONFIGS / "paper_sweep.json"),
+                     "--out", str(out)]) == 0
+    paths = {"summary": tmp_path / "grid.csv.summary.csv"}
+    for figure in ("pdr", "power"):
+        paths[figure] = tmp_path / f"{figure}.csv"
+        assert cli.main(["plot-data", "--in", str(out), "--figure", figure,
+                         "--out", str(paths[figure])]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PAPER_GRID_SHA256
+    assert {name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for name, path in paths.items()} == DERIVED_SHA256
+
+
 # --------------------------------------------------------------- criterion 5
 
 def test_criterion_5_perfect_channel_pdr():
@@ -289,18 +320,13 @@ def test_criterion_7_medium_statistics():
     with criterion(7, "medium reception and retry statistics"):
         from rplsim.engine import Simulator
         from rplsim.medium import FrameKind, Medium, MediumConfig, Outcome
-        from rplsim.telemetry import NULL_TRACE, EnergyLedger
 
         def microbench(rx):
             sim = Simulator()
             positions = {0: (0.0, 0.0), 1: (50.0, 0.0)}
             cfg = MediumConfig(backoff_window_s=0.004)
             links = radio_links(positions, cfg.tx_range_m, rx)
-            medium = Medium(sim, cfg, links, derive_stream(1, "medium"),
-                            {nid: derive_stream(1, "protocol-jitter", nid)
-                             for nid in positions},
-                            {nid: EnergyLedger() for nid in positions},
-                            NULL_TRACE)
+            medium = Medium(sim, cfg, links, 1)
             medium.set_receiver(1, lambda *_: None)
             return sim, medium
 

@@ -116,6 +116,13 @@ BAD_SWEEPS = {
        for key, value in (("topology", "random"), ("objective", "etx"),
                           ("rx_success_ratio", 0.5), ("node_count", 50),
                           ("seed", 7))},
+    # an entry printed as an earlier one in the rows repeats that cell's
+    # runs, and its summary would count each seed once per repeat
+    "node_counts[1]": dict(SWEEP_SPEC, node_counts=[5, 5]),
+    "rx_ratios[1]": dict(SWEEP_SPEC, rx_ratios=[1, 1.0]),
+    "rx_ratios[2]": dict(SWEEP_SPEC, rx_ratios=[1.0, 0.8, 0.8000001]),
+    "topologies[1]": dict(SWEEP_SPEC, topologies=["grid", "grid"]),
+    "objectives[2]": dict(SWEEP_SPEC, objectives=["of0", "etx", "of0"]),
 }
 
 

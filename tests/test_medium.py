@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from oracles import disk_edges, unicast_expectation
-from rplsim.engine import Simulator, derive_stream, to_us
+from rplsim.engine import Simulator, to_us
 from rplsim.medium import Frame, FrameKind, Medium, MediumConfig, Outcome
 from rplsim.scenario import (ConfigError, ScenarioConfig, radio_links,
                              scenario_from_dict)
-from rplsim.telemetry import NULL_TRACE, EnergyLedger, TraceRecorder
+from rplsim.telemetry import NULL_TRACE, TraceRecorder
 
 SEC = to_us(1.0)
 
@@ -21,13 +21,9 @@ def make_medium(positions, seed=1, trace=None, link_rx=None,
                 rx_success_ratio=1.0, **cfg_kwargs):
     sim = Simulator()
     cfg = MediumConfig(**cfg_kwargs)
-    ledgers = {nid: EnergyLedger() for nid in positions}
-    jitter = {nid: derive_stream(seed, "protocol-jitter", nid)
-              for nid in positions}
     links = radio_links(positions, cfg.tx_range_m, rx_success_ratio, link_rx)
-    medium = Medium(sim, cfg, links, derive_stream(seed, "medium"), jitter,
-                    ledgers, trace or NULL_TRACE)
-    return sim, medium, ledgers
+    medium = Medium(sim, cfg, links, seed, trace=trace or NULL_TRACE)
+    return sim, medium, {nid: r.ledger for nid, r in medium.radios.items()}
 
 
 def collect_frames(medium, nodes):
@@ -386,7 +382,7 @@ class TestJobEnd:
         positions = {0: (0.0, 0.0), 1: (50.0, 0.0)}
         trace = TraceRecorder(enabled=True)
         sim, medium, _ = make_medium(positions, trace=trace)
-        radio = medium._radios[0]
+        radio = medium.radios[0]
         log = []
 
         def queue_dio(outcomes):
@@ -405,7 +401,7 @@ class TestJobEnd:
         sim, medium, _ = make_medium(positions, trace=trace)
         seen = []
         medium.broadcast(0, FrameKind.DIS, on_done=seen.append)
-        medium._send_ack(medium._radios[1], 0)     # heard during 0's backoff
+        medium._send_ack(medium.radios[1], 0)     # heard during 0's backoff
         sim.run_until(SEC)
         ack, dis = [r for r in trace.records if r[1] == "tx"]
         assert (ack[3], dis[3]) == ("ack", "dis")
@@ -416,13 +412,13 @@ class TestJobEnd:
     def test_ack_from_another_node_neither_ends_nor_disarms(self):
         positions = {0: (0.0, 0.0), 1: (50.0, 0.0), 2: (0.0, 50.0)}
         sim, medium, _ = make_medium(positions)
-        radio = medium._radios[0]
+        radio = medium.radios[0]
         results, checked = [], []
 
         def on_data(frame, src):
             # 0's job awaits an ACK; an ACK from 2 arrives first
             job = radio.current
-            medium._receive(radio, Frame(FrameKind.ACK, 2, 0, 11))
+            medium._receive(radio, Frame(FrameKind.ACK, 2, 0, 11), False)
             checked.append((radio.current is job, job.ack_due is None))
 
         medium.set_receiver(1, on_data)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import rplsim.rpl
 from rplsim.cli import result_to_row
-from rplsim.engine import Event, Simulator, derive_stream, to_us
+from rplsim.engine import Event, Simulator, to_us
 from rplsim.medium import Medium, MediumConfig
 from rplsim.objective import (ETX_INITIAL, INFINITE_RANK, MAX_PATH_COST,
                               RANK_UNIT, ROOT_RANK, mrhof_path_cost, of0_rank)
@@ -16,7 +16,7 @@ from rplsim.rpl import (CandidateInfo, DioMessage, Node, ProtocolConfig,
                         SENSOR)
 from rplsim.scenario import ScenarioConfig, radio_links
 from rplsim.simulate import run_scenario
-from rplsim.telemetry import EnergyLedger, MetricsReport, TraceRecorder
+from rplsim.telemetry import MetricsReport, TraceRecorder
 from test_simulate import links_only
 
 SEC = to_us(1.0)
@@ -27,20 +27,17 @@ def make_net(positions, objective="of0", seed=1, rx=1.0, proto=None,
              with_sink=True, trace=None):
     sim = Simulator()
     proto = proto or ProtocolConfig()
-    ledgers = {nid: EnergyLedger() for nid in positions}
-    jitter = {nid: derive_stream(seed, "protocol-jitter", nid)
-              for nid in positions}
     trace = trace or TraceRecorder(enabled=False)
     cfg = MediumConfig()
     medium = Medium(sim, cfg, radio_links(positions, cfg.tx_range_m, rx),
-                    derive_stream(seed, "medium"), jitter, ledgers, trace)
+                    seed, trace=trace)
     metrics = MetricsReport()
     nodes = {}
     for nid in sorted(positions):
         if nid == 0 and not with_sink:
             continue
         nodes[nid] = Node(nid, "high-critical", objective, proto, medium,
-                          ledgers[nid], jitter[nid], metrics)
+                          metrics)
     return sim, medium, nodes, metrics
 
 

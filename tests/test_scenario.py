@@ -74,7 +74,7 @@ class TestValidation:
         cfg = cfg_with(node_count=5, topology="grid", rx_success_ratio=0.8,
                        warmup_s=0.0, duration_s=1.0)
         medium = run_scenario(cfg).nodes[0].medium
-        assert {ratio for radio in medium._radios.values()
+        assert {ratio for radio in medium.radios.values()
                 for ratio in radio.neighbors.values()} == {0.8}
 
     def test_medium_rx_ratio_points_to_top_level_field(self):
