@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Collection
 
@@ -42,6 +42,9 @@ class FrameKind(Enum):
     DIS = "dis"
     DATA = "data"
     ACK = "ack"
+
+    def __init__(self, label: str) -> None:
+        self.label = label      # the value, read without Enum's property
 
 
 class Outcome(Enum):
@@ -89,7 +92,8 @@ class Frame:
 class Transmission:
     frame: Frame
     victims: Collection[int]     # receivers whose outcome matters, ascending
-    corrupted: set[int] = field(default_factory=set)
+    ratios: dict[int, float]     # the sender's reception ratio by receiver
+    corrupted: frozenset[int] = frozenset()   # replaced only on an overlap
 
 
 @dataclass(slots=True)
@@ -157,9 +161,8 @@ class Medium:
     def broadcast(self, sender: int, kind: FrameKind, payload: object = None,
                   on_done: Callable[[dict[int, Outcome]], None] | None = None) -> None:
         """Queue a single-attempt, unacknowledged frame to every in-range node."""
-        frame = self._new_frame(kind, sender, None, self.cfg.control_frame_bytes,
-                                payload)
-        self._submit(sender, _Job(frame, on_done))
+        self._queue(sender, kind, None, self.cfg.control_frame_bytes, payload,
+                    on_done)
 
     def unicast_with_ack(self, sender: int, receiver: int, payload: object,
                          on_complete: Callable[[bool, int, bool], None]) -> None:
@@ -169,28 +172,25 @@ class Medium:
         the third argument is the medium's ground truth of whether any data
         attempt reached the receiver (it may be True on ACK-only losses).
         """
-        frame = self._new_frame(DATA, sender, receiver,
-                                self.cfg.data_frame_bytes, payload)
-        self._submit(sender, _Job(frame, on_complete))
+        self._queue(sender, DATA, receiver, self.cfg.data_frame_bytes, payload,
+                    on_complete)
 
     def deliver(self, tx: Transmission, receiver: int,
                 stream: random.Random) -> Outcome:
         """Reception outcome for one receiver of one frame."""
         if receiver in tx.corrupted:
             return LOST_COLLISION
-        if stream.random() < self.radios[tx.frame.src].neighbors[receiver]:
+        if stream.random() < tx.ratios[receiver]:
             return DELIVERED
         return LOST_RANDOM
 
     # ------------------------------------------------------------- MAC layer
 
-    def _new_frame(self, kind, src, dst, size, payload) -> Frame:
+    def _queue(self, sender, kind, dst, size, payload, on_done) -> None:
         self._next_frame_id += 1
-        return Frame(kind, src, dst, size, payload, self._next_frame_id)
-
-    def _submit(self, sender: int, job: _Job) -> None:
         radio = self.radios[sender]
-        radio.queue.append(job)
+        radio.queue.append(_Job(Frame(kind, sender, dst, size, payload,
+                                      self._next_frame_id), on_done))
         self._start_next(radio)
 
     def _start_next(self, radio: _Radio) -> None:
@@ -209,92 +209,88 @@ class Medium:
         self._start_next(radio)
 
     def _begin_csma(self, radio: _Radio, job: _Job) -> None:
-        backoff = radio.jitter.randrange(self._backoff_window_us)
-        self.sim.schedule_in(backoff, lambda: self._sense(radio, job))
+        def sense() -> None:
+            if radio.audible.isdisjoint(self._active):
+                self._transmit(radio, job, job.frame)
+            else:
+                self._begin_csma(radio, job)  # busy: a fresh backoff
 
-    def _sense(self, radio: _Radio, job: _Job) -> None:
-        if not radio.audible.isdisjoint(self._active):
-            self._begin_csma(radio, job)      # busy: defer with a fresh backoff
-            return
-        self._transmit(radio, job, job.frame)
+        sim = self.sim     # per-frame events skip schedule_in's extra call
+        backoff = radio.jitter.randrange(self._backoff_window_us)
+        sim.schedule(sim.now + backoff, None, None, sense)
 
     def _transmit(self, radio: _Radio, job: _Job | None, frame: Frame) -> None:
         if frame.dst is None:
-            victims = radio.neighbors.keys()
+            victims = radio.neighbors          # its keys, ascending
         else:
             victims = (frame.dst,) if frame.dst in radio.audible else ()
-        airtime = self._airtime_us[frame.size_bytes]
-        tx = Transmission(frame, victims)
-        self._register(radio, tx)
-        self.sim.schedule_in(airtime, lambda: self._tx_end(radio, job, tx))
-
-    def _register(self, radio: _Radio, tx: Transmission) -> None:
+        tx = Transmission(frame, victims, radio.neighbors)
         # mutual interference with every transmission already in flight;
         # audible holds the radio itself, so a sender cannot also receive
-        if self._active:
-            for other_sender, other in self._active.items():
-                tx.corrupted |= self.radios[other_sender].audible.intersection(
-                    tx.victims)
-                other.corrupted |= radio.audible.intersection(other.victims)
+        for other_sender, other in self._active.items():
+            tx.corrupted |= self.radios[other_sender].audible.intersection(
+                victims)
+            other.corrupted |= radio.audible.intersection(other.victims)
         self._active[radio.node_id] = tx
-
-    def _tx_end(self, radio: _Radio, job: _Job | None,
-                tx: Transmission) -> None:
-        sender, frame = radio.node_id, tx.frame
-        del self._active[sender]
-        now = self.sim.now                 # one airtime after _transmit
         airtime = self._airtime_us[frame.size_bytes]
-        radio.ledger.charge(TX, airtime)
-        tracing = self.trace.enabled
-        if tracing:
-            self.trace.emit((now - airtime, "tx", sender, frame.kind.value,
-                             frame.size_bytes, frame.frame_id))
-        radios, stream, deliver = self.radios, self._stream, self.deliver
-        broadcast = frame.dst is None      # only its on_done reads outcomes
-        outcomes: dict[int, Outcome] = {}
-        delivered = []
-        for r in tx.victims:
-            outcome = deliver(tx, r, stream)
-            if broadcast:
-                outcomes[r] = outcome
-            if outcome is DELIVERED:
-                receiver = radios[r]
-                delivered.append(receiver)
-                receiver.ledger.charge(RX, airtime)
-                if tracing:
-                    self.trace.emit((now, "rx", r, sender,
-                                     frame.size_bytes, frame.frame_id))
 
-        repeat = job is not None and job.data_delivered   # a copy went up
-        if broadcast:
-            self._finish(radio, outcomes)
-        else:                                      # data, or an ACK (no job)
-            if job is not None:
-                job.data_delivered |= bool(delivered)
-                job.ack_due = now + self._ack_timeout_us
-            if not delivered:                      # no ACK can come now
-                self._no_ack(sender if job is not None else frame.dst)
-        # receivers react last, so whatever the sender scheduled above
-        # keeps its place ahead of what they schedule
-        for receiver in delivered:
-            self._receive(receiver, frame, repeat)
+        def end_of_airtime() -> None:       # shares only what it must
+            frame, victims, sender = tx.frame, tx.victims, radio.node_id
+            dst, kind = frame.dst, frame.kind
+            del self._active[sender]
+            now = self.sim.now
+            radio.ledger.charge(TX, airtime)
+            trace, tracing = self.trace, self.trace.enabled
+            if tracing:
+                trace.emit((now - airtime, "tx", sender, kind.label,
+                            frame.size_bytes, frame.frame_id))
+            radios, stream, deliver = self.radios, self._stream, self.deliver
+            # only a broadcast's on_done reads the outcomes
+            outcomes = {} if dst is None and job.on_done is not None else None
+            delivered = []
+            for r in victims:
+                outcome = deliver(tx, r, stream)
+                if outcomes is not None:
+                    outcomes[r] = outcome
+                if outcome is DELIVERED:
+                    receiver = radios[r]
+                    delivered.append(receiver)
+                    receiver.ledger.charge(RX, airtime)
+                    if tracing:
+                        trace.emit((now, "rx", r, sender, frame.size_bytes,
+                                    frame.frame_id))
+            repeat = job is not None and job.data_delivered  # a copy went up
+            if dst is None:
+                self._finish(radio, outcomes)
+            else:                                  # data, or an ACK (no job)
+                if job is not None:
+                    job.data_delivered |= bool(delivered)
+                    job.ack_due = now + self._ack_timeout_us
+                if not delivered:                  # no ACK can come now
+                    self._no_ack(sender if job is not None else dst)
+            # receivers react last, so whatever the sender scheduled above
+            # keeps its place ahead of what they schedule
+            for receiver in delivered:
+                if kind is ACK:
+                    self._receive_ack(receiver, sender)
+                    continue
+                if kind is DATA:
+                    self._send_ack(receiver, sender)  # every copy, up once
+                if not repeat and receiver.receiver is not None:
+                    receiver.receiver(frame, sender)
 
-    def _receive(self, radio: _Radio, frame: Frame, repeat: bool) -> None:
-        from_id, kind = frame.src, frame.kind
-        if kind is ACK:
-            job = radio.current       # a broadcast never awaits an ACK
-            if (job is not None and job.ack_due is not None
-                    and job.frame.dst == from_id):
-                self._finish(radio, True, job.attempts, job.data_delivered)
-            return
-        if kind is DATA:
-            self._send_ack(radio, from_id)     # every copy, but up only once
-        if not repeat and radio.receiver is not None:
-            radio.receiver(frame, from_id)
+        self.sim.schedule(self.sim.now + airtime, None, None, end_of_airtime)
+
+    def _receive_ack(self, radio: _Radio, from_id: int) -> None:
+        job = radio.current           # a broadcast never awaits an ACK
+        if (job is not None and job.ack_due is not None
+                and job.frame.dst == from_id):
+            self._finish(radio, True, job.attempts, job.data_delivered)
 
     def _send_ack(self, radio: _Radio, dst: int) -> None:
-        ack = self._new_frame(ACK, radio.node_id, dst,
-                              self.cfg.ack_frame_bytes, None)
+        self._next_frame_id += 1
+        ack = Frame(ACK, radio.node_id, dst, self.cfg.ack_frame_bytes, None,
+                    self._next_frame_id)
 
         def fire() -> None:
             if radio.node_id in self._active:
@@ -302,19 +298,20 @@ class Medium:
                 return
             self._transmit(radio, None, ack)
 
-        self.sim.schedule_in(self._ack_turnaround_us, fire)
+        sim = self.sim
+        sim.schedule(sim.now + self._ack_turnaround_us, None, None, fire)
 
     def _no_ack(self, sender: int) -> None:
         """No ACK can reach sender's job now: queue its timeout for ack_due."""
         radio = self.radios[sender]
         job = radio.current
-        self.sim.schedule_in(job.ack_due - self.sim.now,
-                             lambda: self._ack_timeout(radio, job))
 
-    def _ack_timeout(self, radio: _Radio, job: _Job) -> None:
-        job.ack_due = None
-        if job.attempts < self.cfg.max_transmissions:
-            job.attempts += 1
-            self._begin_csma(radio, job)
-        else:
-            self._finish(radio, False, job.attempts, job.data_delivered)
+        def timeout() -> None:
+            job.ack_due = None
+            if job.attempts < self.cfg.max_transmissions:
+                job.attempts += 1
+                self._begin_csma(radio, job)
+            else:
+                self._finish(radio, False, job.attempts, job.data_delivered)
+
+        self.sim.schedule(job.ack_due, None, None, timeout)

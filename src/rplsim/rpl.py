@@ -174,7 +174,7 @@ class Node:
             self._dirty |= self._selectable(known) or self._selectable(heard)
         if self._hk_event is None:      # a newer last_heard purges no sooner
             self._arm_housekeeping()
-        if self._reselect() and self.joined:
+        if self._reselect() and self.preferred_parent is not None:  # joined
             self.trickle.counter += 1
 
     def on_dis(self, from_id: int) -> None:
@@ -280,7 +280,7 @@ class Node:
         """
         if not self.candidates:
             return
-        oldest = min(c.last_heard for c in self.candidates.values())
+        oldest = min([c.last_heard for c in self.candidates.values()])
         after = max(oldest + self._expiry_us(), self.sim.now)
         origin, period = self._hk_origin, self._hk_period_us
         due = origin if after < origin else \

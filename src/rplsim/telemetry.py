@@ -55,10 +55,10 @@ class EnergyLedger:
     def charge(self, state: str, duration_us: int) -> None:
         if duration_us < 0:
             raise ValueError(f"negative energy charge: {state} {duration_us}")
-        if state == TX:
-            self.tx_us += duration_us
-        elif state == RX:
+        if state == RX:                 # the most frequent charge first
             self.rx_us += duration_us
+        elif state == TX:
+            self.tx_us += duration_us
         elif state != CPU:
             raise ValueError(f"unknown energy state: {state!r}")
         self.cpu_us += duration_us
@@ -160,20 +160,23 @@ TRACE_FIELDS = {
 }
 
 
-def _line_format(fields: dict) -> tuple:
-    """A kind's JSON line as a %-template with sorted keys, and its filler."""
-    get = itemgetter(*map(list(fields).index, sorted(fields)))
+def _line_format(ev: str, fields: dict) -> tuple:
+    """Kind ev's JSON line as a %-template, ev written in, and its filler."""
+    keys = sorted(fields)
+    get = itemgetter(*[list(fields).index(k) for k in keys if k != "ev"])
     if any(isinstance(None, kind) for kind in fields.values()):
         get = lambda r, g=get: tuple("null" if v is None else v for v in g(r))
-    return "{%s}\n" % ",".join(f'"{k}":"%s"' if fields[k] is str else f'"{k}":%s'
-                               for k in sorted(fields)), get
+    return "{%s}\n" % ",".join(
+        f'"ev":"{ev}"' if k == "ev" else f'"{k}":"%s"' if fields[k] is str
+        else f'"{k}":%s' for k in keys), get
 
 
 class TraceRecorder:
     """Collects trace records in `records`, tuples laid out by TRACE_FIELDS.
     Writing fails on an unknown kind or width; disabled, it keeps none."""
 
-    _formats = {(ev, len(f)): _line_format(f) for ev, f in TRACE_FIELDS.items()}
+    _formats = {(ev, len(f)): _line_format(ev, f)
+                for ev, f in TRACE_FIELDS.items()}
 
     def __init__(self, enabled: bool = True):
         self.enabled = enabled

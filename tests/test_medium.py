@@ -9,7 +9,7 @@ from scipy import stats as scipy_stats
 
 from oracles import disk_edges, unicast_expectation
 from rplsim.engine import Simulator, to_us
-from rplsim.medium import Frame, FrameKind, Medium, MediumConfig, Outcome
+from rplsim.medium import FrameKind, Medium, MediumConfig, Outcome
 from rplsim.scenario import (ConfigError, ScenarioConfig, radio_links,
                              scenario_from_dict)
 from rplsim.telemetry import NULL_TRACE, TraceRecorder
@@ -418,7 +418,7 @@ class TestJobEnd:
         def on_data(frame, src):
             # 0's job awaits an ACK; an ACK from 2 arrives first
             job = radio.current
-            medium._receive(radio, Frame(FrameKind.ACK, 2, 0, 11), False)
+            medium._receive_ack(radio, 2)
             checked.append((radio.current is job, job.ack_due is None))
 
         medium.set_receiver(1, on_data)
