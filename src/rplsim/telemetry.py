@@ -21,8 +21,8 @@ draw, summed across both rails, times supply voltage.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .engine import US_PER_S
 
@@ -158,25 +158,13 @@ TRACE_FIELDS = {
     "drop": {**_HEAD, "pkt": str, "cause": str},
     "parent": {**_HEAD, "parent": int | None, "rank": int},
 }
-
-
-def _line_format(ev: str, fields: dict) -> tuple:
-    """Kind ev's JSON line as a %-template, ev written in, and its filler."""
-    keys = sorted(fields)
-    get = itemgetter(*[list(fields).index(k) for k in keys if k != "ev"])
-    if any(isinstance(None, kind) for kind in fields.values()):
-        get = lambda r, g=get: tuple("null" if v is None else v for v in g(r))
-    return "{%s}\n" % ",".join(
-        f'"ev":"{ev}"' if k == "ev" else f'"{k}":"%s"' if fields[k] is str
-        else f'"{k}":%s' for k in keys), get
+_FIELDS = {(ev, len(f)): f for ev, f in TRACE_FIELDS.items()}
+_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 class TraceRecorder:
     """Collects trace records in `records`, tuples laid out by TRACE_FIELDS.
     Writing fails on an unknown kind or width; disabled, it keeps none."""
-
-    _formats = {(ev, len(f)): _line_format(ev, f)
-                for ev, f in TRACE_FIELDS.items()}
 
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
@@ -187,10 +175,32 @@ class TraceRecorder:
             self.records.append(record)
 
     def write_jsonl(self, path: str) -> None:
+        t0 = object()                 # in no record: the first rx misses
         with open(path, "w", encoding="utf-8") as fh:
-            for record in self.records:
-                template, get = self._formats[record[1], len(record)]
-                fh.write(template % get(record))
+            write = fh.write          # line by line, no file-sized string
+            for r in self.records:
+                match r:     # each line is what _ENCODE makes of its dict
+                    case (t, "rx", node, src, size, frame):
+                        if (t is not t0 or frame is not frame0
+                                or src is not src0 or size is not size0):
+                            t0, src0, size0, frame0 = t, src, size, frame
+                            head = (f'{{"bytes":{size},"ev":"rx","frame":'
+                                    f'{frame},"from":{src},"node":')
+                            tail = f',"t":{t}}}\n'
+                        write(f"{head}{node}{tail}")  # an airing's share
+                    case (t, "tx", node, kind, size, frame):
+                        write(f'{{"bytes":{size},"ev":"tx","frame":{frame},'
+                              f'"kind":"{kind}","node":{node},"t":{t}}}\n')
+                    case (t, "send", node, pkt, cls):
+                        write(f'{{"cls":"{cls}","ev":"send","node":{node},'
+                              f'"pkt":"{pkt}","t":{t}}}\n')
+                    case (t, "deliver", node, pkt, hops, lat):
+                        write(f'{{"ev":"deliver","hops":{hops},"lat":{lat},'
+                              f'"node":{node},"pkt":"{pkt}","t":{t}}}\n')
+                    case (t, "fwd", node, pkt):
+                        write(f'{{"ev":"fwd","node":{node},"pkt":"{pkt}","t":{t}}}\n')
+                    case _:                   # the rare kinds, or KeyError
+                        write(_ENCODE(dict(zip(_FIELDS[r[1], len(r)], r))) + "\n")
 
 
 NULL_TRACE = TraceRecorder(enabled=False)

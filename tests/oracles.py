@@ -130,3 +130,43 @@ def replay_energy(records: list[tuple], bitrate_bps: int,
         elif ev in ("send", "fwd", "deliver"):
             acc[node]["cpu_us"] += cpu_process_us
     return acc
+
+
+def check_packets(result) -> list[str]:
+    """Per-packet conservation, read from the run's trace.
+
+    Each sent pid has at most one fate (a deliver or a drop); each fwd and
+    each fate comes after the pid's send, and no fwd after its fate; the
+    pids with no fate are exactly the packets the run left in a node's queue
+    or in a MAC data job whose data no receiver got.  Returns the problems.
+    """
+    sent, fated, problems = set(), {}, []
+    for rec in result.trace.records:
+        ev = rec[1]
+        if ev not in ("send", "fwd", "deliver", "drop"):
+            continue
+        pid = rec[3]
+        if ev == "send":
+            if pid in sent:
+                problems.append(f"{pid}: sent twice")
+            sent.add(pid)
+        elif pid not in sent:
+            problems.append(f"{pid}: {ev} at {rec[0]} before its send")
+        elif pid in fated:
+            problems.append(f"{pid}: {ev} at {rec[0]} after its {fated[pid]}")
+        elif ev != "fwd":
+            fated[pid] = ev
+    held = set()
+    for nid, node in result.nodes.items():
+        held.update(packet.pid for packet in node.queue)
+        radio = node.medium.radios[nid]
+        for job in (radio.current, *radio.queue):
+            if (job is not None and job.frame.kind.label == "data"
+                    and not job.data_delivered):
+                held.add(job.frame.payload.pid)
+    unfated = sent - fated.keys()
+    for pid in sorted(unfated - held):
+        problems.append(f"{pid}: no fate, and no queue or job holds it")
+    for pid in sorted(held - unfated):
+        problems.append(f"{pid}: held at the end, but not an unfated send")
+    return problems

@@ -18,8 +18,8 @@ from contextlib import contextmanager
 
 import pytest
 
-from oracles import (bfs_hops, dijkstra_etx, disk_edges, replay_energy,
-                     unicast_expectation)
+from oracles import (bfs_hops, check_packets, dijkstra_etx, disk_edges,
+                     replay_energy, unicast_expectation)
 from rplsim import cli
 from rplsim.cli import append_rows, load_sweep, result_to_row, sweep_tasks
 from rplsim.engine import derive_stream, to_us
@@ -214,6 +214,7 @@ def paper_grid_cell(cfg):
         "tree": check_tree(result),
         "energy": check_energy(result),
         "replay": check_replay(result),
+        "packets": check_packets(result),
         "row": result_to_row(result),
     }
 
@@ -364,6 +365,14 @@ def test_criterion_8_energy_invariants(paper_grid_runs):
                     for c in paper_grid_runs
                     if c["energy"] is not None or c["replay"] is not None]
         assert not problems, "\n".join(problems)
+
+
+def test_paper_grid_packet_conservation(paper_grid_runs):
+    """Each traced packet of the grid has one fate at most, after its send;
+    the ones without are those the run left queued or on air."""
+    problems = [f"{c['cell']}: {problem}" for c in paper_grid_runs
+                for problem in c["packets"]]
+    assert not problems, "\n".join(problems[:20])
 
 
 # --------------------------------------------------------------- criterion 9

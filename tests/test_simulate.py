@@ -12,6 +12,7 @@ from dataclasses import replace
 import pytest
 
 import rplsim.rpl
+from oracles import check_packets
 from rplsim.cli import result_to_row
 from rplsim.engine import Event, Simulator, derive_stream, to_us
 from rplsim.medium import MediumConfig
@@ -279,7 +280,9 @@ def digests(result, tmp_path):
 
 @pytest.mark.parametrize("case", sorted(TRACE_DIGESTS))
 def test_trace_and_row_digests(case, tmp_path):
-    assert digests(run_trace_case(case), tmp_path) == TRACE_DIGESTS[case]
+    result = run_trace_case(case)
+    assert digests(result, tmp_path) == TRACE_DIGESTS[case]
+    assert check_packets(result) == []
 
 
 @pytest.mark.parametrize("case", sorted(WORK_COUNTS))
