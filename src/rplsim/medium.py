@@ -81,7 +81,6 @@ class MediumConfig:
 @dataclass(slots=True)
 class Frame:
     kind: FrameKind
-    src: int
     dst: int | None          # None for broadcast
     size_bytes: int
     payload: object = None
@@ -98,9 +97,8 @@ class Transmission:
 
 @dataclass(slots=True)
 class _Job:
-    """One queued frame: a broadcast when frame.dst is None, else a unicast
-    with ACK and retries.  on_done gets the broadcast's outcomes by receiver,
-    or a unicast's (success, attempts_used, data_ever_delivered)."""
+    """One queued frame: a broadcast (dst None), ended by on_done(), or a
+    retried unicast, ended by on_done(success, attempts, data_delivered)."""
     frame: Frame
     on_done: Callable | None
     attempts: int = 0
@@ -159,8 +157,9 @@ class Medium:
         self.radios[node_id].receiver = callback
 
     def broadcast(self, sender: int, kind: FrameKind, payload: object = None,
-                  on_done: Callable[[dict[int, Outcome]], None] | None = None) -> None:
-        """Queue a single-attempt, unacknowledged frame to every in-range node."""
+                  on_done: Callable[[], None] | None = None) -> None:
+        """Queue a single-attempt, unacknowledged frame to each in-range node;
+        on_done() fires as its airtime ends.  deliver reports each outcome."""
         self._queue(sender, kind, None, self.cfg.control_frame_bytes, payload,
                     on_done)
 
@@ -189,7 +188,7 @@ class Medium:
     def _queue(self, sender, kind, dst, size, payload, on_done) -> None:
         self._next_frame_id += 1
         radio = self.radios[sender]
-        radio.queue.append(_Job(Frame(kind, sender, dst, size, payload,
+        radio.queue.append(_Job(Frame(kind, dst, size, payload,
                                       self._next_frame_id), on_done))
         self._start_next(radio)
 
@@ -245,14 +244,9 @@ class Medium:
                 trace.emit((now - airtime, "tx", sender, kind.label,
                             frame.size_bytes, frame.frame_id))
             radios, stream, deliver = self.radios, self._stream, self.deliver
-            # only a broadcast's on_done reads the outcomes
-            outcomes = {} if dst is None and job.on_done is not None else None
             delivered = []
             for r in victims:
-                outcome = deliver(tx, r, stream)
-                if outcomes is not None:
-                    outcomes[r] = outcome
-                if outcome is DELIVERED:
+                if deliver(tx, r, stream) is DELIVERED:
                     receiver = radios[r]
                     delivered.append(receiver)
                     receiver.ledger.charge(RX, airtime)
@@ -261,7 +255,7 @@ class Medium:
                                     frame.frame_id))
             repeat = job is not None and job.data_delivered  # a copy went up
             if dst is None:
-                self._finish(radio, outcomes)
+                self._finish(radio)
             else:                                  # data, or an ACK (no job)
                 if job is not None:
                     job.data_delivered |= bool(delivered)
@@ -289,7 +283,7 @@ class Medium:
 
     def _send_ack(self, radio: _Radio, dst: int) -> None:
         self._next_frame_id += 1
-        ack = Frame(ACK, radio.node_id, dst, self.cfg.ack_frame_bytes, None,
+        ack = Frame(ACK, dst, self.cfg.ack_frame_bytes, None,
                     self._next_frame_id)
 
         def fire() -> None:

@@ -126,7 +126,7 @@ class Node:
         self._hk_origin = 0      # the first tick of the housekeeping grid
         self._hk_event = None    # the one pending housekeeping tick
         self._hk_due = 0
-        self._mac_busy = False
+        self._in_flight: tuple[DataPacket, int] | None = None  # in the MAC
         self._pkt_seq = 0
         self._cpu_process_us = to_us(proto.cpu_process_s)
         self._last_advertised_rank = self.rank
@@ -379,21 +379,19 @@ class Node:
         self._service_queue()
 
     def _service_queue(self) -> None:
-        while not self._mac_busy and self.queue:
+        while self._in_flight is None and self.queue:
             packet = self.queue.popleft()
             parent = self.preferred_parent
             if parent is None:
                 self._drop(packet, "no-route")
                 continue
-            self._mac_busy = True
-            self.medium.unicast_with_ack(
-                self.id, parent, packet,
-                lambda ok, attempts, truth, p=packet, q=parent:
-                    self._unicast_done(p, q, ok, attempts, truth))
+            self._in_flight = (packet, parent)
+            self.medium.unicast_with_ack(self.id, parent, packet,
+                                         self._unicast_done)
 
-    def _unicast_done(self, packet: DataPacket, parent: int, success: bool,
-                      attempts: int, data_delivered: bool) -> None:
-        self._mac_busy = False
+    def _unicast_done(self, success: bool, attempts: int,
+                      data_delivered: bool) -> None:
+        (packet, parent), self._in_flight = self._in_flight, None
         if success and parent in self.candidates:
             self.candidates[parent].last_heard = self.sim.now
         if self.objective == MRHOF_ETX:     # only MRHOF reads link_etx

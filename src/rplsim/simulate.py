@@ -86,7 +86,6 @@ def run_scenario(cfg: ScenarioConfig,
     for nid in node_ids:
         nodes[nid] = Node(nid, classes.get(nid), cfg.objective, cfg.protocol,
                           medium, metrics)
-    for nid in node_ids:
         nodes[nid].start()
 
     warmup_us = to_us(cfg.warmup_s)

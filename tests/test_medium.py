@@ -1,6 +1,7 @@
 """Radio medium: range, losses, collisions, CSMA unicast statistics."""
 
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +34,21 @@ def collect_frames(medium, nodes):
         medium.set_receiver(nid, lambda frame, src, nid=nid:
                             inbox.append((nid, frame, src)))
     return inbox
+
+
+def record_outcomes(medium):
+    """Wrap this medium's deliver, the one place a reception's outcome is
+    reported; returns the list of (frame, receiver, outcome) it appends, in
+    draw order."""
+    deliver, drawn = medium.deliver, []
+
+    def recording(tx, receiver, stream):
+        outcome = deliver(tx, receiver, stream)
+        drawn.append((tx.frame, receiver, outcome))
+        return outcome
+
+    medium.deliver = recording      # end_of_airtime looks it up each time
+    return drawn
 
 
 def in_order(links):
@@ -157,20 +173,20 @@ class TestBroadcast:
                      3: (-50.0, 0.0)}
         sim, medium, _ = make_medium(positions, rx_success_ratio=1.0)
         inbox = collect_frames(medium, positions)
-        seen = {}
-        medium.broadcast(0, FrameKind.DIS, on_done=seen.update)
+        drawn = record_outcomes(medium)
+        medium.broadcast(0, FrameKind.DIS)
         sim.run_until(SEC)
-        assert seen == {1: Outcome.DELIVERED, 2: Outcome.DELIVERED,
-                        3: Outcome.DELIVERED}
+        assert {r: o for _, r, o in drawn} == {
+            1: Outcome.DELIVERED, 2: Outcome.DELIVERED, 3: Outcome.DELIVERED}
         assert sorted(nid for nid, _, _ in inbox) == [1, 2, 3]
 
     def test_no_receivers_still_charges_sender(self):
         positions = {0: (0.0, 0.0), 1: (500.0, 0.0)}
         sim, medium, ledgers = make_medium(positions)
-        seen = {}
-        medium.broadcast(0, FrameKind.DIS, on_done=seen.update)
+        drawn, done = record_outcomes(medium), []
+        medium.broadcast(0, FrameKind.DIS, on_done=lambda: done.append(1))
         sim.run_until(SEC)
-        assert seen == {}
+        assert drawn == [] and done == [1]
         assert ledgers[0].tx_us == 2048
         assert ledgers[0].cpu_us == 2048
         assert ledgers[1].rx_us == 0
@@ -187,43 +203,40 @@ class TestBroadcast:
         # 0 and 2 cannot hear each other; both are audible at 1
         positions = {0: (0.0, 0.0), 1: (80.0, 0.0), 2: (160.0, 0.0)}
         sim, medium, _ = make_medium(positions, backoff_window_s=2e-6)
-        outcomes = []
-        medium.broadcast(0, FrameKind.DIS, on_done=lambda o: outcomes.append((0, o)))
-        medium.broadcast(2, FrameKind.DIS, on_done=lambda o: outcomes.append((2, o)))
+        drawn = record_outcomes(medium)
+        medium.broadcast(0, FrameKind.DIS)       # frame 1
+        medium.broadcast(2, FrameKind.DIS)       # frame 2
         sim.run_until(SEC)
-        results = dict(outcomes)
-        assert results[0][1] is Outcome.LOST_COLLISION
-        assert results[2][1] is Outcome.LOST_COLLISION
+        results = {f.frame_id: (r, o) for f, r, o in drawn}
+        assert results[1] == (1, Outcome.LOST_COLLISION)
+        assert results[2] == (1, Outcome.LOST_COLLISION)
 
-    def test_on_done_gets_every_receivers_outcome(self):
+    def test_deliver_reports_every_receivers_outcome(self):
         # 2 is hidden from 0 and collides with it at 1 only; 0's link to 3
         # loses every frame
         positions = {0: (0.0, 0.0), 1: (80.0, 0.0), 2: (160.0, 0.0),
                      3: (0.0, 50.0), 4: (0.0, -50.0)}
         sim, medium, _ = make_medium(positions, backoff_window_s=2e-6,
                                      link_rx={(0, 3): 0.0})
-        seen = []
-        medium.broadcast(0, FrameKind.DIO, on_done=seen.append)
+        drawn = record_outcomes(medium)
+        medium.broadcast(0, FrameKind.DIO)
         medium.broadcast(2, FrameKind.DIS)
         sim.run_until(SEC)
-        assert seen == [{1: Outcome.LOST_COLLISION, 3: Outcome.LOST_RANDOM,
-                         4: Outcome.DELIVERED}]
-        assert list(seen[0]) == [1, 3, 4]
+        assert [(r, o) for f, r, o in drawn if f.kind is FrameKind.DIO] == [
+            (1, Outcome.LOST_COLLISION), (3, Outcome.LOST_RANDOM),
+            (4, Outcome.DELIVERED)]
 
     def test_delivery_fraction_matches_rx_ratio(self):
         positions = {0: (0.0, 0.0), 1: (50.0, 0.0)}
         sim, medium, _ = make_medium(positions, rx_success_ratio=0.8,
                                      backoff_window_s=0.004)
-        delivered = [0]
-
-        def on_done(outcomes):
-            if outcomes[1] is Outcome.DELIVERED:
-                delivered[0] += 1
-
+        drawn = record_outcomes(medium)
         for _ in range(10_000):
-            medium.broadcast(0, FrameKind.DIS, on_done=on_done)
+            medium.broadcast(0, FrameKind.DIS)
         sim.run_until(200 * SEC)
-        fraction = delivered[0] / 10_000
+        assert len(drawn) == 10_000 and {r for _, r, _ in drawn} == {1}
+        delivered = sum(o is Outcome.DELIVERED for _, _, o in drawn)
+        fraction = delivered / 10_000
         assert 0.78 <= fraction <= 0.82
 
     def test_delivery_counts_are_binomial(self):
@@ -231,15 +244,18 @@ class TestBroadcast:
                      3: (-50.0, 0.0), 4: (0.0, -50.0)}
         sim, medium, _ = make_medium(positions, rx_success_ratio=0.8,
                                      backoff_window_s=0.004)
-        counts = [0] * 5
-
-        def on_done(outcomes):
-            counts[sum(o is Outcome.DELIVERED for o in outcomes.values())] += 1
-
+        drawn = record_outcomes(medium)
         trials = 5000
         for _ in range(trials):
-            medium.broadcast(0, FrameKind.DIS, on_done=on_done)
+            medium.broadcast(0, FrameKind.DIS)
         sim.run_until(200 * SEC)
+        per_frame = Counter()      # delivered receivers by frame, 0 included
+        for frame, _, outcome in drawn:
+            per_frame[frame.frame_id] += outcome is Outcome.DELIVERED
+        assert len(per_frame) == trials and len(drawn) == 4 * trials
+        counts = [0] * 5
+        for delivered in per_frame.values():
+            counts[delivered] += 1
         expected = [trials * scipy_stats.binom.pmf(k, 4, 0.8) for k in range(5)]
         statistic, _ = scipy_stats.chisquare(counts, expected)
         assert statistic < scipy_stats.chi2.ppf(0.999, df=4)
@@ -271,14 +287,15 @@ class TestDelivery:
         sim, medium, ledgers = make_medium(positions, trace=trace,
                                            backoff_window_s=2e-6)
         collect_frames(medium, positions)
-        unicasts, broadcasts = [], []
+        drawn, unicasts = record_outcomes(medium), []
         medium.unicast_with_ack(2, 1, None, lambda *r: unicasts.append(r))
-        sim.schedule(1700, None, None, lambda: medium.broadcast(
-            0, FrameKind.DIS, on_done=broadcasts.append))
+        sim.schedule(1700, None, None,
+                     lambda: medium.broadcast(0, FrameKind.DIS))
         sim.run_until(SEC)
         start = {r[3]: r[0] for r in trace.records if r[1] == "tx"}
         assert start["dis"] < start["ack"] < start["dis"] + 2048
-        assert broadcasts == [{1: Outcome.LOST_COLLISION}]
+        assert [(r, o) for f, r, o in drawn if f.kind is FrameKind.DIS] \
+            == [(1, Outcome.LOST_COLLISION)]
         assert ledgers[1].rx_us == 1600          # 2's data frame only
         assert unicasts == [(True, 1, True)]
 
@@ -383,15 +400,19 @@ class TestJobEnd:
         trace = TraceRecorder(enabled=True)
         sim, medium, _ = make_medium(positions, trace=trace)
         radio = medium.radios[0]
-        log = []
+        drawn, log = record_outcomes(medium), []
 
-        def queue_dio(outcomes):
-            medium.broadcast(0, FrameKind.DIO, on_done=log.append)
+        def queue_dio():
+            medium.broadcast(0, FrameKind.DIO,
+                             on_done=lambda: log.append(("dio", len(drawn))))
             log.append((radio.current.frame.kind, len(radio.queue)))
 
         medium.broadcast(0, FrameKind.DIS, on_done=queue_dio)
         sim.run_until(SEC)
-        assert log == [(FrameKind.DIO, 0), {1: Outcome.DELIVERED}]
+        assert log == [(FrameKind.DIO, 0), ("dio", 2)]
+        assert [(f.kind, r, o) for f, r, o in drawn] == [
+            (FrameKind.DIS, 1, Outcome.DELIVERED),
+            (FrameKind.DIO, 1, Outcome.DELIVERED)]
         sent = [r[3] for r in trace.records if r[1] == "tx"]
         assert sent == ["dis", "dio"]
 
@@ -399,15 +420,19 @@ class TestJobEnd:
         positions = {0: (0.0, 0.0), 1: (50.0, 0.0)}
         trace = TraceRecorder(enabled=True)
         sim, medium, _ = make_medium(positions, trace=trace)
-        seen = []
-        medium.broadcast(0, FrameKind.DIS, on_done=seen.append)
+        drawn, seen = record_outcomes(medium), []
+        medium.broadcast(0, FrameKind.DIS,
+                         on_done=lambda: seen.append(len(drawn)))
         medium._send_ack(medium.radios[1], 0)     # heard during 0's backoff
         sim.run_until(SEC)
         ack, dis = [r for r in trace.records if r[1] == "tx"]
         assert (ack[3], dis[3]) == ("ack", "dis")
         heard = [(r[2], r[5]) for r in trace.records if r[1] == "rx"]
         assert heard == [(0, ack[5]), (1, dis[5])]
-        assert seen == [{1: Outcome.DELIVERED}]
+        assert [(f.kind, r, o) for f, r, o in drawn] == [
+            (FrameKind.ACK, 0, Outcome.DELIVERED),
+            (FrameKind.DIS, 1, Outcome.DELIVERED)]
+        assert seen == [2]             # the broadcast ends once, after both
 
     def test_ack_from_another_node_neither_ends_nor_disarms(self):
         positions = {0: (0.0, 0.0), 1: (50.0, 0.0), 2: (0.0, 50.0)}

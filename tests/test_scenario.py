@@ -9,12 +9,15 @@ import pytest
 from rplsim.cli import main
 from rplsim.engine import derive_stream, to_us
 from rplsim.medium import MediumConfig
+from rplsim.objective import MRHOF_ETX, OF0
 from rplsim.rpl import ProtocolConfig
-from rplsim.scenario import (ConfigError, ScenarioConfig,
-                             assign_traffic_classes, generate_grid_topology,
-                             generate_random_topology, next_send_time,
-                             scenario_from_dict, unit_disk_connected)
+from rplsim.scenario import (PERIODIC_CLASSES, SEND_INTERVAL_S, ConfigError,
+                             ScenarioConfig, assign_traffic_classes,
+                             generate_grid_topology, generate_random_topology,
+                             load_schema, next_send_time, scenario_from_dict,
+                             unit_disk_connected)
 from rplsim.simulate import run_scenario
+from rplsim.telemetry import TRAFFIC_CLASSES
 
 BASE = {"node_count": 20, "topology": "random", "objective": "of0",
         "rx_success_ratio": 1.0}
@@ -152,6 +155,21 @@ class TestValidation:
         else:
             with pytest.raises(ConfigError, match=field):
                 cfg_with(protocol=protocol, medium=medium)
+
+    def test_schemas_name_exactly_the_codes_vocabularies(self):
+        # a name in the code alone would be refused in every config, and a
+        # name in a schema alone would be accepted but never run
+        scenario = load_schema("scenario")["properties"]
+        sweep = load_schema("sweep")["properties"]
+        assert scenario["traffic_classes"]["items"]["enum"] \
+            == list(TRAFFIC_CLASSES)
+        assert scenario["objective"]["enum"] == [OF0, MRHOF_ETX]
+        assert sweep["objectives"]["items"]["enum"] == [OF0, MRHOF_ETX]
+        # generate_topology builds "grid" and, for any other name, "random"
+        assert scenario["topology"]["enum"] == ["random", "grid"]
+        assert sweep["topologies"]["items"]["enum"] == ["random", "grid"]
+        assert set(SEND_INTERVAL_S) == set(TRAFFIC_CLASSES)
+        assert PERIODIC_CLASSES <= set(SEND_INTERVAL_S)
 
     def test_sub_microsecond_timer_periods_rejected(self):
         cfg_with(protocol={"housekeeping_period_s": 1e-6})
