@@ -251,8 +251,7 @@ class Medium:
                     delivered.append(receiver)
                     receiver.ledger.charge(RX, airtime)
                     if tracing:
-                        trace.emit((now, "rx", r, sender, frame.size_bytes,
-                                    frame.frame_id))
+                        trace.emit((now, "rx", r, frame.frame_id))
             repeat = job is not None and job.data_delivered  # a copy went up
             if dst is None:
                 self._finish(radio)

@@ -151,7 +151,7 @@ class MetricsReport:
 _HEAD = {"t": int, "ev": str, "node": int}
 TRACE_FIELDS = {
     "tx": {**_HEAD, "kind": str, "bytes": int, "frame": int},
-    "rx": {**_HEAD, "from": int, "bytes": int, "frame": int},
+    "rx": {**_HEAD, "frame": int},      # its tx of the same frame has the rest
     "send": {**_HEAD, "pkt": str, "cls": str},
     "fwd": {**_HEAD, "pkt": str},
     "deliver": {**_HEAD, "pkt": str, "hops": int, "lat": int},
@@ -175,19 +175,12 @@ class TraceRecorder:
             self.records.append(record)
 
     def write_jsonl(self, path: str) -> None:
-        t0 = object()                 # in no record: the first rx misses
         with open(path, "w", encoding="utf-8") as fh:
             write = fh.write          # line by line, no file-sized string
             for r in self.records:
                 match r:     # each line is what _ENCODE makes of its dict
-                    case (t, "rx", node, src, size, frame):
-                        if (t is not t0 or frame is not frame0
-                                or src is not src0 or size is not size0):
-                            t0, src0, size0, frame0 = t, src, size, frame
-                            head = (f'{{"bytes":{size},"ev":"rx","frame":'
-                                    f'{frame},"from":{src},"node":')
-                            tail = f',"t":{t}}}\n'
-                        write(f"{head}{node}{tail}")  # an airing's share
+                    case (t, "rx", node, frame):
+                        write(f'{{"ev":"rx","frame":{frame},"node":{node},"t":{t}}}\n')
                     case (t, "tx", node, kind, size, frame):
                         write(f'{{"bytes":{size},"ev":"tx","frame":{frame},'
                               f'"kind":"{kind}","node":{node},"t":{t}}}\n')

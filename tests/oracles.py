@@ -107,29 +107,50 @@ def record_dict(record: tuple) -> dict:
     return dict(zip(TRACE_FIELDS[record[1]], record, strict=True))
 
 
-# a record tuple starts (t, ev, node); tx and rx records carry their bytes here
-_BYTES = {ev: list(TRACE_FIELDS[ev]).index("bytes") for ev in ("tx", "rx")}
-
-
 def replay_energy(records: list[tuple], bitrate_bps: int,
                   cpu_process_us: int) -> dict[int, dict[str, int]]:
     """Recompute per-node radio and CPU time from a trace, independently.
 
-    Airtimes are re-derived from frame byte counts and the bitrate; CPU
-    time follows the documented rule: active during every own tx/rx window
-    plus one fixed processing cost per send / fwd / deliver record.
+    Airtimes are re-derived from frame byte counts and the bitrate, an rx
+    taking its bytes from its frame's tx; CPU time follows the documented
+    rule: active during every own tx/rx window plus one fixed processing
+    cost per send / fwd / deliver record.
     """
     acc: dict[int, dict[str, int]] = defaultdict(
         lambda: {"tx_us": 0, "rx_us": 0, "cpu_us": 0})
+    size = {}                   # bytes by frame id, from the frame's tx
     for rec in records:
         ev, node = rec[1], rec[2]
-        if ev in _BYTES:
-            dur = round(rec[_BYTES[ev]] * 8 * US_PER_S / bitrate_bps)
+        if ev == "tx":
+            size[rec[5]] = rec[4]
+        if ev in ("tx", "rx"):  # either record ends with its frame id
+            dur = round(size[rec[-1]] * 8 * US_PER_S / bitrate_bps)
             acc[node][f"{ev}_us"] += dur
             acc[node]["cpu_us"] += dur
         elif ev in ("send", "fwd", "deliver"):
             acc[node]["cpu_us"] += cpu_process_us
     return acc
+
+
+def check_frames(records: list[tuple]) -> list[str]:
+    """Each frame's facts, held in its tx records only.
+
+    Every rx names a frame that an earlier tx aired; every tx of one frame
+    (a retried unicast airs its frame again) has the same node, kind and
+    bytes.  Returns the problems.
+    """
+    aired, problems = {}, []        # (node, kind, bytes) by frame id
+    for rec in records:
+        if rec[1] == "tx":
+            facts = rec[2:5]
+            first = aired.setdefault(rec[5], facts)
+            if facts != first:
+                problems.append(f"frame {rec[5]}: tx at {rec[0]} has "
+                                f"{facts}, an earlier tx {first}")
+        elif rec[1] == "rx" and rec[3] not in aired:
+            problems.append(f"frame {rec[3]}: rx at {rec[0]} by node "
+                            f"{rec[2]} before any tx")
+    return problems
 
 
 def check_packets(result) -> list[str]:

@@ -19,8 +19,8 @@ from contextlib import contextmanager
 
 import pytest
 
-from oracles import (bfs_hops, check_packets, dijkstra_etx, disk_edges,
-                     replay_energy, unicast_expectation)
+from oracles import (bfs_hops, check_frames, check_packets, dijkstra_etx,
+                     disk_edges, replay_energy, unicast_expectation)
 from rplsim import cli
 from rplsim.cli import append_rows, load_sweep, result_to_row, sweep_tasks
 from rplsim.engine import derive_stream, to_us
@@ -219,6 +219,7 @@ def paper_grid_cell(cfg):
         "energy": check_energy(result),
         "replay": check_replay(result),
         "packets": check_packets(result),
+        "frames": check_frames(records),
         "unfated": len(sent - fated),
         "row": result_to_row(result),
     }
@@ -373,6 +374,14 @@ def test_paper_grid_packet_conservation(paper_grid_runs):
     the ones without are those the run left queued or on air."""
     problems = [f"{c['cell']}: {problem}" for c in paper_grid_runs
                 for problem in c["packets"]]
+    assert not problems, "\n".join(problems[:20])
+
+
+def test_paper_grid_frame_facts(paper_grid_runs):
+    """Every rx of the grid names a frame that an earlier tx aired, and the
+    tx records of one frame agree on its node, kind and bytes."""
+    problems = [f"{c['cell']}: {problem}" for c in paper_grid_runs
+                for problem in c["frames"]]
     assert not problems, "\n".join(problems[:20])
 
 

@@ -427,7 +427,7 @@ class TestJobEnd:
         sim.run_until(SEC)
         ack, dis = [r for r in trace.records if r[1] == "tx"]
         assert (ack[3], dis[3]) == ("ack", "dis")
-        heard = [(r[2], r[5]) for r in trace.records if r[1] == "rx"]
+        heard = [(r[2], r[3]) for r in trace.records if r[1] == "rx"]
         assert heard == [(0, ack[5]), (1, dis[5])]
         assert [(f.kind, r, o) for f, r, o in drawn] == [
             (FrameKind.ACK, 0, Outcome.DELIVERED),

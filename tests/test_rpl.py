@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rplsim.rpl
+from oracles import check_packets
 from rplsim.cli import result_to_row
 from rplsim.engine import Event, Simulator, to_us
 from rplsim.medium import Medium, MediumConfig
@@ -353,13 +354,15 @@ class TestForwarding:
         cfg = ScenarioConfig(node_count=5, topology="random", objective="of0",
                              rx_success_ratio=1.0, duration_s=300.0,
                              warmup_s=60.0,
-                             traffic_classes=("high-critical",))
-        cfg.protocol.ttl = 2
-        result = run_scenario(cfg, positions=line_positions(5))
+                             traffic_classes=("high-critical",),
+                             protocol=ProtocolConfig(ttl=2))
+        result = run_scenario(cfg, positions=line_positions(5), trace=True)
         m = result.metrics
         total_drops = sum(m.drops_by_cause(c) for c in
                           ("no-route", "mac-failure", "queue-overflow", "ttl"))
         assert m.total_delivered() + total_drops == m.total_sent()
+        # the identity above holds by construction; the trace's can fail
+        assert check_packets(result) == []
 
 
 class TestParentExpiry:

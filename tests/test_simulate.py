@@ -12,7 +12,7 @@ from dataclasses import replace
 import pytest
 
 import rplsim.rpl
-from oracles import check_packets
+from oracles import check_frames, check_packets
 from rplsim.cli import result_to_row
 from rplsim.engine import Event, Simulator, derive_stream, to_us
 from rplsim.medium import MediumConfig
@@ -203,40 +203,40 @@ TRACE_CASES = {
 # JSON) for each case; pins the event-by-event behaviour across commits
 TRACE_DIGESTS = {
     "random-of0": (
-        "3ffd538bd00b2e8111c05d8b6f373e1c2f1c67b858a6686480f0fbadf8b01df5",
+        "91e8684e8e2c76e64c7e9be01108b925611eee08bda57118fa14358f90d45599",
         "87269c252a35a7ad5dbea43bff08b362d3eba1e825e20742ae525916c7d08dc4"),
     "random-etx": (
-        "2c0d951f7f825d47d1e50e4a6428b32d43cac587de7dca4c87f240d8980619a9",
+        "02a3ae5a619344323ace240d0535bb163cc656861a6d0f070e94b16df93eacc4",
         "6fb2b363d88c800bb1775ed3cb707b585e611e7cbc5bb851f03a38011c73aef9"),
     "grid-of0": (
-        "f37b4b2306193a9c3040627a08dd78958eaaedfa94a1f369a72b1a4c437c58dd",
+        "9ed577317a0864d2e9c00d8176373e09efdb344c9a175aec6f85fe88d87f3734",
         "d7247c4c19097bc6313f7cc2931302832b55acbcbc5559b07dcd2ec6d9ee4852"),
     "grid-etx": (
-        "15bbe4c86d0f033d7c7aba4651f1d6fba967eb755e5c24d8ffb67efb7d8a14ae",
+        "e8be308a949584cbdb179e008c108c37eb22ab4c3f1f697f915305f8e13f26d3",
         "e0a1b2b57cf5ca60ef15ff6daf2e884bb3cb76faf858e51352e616f3a47a30ff"),
     "ack-turnaround-0": (
-        "7864dfc88b713419676f295c1ccfbcd7c9f1cc839fc5b7d299391744f8dad5b5",
+        "20654307ff6cf2c58ab7413b898d9ad6d2b507fd611d8ca0bc2f804f85f3ce5c",
         "87862bf58b367f5f7d3af95a767b15565dbf91e1277c0b10edcc52145d24b4bb"),
     "ack-turnaround-0-backoff-1ms": (
-        "be74edadf3c8803bdde3482f66cad352b721fd8b85cce3b710156ee036e318de",
+        "a68d35181e8b5af0c58b7432d1a665a1b435259e4a2069a374ff947a695a6841",
         "21757f8ac2db0c4f1af6e8121a699032b43a4f2b85ca95f557066d9b6b82eee4"),
     "expiry-20s-housekeeping-1s": (
-        "706456858b46574b84043c8cecb8429ab58c6c0181371671cbf49092eb9aea99",
+        "3231bae026a5ddf681a6ce7407a0fcab37d9d9625a54f81287f3fa6f19e90a93",
         "c8cdb5b456967481f1e916affbb554070fefee2d47df2b6a40691a25e9126e68"),
     "per-link-ratios": (
-        "376b2aaae07208aaa1a02324bb9283366c67fa87a2a01e8225d5919bd0d87a70",
+        "cf9271efd0522fccc7bad2d60632f7a2741251b5f3ba50bef73f7d17c9a6191c",
         "e8e0f3a4c05da9d9486a7d60af80b784ad364b95552fd844b9becf95bfcf9b94"),
     "every-record-shape": (
-        "921f8844f199c60805cef366245da404589b83a2a3dea24977064233fc429c74",
+        "70333030ec4599e832225760458a5190aac051a9b8e5fd16bfbe2f9c81999da6",
         "f74a41a9f5bb26e1e970e2449268d78d860a5641cd14329eeb073ff2fa8737d9"),
     "every-record-shape-of0": (
-        "45509295ef584e104be64db35ef8b502bc850684efad38f74c7dfd8638b28dd8",
+        "14e8f8b0cda712d4764473e15b18f746ae304739846b8eca8c19dd4d60b0f24d",
         "e80d4a9ee5127956f837acbd1248ee8cf83e1f3b6e4fc4545a540cacd81fd064"),
     "lossy-random-etx": (
-        "866cd73f64bcc4171f5572e5346f619594de4306f6e3e42d9df966c4e8e1cc51",
+        "1fa90bb62082af9b84d0712b8c5d16ac3982db40a35b7344fa436dfd2dcd0439",
         "c192221b10044bc3a601a00c70e479d5e378281d0be8924e9625ee2743500381"),
     "lossy-grid-of0": (
-        "402f67ee9237e67cecd580b82d0f517fd548ac65cd9b669e6f6e63e23465f084",
+        "3df9d9552c3b894c43e57fe971da02496643feaf8c2a0e6701250cca63c33d83",
         "6be85a5970720a7acf103e0e99375a08493dc33f718f3872f75b2195ca76c471"),
 }
 
@@ -283,6 +283,7 @@ def test_trace_and_row_digests(case, tmp_path):
     result = run_trace_case(case)
     assert digests(result, tmp_path) == TRACE_DIGESTS[case]
     assert check_packets(result) == []
+    assert check_frames(result.trace.records) == []
 
 
 @pytest.mark.parametrize("case", sorted(WORK_COUNTS))

@@ -1,6 +1,7 @@
 """Energy ledger arithmetic, packet accounting, trace encoding and replay."""
 
 import json
+import pathlib
 
 import pytest
 
@@ -12,6 +13,8 @@ from rplsim.telemetry import (CPU, DROP_CAUSES, TRACE_FIELDS, EnergyCurrents,
                               EnergyLedger, MetricsReport, RX, TraceRecorder,
                               TX)
 from test_simulate import run_trace_case
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
 class TestLedger:
@@ -183,47 +186,43 @@ class TestTraceEncoding:
 
     def test_synthetic_lines_match_the_json_module(self, tmp_path):
         t, src, size, frame = 2_454_564, 3, 64, 7
-        later, other = 2_454_565, 8
-        airing = [(t, "rx", node, src, size, frame) for node in range(4, 40)]
+        later = 2_454_565
         records = [
-            (t - 2048, "tx", src, "dio", size, frame), *airing[:3],
-            # consecutive rx that differ in exactly one shared field
-            (later, "rx", 1, src, size, frame),
-            (later, "rx", 2, src, size, frame),
-            (later, "rx", 2, other, size, frame),
-            (later, "rx", 2, other, 10, frame),
-            (later, "rx", 2, other, 10, other),
-            # an rx run split by a tx and by a fwd, then taken up again
-            (t, "rx", 2, src, size, frame), (t, "tx", 9, "ack", 10, 11),
-            (t, "rx", 3, src, size, frame), (t, "fwd", 4, "3-1"),
-            (t, "rx", 4, src, size, frame),
+            (t - 2048, "tx", src, "dio", size, frame),
+            (t, "rx", 4, frame), (t, "rx", 5, frame),
+            (t, "tx", 9, "ack", 10, 11), (later, "rx", 2, 11),
+            (t, "fwd", 4, "3-1"),
             (t, "send", 3, "3-2", "critical"),
             (later, "deliver", 0, "3-2", 2, 1001),
             (later, "drop", 5, "5-1", "queue-overflow"),
             (later, "parent", 6, None, 65535), (later, "parent", 6, 2, 768),
         ]
-        # pad to 500 records: an airing's rx run then crosses record 512,
-        # where a writer that wrote 512-line chunks would cut it
-        records += [(t + k, "tx", 1, "data", 80, k)
-                    for k in range(500 - len(records))]
-        records += airing + records[:40]
         trace = TraceRecorder(enabled=True)
         for record in records:
             trace.emit(record)
         assert {r[1] for r in records} == set(TRACE_FIELDS)
         expected = [json.dumps(record_dict(r), sort_keys=True,
                                separators=(",", ":")) + "\n" for r in records]
-        written = []
-        for name in ("first.jsonl", "again.jsonl"):
-            trace.write_jsonl(str(tmp_path / name))
-            with open(tmp_path / name, encoding="utf-8", newline="") as fh:
-                written.append(fh.readlines())
-        assert written == [expected, expected]
+        path = tmp_path / "trace.jsonl"
+        trace.write_jsonl(str(path))
+        with open(path, encoding="utf-8", newline="") as fh:
+            assert fh.readlines() == expected
+
+    def test_readme_table_lists_the_schema(self):
+        text = README.read_text(encoding="utf-8")
+        start = text.index("| `ev`", text.index("**Event trace**"))
+        rows = []
+        for line in text[start:text.index("\n\n", start)].splitlines()[2:]:
+            ev, fields = line.split("|")[1:3]      # past header and rule
+            rows.append((ev.strip(" `"), fields.strip(" `").split(", ")))
+        assert rows == [(ev, list(fields)[2:])
+                        for ev, fields in TRACE_FIELDS.items()]
 
     @pytest.mark.parametrize("record", [
         (5, "fwd", 1), (5, "fwd", 1, "1-1", 2), (5, "hop", 1, "1-1"),
-        (5, "rx", 1, 0, 64), (5, "tx", 1, "dio", 64, 1, 0)],
-        ids=["short", "long", "unknown-ev", "short-rx", "long-tx"])
+        (5, "rx", 1), (5, "rx", 1, 0, 64, 1), (5, "tx", 1, "dio", 64, 1, 0)],
+        ids=["short", "long", "unknown-ev", "short-rx", "six-field-rx",
+             "long-tx"])
     def test_malformed_record_raises(self, record, tmp_path):
         trace = TraceRecorder(enabled=True)
         trace.emit(record)
