@@ -62,7 +62,7 @@ LOST_RANDOM = Outcome.LOST_RANDOM
 LOST_COLLISION = Outcome.LOST_COLLISION
 
 
-@dataclass
+@dataclass(frozen=True)
 class MediumConfig:
     tx_range_m: float = 100.0
     bitrate_bps: int = 250_000
@@ -82,7 +82,6 @@ class MediumConfig:
 class Frame:
     kind: FrameKind
     dst: int | None          # None for broadcast
-    size_bytes: int
     payload: object = None
     frame_id: int = 0
 
@@ -147,8 +146,10 @@ class Medium:
         self._backoff_window_us = to_us(cfg.backoff_window_s)
         self._ack_turnaround_us = to_us(cfg.ack_turnaround_s)
         self._ack_timeout_us = to_us(cfg.ack_timeout_s)
-        self._airtime_us = {size: cfg.airtime_us(size) for size in (
-            cfg.control_frame_bytes, cfg.data_frame_bytes, cfg.ack_frame_bytes)}
+        size = {DIO: cfg.control_frame_bytes, DIS: cfg.control_frame_bytes,
+                DATA: cfg.data_frame_bytes, ACK: cfg.ack_frame_bytes}
+        # by label: a str hashes in C, an Enum member in Python
+        self._airtime_us = {k.label: cfg.airtime_us(n) for k, n in size.items()}
 
     # ------------------------------------------------------------------ API
 
@@ -160,8 +161,7 @@ class Medium:
                   on_done: Callable[[], None] | None = None) -> None:
         """Queue a single-attempt, unacknowledged frame to each in-range node;
         on_done() fires as its airtime ends.  deliver reports each outcome."""
-        self._queue(sender, kind, None, self.cfg.control_frame_bytes, payload,
-                    on_done)
+        self._queue(sender, kind, None, payload, on_done)
 
     def unicast_with_ack(self, sender: int, receiver: int, payload: object,
                          on_complete: Callable[[bool, int, bool], None]) -> None:
@@ -171,8 +171,7 @@ class Medium:
         the third argument is the medium's ground truth of whether any data
         attempt reached the receiver (it may be True on ACK-only losses).
         """
-        self._queue(sender, DATA, receiver, self.cfg.data_frame_bytes, payload,
-                    on_complete)
+        self._queue(sender, DATA, receiver, payload, on_complete)
 
     def deliver(self, tx: Transmission, receiver: int,
                 stream: random.Random) -> Outcome:
@@ -185,11 +184,11 @@ class Medium:
 
     # ------------------------------------------------------------- MAC layer
 
-    def _queue(self, sender, kind, dst, size, payload, on_done) -> None:
+    def _queue(self, sender, kind, dst, payload, on_done) -> None:
         self._next_frame_id += 1
         radio = self.radios[sender]
-        radio.queue.append(_Job(Frame(kind, dst, size, payload,
-                                      self._next_frame_id), on_done))
+        radio.queue.append(_Job(Frame(kind, dst, payload, self._next_frame_id),
+                                on_done))
         self._start_next(radio)
 
     def _start_next(self, radio: _Radio) -> None:
@@ -231,7 +230,7 @@ class Medium:
                 victims)
             other.corrupted |= radio.audible.intersection(other.victims)
         self._active[radio.node_id] = tx
-        airtime = self._airtime_us[frame.size_bytes]
+        airtime = self._airtime_us[frame.kind.label]
 
         def end_of_airtime() -> None:       # shares only what it must
             frame, victims, sender = tx.frame, tx.victims, radio.node_id
@@ -242,7 +241,7 @@ class Medium:
             trace, tracing = self.trace, self.trace.enabled
             if tracing:
                 trace.emit((now - airtime, "tx", sender, kind.label,
-                            frame.size_bytes, frame.frame_id))
+                            frame.frame_id))
             radios, stream, deliver = self.radios, self._stream, self.deliver
             delivered = []
             for r in victims:
@@ -282,8 +281,7 @@ class Medium:
 
     def _send_ack(self, radio: _Radio, dst: int) -> None:
         self._next_frame_id += 1
-        ack = Frame(ACK, dst, self.cfg.ack_frame_bytes, None,
-                    self._next_frame_id)
+        ack = Frame(ACK, dst, None, self._next_frame_id)
 
         def fire() -> None:
             if radio.node_id in self._active:

@@ -43,7 +43,7 @@ SENSOR = "sensor"
 DIS_JITTER = (0.9, 1.1)     # a DIS wait is dis_period_s times a uniform draw
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProtocolConfig:
     trickle_i_min_s: float = 4.096
     trickle_doublings: int = 8
@@ -190,8 +190,7 @@ class Node:
                                        hops=packet.hops,
                                        latency_us=now - packet.created)
             if self.trace.enabled:
-                self.trace.emit((now, "deliver", self.id, packet.pid,
-                                 packet.hops, now - packet.created))
+                self.trace.emit((now, "deliver", self.id, packet.pid))
             return
         if self.trace.enabled:
             self.trace.emit((now, "fwd", self.id, packet.pid))

@@ -39,7 +39,7 @@ class ConfigError(Exception):
     """A scenario or sweep document failed validation; message names the field."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
     """One run's description.  Building one, from JSON or in Python, checks
     the schema, then the cross-field rules the schema cannot express, and
@@ -60,7 +60,8 @@ class ScenarioConfig:
 
     def __post_init__(self):
         validate(asdict(self), load_schema("scenario"))
-        self.traffic_classes = tuple(self.traffic_classes)
+        object.__setattr__(self, "traffic_classes",
+                           tuple(self.traffic_classes))
         med, proto = self.medium, self.protocol
         # in the run's microseconds: an ACK ending as it times out is lost
         if to_us(med.ack_timeout_s) <= (to_us(med.ack_turnaround_s)

@@ -32,7 +32,7 @@ DROP_CAUSES = ("no-route", "mac-failure", "queue-overflow", "ttl")
 TX, RX, CPU = "tx", "rx", "cpu"
 
 
-@dataclass
+@dataclass(frozen=True)
 class EnergyCurrents:
     """Per-state current draws (mA) and supply voltage (V)."""
     tx_ma: float = 17.4
@@ -150,11 +150,11 @@ class MetricsReport:
 # Record tuples hold these fields in order; fixed-vocabulary strings need no escaping.
 _HEAD = {"t": int, "ev": str, "node": int}
 TRACE_FIELDS = {
-    "tx": {**_HEAD, "kind": str, "bytes": int, "frame": int},
+    "tx": {**_HEAD, "kind": str, "frame": int},
     "rx": {**_HEAD, "frame": int},      # its tx of the same frame has the rest
     "send": {**_HEAD, "pkt": str, "cls": str},
     "fwd": {**_HEAD, "pkt": str},
-    "deliver": {**_HEAD, "pkt": str, "hops": int, "lat": int},
+    "deliver": {**_HEAD, "pkt": str},
     "drop": {**_HEAD, "pkt": str, "cause": str},
     "parent": {**_HEAD, "parent": int | None, "rank": int},
 }
@@ -181,17 +181,14 @@ class TraceRecorder:
                 match r:     # each line is what _ENCODE makes of its dict
                     case (t, "rx", node, frame):
                         write(f'{{"ev":"rx","frame":{frame},"node":{node},"t":{t}}}\n')
-                    case (t, "tx", node, kind, size, frame):
-                        write(f'{{"bytes":{size},"ev":"tx","frame":{frame},'
-                              f'"kind":"{kind}","node":{node},"t":{t}}}\n')
+                    case (t, "tx", node, kind, frame):
+                        write(f'{{"ev":"tx","frame":{frame},"kind":"{kind}",'
+                              f'"node":{node},"t":{t}}}\n')
                     case (t, "send", node, pkt, cls):
                         write(f'{{"cls":"{cls}","ev":"send","node":{node},'
                               f'"pkt":"{pkt}","t":{t}}}\n')
-                    case (t, "deliver", node, pkt, hops, lat):
-                        write(f'{{"ev":"deliver","hops":{hops},"lat":{lat},'
-                              f'"node":{node},"pkt":"{pkt}","t":{t}}}\n')
-                    case (t, "fwd", node, pkt):
-                        write(f'{{"ev":"fwd","node":{node},"pkt":"{pkt}","t":{t}}}\n')
+                    case (t, ("fwd" | "deliver") as ev, node, pkt):
+                        write(f'{{"ev":"{ev}","node":{node},"pkt":"{pkt}","t":{t}}}\n')
                     case _:                   # the rare kinds, or KeyError
                         write(_ENCODE(dict(zip(_FIELDS[r[1], len(r)], r))) + "\n")
 

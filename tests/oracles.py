@@ -11,6 +11,7 @@ import heapq
 import math
 from collections import defaultdict, deque
 
+from rplsim.engine import to_us
 from rplsim.telemetry import TRACE_FIELDS
 
 ETX_SCALE = 128
@@ -107,24 +108,35 @@ def record_dict(record: tuple) -> dict:
     return dict(zip(TRACE_FIELDS[record[1]], record, strict=True))
 
 
-def replay_energy(records: list[tuple], bitrate_bps: int,
+def airtime_by_kind(medium) -> dict[str, int]:
+    """Each frame kind's airtime (us) under a MediumConfig: DIO and DIS
+    frames take the control size, data and ACK frames their own."""
+    size = {"dio": medium.control_frame_bytes,
+            "dis": medium.control_frame_bytes,
+            "data": medium.data_frame_bytes, "ack": medium.ack_frame_bytes}
+    return {kind: round(n * 8 * US_PER_S / medium.bitrate_bps)
+            for kind, n in size.items()}
+
+
+def replay_energy(records: list[tuple], medium,
                   cpu_process_us: int) -> dict[int, dict[str, int]]:
     """Recompute per-node radio and CPU time from a trace, independently.
 
-    Airtimes are re-derived from frame byte counts and the bitrate, an rx
-    taking its bytes from its frame's tx; CPU time follows the documented
-    rule: active during every own tx/rx window plus one fixed processing
-    cost per send / fwd / deliver record.
+    Airtimes are re-derived from each frame's kind, its size under the
+    run's MediumConfig and the bitrate, an rx taking its kind from its
+    frame's tx; CPU time follows the documented rule: active during every
+    own tx/rx window plus one fixed processing cost per send / fwd /
+    deliver record.
     """
     acc: dict[int, dict[str, int]] = defaultdict(
         lambda: {"tx_us": 0, "rx_us": 0, "cpu_us": 0})
-    size = {}                   # bytes by frame id, from the frame's tx
+    airtime, kind = airtime_by_kind(medium), {}   # kind by frame id, from tx
     for rec in records:
         ev, node = rec[1], rec[2]
         if ev == "tx":
-            size[rec[5]] = rec[4]
+            kind[rec[4]] = rec[3]
         if ev in ("tx", "rx"):  # either record ends with its frame id
-            dur = round(size[rec[-1]] * 8 * US_PER_S / bitrate_bps)
+            dur = airtime[kind[rec[-1]]]
             acc[node][f"{ev}_us"] += dur
             acc[node]["cpu_us"] += dur
         elif ev in ("send", "fwd", "deliver"):
@@ -132,25 +144,49 @@ def replay_energy(records: list[tuple], bitrate_bps: int,
     return acc
 
 
-def check_frames(records: list[tuple]) -> list[str]:
+def check_frames(records: list[tuple], medium) -> list[str]:
     """Each frame's facts, held in its tx records only.
 
-    Every rx names a frame that an earlier tx aired; every tx of one frame
-    (a retried unicast airs its frame again) has the same node, kind and
-    bytes.  Returns the problems.
+    Every tx of one frame (a retried unicast airs its frame again) has the
+    same node and kind; every rx at time t ends an airing of its frame at
+    exactly t: the frame's latest tx t plus the airtime of its kind under
+    the run's MediumConfig.  Returns the problems.
     """
-    aired, problems = {}, []        # (node, kind, bytes) by frame id
+    airtime, problems = airtime_by_kind(medium), []
+    aired, latest = {}, {}      # (node, kind) and the latest tx t, by frame
     for rec in records:
         if rec[1] == "tx":
-            facts = rec[2:5]
-            first = aired.setdefault(rec[5], facts)
+            facts, frame = rec[2:4], rec[4]
+            first = aired.setdefault(frame, facts)
+            latest[frame] = rec[0]
             if facts != first:
-                problems.append(f"frame {rec[5]}: tx at {rec[0]} has "
+                problems.append(f"frame {frame}: tx at {rec[0]} has "
                                 f"{facts}, an earlier tx {first}")
-        elif rec[1] == "rx" and rec[3] not in aired:
-            problems.append(f"frame {rec[3]}: rx at {rec[0]} by node "
-                            f"{rec[2]} before any tx")
+        elif rec[1] == "rx":
+            frame = rec[3]
+            if frame not in aired:
+                problems.append(f"frame {frame}: rx at {rec[0]} by node "
+                                f"{rec[2]} before any tx")
+            elif (end := latest[frame] + airtime[aired[frame][1]]) != rec[0]:
+                problems.append(f"frame {frame}: rx at {rec[0]} by node "
+                                f"{rec[2]}, but its latest airing ends at "
+                                f"{end}")
     return problems
+
+
+def deliveries(records: list[tuple]) -> dict[str, tuple[int, int]]:
+    """Each delivered packet's (hops, latency us), derived from the trace:
+    one hop per fwd record plus the last one into the sink, and the time
+    from its send to its deliver."""
+    sent_at, fwds, out = {}, defaultdict(int), {}
+    for t, ev, _, pid, *_ in records:     # a pid in packet records only
+        if ev == "send":
+            sent_at[pid] = t
+        elif ev == "fwd":
+            fwds[pid] += 1
+        elif ev == "deliver" and pid in sent_at:  # else check_packets says so
+            out[pid] = (fwds[pid] + 1, t - sent_at[pid])
+    return out
 
 
 def check_packets(result) -> list[str]:
@@ -159,7 +195,9 @@ def check_packets(result) -> list[str]:
     Each sent pid has at most one fate (a deliver or a drop); each fwd and
     each fate comes after the pid's send, and no fwd after its fate; the
     pids with no fate are exactly the packets the run left in a node's queue
-    or in a MAC data job whose data no receiver got.  Returns the problems.
+    or in a MAC data job whose data no receiver got; the delivered packets'
+    hops and latencies, derived from the trace, sum to the metrics' totals.
+    Returns the problems.
     """
     sent, fated, problems = set(), {}, []
     for rec in result.trace.records:
@@ -190,4 +228,51 @@ def check_packets(result) -> list[str]:
         problems.append(f"{pid}: no fate, and no queue or job holds it")
     for pid in sorted(held - unfated):
         problems.append(f"{pid}: held at the end, but not an unfated send")
+    paths, m = deliveries(result.trace.records).values(), result.metrics
+    derived = (sum(h for h, _ in paths), sum(lat for _, lat in paths))
+    if derived != (m.hop_total, m.latency_total_us):
+        problems.append(f"derived (hops, latency) totals {derived}, metrics "
+                        f"{(m.hop_total, m.latency_total_us)}")
     return problems
+
+
+def check_tree(result):
+    sink = 0
+    for nid, snap in result.nodes.items():
+        if not snap.joined or snap.role == "sink":
+            continue
+        parent = result.nodes[snap.preferred_parent]
+        if not parent.joined:
+            return f"node {nid} has unjoined parent {parent.id}"
+        advertised = snap.candidates[snap.preferred_parent].rank
+        if snap.rank <= advertised:
+            return (f"node {nid} rank {snap.rank} <= parent advertised "
+                    f"rank {advertised}")
+        depth = result.depth(nid)
+        if depth is None:
+            return f"node {nid} parent chain does not reach the sink"
+        if depth > len(result.nodes) - 1:
+            return f"node {nid} parent chain too long"
+    assert result.nodes[sink].role == "sink"
+    return None
+
+
+def check_energy(result):
+    for nid, ledger in result.ledgers.items():
+        if ledger.cpu_us + ledger.lpm_us != result.elapsed_us:
+            return f"node {nid}: cpu+lpm != duration"
+        if ledger.tx_us + ledger.rx_us > result.elapsed_us:
+            return f"node {nid}: radio time exceeds duration"
+    return None
+
+
+def check_replay(result):
+    cfg = result.config
+    replayed = replay_energy(result.trace.records, cfg.medium,
+                             to_us(cfg.protocol.cpu_process_s))
+    for nid, ledger in result.ledgers.items():
+        got = replayed[nid]
+        if (got["tx_us"], got["rx_us"], got["cpu_us"]) != \
+                (ledger.tx_us, ledger.rx_us, ledger.cpu_us):
+            return f"node {nid}: replay mismatch {got}"
+    return None

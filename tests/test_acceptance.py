@@ -19,8 +19,9 @@ from contextlib import contextmanager
 
 import pytest
 
-from oracles import (bfs_hops, check_frames, check_packets, dijkstra_etx,
-                     disk_edges, replay_energy, unicast_expectation)
+from oracles import (bfs_hops, check_energy, check_frames, check_packets,
+                     check_replay, check_tree, dijkstra_etx, disk_edges,
+                     unicast_expectation)
 from rplsim import cli
 from rplsim.cli import append_rows, load_sweep, result_to_row, sweep_tasks
 from rplsim.engine import derive_stream, to_us
@@ -165,48 +166,6 @@ def test_criterion_3_mrhof_dijkstra_proximity():
 
 # ---------------------------------------------------- criteria 4 and 8 fixture
 
-def check_tree(result):
-    sink = 0
-    for nid, snap in result.nodes.items():
-        if not snap.joined or snap.role == "sink":
-            continue
-        parent = result.nodes[snap.preferred_parent]
-        if not parent.joined:
-            return f"node {nid} has unjoined parent {parent.id}"
-        advertised = snap.candidates[snap.preferred_parent].rank
-        if snap.rank <= advertised:
-            return (f"node {nid} rank {snap.rank} <= parent advertised "
-                    f"rank {advertised}")
-        depth = result.depth(nid)
-        if depth is None:
-            return f"node {nid} parent chain does not reach the sink"
-        if depth > len(result.nodes) - 1:
-            return f"node {nid} parent chain too long"
-    assert result.nodes[sink].role == "sink"
-    return None
-
-
-def check_energy(result):
-    for nid, ledger in result.ledgers.items():
-        if ledger.cpu_us + ledger.lpm_us != result.elapsed_us:
-            return f"node {nid}: cpu+lpm != duration"
-        if ledger.tx_us + ledger.rx_us > result.elapsed_us:
-            return f"node {nid}: radio time exceeds duration"
-    return None
-
-
-def check_replay(result):
-    cfg = result.config
-    replayed = replay_energy(result.trace.records, cfg.medium.bitrate_bps,
-                             to_us(cfg.protocol.cpu_process_s))
-    for nid, ledger in result.ledgers.items():
-        got = replayed[nid]
-        if (got["tx_us"], got["rx_us"], got["cpu_us"]) != \
-                (ledger.tx_us, ledger.rx_us, ledger.cpu_us):
-            return f"node {nid}: replay mismatch {got}"
-    return None
-
-
 def paper_grid_cell(cfg):
     result = run_scenario(cfg, trace=True)
     records = result.trace.records
@@ -219,7 +178,7 @@ def paper_grid_cell(cfg):
         "energy": check_energy(result),
         "replay": check_replay(result),
         "packets": check_packets(result),
-        "frames": check_frames(records),
+        "frames": check_frames(records, cfg.medium),
         "unfated": len(sent - fated),
         "row": result_to_row(result),
     }

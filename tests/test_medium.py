@@ -138,10 +138,12 @@ class TestConfig:
         sim, medium, ledgers = make_medium(positions, bitrate_bps=19_200,
                                            ack_timeout_s=0.01)
         cfg = medium.cfg
-        sizes = (cfg.control_frame_bytes, cfg.data_frame_bytes,
-                 cfg.ack_frame_bytes)
-        assert all(n * 8 * SEC % cfg.bitrate_bps for n in sizes)
-        assert medium._airtime_us == {n: cfg.airtime_us(n) for n in sizes}
+        control = cfg.control_frame_bytes
+        sizes = {"dio": control, "dis": control,
+                 "data": cfg.data_frame_bytes, "ack": cfg.ack_frame_bytes}
+        assert all(n * 8 * SEC % cfg.bitrate_bps for n in sizes.values())
+        assert medium._airtime_us == {kind: cfg.airtime_us(n)
+                                      for kind, n in sizes.items()}
         done = []
         medium.broadcast(0, FrameKind.DIS)
         medium.unicast_with_ack(0, 1, None, lambda *r: done.append(r))
@@ -428,7 +430,7 @@ class TestJobEnd:
         ack, dis = [r for r in trace.records if r[1] == "tx"]
         assert (ack[3], dis[3]) == ("ack", "dis")
         heard = [(r[2], r[3]) for r in trace.records if r[1] == "rx"]
-        assert heard == [(0, ack[5]), (1, dis[5])]
+        assert heard == [(0, ack[4]), (1, dis[4])]
         assert [(f.kind, r, o) for f, r, o in drawn] == [
             (FrameKind.ACK, 0, Outcome.DELIVERED),
             (FrameKind.DIS, 1, Outcome.DELIVERED)]

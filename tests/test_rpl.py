@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rplsim.rpl
-from oracles import check_packets
+from oracles import check_packets, deliveries
 from rplsim.cli import result_to_row
 from rplsim.engine import Event, Simulator, to_us
 from rplsim.medium import Medium, MediumConfig
@@ -320,9 +320,10 @@ class TestForwarding:
                              warmup_s=30.0,
                              traffic_classes=("high-critical",))
         result = run_scenario(cfg, positions=line_positions(4), trace=True)
-        deliveries = [r for r in result.trace.records if r[1] == "deliver"]
-        far = [r for r in deliveries if r[3].startswith("3-")]   # pkt
-        assert far and all(r[4] == 3 for r in far)               # hops
+        paths = deliveries(result.trace.records)     # pid: (hops, latency)
+        far = [hops for pid, (hops, _) in paths.items() if pid[:2] == "3-"]
+        assert far and all(hops == 3 for hops in far)
+        assert check_packets(result) == []      # the totals match the trace
 
     def test_unjoined_generation_is_a_no_route_drop(self):
         sim, _, nodes, metrics = make_net(line_positions(2))
@@ -340,12 +341,11 @@ class TestForwarding:
         assert metrics.drops_by_cause("queue-overflow") == 2
 
     def test_ttl_exhaustion_drops_far_traffic(self):
-        proto = {"ttl": 2}
         cfg = ScenarioConfig(node_count=5, topology="random", objective="of0",
                              rx_success_ratio=1.0, duration_s=300.0,
                              warmup_s=60.0,
-                             traffic_classes=("high-critical",))
-        cfg.protocol.ttl = proto["ttl"]
+                             traffic_classes=("high-critical",),
+                             protocol=ProtocolConfig(ttl=2))
         result = run_scenario(cfg, positions=line_positions(5))
         assert result.metrics.drops_by_cause("ttl") > 0
         assert result.metrics.total_delivered() > 0

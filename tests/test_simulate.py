@@ -203,40 +203,40 @@ TRACE_CASES = {
 # JSON) for each case; pins the event-by-event behaviour across commits
 TRACE_DIGESTS = {
     "random-of0": (
-        "91e8684e8e2c76e64c7e9be01108b925611eee08bda57118fa14358f90d45599",
+        "5fbea3517606f19ab10cafb34900b1cb5ae5682042cbf9cb2dcc414ac5bc6a86",
         "87269c252a35a7ad5dbea43bff08b362d3eba1e825e20742ae525916c7d08dc4"),
     "random-etx": (
-        "02a3ae5a619344323ace240d0535bb163cc656861a6d0f070e94b16df93eacc4",
+        "77513730d76a7d79a441635998895b33697997aa595e05bc46ee4a973bdad591",
         "6fb2b363d88c800bb1775ed3cb707b585e611e7cbc5bb851f03a38011c73aef9"),
     "grid-of0": (
-        "9ed577317a0864d2e9c00d8176373e09efdb344c9a175aec6f85fe88d87f3734",
+        "ea3c3fac12729d7cf13a2ff99e36fe98a669374e69c2e59f0556a5fd9d473299",
         "d7247c4c19097bc6313f7cc2931302832b55acbcbc5559b07dcd2ec6d9ee4852"),
     "grid-etx": (
-        "e8be308a949584cbdb179e008c108c37eb22ab4c3f1f697f915305f8e13f26d3",
+        "9f64b882ff8d0e77f46a05fcdbe0755dc6a434e6648714988bba7a28b6eb0957",
         "e0a1b2b57cf5ca60ef15ff6daf2e884bb3cb76faf858e51352e616f3a47a30ff"),
     "ack-turnaround-0": (
-        "20654307ff6cf2c58ab7413b898d9ad6d2b507fd611d8ca0bc2f804f85f3ce5c",
+        "a568fd388d13630e450373539e91f4c114a442dcf31bf95ae5c12844e856d60b",
         "87862bf58b367f5f7d3af95a767b15565dbf91e1277c0b10edcc52145d24b4bb"),
     "ack-turnaround-0-backoff-1ms": (
-        "a68d35181e8b5af0c58b7432d1a665a1b435259e4a2069a374ff947a695a6841",
+        "0194c955e327fd04c6aa1cd401e89b1ee3917d38367d98bb8a737981572129d6",
         "21757f8ac2db0c4f1af6e8121a699032b43a4f2b85ca95f557066d9b6b82eee4"),
     "expiry-20s-housekeeping-1s": (
-        "3231bae026a5ddf681a6ce7407a0fcab37d9d9625a54f81287f3fa6f19e90a93",
+        "06fd4a73cb5f8d4c31bea52102829a5a88066daaad5845ffd672a874b41c0a0f",
         "c8cdb5b456967481f1e916affbb554070fefee2d47df2b6a40691a25e9126e68"),
     "per-link-ratios": (
-        "cf9271efd0522fccc7bad2d60632f7a2741251b5f3ba50bef73f7d17c9a6191c",
+        "b6ae9db597d16526ffc6f940632491f540462465aeb04c60b103e71682c79b0f",
         "e8e0f3a4c05da9d9486a7d60af80b784ad364b95552fd844b9becf95bfcf9b94"),
     "every-record-shape": (
-        "70333030ec4599e832225760458a5190aac051a9b8e5fd16bfbe2f9c81999da6",
+        "8ab1ef261ba8a767eb4b93aef932a2f6fbf18f58a6d49fb7fc5ef36368ac1558",
         "f74a41a9f5bb26e1e970e2449268d78d860a5641cd14329eeb073ff2fa8737d9"),
     "every-record-shape-of0": (
-        "14e8f8b0cda712d4764473e15b18f746ae304739846b8eca8c19dd4d60b0f24d",
+        "d43b3114c060c5cf235ed726114575867425820b14c0a44370dfc5ec1e8704d8",
         "e80d4a9ee5127956f837acbd1248ee8cf83e1f3b6e4fc4545a540cacd81fd064"),
     "lossy-random-etx": (
-        "1fa90bb62082af9b84d0712b8c5d16ac3982db40a35b7344fa436dfd2dcd0439",
+        "2ff93b2705caaedf4daca0dfecb3d5c720cb716806382560e5194d5f58dbaba1",
         "c192221b10044bc3a601a00c70e479d5e378281d0be8924e9625ee2743500381"),
     "lossy-grid-of0": (
-        "3df9d9552c3b894c43e57fe971da02496643feaf8c2a0e6701250cca63c33d83",
+        "0669e99c9f7876a49c1510fd9ef9564371b2a2ff3aeb95ee70f9af28b58f01ec",
         "6be85a5970720a7acf103e0e99375a08493dc33f718f3872f75b2195ca76c471"),
 }
 
@@ -283,7 +283,23 @@ def test_trace_and_row_digests(case, tmp_path):
     result = run_trace_case(case)
     assert digests(result, tmp_path) == TRACE_DIGESTS[case]
     assert check_packets(result) == []
-    assert check_frames(result.trace.records) == []
+    assert check_frames(result.trace.records, result.config.medium) == []
+
+
+def test_check_frames_sees_an_rx_that_names_another_frame():
+    # every rx names the first aired frame of its own frame's kind: a frame
+    # that an earlier tx aired, by one node with one kind, so only the rx's
+    # time, the end of its frame's latest airing, can give it away
+    records = run_trace_case("lossy-random-etx").trace.records
+    kind, first, planted = {}, {}, []
+    for rec in records:
+        if rec[1] == "tx":
+            kind[rec[4]] = rec[3]
+            first.setdefault(rec[3], rec[4])
+        elif rec[1] == "rx":
+            rec = (*rec[:3], first[kind[rec[3]]])
+        planted.append(rec)
+    assert check_frames(planted, case_config("lossy-random-etx").medium)
 
 
 @pytest.mark.parametrize("case", sorted(WORK_COUNTS))

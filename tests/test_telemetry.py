@@ -185,15 +185,15 @@ class TestTraceEncoding:
                          + "\n" for r in records]
 
     def test_synthetic_lines_match_the_json_module(self, tmp_path):
-        t, src, size, frame = 2_454_564, 3, 64, 7
+        t, src, frame = 2_454_564, 3, 7
         later = 2_454_565
         records = [
-            (t - 2048, "tx", src, "dio", size, frame),
+            (t - 2048, "tx", src, "dio", frame),
             (t, "rx", 4, frame), (t, "rx", 5, frame),
-            (t, "tx", 9, "ack", 10, 11), (later, "rx", 2, 11),
+            (t, "tx", 9, "ack", 11), (later, "rx", 2, 11),
             (t, "fwd", 4, "3-1"),
             (t, "send", 3, "3-2", "critical"),
-            (later, "deliver", 0, "3-2", 2, 1001),
+            (later, "deliver", 0, "3-2"),
             (later, "drop", 5, "5-1", "queue-overflow"),
             (later, "parent", 6, None, 65535), (later, "parent", 6, 2, 768),
         ]
@@ -220,9 +220,10 @@ class TestTraceEncoding:
 
     @pytest.mark.parametrize("record", [
         (5, "fwd", 1), (5, "fwd", 1, "1-1", 2), (5, "hop", 1, "1-1"),
-        (5, "rx", 1), (5, "rx", 1, 0, 64, 1), (5, "tx", 1, "dio", 64, 1, 0)],
+        (5, "rx", 1), (5, "rx", 1, 0, 64, 1), (5, "tx", 1, "dio", 64, 1),
+        (5, "deliver", 0, "1-1", 2, 1001)],
         ids=["short", "long", "unknown-ev", "short-rx", "six-field-rx",
-             "long-tx"])
+             "long-tx", "six-field-deliver"])
     def test_malformed_record_raises(self, record, tmp_path):
         trace = TraceRecorder(enabled=True)
         trace.emit(record)
@@ -241,8 +242,7 @@ class TestTraceReplay:
         with open(path, encoding="utf-8") as fh:
             lines = [json.loads(line) for line in fh]
         records = [tuple(r[k] for k in TRACE_FIELDS[r["ev"]]) for r in lines]
-        replayed = replay_energy(records,
-                                 cfg.medium.bitrate_bps,
+        replayed = replay_energy(records, cfg.medium,
                                  to_us(cfg.protocol.cpu_process_s))
         for nid, ledger in result.ledgers.items():
             got = replayed[nid]
