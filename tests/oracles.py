@@ -2,7 +2,8 @@
 
 Everything here is deliberately written against first principles (graph
 search, enumeration, summation over trace records) rather than reusing the
-simulator's own code paths.
+simulator's own code paths.  Each run oracle in ORACLES takes a finished,
+traced RunResult and returns its problems; check_run applies them all.
 """
 
 from __future__ import annotations
@@ -144,17 +145,17 @@ def replay_energy(records: list[tuple], medium,
     return acc
 
 
-def check_frames(records: list[tuple], medium) -> list[str]:
+def check_frames(result) -> list[str]:
     """Each frame's facts, held in its tx records only.
 
     Every tx of one frame (a retried unicast airs its frame again) has the
     same node and kind; every rx at time t ends an airing of its frame at
     exactly t: the frame's latest tx t plus the airtime of its kind under
-    the run's MediumConfig.  Returns the problems.
+    the run's MediumConfig.
     """
-    airtime, problems = airtime_by_kind(medium), []
+    airtime, problems = airtime_by_kind(result.config.medium), []
     aired, latest = {}, {}      # (node, kind) and the latest tx t, by frame
-    for rec in records:
+    for rec in result.trace.records:
         if rec[1] == "tx":
             facts, frame = rec[2:4], rec[4]
             first = aired.setdefault(frame, facts)
@@ -197,7 +198,6 @@ def check_packets(result) -> list[str]:
     pids with no fate are exactly the packets the run left in a node's queue
     or in a MAC data job whose data no receiver got; the delivered packets'
     hops and latencies, derived from the trace, sum to the metrics' totals.
-    Returns the problems.
     """
     sent, fated, problems = set(), {}, []
     for rec in result.trace.records:
@@ -236,43 +236,74 @@ def check_packets(result) -> list[str]:
     return problems
 
 
-def check_tree(result):
-    sink = 0
-    for nid, snap in result.nodes.items():
-        if not snap.joined or snap.role == "sink":
+def check_tree(result) -> list[str]:
+    """The run's preferred parents form a tree rooted at the sink, node 0.
+
+    Each joined sensor's parent is joined, and its rank exceeds the rank
+    that parent advertised to it; its chain of preferred parents, walked
+    here, reaches the sink without visiting a node twice.
+    """
+    nodes, problems = result.nodes, []
+    if nodes[0].role != "sink":
+        problems.append(f"node 0 has role {nodes[0].role}")
+    for nid, node in nodes.items():
+        if not node.joined or node.role == "sink":
             continue
-        parent = result.nodes[snap.preferred_parent]
+        parent = nodes[node.preferred_parent]
         if not parent.joined:
-            return f"node {nid} has unjoined parent {parent.id}"
-        advertised = snap.candidates[snap.preferred_parent].rank
-        if snap.rank <= advertised:
-            return (f"node {nid} rank {snap.rank} <= parent advertised "
-                    f"rank {advertised}")
-        depth = result.depth(nid)
-        if depth is None:
-            return f"node {nid} parent chain does not reach the sink"
-        if depth > len(result.nodes) - 1:
-            return f"node {nid} parent chain too long"
-    assert result.nodes[sink].role == "sink"
-    return None
+            problems.append(f"node {nid} has unjoined parent {parent.id}")
+        advertised = node.candidates[node.preferred_parent].rank
+        if node.rank <= advertised:
+            problems.append(f"node {nid} rank {node.rank} <= parent "
+                            f"advertised rank {advertised}")
+        seen, hop = {nid}, node.preferred_parent
+        while hop is not None and nodes[hop].role != "sink":
+            if hop in seen:
+                problems.append(f"node {nid} parent chain comes back to "
+                                f"node {hop}")
+                break
+            seen.add(hop)
+            hop = nodes[hop].preferred_parent
+    return problems
 
 
-def check_energy(result):
+def check_energy(result) -> list[str]:
+    """Each node's cpu + lpm time is the run's elapsed time, and its radio
+    time (tx + rx) is not longer."""
+    problems, elapsed = [], result.elapsed_us
     for nid, ledger in result.ledgers.items():
-        if ledger.cpu_us + ledger.lpm_us != result.elapsed_us:
-            return f"node {nid}: cpu+lpm != duration"
-        if ledger.tx_us + ledger.rx_us > result.elapsed_us:
-            return f"node {nid}: radio time exceeds duration"
-    return None
+        if ledger.cpu_us + ledger.lpm_us != elapsed:
+            problems.append(f"node {nid}: cpu {ledger.cpu_us} + lpm "
+                            f"{ledger.lpm_us} != elapsed {elapsed}")
+        if ledger.tx_us + ledger.rx_us > elapsed:
+            problems.append(f"node {nid}: radio time "
+                            f"{ledger.tx_us + ledger.rx_us} exceeds elapsed "
+                            f"{elapsed}")
+    return problems
 
 
-def check_replay(result):
-    cfg = result.config
+def check_replay(result) -> list[str]:
+    """Each node's tx, rx and cpu time, replayed from the trace by
+    replay_energy, equal its ledger's."""
+    cfg, problems = result.config, []
     replayed = replay_energy(result.trace.records, cfg.medium,
                              to_us(cfg.protocol.cpu_process_s))
     for nid, ledger in result.ledgers.items():
         got = replayed[nid]
         if (got["tx_us"], got["rx_us"], got["cpu_us"]) != \
                 (ledger.tx_us, ledger.rx_us, ledger.cpu_us):
-            return f"node {nid}: replay mismatch {got}"
-    return None
+            problems.append(f"node {nid}: replay {got}, ledger "
+                            f"{(ledger.tx_us, ledger.rx_us, ledger.cpu_us)}")
+    return problems
+
+
+# Every oracle a finished, traced run must pass
+ORACLES = (check_packets, check_frames, check_tree, check_energy,
+           check_replay)
+
+
+def check_run(result) -> list[str]:
+    """The problems every oracle finds in the run, each led by the name of
+    the oracle that found it."""
+    return [f"{oracle.__name__}: {problem}" for oracle in ORACLES
+            for problem in oracle(result)]

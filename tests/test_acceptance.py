@@ -19,8 +19,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from oracles import (bfs_hops, check_energy, check_frames, check_packets,
-                     check_replay, check_tree, dijkstra_etx, disk_edges,
+from oracles import (bfs_hops, check_run, dijkstra_etx, disk_edges,
                      unicast_expectation)
 from rplsim import cli
 from rplsim.cli import append_rows, load_sweep, result_to_row, sweep_tasks
@@ -174,11 +173,7 @@ def paper_grid_cell(cfg):
     return {
         "cell": f"{cfg.topology}/{cfg.objective}/rx{cfg.rx_success_ratio}"
                 f"/n{cfg.node_count}/s{cfg.seed}",
-        "tree": check_tree(result),
-        "energy": check_energy(result),
-        "replay": check_replay(result),
-        "packets": check_packets(result),
-        "frames": check_frames(records, cfg.medium),
+        "problems": check_run(result),
         "unfated": len(sent - fated),
         "row": result_to_row(result),
     }
@@ -189,12 +184,19 @@ def paper_grid_runs():
     return run_cells(paper_grid_cell, shipped_sweep("paper_sweep"))
 
 
+def grid_problems(runs, *oracles):
+    """The grid's problems that the named oracles found, each led by its
+    cell."""
+    return [f"{c['cell']}: {problem}" for c in runs
+            for problem in c["problems"]
+            if problem.split(":", 1)[0] in oracles]
+
+
 def test_criterion_4_loop_freedom(paper_grid_runs):
     with criterion(4, "parent graph is a sink-rooted tree on the full grid"):
         assert len(paper_grid_runs) == 120
-        problems = [f"{c['cell']}: {c['tree']}" for c in paper_grid_runs
-                    if c["tree"] is not None]
-        assert not problems, "\n".join(problems)
+        problems = grid_problems(paper_grid_runs, "check_tree")
+        assert not problems, "\n".join(problems[:20])
 
 
 def test_paper_grid_csv_digest(paper_grid_runs, tmp_path):
@@ -322,25 +324,22 @@ def test_criterion_7_medium_statistics():
 
 def test_criterion_8_energy_invariants(paper_grid_runs):
     with criterion(8, "energy partition and trace-replay equality"):
-        problems = [f"{c['cell']}: {c['energy'] or c['replay']}"
-                    for c in paper_grid_runs
-                    if c["energy"] is not None or c["replay"] is not None]
-        assert not problems, "\n".join(problems)
+        problems = grid_problems(paper_grid_runs, "check_energy",
+                                 "check_replay")
+        assert not problems, "\n".join(problems[:20])
 
 
 def test_paper_grid_packet_conservation(paper_grid_runs):
     """Each traced packet of the grid has one fate at most, after its send;
     the ones without are those the run left queued or on air."""
-    problems = [f"{c['cell']}: {problem}" for c in paper_grid_runs
-                for problem in c["packets"]]
+    problems = grid_problems(paper_grid_runs, "check_packets")
     assert not problems, "\n".join(problems[:20])
 
 
 def test_paper_grid_frame_facts(paper_grid_runs):
     """Every rx of the grid names a frame that an earlier tx aired, and the
-    tx records of one frame agree on its node, kind and bytes."""
-    problems = [f"{c['cell']}: {problem}" for c in paper_grid_runs
-                for problem in c["frames"]]
+    tx records of one frame agree on its node and kind."""
+    problems = grid_problems(paper_grid_runs, "check_frames")
     assert not problems, "\n".join(problems[:20])
 
 

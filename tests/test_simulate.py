@@ -12,7 +12,7 @@ from dataclasses import replace
 import pytest
 
 import rplsim.rpl
-from oracles import check_frames, check_packets
+from oracles import check_run
 from rplsim.cli import result_to_row
 from rplsim.engine import Event, Simulator, derive_stream, to_us
 from rplsim.medium import MediumConfig
@@ -23,19 +23,6 @@ from rplsim.simulate import run_scenario
 
 
 class TestDeterminism:
-    def test_identical_runs_produce_identical_traces(self):
-        cfg = ScenarioConfig(node_count=20, topology="random", objective="etx",
-                             rx_success_ratio=0.8, duration_s=300.0,
-                             warmup_s=60.0, seed=11)
-        a = run_scenario(cfg, trace=True)
-        b = run_scenario(cfg, trace=True)
-        assert a.trace.records == b.trace.records
-        assert a.metrics.pdr() == b.metrics.pdr()
-        assert a.metrics.convergence_us == b.metrics.convergence_us
-        for nid in a.ledgers:
-            assert a.ledgers[nid].tx_us == b.ledgers[nid].tx_us
-            assert a.ledgers[nid].cpu_us == b.ledgers[nid].cpu_us
-
     def test_different_seeds_change_the_run(self):
         base = dict(node_count=20, topology="random", objective="of0",
                     rx_success_ratio=0.8, duration_s=300.0, warmup_s=60.0)
@@ -282,24 +269,77 @@ def digests(result, tmp_path):
 def test_trace_and_row_digests(case, tmp_path):
     result = run_trace_case(case)
     assert digests(result, tmp_path) == TRACE_DIGESTS[case]
-    assert check_packets(result) == []
-    assert check_frames(result.trace.records, result.config.medium) == []
+    assert check_run(result) == []
 
 
-def test_check_frames_sees_an_rx_that_names_another_frame():
-    # every rx names the first aired frame of its own frame's kind: a frame
-    # that an earlier tx aired, by one node with one kind, so only the rx's
-    # time, the end of its frame's latest airing, can give it away
-    records = run_trace_case("lossy-random-etx").trace.records
+def rx_names_first_frame_of_its_kind(result):
+    # a frame that an earlier tx aired, by one node with one kind, so only
+    # the rx's time, the end of its frame's latest airing, can give it away
     kind, first, planted = {}, {}, []
-    for rec in records:
+    for rec in result.trace.records:
         if rec[1] == "tx":
             kind[rec[4]] = rec[3]
             first.setdefault(rec[3], rec[4])
         elif rec[1] == "rx":
             rec = (*rec[:3], first[kind[rec[3]]])
         planted.append(rec)
-    assert check_frames(planted, case_config("lossy-random-etx").medium)
+    result.trace.records = planted
+
+
+def drop_first_deliver(result):
+    records = result.trace.records
+    records.remove(next(rec for rec in records if rec[1] == "deliver"))
+
+
+def detach_a_parent(result):
+    # the parent of a joined sensor whose parent is not the sink
+    child = next(node for node in result.nodes.values()
+                 if node.preferred_parent not in (None, 0))
+    result.nodes[child.preferred_parent].preferred_parent = None
+
+
+def loop_a_parent(result):
+    # the parent of a joined sensor, a sensor that heard it, takes it as its
+    # own parent
+    nodes = result.nodes
+    child = next(node for node in nodes.values()
+                 if node.preferred_parent not in (None, 0)
+                 and node.id in nodes[node.preferred_parent].candidates)
+    nodes[child.preferred_parent].preferred_parent = child.id
+
+
+def raise_cpu(result):
+    result.ledgers[1].cpu_us += 1
+
+
+def move_lpm_to_tx(result):
+    # cpu + lpm is still the elapsed time; only the trace can tell
+    ledger = result.ledgers[1]
+    ledger.tx_us += 1
+    ledger.cpu_us += 1
+    ledger.lpm_us -= 1
+
+
+# A defect planted in a finished run, and the oracles that must see it
+PLANTED = {
+    "rx-names-first-frame-of-its-kind": (rx_names_first_frame_of_its_kind,
+                                         {"check_frames"}),
+    "first-deliver-dropped": (drop_first_deliver,
+                              {"check_packets", "check_replay"}),
+    "parent-detached": (detach_a_parent, {"check_tree"}),
+    "parent-loop": (loop_a_parent, {"check_tree"}),
+    "cpu-raised": (raise_cpu, {"check_energy", "check_replay"}),
+    "lpm-moved-to-tx": (move_lpm_to_tx, {"check_replay"}),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(PLANTED))
+def test_check_run_sees_a_planted_defect(defect):
+    plant, oracles = PLANTED[defect]
+    result = run_trace_case("lossy-random-etx")
+    plant(result)
+    assert {problem.split(":", 1)[0] for problem in check_run(result)} \
+        == oracles
 
 
 @pytest.mark.parametrize("case", sorted(WORK_COUNTS))
