@@ -190,13 +190,26 @@ def deliveries(records: list[tuple]) -> dict[str, tuple[int, int]]:
     return out
 
 
+def held_packets(result) -> set:
+    """The pids of the packets a run ends with in a node's queue or in a
+    MAC data job whose data no receiver got."""
+    held = set()
+    for nid, node in result.nodes.items():
+        held.update(packet.pid for packet in node.queue)
+        radio = node.medium.radios[nid]
+        for job in (radio.current, *radio.queue):
+            if (job is not None and job.frame.kind.label == "data"
+                    and not job.data_delivered):
+                held.add(job.frame.payload.pid)
+    return held
+
+
 def check_packets(result) -> list[str]:
     """Per-packet conservation, read from the run's trace.
 
     Each sent pid has at most one fate (a deliver or a drop); each fwd and
     each fate comes after the pid's send, and no fwd after its fate; the
-    pids with no fate are exactly the packets the run left in a node's queue
-    or in a MAC data job whose data no receiver got; the delivered packets'
+    pids with no fate are exactly held_packets; the delivered packets'
     hops and latencies, derived from the trace, sum to the metrics' totals.
     """
     sent, fated, problems = set(), {}, []
@@ -215,15 +228,7 @@ def check_packets(result) -> list[str]:
             problems.append(f"{pid}: {ev} at {rec[0]} after its {fated[pid]}")
         elif ev != "fwd":
             fated[pid] = ev
-    held = set()
-    for nid, node in result.nodes.items():
-        held.update(packet.pid for packet in node.queue)
-        radio = node.medium.radios[nid]
-        for job in (radio.current, *radio.queue):
-            if (job is not None and job.frame.kind.label == "data"
-                    and not job.data_delivered):
-                held.add(job.frame.payload.pid)
-    unfated = sent - fated.keys()
+    held, unfated = held_packets(result), sent - fated.keys()
     for pid in sorted(unfated - held):
         problems.append(f"{pid}: no fate, and no queue or job holds it")
     for pid in sorted(held - unfated):
@@ -239,9 +244,10 @@ def check_packets(result) -> list[str]:
 def check_tree(result) -> list[str]:
     """The run's preferred parents form a tree rooted at the sink, node 0.
 
-    Each joined sensor's parent is joined, and its rank exceeds the rank
-    that parent advertised to it; its chain of preferred parents, walked
-    here, reaches the sink without visiting a node twice.
+    Each joined sensor's parent is joined and among the candidates it
+    heard, and its rank exceeds the rank that parent advertised to it; its
+    chain of preferred parents, walked here, reaches the sink without
+    visiting a node twice.
     """
     nodes, problems = result.nodes, []
     if nodes[0].role != "sink":
@@ -252,10 +258,13 @@ def check_tree(result) -> list[str]:
         parent = nodes[node.preferred_parent]
         if not parent.joined:
             problems.append(f"node {nid} has unjoined parent {parent.id}")
-        advertised = node.candidates[node.preferred_parent].rank
-        if node.rank <= advertised:
+        heard = node.candidates.get(node.preferred_parent)
+        if heard is None:
+            problems.append(f"node {nid} has parent {parent.id} that it "
+                            f"never heard")
+        elif node.rank <= heard.rank:
             problems.append(f"node {nid} rank {node.rank} <= parent "
-                            f"advertised rank {advertised}")
+                            f"advertised rank {heard.rank}")
         seen, hop = {nid}, node.preferred_parent
         while hop is not None and nodes[hop].role != "sink":
             if hop in seen:

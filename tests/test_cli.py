@@ -2,9 +2,11 @@
 
 import ast
 import concurrent.futures
+import contextlib
 import copy
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -13,6 +15,7 @@ import random
 import statistics
 import subprocess
 import sys
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -51,59 +54,90 @@ SWEEP_SPEC = {
 }
 
 
-# configs that must fail at load time, keyed by the field the error must
-# name; each would otherwise hang, crash mid-run or run on a wrong value
-REJECTED = {
-    "dis_period_s": {"protocol": {"dis_period_s": 0}},
-    "housekeeping_period_s": {"protocol": {"housekeeping_period_s": 0}},
-    "trickle_i_min_s": {"protocol": {"trickle_i_min_s": 1e-7}},
-    "trickle_doublings": {"protocol": {"trickle_doublings": 1.5}},
+# scenario documents that must be refused at load time: each case's prefix
+# starts the one text every build gives it (see refusal), and the case's
+# keys come first in its document, before GOOD_CONFIG's; each would
+# otherwise hang, crash mid-run or run on a wrong value
+REFUSED = {
+    "dis_period_s": ("protocol.dis_period_s:",
+                     {"protocol": {"dis_period_s": 0}}),
+    "housekeeping_period_s": ("protocol.housekeeping_period_s:",
+                              {"protocol": {"housekeeping_period_s": 0}}),
+    "trickle_i_min_s": ("protocol.trickle_i_min_s:",
+                        {"protocol": {"trickle_i_min_s": 1e-7}}),
+    "trickle_doublings": ("protocol.trickle_doublings:",
+                          {"protocol": {"trickle_doublings": 1.5}}),
     # an 8-bit field in RFC 6550's DIO
-    "protocol.trickle_doublings": {"protocol": {"trickle_doublings": 256}},
-    "voltage_v": {"currents": {"voltage_v": -3}},
-    "tx_ma": {"currents": {"tx_ma": -1.0}},
-    "rx_success_ratio": {"rx_success_ratio": True},
-    "seed": {"seed": True},
-    "medium.rx_success_ratio": {"medium": {"rx_success_ratio": 0.1}},
-    "medium.data_payload_bytes: unknown field": {
-        "medium": {"data_payload_bytes": 30}},
-    "medium.data_header_bytes: unknown field": {
-        "medium": {"data_header_bytes": 20}},
-    "protocol.etx_initial: unknown field": {"protocol": {"etx_initial": 256}},
-    "medium.data_frame_bytes: must be >= 1": {
-        "medium": {"data_frame_bytes": 0}},
-    "protocol.cpu_process_s": {"protocol": {"cpu_process_s": -0.001}},
-    "medium.ack_turnaround_s": {"medium": {"ack_turnaround_s": -0.0001}},
+    "protocol.trickle_doublings": ("protocol.trickle_doublings:",
+                                   {"protocol": {"trickle_doublings": 256}}),
+    "voltage_v": ("currents.voltage_v:", {"currents": {"voltage_v": -3}}),
+    "tx_ma": ("currents.tx_ma:", {"currents": {"tx_ma": -1.0}}),
+    "rx_success_ratio": ("rx_success_ratio:", {"rx_success_ratio": True}),
+    "seed": ("seed:", {"seed": True}),
+    "medium.rx_success_ratio": ("medium.rx_success_ratio:",
+                                {"medium": {"rx_success_ratio": 0.1}}),
+    "medium.data_payload_bytes: unknown field": (
+        "medium.data_payload_bytes: unknown field",
+        {"medium": {"data_payload_bytes": 30}}),
+    "medium.data_header_bytes: unknown field": (
+        "medium.data_header_bytes: unknown field",
+        {"medium": {"data_header_bytes": 20}}),
+    "protocol.etx_initial: unknown field": (
+        "protocol.etx_initial: unknown field",
+        {"protocol": {"etx_initial": 256}}),
+    "medium.data_frame_bytes: must be >= 1": (
+        "medium.data_frame_bytes: must be >= 1",
+        {"medium": {"data_frame_bytes": 0}}),
+    "protocol.cpu_process_s": ("protocol.cpu_process_s:",
+                               {"protocol": {"cpu_process_s": -0.001}}),
+    "medium.ack_turnaround_s": ("medium.ack_turnaround_s:",
+                                {"medium": {"ack_turnaround_s": -0.0001}}),
     # 20 + 352 us is the 372 us timeout once rounded: each ACK would land on
     # its timeout's microsecond, where the timeout wins, and every unicast fail
-    "medium.ack_timeout_s": {"medium": {"ack_turnaround_s": 0.0000196,
-                                        "ack_timeout_s": 0.0003717}},
-    "traffic_classes": {"traffic_classes": [["critical"]]},
-    "protocol.ttl": {"protocol": {"ttl": 0}},
-    "duration_s": {"duration_s": math.inf},
+    "medium.ack_timeout_s": ("medium.ack_timeout_s:",
+                             {"medium": {"ack_turnaround_s": 0.0000196,
+                                         "ack_timeout_s": 0.0003717}}),
+    "traffic_classes": ("traffic_classes[0]:",
+                        {"traffic_classes": [["critical"]]}),
+    "protocol.ttl": ("protocol.ttl:", {"protocol": {"ttl": 0}}),
+    "duration_s": ("duration_s:", {"duration_s": math.inf}),
     # rounds to a zero-length run, whose average power is undefined
-    "duration_s: must exceed warmup_s": {"warmup_s": 0, "duration_s": 1e-7},
+    "duration_s: must exceed warmup_s": ("duration_s: must exceed warmup_s",
+                                         {"warmup_s": 0, "duration_s": 1e-7}),
     # rounds to a 1 us window: every backoff draws 0 and time stops
-    "medium.backoff_window_s": {"medium": {"backoff_window_s": 0.000001}},
+    "medium.backoff_window_s": ("medium.backoff_window_s:",
+                                {"medium": {"backoff_window_s": 0.000001}}),
     # control frames would queue faster than the radio sends them, and the
     # run grows until it is killed
-    "protocol.trickle_i_min_s": {"protocol": {"trickle_i_min_s": 0.00001,
-                                              "trickle_doublings": 0}},
-    "protocol.dis_period_s": {"protocol": {"dis_period_s": 0.001}},
+    "protocol.trickle_i_min_s": ("protocol.trickle_i_min_s:", {"protocol": {
+        "trickle_i_min_s": 0.00001, "trickle_doublings": 0}}),
+    "protocol.dis_period_s": ("protocol.dis_period_s:",
+                              {"protocol": {"dis_period_s": 0.001}}),
     # an expiry or an airtime past a float's range crashes the run or the
     # config's own checks with an OverflowError
-    "protocol.parent_expiry_trickle_factor": {
-        "protocol": {"parent_expiry_trickle_factor": 1e308}},
-    "medium.ack_frame_bytes: must be <=": {
-        "medium": {"ack_frame_bytes": 10**400}},
+    "protocol.parent_expiry_trickle_factor": (
+        "protocol.parent_expiry_trickle_factor:",
+        {"protocol": {"parent_expiry_trickle_factor": 1e308}}),
+    "medium.ack_frame_bytes: must be <=": (
+        "medium.ack_frame_bytes: must be <=",
+        {"medium": {"ack_frame_bytes": 10**400}}),
     # past about 2.3e299 s, a candidate's expiry (the factor times the
     # longest trickle interval) overflows a float and crashes the run
-    "protocol.trickle_i_min_s: must be <=": {
-        "protocol": {"trickle_i_min_s": 1e302}},
+    "protocol.trickle_i_min_s: must be <=": (
+        "protocol.trickle_i_min_s: must be <=",
+        {"protocol": {"trickle_i_min_s": 1e302}}),
     # the run's power and energy come out infinite
-    "currents.voltage_v: must be <=": {"currents": {"voltage_v": 1e308}},
+    "currents.voltage_v: must be <=": ("currents.voltage_v: must be <=",
+                                       {"currents": {"voltage_v": 1e308}}),
     # the id follows from topology, node_count, objective and ratio
-    "scenario_id: unknown field": {"scenario_id": "x"},
+    "scenario_id: unknown field": ("scenario_id: unknown field",
+                                   {"scenario_id": "x"}),
+    # README's fault order: an unknown key before any bound, then the
+    # schema's field order, not the document's
+    "unknown key before a bound": ("bogus: unknown field",
+                                   {"bogus": 1, "node_count": 1}),
+    "schema order, not the document's": (
+        "node_count:", {"rx_success_ratio": 2.0, "node_count": 1}),
 }
 
 # sweeps whose bad field must stop the sweep before its first run
@@ -171,6 +205,35 @@ def build_outcome(build, document):
         return build(document)
     except ConfigError as exc:
         return str(exc)
+
+
+def cli_refusal(command, document):
+    """What `rplsim run` (command "run") or `rplsim sweep` prints to stderr
+    for a document it refuses: it must exit 2 and write no file beside the
+    document, no --out, .summary.csv or .failures.csv."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_json(pathlib.Path(tmp, "doc.json"), document)
+        flag = {"run": "--config", "sweep": "--spec"}[command]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([command, flag, path,
+                         "--out", os.path.join(tmp, "o.csv")])
+        assert (code, os.listdir(tmp)) == (2, ["doc.json"]), err.getvalue()
+    return err.getvalue()
+
+
+def refusal(document):
+    """The one ConfigError text a scenario document gets however it is
+    built: by the loader, in Python, and by `rplsim run`, which prints it
+    as `config error: <text>`.  The Python build is skipped only for an
+    unknown or missing field, which the dataclass refuses with a TypeError
+    of its own."""
+    text = build_outcome(scenario_from_dict, document)
+    assert isinstance(text, str), f"accepted: {document}"
+    if not text.endswith(("unknown field", "required field is missing")):
+        assert build_outcome(build_in_python, document) == text
+    assert cli_refusal("run", document) == f"config error: {text}\n"
+    return text
 
 
 # one value of each JSON type, NaN and an infinity: for any schema node
@@ -314,23 +377,12 @@ class TestRun:
         main(["run", "--config", config, "--seed", "42", "--out", out])
         assert read_rows(out)[0]["seed"] == "42"
 
-    def test_bad_rx_ratio_exits_2_naming_field(self, tmp_path, capsys):
-        bad = dict(GOOD_CONFIG, rx_success_ratio=1.3)
-        config = write_json(tmp_path / "c.json", bad)
-        code = main(["run", "--config", config, "--out",
-                     str(tmp_path / "o.csv")])
-        assert code == 2
-        assert "rx_success_ratio" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("field", REJECTED)
-    def test_rejected_config_exits_2_naming_field(self, tmp_path, capsys,
-                                                  field):
-        config = write_json(tmp_path / "c.json",
-                            dict(GOOD_CONFIG, **REJECTED[field]))
-        out = tmp_path / "o.csv"
-        assert main(["run", "--config", config, "--out", str(out)]) == 2
-        assert field in capsys.readouterr().err
-        assert not out.exists()
+    @pytest.mark.parametrize("case", REFUSED)
+    def test_rejected_config_exits_2_naming_field(self, case):
+        prefix, overrides = REFUSED[case]
+        # a dict literal keeps each key where it first comes
+        document = {**overrides, **GOOD_CONFIG, **overrides}
+        assert refusal(document).startswith(prefix)
 
     def test_foreign_csv_header_exits_2_and_keeps_file(self, tmp_path,
                                                        capsys):
@@ -505,26 +557,17 @@ class TestSweep:
                      "--parallel", "64", "--out", out]) == 0
         assert len(read_rows(out)) == cells == 2 and pools == [2]
 
-    def test_invalid_spec_exits_2(self, tmp_path, capsys):
-        path = write_json(tmp_path / "s.json", {"node_counts": []})
-        assert main(["sweep", "--spec", path,
-                     "--out", str(tmp_path / "o.csv")]) == 2
+    def test_invalid_spec_exits_2(self):
+        assert cli_refusal("sweep", {"node_counts": []}) \
+            == "config error: objectives: required field is missing\n"
 
-    def test_boolean_seeds_per_cell_exits_2(self, tmp_path, capsys):
-        path = write_json(tmp_path / "s.json",
-                          dict(SWEEP_SPEC, seeds_per_cell=True))
-        assert main(["sweep", "--spec", path,
-                     "--out", str(tmp_path / "o.csv")]) == 2
-        assert "seeds_per_cell" in capsys.readouterr().err
+    def test_boolean_seeds_per_cell_exits_2(self):
+        assert cli_refusal("sweep", dict(SWEEP_SPEC, seeds_per_cell=True)) \
+            .startswith("config error: seeds_per_cell: must be of type")
 
     @pytest.mark.parametrize("field", BAD_SWEEPS)
-    def test_bad_field_exits_2_before_running(self, tmp_path, capsys, field):
-        path = write_json(tmp_path / "s.json", BAD_SWEEPS[field])
-        out = tmp_path / "runs.csv"
-        assert main(["sweep", "--spec", path, "--out", str(out)]) == 2
-        assert field in capsys.readouterr().err
-        assert not out.exists()
-        assert not (tmp_path / "runs.csv.failures.csv").exists()
+    def test_bad_field_exits_2_before_running(self, field):
+        assert field in cli_refusal("sweep", BAD_SWEEPS[field])
 
     def test_unopenable_out_exits_2_before_running(self, tmp_path, capsys,
                                                    monkeypatch):
@@ -562,6 +605,25 @@ class TestShippedArtifacts:
                             name.split(".")[0] not in sys.stdlib_module_names]
         assert not foreign
 
+    def test_every_imported_name_is_used(self):
+        # no linter runs here, and a deletion can leave an import behind;
+        # rplsim/__init__.py's imports are the package's re-exports
+        unused = []
+        for path in sorted([*(ROOT / "src" / "rplsim").rglob("*.py"),
+                            *(ROOT / "tests").glob("*.py")]):
+            if path == ROOT / "src" / "rplsim" / "__init__.py":
+                continue
+            tree = ast.parse(path.read_text("utf-8"))
+            used = {node.id for node in ast.walk(tree)
+                    if isinstance(node, ast.Name)}
+            unused += [f"{path.name}: {name}" for node in ast.walk(tree)
+                       if isinstance(node, (ast.Import, ast.ImportFrom))
+                       and getattr(node, "module", None) != "__future__"
+                       for alias in node.names
+                       if (name := (alias.asname or alias.name)
+                           .split(".")[0]) not in used]
+        assert not unused
+
     def test_shipped_run_configs_keep_their_ids(self, tmp_path):
         # the ids these files once set by hand are the derived ones
         out = str(tmp_path / "out.csv")
@@ -595,7 +657,7 @@ class TestShippedArtifacts:
             assert set(spec["properties"]) == fields, cls.__name__
 
     @pytest.mark.parametrize("name", ["scenario", "sweep"])
-    def test_schema_bounds_reject_first_value_past_them(self, tmp_path, name):
+    def test_schema_bounds_reject_first_value_past_them(self, name):
         good = {"scenario": GOOD_CONFIG, "sweep": SWEEP_SPEC}[name]
         checked = 0
         for where, spec in schema_nodes(load_schema(name)):
@@ -607,15 +669,10 @@ class TestShippedArtifacts:
                 for part in where[:-1]:
                     target = target.setdefault(part, {})
                 target[where[-1]] = value
-                # a scenario gets the same rules however it is built
-                builds = ([scenario_from_dict, build_in_python]
-                          if name == "scenario" else
-                          [lambda bad: load_sweep(
-                              write_json(tmp_path / "s.json", bad))])
-                for build in builds:
-                    with pytest.raises(ConfigError) as err:
-                        build(bad)
-                    assert str(err.value).startswith(f"{field}: "), value
+                text = (refusal(bad) if name == "scenario" else
+                        cli_refusal("sweep", bad).removeprefix(
+                            "config error: "))
+                assert text.startswith(f"{field}: "), value
                 checked += 1
         # the walk reached every bound the schema's text sets
         text = (SCHEMA_DIR / f"{name}.schema.json").read_text("utf-8")

@@ -308,6 +308,14 @@ def loop_a_parent(result):
     nodes[child.preferred_parent].preferred_parent = child.id
 
 
+def adopt_an_unheard_parent(result):
+    # a joined sensor that never heard the sink takes it as its parent
+    child = next(node for node in result.nodes.values()
+                 if node.preferred_parent not in (None, 0)
+                 and 0 not in node.candidates)
+    child.preferred_parent = 0
+
+
 def raise_cpu(result):
     result.ledgers[1].cpu_us += 1
 
@@ -328,6 +336,7 @@ PLANTED = {
                               {"check_packets", "check_replay"}),
     "parent-detached": (detach_a_parent, {"check_tree"}),
     "parent-loop": (loop_a_parent, {"check_tree"}),
+    "parent-unheard": (adopt_an_unheard_parent, {"check_tree"}),
     "cpu-raised": (raise_cpu, {"check_energy", "check_replay"}),
     "lpm-moved-to-tx": (move_lpm_to_tx, {"check_replay"}),
 }
