@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import itertools
 import json
 import math
@@ -28,10 +29,10 @@ CSV_COLUMNS = [
 ]
 
 CELL_KEYS = ("topology", "rx_ratio", "objective", "node_count")
-# the fields sweep_tasks sets on each task from the grid and the seed range,
-# in that order; a sweep's base may not set them, as its value would be lost
-GRID_FIELDS = ("topology", "objective", "rx_success_ratio", "node_count",
-               "seed")
+# each grid list of a sweep and the scenario field it sets on every task,
+# in the order sweep_tasks expands them; the seed range sets "seed"
+GRID = {"topologies": "topology", "objectives": "objective",
+        "rx_ratios": "rx_success_ratio", "node_counts": "node_count"}
 
 
 def _fmt(value: float | None) -> str:
@@ -116,15 +117,27 @@ def cmd_run(args) -> int:
 
 # --------------------------------------------------------------------- sweep
 
+@functools.cache
+def sweep_schema() -> dict:
+    """sweep.schema.json with the scenario schema's rules filled in: each
+    grid list's items take its field's rule and base_seed takes seed's,
+    and base may set any scenario field that no task takes from the grid."""
+    scenario, sweep = load_schema("scenario"), load_schema("sweep")
+    rules = scenario["properties"]
+    properties = dict(sweep["properties"], base_seed=rules["seed"],
+                      base=dict(scenario, required=(), properties={
+                          key: rule for key, rule in rules.items()
+                          if key not in (*GRID.values(), "seed")}))
+    for key, field in GRID.items():
+        properties[key] = dict(properties[key], items=rules[field])
+    return dict(sweep, properties=properties)
+
+
 def load_sweep(path: str) -> dict:
     raw = load_json(path, "sweep")
-    validate(raw, load_schema("sweep"))
-    for key in GRID_FIELDS:
-        if key in raw.get("base", {}):
-            raise ConfigError(f"base.{key}: set by the sweep grid, not the "
-                              f"base (got {raw['base'][key]!r})")
+    validate(raw, sweep_schema())
     # an entry that prints as an earlier one in the rows repeats its cell
-    for key in ("topologies", "objectives", "rx_ratios", "node_counts"):
+    for key in GRID:
         printed = [f"{v:g}" if key == "rx_ratios" else str(v)
                    for v in raw[key]]
         for index, text in enumerate(printed):
@@ -139,14 +152,10 @@ def sweep_tasks(spec: dict) -> list[dict]:
     base = spec.get("base", {})
     seeds = spec.get("seeds_per_cell", 1)
     base_seed = spec.get("base_seed", 1)
-    tasks = []
-    for topology, objective, rx, node_count in itertools.product(
-            spec["topologies"], spec["objectives"], spec["rx_ratios"],
-            spec["node_counts"]):
-        for offset in range(seeds):
-            cell = (topology, objective, rx, node_count, base_seed + offset)
-            tasks.append({**base, **dict(zip(GRID_FIELDS, cell))})
-    return tasks
+    return [{**base, **dict(zip(GRID.values(), cell)),
+             "seed": base_seed + offset}
+            for cell in itertools.product(*(spec[key] for key in GRID))
+            for offset in range(seeds)]
 
 
 def _sweep_worker(cfg: ScenarioConfig):

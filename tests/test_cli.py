@@ -22,7 +22,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rplsim import cli
-from rplsim.cli import CSV_COLUMNS, load_sweep, main, sweep_tasks
+from rplsim.cli import (CSV_COLUMNS, load_sweep, main, sweep_schema,
+                        sweep_tasks)
 from rplsim.medium import MediumConfig
 from rplsim.rpl import ProtocolConfig
 from rplsim.scenario import (SCHEMA_KEYWORDS, ConfigError, ScenarioConfig,
@@ -140,16 +141,25 @@ REFUSED = {
         "node_count:", {"rx_success_ratio": 2.0, "node_count": 1}),
 }
 
-# sweeps whose bad field must stop the sweep before its first run
+def with_base(**fields):
+    """SWEEP_SPEC with fields added to its base."""
+    return dict(SWEEP_SPEC, base=dict(SWEEP_SPEC["base"], **fields))
+
+
+# sweeps whose bad field must stop the sweep before its first run, each
+# refused with a text that starts with the case's name; load_sweep refuses
+# all but the "sweep cell" ones, whose cells break a cross-field rule
 BAD_SWEEPS = {
-    "bogus": dict(SWEEP_SPEC, base=dict(SWEEP_SPEC["base"], bogus=1)),
+    "base.bogus": with_base(bogus=1),
+    "base.duration_s": with_base(duration_s="x"),
+    "base.medium.antenna": with_base(medium={"antenna": 3}),
     "rx_ratios[0]": dict(SWEEP_SPEC, rx_ratios=[True]),
-    # the grid sets these on every task, so a base value would be dropped
-    **{f"base.{key}": dict(SWEEP_SPEC, base=dict(SWEEP_SPEC["base"],
-                                                  **{key: value}))
+    # the grid sets these on every task, so the base has no such field
+    **{f"base.{key}": with_base(**{key: value})
        for key, value in (("topology", "random"), ("objective", "etx"),
                           ("rx_success_ratio", 0.5), ("node_count", 50),
                           ("seed", 7))},
+    "sweep cell 0: duration_s": with_base(duration_s=20.0),
     # an entry printed as an earlier one in the rows repeats that cell's
     # runs, and its summary would count each seed once per repeat
     "node_counts[1]": dict(SWEEP_SPEC, node_counts=[5, 5]),
@@ -183,6 +193,13 @@ def past_bounds(spec):
         yield spec["exclusiveMinimum"]
     if "minItems" in spec:
         yield [None] * (spec["minItems"] - 1)
+
+
+def bound_count(schema):
+    """How many bounds a schema's JSON text sets."""
+    text = json.dumps(schema)
+    return sum(text.count(f'"{key}"') for key in (
+        "minimum", "maximum", "exclusiveMinimum", "minItems"))
 
 
 SECTIONS = {"medium": MediumConfig, "protocol": ProtocolConfig,
@@ -566,8 +583,16 @@ class TestSweep:
             .startswith("config error: seeds_per_cell: must be of type")
 
     @pytest.mark.parametrize("field", BAD_SWEEPS)
-    def test_bad_field_exits_2_before_running(self, field):
-        assert field in cli_refusal("sweep", BAD_SWEEPS[field])
+    def test_bad_field_exits_2_before_running(self, field, tmp_path):
+        text = cli_refusal("sweep", BAD_SWEEPS[field])
+        assert text.startswith(f"config error: {field}: ")
+        path = write_json(tmp_path / "s.json", BAD_SWEEPS[field])
+        if field.startswith("sweep cell "):
+            load_sweep(path)
+        else:
+            with pytest.raises(ConfigError) as refused:
+                load_sweep(path)
+            assert text == f"config error: {refused.value}\n"
 
     def test_unopenable_out_exits_2_before_running(self, tmp_path, capsys,
                                                    monkeypatch):
@@ -658,9 +683,13 @@ class TestShippedArtifacts:
 
     @pytest.mark.parametrize("name", ["scenario", "sweep"])
     def test_schema_bounds_reject_first_value_past_them(self, name):
+        # a sweep meets the schema load_sweep applies: its own file's with
+        # every scenario bound under base and each grid list's items
         good = {"scenario": GOOD_CONFIG, "sweep": SWEEP_SPEC}[name]
+        schema = {"scenario": load_schema("scenario"),
+                  "sweep": sweep_schema()}[name]
         checked = 0
-        for where, spec in schema_nodes(load_schema(name)):
+        for where, spec in schema_nodes(schema):
             field = "".join(f".{p}" if isinstance(p, str) else f"[{p}]"
                             for p in where).lstrip(".")
             for value in past_bounds(spec):
@@ -675,9 +704,10 @@ class TestShippedArtifacts:
                 assert text.startswith(f"{field}: "), value
                 checked += 1
         # the walk reached every bound the schema's text sets
-        text = (SCHEMA_DIR / f"{name}.schema.json").read_text("utf-8")
-        assert checked == sum(text.count(f'"{key}"') for key in (
-            "minimum", "maximum", "exclusiveMinimum", "minItems"))
+        assert checked == bound_count(schema)
+        if name == "sweep":     # each scenario bound, in base or a grid list
+            assert checked == (bound_count(load_schema("scenario"))
+                               + bound_count(load_schema("sweep")))
 
     @settings(max_examples=200)
     @given(schema_documents(load_schema("scenario")))

@@ -304,6 +304,17 @@ class TestDis:
         assert result.metrics.convergence_us is None
 
 
+@pytest.fixture(scope="class")
+def ttl_line_run():
+    """One traced run of a 5-node line whose TTL of 2 is too short for the
+    far nodes' traffic to reach the sink."""
+    cfg = ScenarioConfig(node_count=5, topology="random", objective="of0",
+                         rx_success_ratio=1.0, duration_s=300.0,
+                         warmup_s=60.0, traffic_classes=("high-critical",),
+                         protocol=ProtocolConfig(ttl=2))
+    return run_scenario(cfg, positions=line_positions(5), trace=True)
+
+
 class TestForwarding:
     def test_single_hop_delivery(self):
         cfg = ScenarioConfig(node_count=2, topology="random", objective="of0",
@@ -340,23 +351,13 @@ class TestForwarding:
             n1.app_generate()
         assert metrics.drops_by_cause("queue-overflow") == 2
 
-    def test_ttl_exhaustion_drops_far_traffic(self):
-        cfg = ScenarioConfig(node_count=5, topology="random", objective="of0",
-                             rx_success_ratio=1.0, duration_s=300.0,
-                             warmup_s=60.0,
-                             traffic_classes=("high-critical",),
-                             protocol=ProtocolConfig(ttl=2))
-        result = run_scenario(cfg, positions=line_positions(5))
+    def test_ttl_exhaustion_drops_far_traffic(self, ttl_line_run):
+        result = ttl_line_run
         assert result.metrics.drops_by_cause("ttl") > 0
         assert result.metrics.total_delivered() > 0
 
-    def test_conservation_holds_even_with_drops(self):
-        cfg = ScenarioConfig(node_count=5, topology="random", objective="of0",
-                             rx_success_ratio=1.0, duration_s=300.0,
-                             warmup_s=60.0,
-                             traffic_classes=("high-critical",),
-                             protocol=ProtocolConfig(ttl=2))
-        result = run_scenario(cfg, positions=line_positions(5), trace=True)
+    def test_conservation_holds_even_with_drops(self, ttl_line_run):
+        result = ttl_line_run
         m = result.metrics
         total_drops = sum(m.drops_by_cause(c) for c in
                           ("no-route", "mac-failure", "queue-overflow", "ttl"))

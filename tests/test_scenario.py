@@ -1,5 +1,6 @@
 """Scenario schema, topology generators, traffic-class machinery."""
 
+import json
 import math
 
 import pytest
@@ -138,14 +139,15 @@ class TestValidation:
         # a name in the code alone would be refused in every config, and a
         # name in a schema alone would be accepted but never run
         scenario = load_schema("scenario")["properties"]
-        sweep = load_schema("sweep")["properties"]
         assert scenario["traffic_classes"]["items"]["enum"] \
             == list(TRAFFIC_CLASSES)
         assert scenario["objective"]["enum"] == [OF0, MRHOF_ETX]
-        assert sweep["objectives"]["items"]["enum"] == [OF0, MRHOF_ETX]
         # generate_topology builds "grid" and, for any other name, "random"
         assert scenario["topology"]["enum"] == ["random", "grid"]
-        assert sweep["topologies"]["items"]["enum"] == ["random", "grid"]
+        # a sweep's grid values meet the scenario schema's rules, which
+        # load_sweep fills in, so its own file restates none of them
+        sweep = json.dumps(load_schema("sweep"))
+        assert '"enum"' not in sweep and '"items"' not in sweep
         assert set(SEND_INTERVAL_S) == set(TRAFFIC_CLASSES)
         assert PERIODIC_CLASSES <= set(SEND_INTERVAL_S)
 
