@@ -135,7 +135,7 @@ def per_link_ratios(cfg, ratios):
 # Each case is one traced 300 s run with warmup 60 s unless it says
 # otherwise: the ScenarioConfig fields, plus the ratios its per-link ratios
 # are drawn from (or None).  The first four are 40-node, rx 0.8, seed-1 runs, one per
-# topology/objective pair; the others pin a zero ACK turnaround, a near-zero
+# topology/objective pair; the others pin MRHOF on a perfect channel, a zero ACK turnaround, a near-zero
 # backoff window, a short parent expiry with frequent housekeeping, per-link
 # ratios, a lossy, congested run whose trace holds every record shape:
 # detaches (a null parent) and all four drop causes, its OF0 twin (with a
@@ -146,6 +146,8 @@ def per_link_ratios(cfg, ratios):
 TRACE_CASES = {
     "random-of0": (dict(topology="random", objective="of0"), None),
     "random-etx": (dict(topology="random", objective="etx"), None),
+    "random-etx-rx1": (
+        dict(topology="random", objective="etx", rx_success_ratio=1.0), None),
     "grid-of0": (dict(topology="grid", objective="of0"), None),
     "grid-etx": (dict(topology="grid", objective="etx"), None),
     "ack-turnaround-0": (
@@ -195,6 +197,9 @@ TRACE_DIGESTS = {
     "random-etx": (
         "77513730d76a7d79a441635998895b33697997aa595e05bc46ee4a973bdad591",
         "6fb2b363d88c800bb1775ed3cb707b585e611e7cbc5bb851f03a38011c73aef9"),
+    "random-etx-rx1": (
+        "92544f2fd495f1789d940eee088df6a469f9078ac7eeb3ce66199f3d6a025dc5",
+        "7e0dcab11d64ec359e84f267d98e32476a8223a88d93de1ac19f59a2e915257a"),
     "grid-of0": (
         "ea3c3fac12729d7cf13a2ff99e36fe98a669374e69c2e59f0556a5fd9d473299",
         "d7247c4c19097bc6313f7cc2931302832b55acbcbc5559b07dcd2ec6d9ee4852"),
