@@ -381,17 +381,18 @@ class TestRun:
     def test_trace_files_are_byte_identical(self, tmp_path):
         config = write_json(tmp_path / "c.json", GOOD_CONFIG)
         t_a, t_b = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")
-        main(["run", "--config", config, "--out", str(tmp_path / "x.csv"),
-              "--trace", t_a])
-        main(["run", "--config", config, "--out", str(tmp_path / "y.csv"),
-              "--trace", t_b])
+        assert main(["run", "--config", config, "--out",
+                     str(tmp_path / "x.csv"), "--trace", t_a]) == 0
+        assert main(["run", "--config", config, "--out",
+                     str(tmp_path / "y.csv"), "--trace", t_b]) == 0
         a, b = pathlib.Path(t_a).read_bytes(), pathlib.Path(t_b).read_bytes()
         assert a and a == b
 
     def test_seed_override_lands_in_row(self, tmp_path):
         config = write_json(tmp_path / "c.json", GOOD_CONFIG)
         out = str(tmp_path / "out.csv")
-        main(["run", "--config", config, "--seed", "42", "--out", out])
+        assert main(["run", "--config", config, "--seed", "42",
+                     "--out", out]) == 0
         assert read_rows(out)[0]["seed"] == "42"
 
     @pytest.mark.parametrize("case", REFUSED)
@@ -452,8 +453,8 @@ class TestSweep:
     def test_parallel_matches_serial(self, tmp_path, fresh_serial_sweep):
         spec = write_json(tmp_path / "s.json", SWEEP_SPEC)
         out_parallel = tmp_path / "parallel.csv"
-        main(["sweep", "--spec", spec, "--parallel", "4",
-              "--out", str(out_parallel)])
+        assert main(["sweep", "--spec", spec, "--parallel", "4",
+                     "--out", str(out_parallel)]) == 0
         assert fresh_serial_sweep[1].read_bytes() == out_parallel.read_bytes()
 
     def test_rows_do_not_depend_on_run_order(self, fresh_serial_sweep):
@@ -751,8 +752,8 @@ class TestPlotData:
 
     def test_reshape_power(self, tmp_path, fresh_serial_sweep):
         out = str(tmp_path / "power.csv")
-        main(["plot-data", "--in", str(fresh_serial_sweep[1]), "--figure",
-              "power", "--out", out])
+        assert main(["plot-data", "--in", str(fresh_serial_sweep[1]),
+                     "--figure", "power", "--out", out]) == 0
         rows = read_rows(out)
         assert all(float(row["mean"]) > 0 for row in rows)
 

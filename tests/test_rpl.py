@@ -1,24 +1,20 @@
 """RPL node behavior: joining, trickle, parent maintenance, forwarding."""
 
-import random
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rplsim.rpl
 from oracles import check_run, deliveries
-from rplsim.cli import result_to_row
 from rplsim.engine import Event, Simulator, to_us
 from rplsim.medium import Medium, MediumConfig
 from rplsim.objective import (ETX_INITIAL, INFINITE_RANK, MAX_PATH_COST,
-                              RANK_UNIT, ROOT_RANK, mrhof_path_cost, of0_rank)
-from rplsim.rpl import (CandidateInfo, DioMessage, Node, ProtocolConfig,
-                        SENSOR)
+                              RANK_UNIT, ROOT_RANK, mrhof_path_cost)
+from rplsim.rpl import CandidateInfo, DioMessage, Node, ProtocolConfig
 from rplsim.scenario import ScenarioConfig, radio_links
 from rplsim.simulate import run_scenario
 from rplsim.telemetry import MetricsReport, TraceRecorder
-from test_simulate import links_only
+from test_simulate import poll_every_tick, purges, record_wakes
 
 SEC = to_us(1.0)
 I_MIN_US = to_us(4.096)
@@ -56,56 +52,6 @@ def count_cancels(monkeypatch):
         cancel(event)
     monkeypatch.setattr(Event, "cancel", counted)
     return cancels
-
-
-def mixed_link_rx():
-    """Own ratios for about half the radio links of the 30-node, seed-2
-    random runs below; the rest use the run's."""
-    rng = random.Random(5)
-    cfg = ScenarioConfig(node_count=30, topology="random", objective="etx",
-                         rx_success_ratio=0.8, seed=2)
-    return links_only(cfg, {(a, b): rng.choice((0.5, 0.8, 0.95))
-                            for a in range(30) for b in range(a + 1, 30)
-                            if rng.random() < 0.5})
-
-
-def poll_every_tick(monkeypatch):
-    """Make each sensor wake on every tick of its housekeeping grid, as a
-    fixed-period poll does: the reference the lazy ticks must match."""
-    start = Node.start
-
-    def schedule_tick(node, due):
-        node._hk_event = node.sim.schedule(due, None, None, node._housekeeping)
-
-    def started(self):
-        start(self)
-        if self.role == SENSOR:
-            schedule_tick(self, self._hk_origin)
-
-    def next_tick(self):        # runs only inside a tick once started
-        if self.role == SENSOR and self._hk_event is None:
-            now, period = self.sim.now, self._hk_period_us
-            schedule_tick(self, now + period - (now - self._hk_origin) % period)
-    monkeypatch.setattr(Node, "start", started)
-    monkeypatch.setattr(Node, "_arm_housekeeping", next_tick)
-
-
-def record_wakes(monkeypatch):
-    """Every housekeeping wake as (t, node, ids it purged), in order."""
-    wakes = []
-    housekeeping = Node._housekeeping
-
-    def recorded(self):
-        before = set(self.candidates)
-        housekeeping(self)
-        wakes.append((self.sim.now, self.id,
-                      tuple(sorted(before - set(self.candidates)))))
-    monkeypatch.setattr(Node, "_housekeeping", recorded)
-    return wakes
-
-
-def purges(wakes):
-    return [wake for wake in wakes if wake[2]]
 
 
 def expire(node, nid):
@@ -408,97 +354,6 @@ class TestParentExpiry:
         assert all(snap.joined for snap in result.nodes.values())
 
 
-class TestReselectSkip:
-    """Skipping a re-evaluation whose inputs did not move changes nothing."""
-
-    @staticmethod
-    def run(monkeypatch, forced, link_rx=None, **overrides):
-        evaluations = []
-        reselect = Node._reselect
-
-        def counted(self):                  # a call that will evaluate
-            if self._dirty:
-                evaluations.append(self.id)
-            return reselect(self)
-        monkeypatch.setattr(Node, "_reselect", counted)
-        if forced:
-            def always_evaluate(self):
-                self._dirty = True
-                return counted(self)
-            monkeypatch.setattr(Node, "_reselect", always_evaluate)
-        cfg = ScenarioConfig(node_count=30, topology="random",
-                             duration_s=600.0, warmup_s=60.0, seed=2,
-                             **overrides)
-        result = run_scenario(cfg, link_rx=link_rx, trace=True)
-        monkeypatch.undo()
-        return result_to_row(result), result.trace.records, len(evaluations)
-
-    @pytest.mark.parametrize("objective", ["of0", "etx"])
-    @pytest.mark.parametrize("rx", [0.8, 1.0])
-    def test_same_rows_and_traces_as_always_evaluating(self, monkeypatch,
-                                                       objective, rx):
-        shipped = self.run(monkeypatch, False, objective=objective,
-                           rx_success_ratio=rx)
-        forced = self.run(monkeypatch, True, objective=objective,
-                          rx_success_ratio=rx)
-        assert shipped[:2] == forced[:2]
-        assert shipped[2] < forced[2]
-
-    def test_same_with_per_link_ratios(self, monkeypatch):
-        case = dict(objective="etx", rx_success_ratio=0.9)
-        shipped = self.run(monkeypatch, False, mixed_link_rx(), **case)
-        forced = self.run(monkeypatch, True, mixed_link_rx(), **case)
-        assert shipped[:2] == forced[:2]
-        assert shipped[2] < forced[2]
-
-
-class TestCachedThroughCost:
-    """Each candidate's cached value equals a fresh pricing whenever
-    selection may read it: under MRHOF its cost and the current link ETX,
-    under OF0 the rank through it.  The forced runs of TestReselectSkip read
-    the same cache, so only a check against an independent pricing pins the
-    cache itself."""
-
-    @staticmethod
-    def run(monkeypatch, objective, fresh, link_rx=None):
-        """Check every cached value against fresh(node, nid, c); returns
-        each fresh value."""
-        priced = []
-        reselect = Node._reselect
-
-        def checked(self):
-            for nid, c in self.candidates.items():
-                value = fresh(self, nid, c)
-                assert (self.id, nid, c.through) == (self.id, nid, value)
-                priced.append(value)
-            return reselect(self)
-        monkeypatch.setattr(Node, "_reselect", checked)
-        cfg = ScenarioConfig(node_count=30, topology="random",
-                             objective=objective, rx_success_ratio=0.8,
-                             duration_s=600.0, warmup_s=60.0, seed=2)
-        run_scenario(cfg, link_rx=link_rx)
-        return priced
-
-    @pytest.mark.parametrize("mixed", [False, True])
-    def test_cache_matches_fresh_pricing(self, monkeypatch, mixed):
-        etxs = []
-
-        def mrhof(node, nid, c):
-            etx = node.link_etx.get(nid, ETX_INITIAL)
-            etxs.append(etx)
-            return (MAX_PATH_COST if c.cost is None or c.cost >= MAX_PATH_COST
-                    else mrhof_path_cost(c.cost, etx))
-        self.run(monkeypatch, "etx", mrhof,
-                 mixed_link_rx() if mixed else None)
-        # the estimates moved off their initial value, so re-pricing was due
-        assert len(set(etxs)) > 10
-
-    def test_of0_cache_is_the_rank_through(self, monkeypatch):
-        priced = self.run(monkeypatch, "of0",
-                          lambda node, nid, c: of0_rank(c.rank))
-        assert len(set(priced)) > 3
-
-
 class TestRepeatedDio:
     """A DIO repeating its sender's rank and cost only refreshes
     last_heard: the candidate's value is already current."""
@@ -573,76 +428,10 @@ class TestInlineFilter:
         assert weighed == [expected]
 
 
-class TestJoinedIsTheParent:
-    """`joined` reads the parent alone: on every exit from selection a
-    sensor's rank is INFINITE_RANK exactly when it has no parent."""
-
-    @pytest.mark.parametrize("objective", ["of0", "etx"])
-    def test_rank_is_infinite_exactly_without_a_parent(self, monkeypatch,
-                                                       objective):
-        exits = []
-        reselect = Node._reselect
-
-        def checked(self):
-            consistent = reselect(self)
-            assert (self.rank == INFINITE_RANK) == \
-                (self.preferred_parent is None)
-            exits.append(self.preferred_parent is None)
-            return consistent
-        monkeypatch.setattr(Node, "_reselect", checked)
-        # lossy, with a short flat expiry window: parents expire and
-        # nodes detach and rejoin
-        proto = ProtocolConfig(parent_expiry_floor_s=20.0,
-                               parent_expiry_trickle_factor=0.0,
-                               housekeeping_period_s=1.0)
-        cfg = ScenarioConfig(node_count=30, topology="random",
-                             objective=objective, rx_success_ratio=0.5,
-                             duration_s=300.0, warmup_s=5.0, seed=2,
-                             protocol=proto)
-        run_scenario(cfg)
-        assert True in exits and False in exits
-
-
 class TestLazyHousekeeping:
-    """Waking only on the ticks that can purge purges on the same ticks, and
-    so gives the same rows and traces, as waking on every tick."""
-
-    @staticmethod
-    def run(monkeypatch, polled, link_rx=None, **overrides):
-        if polled:
-            poll_every_tick(monkeypatch)
-        wakes = record_wakes(monkeypatch)
-        cfg = ScenarioConfig(node_count=30, topology="random",
-                             duration_s=600.0, warmup_s=60.0, seed=2,
-                             **overrides)
-        result = run_scenario(cfg, link_rx=link_rx, trace=True)
-        monkeypatch.undo()
-        return result_to_row(result), result.trace.records, wakes
-
-    def check(self, monkeypatch, link_rx=None, **overrides):
-        row, records, wakes = self.run(monkeypatch, False, link_rx,
-                                       **overrides)
-        polled = self.run(monkeypatch, True, link_rx, **overrides)
-        assert (row, records) == polled[:2]
-        assert purges(wakes) == purges(polled[2])
-        assert len(wakes) < len(polled[2])
-        return purges(wakes)
-
-    @pytest.mark.parametrize("objective", ["of0", "etx"])
-    @pytest.mark.parametrize("rx", [0.8, 1.0])
-    def test_same_rows_traces_and_purges_as_polling(self, monkeypatch,
-                                                     objective, rx):
-        self.check(monkeypatch, objective=objective, rx_success_ratio=rx)
-
-    def test_same_with_per_link_ratios(self, monkeypatch):
-        self.check(monkeypatch, mixed_link_rx(), objective="etx",
-                   rx_success_ratio=0.9)
-
-    def test_same_with_short_expiry_and_fine_grid(self, monkeypatch):
-        proto = ProtocolConfig(parent_expiry_floor_s=20.0,
-                               housekeeping_period_s=1.0)
-        assert self.check(monkeypatch, objective="etx", rx_success_ratio=0.8,
-                          protocol=proto)
+    """Waking only on the ticks that can purge purges on the same ticks as
+    waking on every tick, also when the expiry shrinks under a pending tick.
+    The poll-every-tick variant of test_simulate checks whole runs."""
 
     @staticmethod
     def quiet_neighbour_purge(monkeypatch, polled, shrink):

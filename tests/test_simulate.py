@@ -1,13 +1,18 @@
-"""Whole-run behavior: determinism, warmup alignment, OF equivalences."""
+"""Whole-run behavior: determinism, warmup alignment, OF equivalences, and
+the pinned runs every byte-keeping reference and relation is checked on."""
 
+import functools
 import gc
 import hashlib
 import json
 import math
+import pathlib
 import random
+import tempfile
 import weakref
 from collections import Counter
 from dataclasses import replace
+from typing import NamedTuple
 
 import pytest
 
@@ -16,10 +21,12 @@ from oracles import check_run
 from rplsim.cli import result_to_row
 from rplsim.engine import Event, Simulator, derive_stream, to_us
 from rplsim.medium import MediumConfig
-from rplsim.rpl import ProtocolConfig
+from rplsim.objective import (ETX_INITIAL, INFINITE_RANK, MAX_PATH_COST,
+                              mrhof_path_cost, of0_rank)
+from rplsim.rpl import SENSOR, Node, ProtocolConfig
 from rplsim.scenario import (ConfigError, ScenarioConfig, generate_topology,
                              radio_links)
-from rplsim.simulate import run_scenario
+from rplsim.simulate import RunResult, run_scenario
 
 
 class TestDeterminism:
@@ -132,149 +139,224 @@ def per_link_ratios(cfg, ratios):
                             for a in range(n) for b in range(a + 1, n)})
 
 
+class Case(NamedTuple):
+    """One pinned run: what it sets, and what it must give."""
+    config: dict                # ScenarioConfig fields over the defaults
+    ratios: tuple | None        # drawn from for per-link ratios, if any
+    digests: tuple[str, str]    # sha256 of (trace, row), as digests() takes
+    work: dict | None = None    # as shipped() counts it, where pinned
+
+
 # Each case is one traced 300 s run with warmup 60 s unless it says
-# otherwise: the ScenarioConfig fields, plus the ratios its per-link ratios
-# are drawn from (or None).  The first four are 40-node, rx 0.8, seed-1 runs, one per
-# topology/objective pair; the others pin MRHOF on a perfect channel, a zero ACK turnaround, a near-zero
-# backoff window, a short parent expiry with frequent housekeeping, per-link
-# ratios, a lossy, congested run whose trace holds every record shape:
-# detaches (a null parent) and all four drop causes, its OF0 twin (with a
-# flat expiry window, so parents expire and nodes detach), and two lossy
-# 30-node runs whose data frames are lost, whose ACKs are lost and whose
-# receivers are on air when an ACK is due, so every way an ACK timeout comes
-# is pinned.
-TRACE_CASES = {
-    "random-of0": (dict(topology="random", objective="of0"), None),
-    "random-etx": (dict(topology="random", objective="etx"), None),
-    "random-etx-rx1": (
-        dict(topology="random", objective="etx", rx_success_ratio=1.0), None),
-    "grid-of0": (dict(topology="grid", objective="of0"), None),
-    "grid-etx": (dict(topology="grid", objective="etx"), None),
-    "ack-turnaround-0": (
+# otherwise.  The first four are 40-node, rx 0.8, seed-1 runs, one per
+# topology/objective pair; the others pin MRHOF on a perfect channel, a zero
+# ACK turnaround, a near-zero backoff window, a short parent expiry with
+# frequent housekeeping, per-link ratios, a lossy, congested run whose trace
+# holds every record shape: detaches (a null parent) and all four drop
+# causes, its OF0 twin (with a flat expiry window, so parents expire and
+# nodes detach), and two lossy 30-node runs whose data frames are lost,
+# whose ACKs are lost and whose receivers are on air when an ACK is due, so
+# every way an ACK timeout comes is pinned.  The digests pin the
+# event-by-event behaviour across commits.  Two cases also pin the work they
+# do: events processed, scheduled and cancelled, parent selections, ETX
+# updates and frames sent by kind.  A change that adds or removes work
+# re-pins them with a reason.
+CASES = {
+    "random-of0": Case(
+        dict(topology="random", objective="of0"), None,
+        ("5fbea3517606f19ab10cafb34900b1cb5ae5682042cbf9cb2dcc414ac5bc6a86",
+         "87269c252a35a7ad5dbea43bff08b362d3eba1e825e20742ae525916c7d08dc4")),
+    "random-etx": Case(
+        dict(topology="random", objective="etx"), None,
+        ("77513730d76a7d79a441635998895b33697997aa595e05bc46ee4a973bdad591",
+         "6fb2b363d88c800bb1775ed3cb707b585e611e7cbc5bb851f03a38011c73aef9")),
+    "random-etx-rx1": Case(
+        dict(topology="random", objective="etx", rx_success_ratio=1.0), None,
+        ("92544f2fd495f1789d940eee088df6a469f9078ac7eeb3ce66199f3d6a025dc5",
+         "7e0dcab11d64ec359e84f267d98e32476a8223a88d93de1ac19f59a2e915257a")),
+    "grid-of0": Case(
+        dict(topology="grid", objective="of0"), None,
+        ("ea3c3fac12729d7cf13a2ff99e36fe98a669374e69c2e59f0556a5fd9d473299",
+         "d7247c4c19097bc6313f7cc2931302832b55acbcbc5559b07dcd2ec6d9ee4852")),
+    "grid-etx": Case(
+        dict(topology="grid", objective="etx"), None,
+        ("9f64b882ff8d0e77f46a05fcdbe0755dc6a434e6648714988bba7a28b6eb0957",
+         "e0a1b2b57cf5ca60ef15ff6daf2e884bb3cb76faf858e51352e616f3a47a30ff")),
+    "ack-turnaround-0": Case(
         dict(topology="grid", objective="etx", seed=3,
-             medium=MediumConfig(ack_turnaround_s=0.0)), None),
-    "ack-turnaround-0-backoff-1ms": (
+             medium=MediumConfig(ack_turnaround_s=0.0)), None,
+        ("a568fd388d13630e450373539e91f4c114a442dcf31bf95ae5c12844e856d60b",
+         "87862bf58b367f5f7d3af95a767b15565dbf91e1277c0b10edcc52145d24b4bb")),
+    "ack-turnaround-0-backoff-1ms": Case(
         dict(topology="random", objective="of0", rx_success_ratio=1.0,
              seed=4, medium=MediumConfig(ack_turnaround_s=0.0,
-                                         backoff_window_s=0.001)), None),
-    "expiry-20s-housekeeping-1s": (
+                                         backoff_window_s=0.001)), None,
+        ("0194c955e327fd04c6aa1cd401e89b1ee3917d38367d98bb8a737981572129d6",
+         "21757f8ac2db0c4f1af6e8121a699032b43a4f2b85ca95f557066d9b6b82eee4")),
+    "expiry-20s-housekeeping-1s": Case(
         dict(topology="random", objective="etx", rx_success_ratio=0.9,
              node_count=30, seed=6,
              protocol=ProtocolConfig(parent_expiry_floor_s=20.0,
-                                     housekeeping_period_s=1.0)), None),
-    "per-link-ratios": (
+                                     housekeeping_period_s=1.0)), None,
+        ("06fd4a73cb5f8d4c31bea52102829a5a88066daaad5845ffd672a874b41c0a0f",
+         "c8cdb5b456967481f1e916affbb554070fefee2d47df2b6a40691a25e9126e68")),
+    "per-link-ratios": Case(
         dict(topology="random", objective="etx", node_count=30, seed=7),
-        (0.6, 0.8, 1.0)),
-    "every-record-shape": (
+        (0.6, 0.8, 1.0),
+        ("b6ae9db597d16526ffc6f940632491f540462465aeb04c60b103e71682c79b0f",
+         "e8e0f3a4c05da9d9486a7d60af80b784ad364b95552fd844b9becf95bfcf9b94")),
+    "every-record-shape": Case(
         dict(topology="random", objective="etx", node_count=30,
              rx_success_ratio=0.5, warmup_s=5.0, seed=2,
              medium=MediumConfig(bitrate_bps=20000, ack_timeout_s=0.02),
              protocol=ProtocolConfig(parent_expiry_floor_s=20.0,
                                      housekeeping_period_s=1.0,
-                                     queue_capacity=1, ttl=3)), None),
-    "every-record-shape-of0": (
+                                     queue_capacity=1, ttl=3)), None,
+        ("8ab1ef261ba8a767eb4b93aef932a2f6fbf18f58a6d49fb7fc5ef36368ac1558",
+         "f74a41a9f5bb26e1e970e2449268d78d860a5641cd14329eeb073ff2fa8737d9")),
+    "every-record-shape-of0": Case(
         dict(topology="random", objective="of0", node_count=30,
              rx_success_ratio=0.5, warmup_s=5.0, seed=2,
              medium=MediumConfig(bitrate_bps=20000, ack_timeout_s=0.02),
              protocol=ProtocolConfig(parent_expiry_floor_s=20.0,
                                      parent_expiry_trickle_factor=0.0,
                                      housekeeping_period_s=1.0,
-                                     queue_capacity=1, ttl=3)), None),
-    "lossy-random-etx": (
+                                     queue_capacity=1, ttl=3)), None,
+        ("d43b3114c060c5cf235ed726114575867425820b14c0a44370dfc5ec1e8704d8",
+         "e80d4a9ee5127956f837acbd1248ee8cf83e1f3b6e4fc4545a540cacd81fd064")),
+    "lossy-random-etx": Case(
         dict(topology="random", objective="etx", node_count=30,
-             rx_success_ratio=0.5), None),
-    "lossy-grid-of0": (
+             rx_success_ratio=0.5), None,
+        ("2ff93b2705caaedf4daca0dfecb3d5c720cb716806382560e5194d5f58dbaba1",
+         "c192221b10044bc3a601a00c70e479d5e378281d0be8924e9625ee2743500381"),
+        work=dict(
+            processed=5616, scheduled=5874, cancelled=170, selections=817,
+            etx_updates=387, tx=dict(ack=535, data=1050, dio=304, dis=25))),
+    "lossy-grid-of0": Case(
         dict(topology="grid", objective="of0", node_count=30,
-             rx_success_ratio=0.65), None),
-}
-
-# sha256 of (JSONL trace as write_jsonl writes it, result_to_row as sorted
-# JSON) for each case; pins the event-by-event behaviour across commits
-TRACE_DIGESTS = {
-    "random-of0": (
-        "5fbea3517606f19ab10cafb34900b1cb5ae5682042cbf9cb2dcc414ac5bc6a86",
-        "87269c252a35a7ad5dbea43bff08b362d3eba1e825e20742ae525916c7d08dc4"),
-    "random-etx": (
-        "77513730d76a7d79a441635998895b33697997aa595e05bc46ee4a973bdad591",
-        "6fb2b363d88c800bb1775ed3cb707b585e611e7cbc5bb851f03a38011c73aef9"),
-    "random-etx-rx1": (
-        "92544f2fd495f1789d940eee088df6a469f9078ac7eeb3ce66199f3d6a025dc5",
-        "7e0dcab11d64ec359e84f267d98e32476a8223a88d93de1ac19f59a2e915257a"),
-    "grid-of0": (
-        "ea3c3fac12729d7cf13a2ff99e36fe98a669374e69c2e59f0556a5fd9d473299",
-        "d7247c4c19097bc6313f7cc2931302832b55acbcbc5559b07dcd2ec6d9ee4852"),
-    "grid-etx": (
-        "9f64b882ff8d0e77f46a05fcdbe0755dc6a434e6648714988bba7a28b6eb0957",
-        "e0a1b2b57cf5ca60ef15ff6daf2e884bb3cb76faf858e51352e616f3a47a30ff"),
-    "ack-turnaround-0": (
-        "a568fd388d13630e450373539e91f4c114a442dcf31bf95ae5c12844e856d60b",
-        "87862bf58b367f5f7d3af95a767b15565dbf91e1277c0b10edcc52145d24b4bb"),
-    "ack-turnaround-0-backoff-1ms": (
-        "0194c955e327fd04c6aa1cd401e89b1ee3917d38367d98bb8a737981572129d6",
-        "21757f8ac2db0c4f1af6e8121a699032b43a4f2b85ca95f557066d9b6b82eee4"),
-    "expiry-20s-housekeeping-1s": (
-        "06fd4a73cb5f8d4c31bea52102829a5a88066daaad5845ffd672a874b41c0a0f",
-        "c8cdb5b456967481f1e916affbb554070fefee2d47df2b6a40691a25e9126e68"),
-    "per-link-ratios": (
-        "b6ae9db597d16526ffc6f940632491f540462465aeb04c60b103e71682c79b0f",
-        "e8e0f3a4c05da9d9486a7d60af80b784ad364b95552fd844b9becf95bfcf9b94"),
-    "every-record-shape": (
-        "8ab1ef261ba8a767eb4b93aef932a2f6fbf18f58a6d49fb7fc5ef36368ac1558",
-        "f74a41a9f5bb26e1e970e2449268d78d860a5641cd14329eeb073ff2fa8737d9"),
-    "every-record-shape-of0": (
-        "d43b3114c060c5cf235ed726114575867425820b14c0a44370dfc5ec1e8704d8",
-        "e80d4a9ee5127956f837acbd1248ee8cf83e1f3b6e4fc4545a540cacd81fd064"),
-    "lossy-random-etx": (
-        "2ff93b2705caaedf4daca0dfecb3d5c720cb716806382560e5194d5f58dbaba1",
-        "c192221b10044bc3a601a00c70e479d5e378281d0be8924e9625ee2743500381"),
-    "lossy-grid-of0": (
-        "0669e99c9f7876a49c1510fd9ef9564371b2a2ff3aeb95ee70f9af28b58f01ec",
-        "6be85a5970720a7acf103e0e99375a08493dc33f718f3872f75b2195ca76c471"),
+             rx_success_ratio=0.65), None,
+        ("0669e99c9f7876a49c1510fd9ef9564371b2a2ff3aeb95ee70f9af28b58f01ec",
+         "6be85a5970720a7acf103e0e99375a08493dc33f718f3872f75b2195ca76c471"),
+        work=dict(
+            processed=5159, scheduled=5348, cancelled=101, selections=84,
+            etx_updates=0, tx=dict(ack=677, data=1032, dio=184, dis=29))),
 }
 
 
-# Work each of two cases does, pinned like its bytes: events processed,
-# scheduled and cancelled, parent selections, ETX updates and frames sent by
-# kind.  A change that adds or removes work re-pins them with a reason.
-WORK_COUNTS = {
-    "lossy-random-etx": dict(
-        processed=5616, scheduled=5874, cancelled=170, selections=817,
-        etx_updates=387, tx=dict(ack=535, data=1050, dio=304, dis=25)),
-    "lossy-grid-of0": dict(
-        processed=5159, scheduled=5348, cancelled=101, selections=84,
-        etx_updates=0, tx=dict(ack=677, data=1032, dio=184, dis=29)),
-}
-
-
-def case_config(case):
-    """The ScenarioConfig of TRACE_CASES[case]."""
+def case_inputs(case):
+    """The ScenarioConfig and link_rx of CASES[case]'s run."""
     values = dict(node_count=40, rx_success_ratio=0.8, duration_s=300.0,
                   warmup_s=60.0, seed=1)
-    values.update(TRACE_CASES[case][0])
-    return ScenarioConfig(**values)
+    values.update(CASES[case].config)
+    cfg, ratios = ScenarioConfig(**values), CASES[case].ratios
+    return cfg, per_link_ratios(cfg, ratios) if ratios else None
 
 
-def run_trace_case(case):
-    """The traced run of TRACE_CASES[case]."""
-    cfg, ratios = case_config(case), TRACE_CASES[case][1]
-    link_rx = per_link_ratios(cfg, ratios) if ratios else None
+def run_case(case):
+    """A fresh traced run of CASES[case]."""
+    cfg, link_rx = case_inputs(case)
     return run_scenario(cfg, link_rx=link_rx, trace=True)
 
 
-def digests(result, tmp_path):
-    """The run's pair of TRACE_DIGESTS."""
-    path = tmp_path / "trace.jsonl"
-    result.trace.write_jsonl(str(path))
+def digests(result):
+    """The run's (trace, row) sha256 pair: of its JSONL trace as
+    write_jsonl writes it, and of result_to_row as sorted JSON."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "trace.jsonl"
+        result.trace.write_jsonl(str(path))
+        trace = path.read_bytes()
     row = json.dumps(result_to_row(result), sort_keys=True).encode()
-    return (hashlib.sha256(path.read_bytes()).hexdigest(),
+    return (hashlib.sha256(trace).hexdigest(),
             hashlib.sha256(row).hexdigest())
 
 
-@pytest.mark.parametrize("case", sorted(TRACE_DIGESTS))
-def test_trace_and_row_digests(case, tmp_path):
-    result = run_trace_case(case)
-    assert digests(result, tmp_path) == TRACE_DIGESTS[case]
-    assert check_run(result) == []
+def poll_every_tick(monkeypatch):
+    """Make each sensor wake on every tick of its housekeeping grid, as a
+    fixed-period poll does: the reference the lazy ticks must match."""
+    start = Node.start
+
+    def schedule_tick(node, due):
+        node._hk_event = node.sim.schedule(due, None, None, node._housekeeping)
+
+    def started(self):
+        start(self)
+        if self.role == SENSOR:
+            schedule_tick(self, self._hk_origin)
+
+    def next_tick(self):        # runs only inside a tick once started
+        if self.role == SENSOR and self._hk_event is None:
+            now, period = self.sim.now, self._hk_period_us
+            schedule_tick(self, now + period - (now - self._hk_origin) % period)
+    monkeypatch.setattr(Node, "start", started)
+    monkeypatch.setattr(Node, "_arm_housekeeping", next_tick)
+
+
+def record_wakes(monkeypatch):
+    """Every housekeeping wake as (t, node, ids it purged), in order."""
+    wakes = []
+    housekeeping = Node._housekeeping
+
+    def recorded(self):
+        before = set(self.candidates)
+        housekeeping(self)
+        wakes.append((self.sim.now, self.id,
+                      tuple(sorted(before - set(self.candidates)))))
+    monkeypatch.setattr(Node, "_housekeeping", recorded)
+    return wakes
+
+
+def purges(wakes):
+    return [wake for wake in wakes if wake[2]]
+
+
+class Shipped(NamedTuple):
+    """A case's run as the shipped code makes it, with what it did."""
+    result: RunResult
+    digests: tuple[str, str]
+    work: dict                  # in the shape of Case.work
+    wakes: list                 # as record_wakes takes them
+
+
+@functools.cache
+def shipped(case):
+    """CASES[case]'s shipped run, made once per session.  Callers must not
+    mutate its result, and must take it before patching anything."""
+    calls = Counter()
+    with pytest.MonkeyPatch.context() as mp:
+        def count(owner, name, key):
+            call = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls[key] += 1
+                return call(*args, **kwargs)
+            mp.setattr(owner, name, counted)
+        count(Simulator, "schedule", "scheduled")
+        count(Event, "cancel", "cancelled")
+        count(rplsim.rpl, "of0_select_parent", "selections")
+        count(rplsim.rpl, "mrhof_select_parent", "selections")
+        count(rplsim.rpl, "etx_update", "etx_updates")
+        wakes = record_wakes(mp)
+        result = run_case(case)
+    tx = Counter(r[3] for r in result.trace.records if r[1] == "tx")
+    work = dict(processed=result.nodes[0].sim.events_processed,
+                scheduled=calls["scheduled"], cancelled=calls["cancelled"],
+                selections=calls["selections"],
+                etx_updates=calls["etx_updates"], tx=dict(sorted(tx.items())))
+    run = Shipped(result, digests(result), work, wakes)
+    gc.freeze()     # kept all session, so later runs' collections skip it
+    return run
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_trace_and_row_digests(case):
+    run = shipped(case)
+    assert run.digests == CASES[case].digests
+    assert check_run(run.result) == []
+
+
+@pytest.mark.parametrize("case", sorted(c for c in CASES if CASES[c].work))
+def test_work_counts(case):
+    assert shipped(case).work == CASES[case].work
 
 
 def rx_names_first_frame_of_its_kind(result):
@@ -350,68 +432,109 @@ PLANTED = {
 @pytest.mark.parametrize("defect", sorted(PLANTED))
 def test_check_run_sees_a_planted_defect(defect):
     plant, oracles = PLANTED[defect]
-    result = run_trace_case("lossy-random-etx")
+    result = run_case("lossy-random-etx")
     plant(result)
     assert {problem.split(":", 1)[0] for problem in check_run(result)} \
         == oracles
 
 
-@pytest.mark.parametrize("case", sorted(WORK_COUNTS))
-def test_work_counts(case, monkeypatch):
-    calls = Counter()
+# Each variant below runs a case another way that must give the case's
+# pinned bytes: a reference for an exact speed lever of the shipped code, or
+# a relation that keeps every radio link and its ratio.  Each takes the
+# case, its shipped run and a monkeypatch, and returns its own traced run.
 
-    def count(owner, name, key):
-        call = getattr(owner, name)
-
-        def counted(*args, **kwargs):
-            calls[key] += 1
-            return call(*args, **kwargs)
-        monkeypatch.setattr(owner, name, counted)
-    count(Simulator, "schedule", "scheduled")
-    count(Event, "cancel", "cancelled")
-    count(rplsim.rpl, "of0_select_parent", "selections")
-    count(rplsim.rpl, "mrhof_select_parent", "selections")
-    count(rplsim.rpl, "etx_update", "etx_updates")
-    result = run_trace_case(case)
-    tx = Counter(r[3] for r in result.trace.records if r[1] == "tx")
-    assert dict(processed=result.nodes[0].sim.events_processed,
-                scheduled=calls["scheduled"], cancelled=calls["cancelled"],
-                selections=calls["selections"],
-                etx_updates=calls["etx_updates"],
-                tx=dict(sorted(tx.items()))) == WORK_COUNTS[case]
+def fresh_price(objective, node, nid, c):
+    """The value selection weighs for candidate nid, priced from its rank,
+    cost and link ETX without the node's cache."""
+    if objective == "of0":
+        return of0_rank(c.rank)
+    if c.cost is None or c.cost >= MAX_PATH_COST:
+        return MAX_PATH_COST
+    return mrhof_path_cost(c.cost, node.link_etx.get(nid, ETX_INITIAL))
 
 
-# Moves of every position that keep each pair's distance, or that scale
-# positions and radio range together, keep every radio link.  A run reads
-# positions only through scenario.radio_links, so it gives the same bytes.
-# Each move is exact in floating point except translation, which may round
-# a distance.
-GEOMETRY = {    # name: (the move of one position, the range's factor)
-    "mirror": (lambda x, y: (-x, y), 1),
-    "rotate-90": (lambda x, y: (-y, x), 1),
-    "translate": (lambda x, y: (x + 1000, y - 1000), 1),
-    "double": (lambda x, y: (2 * x, 2 * y), 2),
+def always_evaluate(case, run, monkeypatch):
+    """Selection evaluated on every call, the reference for the skip of an
+    evaluation whose inputs did not move.  On every call each candidate's
+    cached value must equal a fresh pricing, and on every exit the rank must
+    be INFINITE_RANK exactly when there is no parent, as `joined` reads."""
+    cfg, link_rx = case_inputs(case)
+    priced, evaluations = set(), []
+    reselect = Node._reselect
+
+    def evaluated(self):
+        for nid, c in self.candidates.items():
+            value = fresh_price(cfg.objective, self, nid, c)
+            assert (self.id, nid, c.through) == (self.id, nid, value)
+            priced.add(value)
+        evaluations.append(self.id)
+        self._dirty = True
+        consistent = reselect(self)
+        assert (self.rank == INFINITE_RANK) == (self.preferred_parent is None)
+        return consistent
+    monkeypatch.setattr(Node, "_reselect", evaluated)
+    result = run_scenario(cfg, link_rx=link_rx, trace=True)
+    assert len(evaluations) > run.work["selections"]
+    # the values moved, so a stale cache would have been seen
+    assert len(priced) > (3 if cfg.objective == "of0" else 10)
+    return result
+
+
+def poll(case, run, monkeypatch):
+    """Each sensor woken on every tick of its housekeeping grid, the
+    reference for waking only on the ticks that can purge: the same purges,
+    from more wakes."""
+    poll_every_tick(monkeypatch)
+    wakes = record_wakes(monkeypatch)
+    result = run_case(case)
+    assert purges(wakes) == purges(run.wakes)
+    assert len(wakes) > len(run.wakes)
+    return result
+
+
+def moved(move, factor):
+    """The variant that moves every position by `move` and scales the radio
+    range by `factor`.  A run reads positions only through
+    scenario.radio_links, so a move that keeps each pair's distance, or
+    scales positions and range together, keeps every link and the bytes."""
+    def variant(case, run, monkeypatch):
+        cfg, link_rx = case_inputs(case)
+        positions = {nid: move(x, y)
+                     for nid, (x, y) in run_positions(cfg).items()}
+        cfg = replace(cfg, medium=replace(
+            cfg.medium, tx_range_m=factor * cfg.medium.tx_range_m))
+        return run_scenario(cfg, positions=positions, link_rx=link_rx,
+                            trace=True)
+    return variant
+
+
+def uniform_link_rx(case, run, monkeypatch):
+    """Every radio link given the run's own ratio, which it would use
+    anyway; each link is named once, (a, b) with a < b, so the reverse way
+    must take the same ratio."""
+    cfg, _ = case_inputs(case)
+    link_rx = per_link_ratios(cfg, [cfg.rx_success_ratio])
+    return run_scenario(cfg, link_rx=link_rx, trace=True)
+
+
+VARIANTS = {
+    "always-evaluate": always_evaluate,
+    "poll-every-tick": poll,
+    # each move is exact in floating point except translation, which may
+    # round a distance
+    "mirror": moved(lambda x, y: (-x, y), 1),
+    "rotate-90": moved(lambda x, y: (-y, x), 1),
+    "translate": moved(lambda x, y: (x + 1000, y - 1000), 1),
+    "double": moved(lambda x, y: (2 * x, 2 * y), 2),
+    "uniform-link-rx": uniform_link_rx,
 }
 
 
-@pytest.mark.parametrize("relation", sorted(GEOMETRY))
-@pytest.mark.parametrize("case", sorted(WORK_COUNTS))
-def test_geometry_keeps_rows_and_traces(case, relation, tmp_path):
-    cfg = case_config(case)
-    move, factor = GEOMETRY[relation]
-    positions = {nid: move(x, y) for nid, (x, y) in run_positions(cfg).items()}
-    cfg = replace(cfg, medium=replace(
-        cfg.medium, tx_range_m=factor * cfg.medium.tx_range_m))
-    result = run_scenario(cfg, positions=positions, trace=True)
-    assert digests(result, tmp_path) == TRACE_DIGESTS[case]
-
-
-# A link_rx that gives every radio link the run's own ratio sets what the
-# run would use anyway, so rows and traces keep their bytes; each link is
-# named once, (a, b) with a < b, so the reverse way must take the same ratio.
-@pytest.mark.parametrize("case", sorted(WORK_COUNTS))
-def test_uniform_link_rx_keeps_rows_and_traces(case, tmp_path):
-    cfg = case_config(case)
-    link_rx = per_link_ratios(cfg, [cfg.rx_success_ratio])
-    result = run_scenario(cfg, link_rx=link_rx, trace=True)
-    assert digests(result, tmp_path) == TRACE_DIGESTS[case]
+@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_variant_keeps_the_pinned_bytes(variant, case, monkeypatch):
+    if variant == "uniform-link-rx" and CASES[case].ratios:
+        pytest.skip("the case sets its own per-link ratios")
+    run = shipped(case)         # before the variant patches anything
+    result = VARIANTS[variant](case, run, monkeypatch)
+    assert digests(result) == CASES[case].digests

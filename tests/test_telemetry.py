@@ -1,18 +1,18 @@
-"""Energy ledger arithmetic, packet accounting, trace encoding and replay."""
+"""Energy ledger arithmetic, packet accounting and trace encoding."""
 
 import json
 import pathlib
 
 import pytest
 
-from oracles import record_dict, replay_energy
+from oracles import record_dict
 from rplsim.engine import to_us
 from rplsim.scenario import ScenarioConfig
 from rplsim.simulate import run_scenario
 from rplsim.telemetry import (CPU, DROP_CAUSES, TRACE_FIELDS, EnergyCurrents,
                               EnergyLedger, MetricsReport, RX, TraceRecorder,
                               TX)
-from test_simulate import run_trace_case
+from test_simulate import shipped
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -164,7 +164,7 @@ class TestConvergence:
 
 class TestTraceEncoding:
     def test_lines_match_the_json_module(self, tmp_path):
-        trace = run_trace_case("every-record-shape").trace
+        trace = shipped("every-record-shape").result.trace
         records = [record_dict(r) for r in trace.records]
         # the case holds every kind, a detach and every drop cause
         assert {r["ev"] for r in records} == set(TRACE_FIELDS)
@@ -229,23 +229,3 @@ class TestTraceEncoding:
         trace.emit(record)
         with pytest.raises(KeyError):
             trace.write_jsonl(str(tmp_path / "trace.jsonl"))
-
-
-class TestTraceReplay:
-    def test_replay_reproduces_ledgers_exactly(self, tmp_path):
-        cfg = ScenarioConfig(node_count=9, topology="grid", objective="etx",
-                             rx_success_ratio=0.8, grid_spacing_m=60.0,
-                             duration_s=200.0, warmup_s=30.0, seed=4)
-        result = run_scenario(cfg, trace=True)
-        path = tmp_path / "trace.jsonl"
-        result.trace.write_jsonl(str(path))
-        with open(path, encoding="utf-8") as fh:
-            lines = [json.loads(line) for line in fh]
-        records = [tuple(r[k] for k in TRACE_FIELDS[r["ev"]]) for r in lines]
-        replayed = replay_energy(records, cfg.medium,
-                                 to_us(cfg.protocol.cpu_process_s))
-        for nid, ledger in result.ledgers.items():
-            got = replayed[nid]
-            assert got["tx_us"] == ledger.tx_us
-            assert got["rx_us"] == ledger.rx_us
-            assert got["cpu_us"] == ledger.cpu_us
