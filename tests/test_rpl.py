@@ -14,7 +14,8 @@ from rplsim.rpl import CandidateInfo, DioMessage, Node, ProtocolConfig
 from rplsim.scenario import ScenarioConfig, radio_links
 from rplsim.simulate import run_scenario
 from rplsim.telemetry import MetricsReport, TraceRecorder
-from test_simulate import poll_every_tick, purges, record_wakes
+from test_simulate import (case_inputs, fresh_price, poll_every_tick, purges,
+                           record_wakes)
 
 SEC = to_us(1.0)
 I_MIN_US = to_us(4.096)
@@ -352,6 +353,44 @@ class TestParentExpiry:
                              traffic_classes=())
         result = run_scenario(cfg)
         assert all(snap.joined for snap in result.nodes.values())
+
+
+class TestCachedThroughCost:
+    """Each candidate's cached value equals a fresh pricing at every call of
+    the shipped selection, the calls it skips included: under MRHOF its
+    cost and the current link ETX, under OF0 the rank through it.  The
+    always-evaluate variant checks the calls it forces; this checks the
+    shipped run's own calls, on the pinned cases' inputs."""
+
+    @staticmethod
+    def run(monkeypatch, case):
+        """Check every cached value against fresh_price; returns each fresh
+        value and each link ETX it read."""
+        cfg, link_rx = case_inputs(case)
+        priced, etxs = [], []
+        reselect = Node._reselect
+
+        def checked(self):
+            for nid, c in self.candidates.items():
+                value = fresh_price(cfg.objective, self, nid, c)
+                assert (self.id, nid, c.through) == (self.id, nid, value)
+                priced.append(value)
+                etxs.append(self.link_etx.get(nid, ETX_INITIAL))
+            return reselect(self)
+        monkeypatch.setattr(Node, "_reselect", checked)
+        run_scenario(cfg, link_rx=link_rx)
+        return priced, etxs
+
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_cache_matches_fresh_pricing(self, monkeypatch, mixed):
+        _, etxs = self.run(monkeypatch,
+                           "per-link-ratios" if mixed else "random-etx")
+        # the estimates moved off their initial value, so re-pricing was due
+        assert len(set(etxs)) > 10
+
+    def test_of0_cache_is_the_rank_through(self, monkeypatch):
+        priced, _ = self.run(monkeypatch, "random-of0")
+        assert len(set(priced)) > 3
 
 
 class TestRepeatedDio:
