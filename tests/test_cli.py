@@ -58,24 +58,27 @@ SWEEP_SPEC = {
 # scenario documents that must be refused at load time: each case's prefix
 # starts the one text every build gives it (see refusal), and the case's
 # keys come first in its document, before GOOD_CONFIG's; each would
-# otherwise hang, crash mid-run or run on a wrong value
+# otherwise hang, crash mid-run or run on a wrong value.  With the bound
+# walk (test_schema_bounds_reject_first_value_past_them), which sends the
+# first value past every schema bound, this is the one table of refusals.
+# The walk holds each bound's edge, so an entry past a schema bound is only
+# an overflow guard: a value that would crash the run were the bound gone
 REFUSED = {
-    "dis_period_s": ("protocol.dis_period_s:",
-                     {"protocol": {"dis_period_s": 0}}),
-    "housekeeping_period_s": ("protocol.housekeeping_period_s:",
-                              {"protocol": {"housekeeping_period_s": 0}}),
     "trickle_i_min_s": ("protocol.trickle_i_min_s:",
                         {"protocol": {"trickle_i_min_s": 1e-7}}),
     "trickle_doublings": ("protocol.trickle_doublings:",
                           {"protocol": {"trickle_doublings": 1.5}}),
-    # an 8-bit field in RFC 6550's DIO
-    "protocol.trickle_doublings": ("protocol.trickle_doublings:",
-                                   {"protocol": {"trickle_doublings": 256}}),
-    "voltage_v": ("currents.voltage_v:", {"currents": {"voltage_v": -3}}),
-    "tx_ma": ("currents.tx_ma:", {"currents": {"tx_ma": -1.0}}),
     "rx_success_ratio": ("rx_success_ratio:", {"rx_success_ratio": True}),
     "seed": ("seed:", {"seed": True}),
-    "medium.rx_success_ratio": ("medium.rx_success_ratio:",
+    "medium.max_transmissions: must be of type integer": (
+        "medium.max_transmissions: must be of type integer",
+        {"medium": {"max_transmissions": True}}),
+    "currents.tx_ma: must be of type number": (
+        "currents.tx_ma: must be of type number",
+        {"currents": {"tx_ma": "17"}}),
+    "protocol: must be of type object": ("protocol: must be of type object",
+                                         {"protocol": [1, 2]}),
+    "medium.rx_success_ratio": ("medium.rx_success_ratio: unknown field",
                                 {"medium": {"rx_success_ratio": 0.1}}),
     "medium.data_payload_bytes: unknown field": (
         "medium.data_payload_bytes: unknown field",
@@ -86,33 +89,35 @@ REFUSED = {
     "protocol.etx_initial: unknown field": (
         "protocol.etx_initial: unknown field",
         {"protocol": {"etx_initial": 256}}),
-    "medium.data_frame_bytes: must be >= 1": (
-        "medium.data_frame_bytes: must be >= 1",
-        {"medium": {"data_frame_bytes": 0}}),
-    "protocol.cpu_process_s": ("protocol.cpu_process_s:",
-                               {"protocol": {"cpu_process_s": -0.001}}),
-    "medium.ack_turnaround_s": ("medium.ack_turnaround_s:",
-                                {"medium": {"ack_turnaround_s": -0.0001}}),
     # 20 + 352 us is the 372 us timeout once rounded: each ACK would land on
     # its timeout's microsecond, where the timeout wins, and every unicast fail
-    "medium.ack_timeout_s": ("medium.ack_timeout_s:",
+    "medium.ack_timeout_s": ("medium.ack_timeout_s: must exceed turnaround",
                              {"medium": {"ack_turnaround_s": 0.0000196,
                                          "ack_timeout_s": 0.0003717}}),
     "traffic_classes": ("traffic_classes[0]:",
                         {"traffic_classes": [["critical"]]}),
-    "protocol.ttl": ("protocol.ttl:", {"protocol": {"ttl": 0}}),
     "duration_s": ("duration_s:", {"duration_s": math.inf}),
     # rounds to a zero-length run, whose average power is undefined
     "duration_s: must exceed warmup_s": ("duration_s: must exceed warmup_s",
                                          {"warmup_s": 0, "duration_s": 1e-7}),
+    "grid_spacing_m: must not exceed medium.tx_range_m": (
+        "grid_spacing_m: must not exceed medium.tx_range_m",
+        {"grid_spacing_m": 120.0}),
     # rounds to a 1 us window: every backoff draws 0 and time stops
-    "medium.backoff_window_s": ("medium.backoff_window_s:",
+    "medium.backoff_window_s": ("medium.backoff_window_s: must be at least "
+                                "2 us",
                                 {"medium": {"backoff_window_s": 0.000001}}),
+    # rounds to a zero-length timer
+    "protocol.housekeeping_period_s: must be at least 1 us": (
+        "protocol.housekeeping_period_s: must be at least 1 us",
+        {"protocol": {"housekeeping_period_s": 4e-7}}),
     # control frames would queue faster than the radio sends them, and the
-    # run grows until it is killed
-    "protocol.trickle_i_min_s": ("protocol.trickle_i_min_s:", {"protocol": {
-        "trickle_i_min_s": 0.00001, "trickle_doublings": 0}}),
-    "protocol.dis_period_s": ("protocol.dis_period_s:",
+    # run grows until it is killed; test_scenario.py's timer edges hold
+    # both sides of each edge
+    "protocol.trickle_i_min_s": (
+        "protocol.trickle_i_min_s: the longest trickle interval",
+        {"protocol": {"trickle_i_min_s": 0.00001, "trickle_doublings": 0}}),
+    "protocol.dis_period_s": ("protocol.dis_period_s: the shortest DIS wait",
                               {"protocol": {"dis_period_s": 0.001}}),
     # an expiry or an airtime past a float's range crashes the run or the
     # config's own checks with an OverflowError
@@ -141,6 +146,7 @@ REFUSED = {
         "node_count:", {"rx_success_ratio": 2.0, "node_count": 1}),
 }
 
+
 def with_base(**fields):
     """SWEEP_SPEC with fields added to its base."""
     return dict(SWEEP_SPEC, base=dict(SWEEP_SPEC["base"], **fields))
@@ -150,6 +156,8 @@ def with_base(**fields):
 # refused with a text that starts with the case's name; load_sweep refuses
 # all but the "sweep cell" ones, whose cells break a cross-field rule
 BAD_SWEEPS = {
+    "objectives": {"node_counts": []},          # a required list is missing
+    "seeds_per_cell": dict(SWEEP_SPEC, seeds_per_cell=True),
     "base.bogus": with_base(bogus=1),
     "base.duration_s": with_base(duration_s="x"),
     "base.medium.antenna": with_base(medium={"antenna": 3}),
@@ -402,6 +410,12 @@ class TestRun:
         document = {**overrides, **GOOD_CONFIG, **overrides}
         assert refusal(document).startswith(prefix)
 
+    def test_missing_required_field(self):
+        # the one refusal a table of overrides cannot state: a removed key
+        document = dict(GOOD_CONFIG)
+        del document["objective"]
+        assert refusal(document) == "objective: required field is missing"
+
     def test_foreign_csv_header_exits_2_and_keeps_file(self, tmp_path,
                                                        capsys):
         config = write_json(tmp_path / "c.json", GOOD_CONFIG)
@@ -575,14 +589,6 @@ class TestSweep:
                      "--parallel", "64", "--out", out]) == 0
         assert len(read_rows(out)) == cells == 2 and pools == [2]
 
-    def test_invalid_spec_exits_2(self):
-        assert cli_refusal("sweep", {"node_counts": []}) \
-            == "config error: objectives: required field is missing\n"
-
-    def test_boolean_seeds_per_cell_exits_2(self):
-        assert cli_refusal("sweep", dict(SWEEP_SPEC, seeds_per_cell=True)) \
-            .startswith("config error: seeds_per_cell: must be of type")
-
     @pytest.mark.parametrize("field", BAD_SWEEPS)
     def test_bad_field_exits_2_before_running(self, field, tmp_path):
         text = cli_refusal("sweep", BAD_SWEEPS[field])
@@ -650,6 +656,28 @@ class TestShippedArtifacts:
                            .split(".")[0]) not in used]
         assert not unused
 
+    def test_refusals_are_stated_in_one_module(self):
+        # a load-time refusal is a REFUSED or BAD_SWEEPS entry or a value of
+        # the bound walk, all in this module; elsewhere only these older
+        # named tests, which keep their ids, call refusal or cli_refusal
+        kept = ["test_medium.py: test_backoff_window_must_round_to_two_us",
+                "test_scenario.py: test_bad_traffic_class",
+                "test_scenario.py: "
+                "test_config_built_in_python_meets_the_schema",
+                "test_scenario.py: "
+                "test_control_timers_no_faster_than_the_radio_sends"]
+        elsewhere = []
+        for path in sorted((ROOT / "tests").glob("*.py")):
+            if path.name == "test_cli.py":
+                continue
+            for func in ast.walk(ast.parse(path.read_text("utf-8"))):
+                if isinstance(func, ast.FunctionDef) and any(
+                        getattr(node, "id", getattr(node, "attr", None))
+                        in ("refusal", "cli_refusal")
+                        for node in ast.walk(func)):
+                    elsewhere.append(f"{path.name}: {func.name}")
+        assert elsewhere == kept
+
     def test_shipped_run_configs_keep_their_ids(self, tmp_path):
         # the ids these files once set by hand are the derived ones
         out = str(tmp_path / "out.csv")
@@ -704,8 +732,10 @@ class TestShippedArtifacts:
                             "config error: "))
                 assert text.startswith(f"{field}: "), value
                 checked += 1
-        # the walk reached every bound the schema's text sets
-        assert checked == bound_count(schema)
+        # the walk reached every bound the schema's text sets, and as many
+        # as README counts, so a bound taken out of the schema fails here
+        assert checked == bound_count(schema) \
+            == {"scenario": 51, "sweep": 56}[name]
         if name == "sweep":     # each scenario bound, in base or a grid list
             assert checked == (bound_count(load_schema("scenario"))
                                + bound_count(load_schema("sweep")))

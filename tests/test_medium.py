@@ -113,13 +113,15 @@ class TestInRange:
 
 
 class TestConfig:
-    # the schema bounds the medium's values, however a scenario is built
-    BASE = {"node_count": 5, "topology": "grid", "objective": "of0",
-            "rx_success_ratio": 1.0}
-
-    def test_max_transmissions_floor(self):
-        assert refusal(dict(self.BASE, medium={"max_transmissions": 0})) \
-            .startswith("medium.max_transmissions: must be >= 1")
+    def test_backoff_window_must_round_to_two_us(self):
+        # a 1 us window draws every backoff as 0: a radio that finds the
+        # channel busy would sense again at the same instant forever; 1.5 us
+        # rounds to 2 and is accepted (test_scenario.py's timer edges)
+        document = {"node_count": 5, "topology": "grid", "objective": "of0",
+                    "rx_success_ratio": 1.0,
+                    "medium": {"backoff_window_s": 1.4e-6}}
+        assert refusal(document) \
+            .startswith("medium.backoff_window_s: must be at least 2 us")
 
     def test_airtime_is_exact_at_default_bitrate(self):
         cfg = MediumConfig()
@@ -146,18 +148,6 @@ class TestConfig:
         assert done == [(True, 1, True)]
         assert ledgers[0].tx_us == cfg.airtime_us(64) + cfg.airtime_us(50)
         assert ledgers[1].tx_us == cfg.airtime_us(11)
-
-    def test_ack_timeout_must_cover_ack(self):
-        # 0.1 ms is below the 192 us turnaround plus the 352 us ACK airtime
-        assert refusal(dict(self.BASE, medium={"ack_timeout_s": 0.0001})) \
-            .startswith("medium.ack_timeout_s: must exceed turnaround")
-
-    def test_backoff_window_must_round_to_two_us(self):
-        # a 1 us window draws every backoff as 0: a radio that finds the
-        # channel busy would sense again at the same instant forever; 1.5 us
-        # rounds to 2 and is accepted (test_scenario.py's timer edges)
-        assert refusal(dict(self.BASE, medium={"backoff_window_s": 1.4e-6})) \
-            .startswith("medium.backoff_window_s: must be at least 2 us")
 
 
 class TestBroadcast:

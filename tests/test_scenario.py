@@ -32,29 +32,6 @@ class TestValidation:
         assert cfg.node_count == 20
         assert cfg.scenario_id == "random20_of0_rx100"
 
-    def test_unknown_key_rejected(self):
-        assert refusal(dict(BASE, tx_power=17)) == "tx_power: unknown field"
-
-    def test_unknown_medium_key_rejected(self):
-        assert refusal(dict(BASE, medium={"antenna": 3})) \
-            == "medium.antenna: unknown field"
-
-    def test_missing_required_field(self):
-        raw = dict(BASE)
-        del raw["objective"]
-        assert refusal(raw) == "objective: required field is missing"
-
-    def test_node_count_floor(self):
-        assert refusal(dict(BASE, node_count=1)).startswith("node_count: ")
-
-    def test_duration_must_exceed_warmup(self):
-        assert refusal(dict(BASE, duration_s=50.0, warmup_s=60.0)) \
-            .startswith("duration_s: must exceed warmup_s")
-
-    def test_grid_spacing_bounded_by_range(self):
-        assert refusal(dict(BASE, topology="grid", grid_spacing_m=120.0)) \
-            .startswith("grid_spacing_m: must not exceed medium.tx_range_m")
-
     def test_bad_traffic_class(self):
         assert refusal(dict(BASE, traffic_classes=["video"])) \
             .startswith("traffic_classes[0]: must be one of")
@@ -70,41 +47,8 @@ class TestValidation:
         assert {ratio for radio in medium.radios.values()
                 for ratio in radio.neighbors.values()} == {0.8}
 
-    def test_medium_rx_ratio_points_to_top_level_field(self):
-        assert refusal(dict(BASE, medium={"rx_success_ratio": 0.1})) \
-            == "medium.rx_success_ratio: unknown field"
-
-    def test_section_value_of_wrong_type_names_field(self):
-        assert refusal(dict(BASE, medium={"max_transmissions": True})) \
-            .startswith("medium.max_transmissions: must be of type integer")
-        assert refusal(dict(BASE, currents={"tx_ma": "17"})) \
-            .startswith("currents.tx_ma: must be of type number")
-
-    def test_non_object_section_rejected(self):
-        assert refusal(dict(BASE, protocol=[1, 2])) \
-            .startswith("protocol: must be of type object")
-
-    def test_dis_period_checked_at_its_jitter_floor(self):
-        # 0.9x rounds to 0 us, below any radio's send time
-        assert refusal(dict(BASE, protocol={"dis_period_s": 5e-7})) \
-            .startswith("protocol.dis_period_s: the shortest DIS wait")
-
-    def test_config_built_in_python_is_checked(self):
-        # a 0.9 ms DIS wait queues DISs faster than the radio sends them;
-        # running this config would grow until the process is killed
-        assert refusal(dict(BASE, objective="etx", rx_success_ratio=0.8,
-                            protocol={"dis_period_s": 0.001})) \
-            .startswith("protocol.dis_period_s: the shortest DIS wait")
-
-    # each built in Python as well, by refusal
+    # built in Python as well, by refusal: a tuple, not a JSON list
     @pytest.mark.parametrize("field, values", [
-        ("rx_success_ratio", {"rx_success_ratio": "high"}),
-        ("medium.bitrate_bps", {"medium": {"bitrate_bps": 0}}),
-        ("duration_s", {"duration_s": math.nan}),
-        ("node_count", {"node_count": 1}),
-        ("protocol.queue_capacity", {"protocol": {"queue_capacity": 0}}),
-        ("protocol.trickle_doublings", {"protocol": {"trickle_doublings":
-                                                     2**27}}),
         ("traffic_classes[0]", {"traffic_classes": ("bogus",)}),
     ])
     def test_config_built_in_python_meets_the_schema(self, field, values):
@@ -129,6 +73,8 @@ class TestValidation:
     ])
     def test_control_timers_no_faster_than_the_radio_sends(
             self, protocol, medium, field):
+        # each edge's two sides; REFUSED in test_cli.py keeps values
+        # further past them
         document = dict(BASE, protocol=protocol, medium=medium)
         if field is None:
             scenario_from_dict(document)
@@ -150,11 +96,6 @@ class TestValidation:
         assert '"enum"' not in sweep and '"items"' not in sweep
         assert set(SEND_INTERVAL_S) == set(TRAFFIC_CLASSES)
         assert PERIODIC_CLASSES <= set(SEND_INTERVAL_S)
-
-    def test_sub_microsecond_timer_periods_rejected(self):
-        for name in ("trickle_i_min_s", "housekeeping_period_s"):
-            assert refusal(dict(BASE, protocol={name: 4e-7})) \
-                .startswith(f"protocol.{name}: ")
 
 
 class TestRandomTopology:

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import pytest
 
 import rplsim.rpl
-from oracles import check_run
+from oracles import check_run, record_dict
 from rplsim.cli import result_to_row
 from rplsim.engine import Event, Simulator, derive_stream, to_us
 from rplsim.medium import MediumConfig
@@ -27,6 +27,7 @@ from rplsim.rpl import SENSOR, Node, ProtocolConfig
 from rplsim.scenario import (ConfigError, ScenarioConfig, generate_topology,
                              radio_links)
 from rplsim.simulate import RunResult, run_scenario
+from rplsim.telemetry import DROP_CAUSES, TRACE_FIELDS
 
 
 class TestDeterminism:
@@ -145,22 +146,23 @@ class Case(NamedTuple):
     ratios: tuple | None        # drawn from for per-link ratios, if any
     digests: tuple[str, str]    # sha256 of (trace, row), as digests() takes
     work: dict | None = None    # as shipped() counts it, where pinned
+    covers: frozenset[str] = frozenset()    # facts the shipped run holds
 
 
-# Each case is one traced 300 s run with warmup 60 s unless it says
-# otherwise.  The first four are 40-node, rx 0.8, seed-1 runs, one per
-# topology/objective pair; the others pin MRHOF on a perfect channel, a zero
-# ACK turnaround, a near-zero backoff window, a short parent expiry with
-# frequent housekeeping, per-link ratios, a lossy, congested run whose trace
-# holds every record shape: detaches (a null parent) and all four drop
-# causes, its OF0 twin (with a flat expiry window, so parents expire and
-# nodes detach), and two lossy 30-node runs whose data frames are lost,
-# whose ACKs are lost and whose receivers are on air when an ACK is due, so
-# every way an ACK timeout comes is pinned.  The digests pin the
-# event-by-event behaviour across commits.  Two cases also pin the work they
-# do: events processed, scheduled and cancelled, parent selections, ETX
-# updates and frames sent by kind.  A change that adds or removes work
-# re-pins them with a reason.
+# the facts a case can be chosen to cover: each trace record kind, each drop
+# cause, "detach" (a parent record with a null parent) and "purge" (a
+# housekeeping wake that purged a candidate)
+EVERY_FACT = frozenset({*TRACE_FIELDS, *DROP_CAUSES, "detach", "purge"})
+
+# Each case is one traced 40-node, rx 0.8, seed-1 run of 300 s with warmup
+# 60 s unless its config says otherwise.  The digests pin the event-by-event
+# behaviour across commits, and `covers` names what a case is kept for, so a
+# change that loses it fails by the case's name and the missing fact.  The
+# two lossy 30-node runs also lose data frames, lose ACKs and find receivers
+# on air when an ACK is due, so every way an ACK timeout comes is pinned.
+# Two cases also pin the work they do: events processed, scheduled and
+# cancelled, parent selections, ETX updates and frames sent by kind.  A
+# change that adds or removes work re-pins them with a reason.
 CASES = {
     "random-of0": Case(
         dict(topology="random", objective="of0"), None,
@@ -173,7 +175,8 @@ CASES = {
     "random-etx-rx1": Case(
         dict(topology="random", objective="etx", rx_success_ratio=1.0), None,
         ("92544f2fd495f1789d940eee088df6a469f9078ac7eeb3ce66199f3d6a025dc5",
-         "7e0dcab11d64ec359e84f267d98e32476a8223a88d93de1ac19f59a2e915257a")),
+         "7e0dcab11d64ec359e84f267d98e32476a8223a88d93de1ac19f59a2e915257a"),
+        covers=frozenset({"purge"})),
     "grid-of0": Case(
         dict(topology="grid", objective="of0"), None,
         ("ea3c3fac12729d7cf13a2ff99e36fe98a669374e69c2e59f0556a5fd9d473299",
@@ -199,12 +202,14 @@ CASES = {
              protocol=ProtocolConfig(parent_expiry_floor_s=20.0,
                                      housekeeping_period_s=1.0)), None,
         ("06fd4a73cb5f8d4c31bea52102829a5a88066daaad5845ffd672a874b41c0a0f",
-         "c8cdb5b456967481f1e916affbb554070fefee2d47df2b6a40691a25e9126e68")),
+         "c8cdb5b456967481f1e916affbb554070fefee2d47df2b6a40691a25e9126e68"),
+        covers=frozenset({"purge"})),
     "per-link-ratios": Case(
         dict(topology="random", objective="etx", node_count=30, seed=7),
         (0.6, 0.8, 1.0),
         ("b6ae9db597d16526ffc6f940632491f540462465aeb04c60b103e71682c79b0f",
-         "e8e0f3a4c05da9d9486a7d60af80b784ad364b95552fd844b9becf95bfcf9b94")),
+         "e8e0f3a4c05da9d9486a7d60af80b784ad364b95552fd844b9becf95bfcf9b94"),
+        covers=frozenset({"purge"})),
     "every-record-shape": Case(
         dict(topology="random", objective="etx", node_count=30,
              rx_success_ratio=0.5, warmup_s=5.0, seed=2,
@@ -213,7 +218,9 @@ CASES = {
                                      housekeeping_period_s=1.0,
                                      queue_capacity=1, ttl=3)), None,
         ("8ab1ef261ba8a767eb4b93aef932a2f6fbf18f58a6d49fb7fc5ef36368ac1558",
-         "f74a41a9f5bb26e1e970e2449268d78d860a5641cd14329eeb073ff2fa8737d9")),
+         "f74a41a9f5bb26e1e970e2449268d78d860a5641cd14329eeb073ff2fa8737d9"),
+        covers=EVERY_FACT),
+    # with a flat expiry window, so OF0 parents expire and nodes detach
     "every-record-shape-of0": Case(
         dict(topology="random", objective="of0", node_count=30,
              rx_success_ratio=0.5, warmup_s=5.0, seed=2,
@@ -223,7 +230,8 @@ CASES = {
                                      housekeeping_period_s=1.0,
                                      queue_capacity=1, ttl=3)), None,
         ("d43b3114c060c5cf235ed726114575867425820b14c0a44370dfc5ec1e8704d8",
-         "e80d4a9ee5127956f837acbd1248ee8cf83e1f3b6e4fc4545a540cacd81fd064")),
+         "e80d4a9ee5127956f837acbd1248ee8cf83e1f3b6e4fc4545a540cacd81fd064"),
+        covers=EVERY_FACT),
     "lossy-random-etx": Case(
         dict(topology="random", objective="etx", node_count=30,
              rx_success_ratio=0.5), None,
@@ -231,7 +239,8 @@ CASES = {
          "c192221b10044bc3a601a00c70e479d5e378281d0be8924e9625ee2743500381"),
         work=dict(
             processed=5616, scheduled=5874, cancelled=170, selections=817,
-            etx_updates=387, tx=dict(ack=535, data=1050, dio=304, dis=25))),
+            etx_updates=387, tx=dict(ack=535, data=1050, dio=304, dis=25)),
+        covers=frozenset({"detach", "purge", "mac-failure"})),
     "lossy-grid-of0": Case(
         dict(topology="grid", objective="of0", node_count=30,
              rx_success_ratio=0.65), None,
@@ -359,6 +368,24 @@ def test_work_counts(case):
     assert shipped(case).work == CASES[case].work
 
 
+def facts(run):
+    """The EVERY_FACT names a shipped run holds."""
+    records = [record_dict(r) for r in run.result.trace.records]
+    held = {r["ev"] for r in records}
+    held |= {r["cause"] for r in records if r["ev"] == "drop"}
+    if any(r["ev"] == "parent" and r["parent"] is None for r in records):
+        held.add("detach")
+    if purges(run.wakes):
+        held.add("purge")
+    return held
+
+
+@pytest.mark.parametrize("case", sorted(c for c in CASES if CASES[c].covers))
+def test_case_covers_its_facts(case):
+    assert CASES[case].covers <= EVERY_FACT
+    assert sorted(CASES[case].covers - facts(shipped(case))) == []
+
+
 def rx_names_first_frame_of_its_kind(result):
     # a frame that an earlier tx aired, by one node with one kind, so only
     # the rx's time, the end of its frame's latest airing, can give it away
@@ -438,10 +465,13 @@ def test_check_run_sees_a_planted_defect(defect):
         == oracles
 
 
-# Each variant below runs a case another way that must give the case's
-# pinned bytes: a reference for an exact speed lever of the shipped code, or
-# a relation that keeps every radio link and its ratio.  Each takes the
-# case, its shipped run and a monkeypatch, and returns its own traced run.
+# Each variant below runs a case another way that must give the bytes of
+# the case's shipped run: a reference for an exact speed lever of the shipped
+# code, or a relation that keeps every radio link and its ratio.  Only
+# test_trace_and_row_digests holds the shipped run to the pin, so a change
+# that moves a case's bytes fails there once, and a variant fails only where
+# it parts from the shipped code.  Each takes the case, its shipped run and
+# a monkeypatch, and returns its own traced run.
 
 def fresh_price(objective, node, nid, c):
     """The value selection weighs for candidate nid, priced from its rank,
@@ -537,4 +567,4 @@ def test_variant_keeps_the_pinned_bytes(variant, case, monkeypatch):
         pytest.skip("the case sets its own per-link ratios")
     run = shipped(case)         # before the variant patches anything
     result = VARIANTS[variant](case, run, monkeypatch)
-    assert digests(result) == CASES[case].digests
+    assert digests(result) == run.digests

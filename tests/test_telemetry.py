@@ -9,9 +9,8 @@ from oracles import record_dict
 from rplsim.engine import to_us
 from rplsim.scenario import ScenarioConfig
 from rplsim.simulate import run_scenario
-from rplsim.telemetry import (CPU, DROP_CAUSES, TRACE_FIELDS, EnergyCurrents,
-                              EnergyLedger, MetricsReport, RX, TraceRecorder,
-                              TX)
+from rplsim.telemetry import (CPU, TRACE_FIELDS, EnergyCurrents, EnergyLedger,
+                              MetricsReport, RX, TraceRecorder, TX)
 from test_simulate import shipped
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -165,13 +164,8 @@ class TestConvergence:
 class TestTraceEncoding:
     def test_lines_match_the_json_module(self, tmp_path):
         trace = shipped("every-record-shape").result.trace
+        # the case covers every record shape (test_case_covers_its_facts)
         records = [record_dict(r) for r in trace.records]
-        # the case holds every kind, a detach and every drop cause
-        assert {r["ev"] for r in records} == set(TRACE_FIELDS)
-        assert any(r["ev"] == "parent" and r["parent"] is None
-                   for r in records)
-        assert ({r["cause"] for r in records if r["ev"] == "drop"}
-                == set(DROP_CAUSES))
         for record in records:
             for key, value in record.items():
                 assert isinstance(value, TRACE_FIELDS[record["ev"]][key])
