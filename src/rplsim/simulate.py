@@ -11,12 +11,13 @@ own Node objects, as the run left them, and their ledgers.
 from __future__ import annotations
 
 import gc
+import math
 from dataclasses import dataclass
 
 from .engine import Simulator, derive_stream, to_us
 from .medium import Medium
 from .rpl import Node, SINK
-from .scenario import (ScenarioConfig, assign_traffic_classes,
+from .scenario import (ConfigError, ScenarioConfig, assign_traffic_classes,
                        generate_topology, next_send_time, radio_links)
 from .telemetry import EnergyLedger, MetricsReport, TraceRecorder, NULL_TRACE
 
@@ -52,6 +53,12 @@ class RunResult:
         return sum(led.total_energy_mj() for led in self.ledgers.values())
 
 
+def _is_point(point) -> bool:
+    return (isinstance(point, (tuple, list)) and len(point) == 2
+            and all(isinstance(c, (int, float)) and not isinstance(c, bool)
+                    and math.isfinite(c) for c in point))
+
+
 def run_scenario(cfg: ScenarioConfig,
                  positions: dict[int, tuple[float, float]] | None = None,
                  link_rx: dict[tuple[int, int], float] | None = None,
@@ -59,8 +66,10 @@ def run_scenario(cfg: ScenarioConfig,
     """Execute one scenario to completion.
 
     positions and link_rx exist for programmatic studies (fixture graphs,
-    heterogeneous links); JSON-driven runs leave them unset.  radio_links
-    builds the run's links from them once, and refuses a bad link_rx entry.
+    heterogeneous links); JSON-driven runs leave them unset.  positions must
+    place nodes 0..node_count-1, each at two finite numbers, so that the row
+    reports the nodes simulated; radio_links builds the run's links from them
+    once, and refuses a bad link_rx entry.
     """
     # callbacks tie each run's objects into cycles; collecting them here keeps
     # a process that runs many scenarios at one run's memory in any gc phase.
@@ -72,6 +81,10 @@ def run_scenario(cfg: ScenarioConfig,
     sim = Simulator()
     if positions is None:
         positions = generate_topology(cfg, derive_stream(cfg.seed, "topology"))
+    elif positions.keys() != set(range(cfg.node_count)) or not all(
+            map(_is_point, positions.values())):
+        raise ConfigError(f"positions: must place nodes 0..{cfg.node_count - 1}"
+                          f", each at two finite numbers")
     links = radio_links(positions, cfg.medium.tx_range_m,
                         cfg.rx_success_ratio, link_rx)
     node_ids = list(links)                 # ascending

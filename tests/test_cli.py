@@ -620,6 +620,21 @@ class TestSweep:
         assert not (tmp_path / "runs.csv.summary.csv").exists()
 
 
+# a session with one failing hypothesis test and one passing test
+HYPOTHESIS_FAILURE = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(n):
+    assert n != n
+
+
+def test_passes():
+    pass
+"""
+
+
 class TestShippedArtifacts:
     def test_package_imports_only_itself_and_the_stdlib(self):
         # the runtime declares no dependencies, so nothing else may be needed
@@ -655,6 +670,19 @@ class TestShippedArtifacts:
                        if (name := (alias.asname or alias.name)
                            .split(".")[0]) not in used]
         assert not unused
+
+    def test_a_failing_hypothesis_test_is_reported(self, tmp_path):
+        # hypothesis reports a failing example through libcst, whose import
+        # warns; under this project's pytest settings the session must still
+        # report that failure and run the next test (exit 1), not abort (3)
+        (tmp_path / "test_generated.py").write_text(HYPOTHESIS_FAILURE)
+        child = subprocess.run(
+            [sys.executable, "-m", "pytest", "-c", str(ROOT / "pyproject.toml"),
+             "--rootdir", str(tmp_path), "-p", "no:cacheprovider", "-q",
+             "test_generated.py"],
+            cwd=tmp_path, capture_output=True, text=True)
+        assert child.returncode == 1, child.stdout[-2000:]
+        assert "1 failed, 1 passed" in child.stdout
 
     def test_refusals_are_stated_in_one_module(self):
         # a load-time refusal is a REFUSED or BAD_SWEEPS entry or a value of

@@ -3,12 +3,11 @@
 import math
 from collections import Counter
 
-import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
-from oracles import disk_edges, unicast_expectation
+from oracles import disk_edges
 from rplsim.engine import Simulator, to_us
 from rplsim.medium import FrameKind, Medium, MediumConfig, Outcome
 from rplsim.scenario import radio_links
@@ -69,30 +68,24 @@ MOVES = {    # name: (the move of one position, given a shift and a scale)
 
 
 class TestInRange:
-    def test_zero_distance(self):
-        assert radio_links({0: (5.0, 5.0), 1: (5.0, 5.0)}, 100.0) \
-            == {0: {1: 1.0}, 1: {0: 1.0}}
-
-    def test_boundary_is_closed(self):
-        assert radio_links({0: (0.0, 0.0), 1: (100.0, 0.0)}, 100.0) \
-            == {0: {1: 1.0}, 1: {0: 1.0}}
-
-    def test_just_outside(self):
-        assert radio_links({0: (0.0, 0.0), 1: (100.01, 0.0)}, 100.0) \
-            == {0: {}, 1: {}}
-
     def test_later_link_rx_entry_wins_both_ways(self):
         links = radio_links({0: (0.0, 0.0), 1: (50.0, 0.0)}, 100.0, 0.9,
                             {(0, 1): 0.2, (1, 0): 0.7})
         assert links == {0: {1: 0.7}, 1: {0: 0.7}}
 
     # the range is the distance of the first two points, so that pair lies
-    # exactly on the boundary; ids are shuffled, so the map sorts them itself
+    # exactly on the boundary; ids are shuffled, so the map sorts them itself.
+    # The examples add, at a 100 m range, two nodes at one spot and a node
+    # 100.01 m away; with no shift and a scale of 1 every move stays exact
     @settings(max_examples=100)
     @given(points=st.lists(st.tuples(EIGHTHS, EIGHTHS), min_size=2,
                            max_size=12),
            ids=st.permutations(range(12)),
            shift=st.tuples(EIGHTHS, EIGHTHS), power=st.integers(-4, 4))
+    @example(points=[(0.0, 0.0), (100.0, 0.0), (0.0, 0.0)],
+             ids=list(range(12)), shift=(0.0, 0.0), power=0)
+    @example(points=[(0.0, 0.0), (100.0, 0.0), (100.01, 0.0)],
+             ids=list(range(12)), shift=(0.0, 0.0), power=0)
     def test_matches_the_disk_oracle_and_its_symmetries(self, points, ids,
                                                        shift, power):
         positions = dict(zip(ids, points))
@@ -209,19 +202,6 @@ class TestBroadcast:
             (1, Outcome.LOST_COLLISION), (3, Outcome.LOST_RANDOM),
             (4, Outcome.DELIVERED)]
 
-    def test_delivery_fraction_matches_rx_ratio(self):
-        positions = {0: (0.0, 0.0), 1: (50.0, 0.0)}
-        sim, medium, _ = make_medium(positions, rx_success_ratio=0.8,
-                                     backoff_window_s=0.004)
-        drawn = record_outcomes(medium)
-        for _ in range(10_000):
-            medium.broadcast(0, FrameKind.DIS)
-        sim.run_until(200 * SEC)
-        assert len(drawn) == 10_000 and {r for _, r, _ in drawn} == {1}
-        delivered = sum(o is Outcome.DELIVERED for _, _, o in drawn)
-        fraction = delivered / 10_000
-        assert 0.78 <= fraction <= 0.82
-
     def test_delivery_counts_are_binomial(self):
         positions = {0: (0.0, 0.0), 1: (50.0, 0.0), 2: (0.0, 50.0),
                      3: (-50.0, 0.0), 4: (0.0, -50.0)}
@@ -284,11 +264,10 @@ class TestDelivery:
 
 
 class TestUnicast:
-    def run_unicasts(self, n, rx, seed=1, max_transmissions=4):
+    def run_unicasts(self, n, rx, seed=1):
         positions = {0: (0.0, 0.0), 1: (50.0, 0.0)}
         sim, medium, _ = make_medium(positions, seed=seed,
                                      rx_success_ratio=rx,
-                                     max_transmissions=max_transmissions,
                                      backoff_window_s=0.004)
         collect_frames(medium, positions)
         results = []
@@ -309,32 +288,11 @@ class TestUnicast:
         assert all(not ok and attempts == 4 and not truth
                    for ok, attempts, truth in results)
 
-    def test_attempts_within_bounds(self):
-        results = self.run_unicasts(2000, rx=0.8)
-        assert all(1 <= attempts <= 4 for _, attempts, _ in results)
-
-    def test_mean_attempts_matches_enumeration(self):
-        results = self.run_unicasts(10_000, rx=0.8)
-        expected = unicast_expectation(0.8 * 0.8, 4)
-        mean_attempts = sum(attempts for _, attempts, _ in results) / len(results)
-        assert mean_attempts == pytest.approx(expected["mean_attempts"], rel=0.02)
-        p_success = sum(ok for ok, _, _ in results) / len(results)
-        assert p_success == pytest.approx(expected["p_success"], abs=0.02)
-
     def test_ack_only_loss_reports_ground_truth(self):
         # on a very lossy link some jobs fail at the sender even though a
         # data attempt did arrive (only the ACKs were lost); the third
         # callback argument exposes that ground truth
-        positions = {0: (0.0, 0.0), 1: (50.0, 0.0)}
-        sim, medium, _ = make_medium(positions, seed=5, rx_success_ratio=0.5,
-                                     backoff_window_s=0.004)
-        collect_frames(medium, positions)
-        results = []
-        for _ in range(3000):
-            medium.unicast_with_ack(
-                0, 1, None,
-                lambda ok, attempts, truth: results.append((ok, attempts, truth)))
-        sim.run_until(2000 * SEC)
+        results = self.run_unicasts(3000, rx=0.5, seed=5)
         failed_but_arrived = [r for r in results if not r[0] and r[2]]
         assert failed_but_arrived, "expected some ACK-only failures at rx=0.5"
 

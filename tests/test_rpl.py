@@ -6,14 +6,14 @@ from hypothesis import strategies as st
 
 import rplsim.rpl
 from oracles import check_run, deliveries
-from rplsim.engine import Event, Simulator, to_us
-from rplsim.medium import Medium, MediumConfig
+from rplsim.engine import Event, to_us
 from rplsim.objective import (ETX_INITIAL, INFINITE_RANK, MAX_PATH_COST,
                               RANK_UNIT, ROOT_RANK, mrhof_path_cost)
 from rplsim.rpl import CandidateInfo, DioMessage, Node, ProtocolConfig
-from rplsim.scenario import ScenarioConfig, radio_links
+from rplsim.scenario import ScenarioConfig
 from rplsim.simulate import run_scenario
-from rplsim.telemetry import MetricsReport, TraceRecorder
+from rplsim.telemetry import MetricsReport
+from test_medium import make_medium
 from test_simulate import (case_inputs, fresh_price, poll_every_tick, purges,
                            record_wakes)
 
@@ -21,14 +21,9 @@ SEC = to_us(1.0)
 I_MIN_US = to_us(4.096)
 
 
-def make_net(positions, objective="of0", seed=1, rx=1.0, proto=None,
-             with_sink=True, trace=None):
-    sim = Simulator()
+def make_net(positions, objective="of0", proto=None, with_sink=True):
+    sim, medium, _ = make_medium(positions)
     proto = proto or ProtocolConfig()
-    trace = trace or TraceRecorder(enabled=False)
-    cfg = MediumConfig()
-    medium = Medium(sim, cfg, radio_links(positions, cfg.tx_range_m, rx),
-                    seed, trace=trace)
     metrics = MetricsReport()
     nodes = {}
     for nid in sorted(positions):
@@ -122,15 +117,6 @@ class TestLineConvergence:
             assert result.nodes[nid].rank == 256 * (nid + 1)
         for nid in range(1, 5):
             assert result.nodes[nid].preferred_parent == nid - 1
-
-    def test_rank_strictly_exceeds_parent_advertised_rank(self):
-        cfg = ScenarioConfig(node_count=20, topology="random", objective="etx",
-                             rx_success_ratio=0.8, duration_s=300.0,
-                             warmup_s=60.0, seed=9)
-        result = run_scenario(cfg)
-        for snap in result.nodes.values():
-            if snap.preferred_parent is not None:
-                assert snap.rank > snap.candidates[snap.preferred_parent].rank
 
 
 class TestTrickle:

@@ -5,12 +5,12 @@ import math
 
 import pytest
 
-from rplsim.engine import derive_stream, to_us
+from rplsim.engine import derive_stream
 from rplsim.objective import MRHOF_ETX, OF0
 from rplsim.scenario import (PERIODIC_CLASSES, SEND_INTERVAL_S, ConfigError,
                              assign_traffic_classes, generate_grid_topology,
                              generate_random_topology, load_schema,
-                             next_send_time, scenario_from_dict,
+                             scenario_from_dict,
                              unit_disk_connected)
 from rplsim.simulate import run_scenario
 from rplsim.telemetry import TRAFFIC_CLASSES
@@ -185,28 +185,3 @@ class TestClassAssignment:
     def test_empty_enabled_assigns_nothing(self):
         assert assign_traffic_classes([1, 2, 3], enabled=()) == {}
 
-
-class TestSendTimes:
-    def test_low_critical_is_exactly_periodic(self):
-        stream = derive_stream(1, "traffic", 3)
-        assert next_send_time("low-critical", 0, stream) == to_us(300.0)
-        assert next_send_time("low-critical", to_us(300.0), stream) \
-            == to_us(600.0)
-
-    def test_high_critical_gap_bounds(self):
-        stream = derive_stream(1, "traffic", 4)
-        gaps = [next_send_time("high-critical", 0, stream)
-                for _ in range(10_000)]
-        assert all(to_us(5.0) <= g <= to_us(15.0) for g in gaps)
-
-    def test_high_critical_gap_mean(self):
-        stream = derive_stream(2, "traffic", 4)
-        gaps = [next_send_time("high-critical", 0, stream)
-                for _ in range(10_000)]
-        mean_s = sum(gaps) / len(gaps) / 1e6
-        assert abs(mean_s - 10.0) <= 0.2
-
-    def test_temperature_interval_exceeds_short_runs(self):
-        stream = derive_stream(1, "traffic", 5)
-        gap = next_send_time("temperature", 0, stream)
-        assert gap >= to_us(1800.0)

@@ -119,6 +119,20 @@ def test_bad_link_rx_is_refused(link_rx):
         run_scenario(cfg, link_rx=link_rx)
 
 
+# a row reports node_count nodes, so positions must place exactly those
+@pytest.mark.parametrize("positions", [
+    {0: (0.0, 0.0), 1: (50.0, 0.0)},
+    {0: (0.0, 0.0), 1: (50.0, 0.0), 2: (0.0, 50.0), 3: (50.0, 50.0)},
+    {0: (0.0, 0.0), 1: (50.0, 0.0), 5: (0.0, 50.0)},
+    {0: (0.0, 0.0), 1: (50.0, 0.0), 2: (math.nan, 50.0)},
+], ids=["short", "long", "gap", "nan"])
+def test_bad_positions_are_refused(positions):
+    cfg = ScenarioConfig(node_count=3, topology="random", objective="of0",
+                         rx_success_ratio=1.0, duration_s=120.0, warmup_s=30.0)
+    with pytest.raises(ConfigError, match=r"^positions: "):
+        run_scenario(cfg, positions=positions)
+
+
 def run_positions(cfg):
     """The positions run_scenario gives cfg's nodes when it is given none."""
     return generate_topology(cfg, derive_stream(cfg.seed, "topology"))
