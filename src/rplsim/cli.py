@@ -14,9 +14,10 @@ import statistics
 import sys
 from dataclasses import replace
 
-from .engine import to_s
-from .scenario import (ConfigError, ScenarioConfig, load_json, load_scenario,
-                       load_schema, scenario_from_dict, validate)
+from .engine import derive_stream, to_s
+from .scenario import (ConfigError, ScenarioConfig, generate_topology,
+                       load_json, load_scenario, load_schema,
+                       scenario_from_dict, validate)
 from .simulate import RunResult, run_scenario
 from .telemetry import TRAFFIC_CLASSES
 
@@ -101,10 +102,12 @@ def cmd_run(args) -> int:
     cfg = load_scenario(args.config)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
+    # refuse a layout that cannot connect before touching --trace or --out
+    positions = generate_topology(cfg, derive_stream(cfg.seed, "topology"))
     if args.trace is not None:              # refuse a bad --trace or --out
         open(args.trace, "a").close()       # before the run
     append_rows(args.out, [])
-    result = run_scenario(cfg, trace=args.trace is not None)
+    result = run_scenario(cfg, positions, trace=args.trace is not None)
     append_rows(args.out, [result_to_row(result)])
     if args.trace is not None:
         result.trace.write_jsonl(args.trace)

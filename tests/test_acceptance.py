@@ -22,7 +22,7 @@ import pytest
 from oracles import (bfs_hops, check_run, dijkstra_etx, disk_edges,
                      held_packets, unicast_expectation)
 from rplsim import cli
-from rplsim.cli import append_rows, load_sweep, result_to_row, sweep_tasks
+from rplsim.cli import load_sweep, result_to_row, sweep_tasks
 from rplsim.engine import derive_stream, to_us
 from rplsim.scenario import (ScenarioConfig, generate_random_topology,
                              next_send_time, scenario_from_dict)
@@ -195,12 +195,6 @@ def test_criterion_4_loop_freedom(paper_grid_runs):
         assert len(paper_grid_runs) == 120
         problems = grid_problems(paper_grid_runs, "check_tree")
         assert not problems, "\n".join(problems[:20])
-
-
-def test_paper_grid_csv_digest(paper_grid_runs, tmp_path):
-    path = tmp_path / "paper_grid.csv"
-    append_rows(str(path), [c["row"] for c in paper_grid_runs])
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == PAPER_GRID_SHA256
 
 
 def test_paper_grid_derived_digests(paper_grid_runs, tmp_path, monkeypatch):

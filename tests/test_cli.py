@@ -235,14 +235,15 @@ def build_outcome(build, document):
 def cli_refusal(command, document):
     """What `rplsim run` (command "run") or `rplsim sweep` prints to stderr
     for a document it refuses: it must exit 2 and write no file beside the
-    document, no --out, .summary.csv or .failures.csv."""
+    document, no --out, --trace, .summary.csv or .failures.csv."""
     with tempfile.TemporaryDirectory() as tmp:
         path = write_json(pathlib.Path(tmp, "doc.json"), document)
-        flag = {"run": "--config", "sweep": "--spec"}[command]
+        flags = {"run": ["--config", path, "--trace",
+                         os.path.join(tmp, "t.jsonl")],
+                 "sweep": ["--spec", path]}[command]
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
-            code = main([command, flag, path,
-                         "--out", os.path.join(tmp, "o.csv")])
+            code = main([command, *flags, "--out", os.path.join(tmp, "o.csv")])
         assert (code, os.listdir(tmp)) == (2, ["doc.json"]), err.getvalue()
     return err.getvalue()
 
@@ -379,22 +380,15 @@ class TestRun:
 
     def test_repeat_invocations_write_identical_rows(self, tmp_path):
         config = write_json(tmp_path / "c.json", GOOD_CONFIG)
-        out_a = str(tmp_path / "a.csv")
-        out_b = str(tmp_path / "b.csv")
-        assert main(["run", "--config", config, "--out", out_a]) == 0
-        assert main(["run", "--config", config, "--out", out_b]) == 0
-        assert pathlib.Path(out_a).read_bytes() \
-            == pathlib.Path(out_b).read_bytes()
-
-    def test_trace_files_are_byte_identical(self, tmp_path):
-        config = write_json(tmp_path / "c.json", GOOD_CONFIG)
-        t_a, t_b = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")
-        assert main(["run", "--config", config, "--out",
-                     str(tmp_path / "x.csv"), "--trace", t_a]) == 0
-        assert main(["run", "--config", config, "--out",
-                     str(tmp_path / "y.csv"), "--trace", t_b]) == 0
-        a, b = pathlib.Path(t_a).read_bytes(), pathlib.Path(t_b).read_bytes()
-        assert a and a == b
+        written = []
+        for name in ("a", "b"):
+            out, trace = tmp_path / f"{name}.csv", tmp_path / f"{name}.jsonl"
+            assert main(["run", "--config", config, "--out", str(out),
+                         "--trace", str(trace)]) == 0
+            written.append((out.read_bytes(), trace.read_bytes()))
+        (csv_a, trace_a), (csv_b, trace_b) = written
+        assert csv_a == csv_b
+        assert trace_a and trace_a == trace_b
 
     def test_seed_override_lands_in_row(self, tmp_path):
         config = write_json(tmp_path / "c.json", GOOD_CONFIG)
@@ -402,6 +396,12 @@ class TestRun:
         assert main(["run", "--config", config, "--seed", "42",
                      "--out", out]) == 0
         assert read_rows(out)[0]["seed"] == "42"
+
+    def test_layout_that_cannot_connect_writes_no_file(self):
+        document = {"node_count": 50, "topology": "random", "objective": "of0",
+                    "rx_success_ratio": 1.0, "area_side_m": 100000.0}
+        assert cli_refusal("run", document).startswith(
+            "config error: topology: ")
 
     @pytest.mark.parametrize("case", REFUSED)
     def test_rejected_config_exits_2_naming_field(self, case):

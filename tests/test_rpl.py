@@ -14,8 +14,6 @@ from rplsim.scenario import ScenarioConfig
 from rplsim.simulate import run_scenario
 from rplsim.telemetry import MetricsReport
 from test_medium import make_medium
-from test_simulate import (case_inputs, fresh_price, poll_every_tick, purges,
-                           record_wakes)
 
 SEC = to_us(1.0)
 I_MIN_US = to_us(4.096)
@@ -341,44 +339,6 @@ class TestParentExpiry:
         assert all(snap.joined for snap in result.nodes.values())
 
 
-class TestCachedThroughCost:
-    """Each candidate's cached value equals a fresh pricing at every call of
-    the shipped selection, the calls it skips included: under MRHOF its
-    cost and the current link ETX, under OF0 the rank through it.  The
-    always-evaluate variant checks the calls it forces; this checks the
-    shipped run's own calls, on the pinned cases' inputs."""
-
-    @staticmethod
-    def run(monkeypatch, case):
-        """Check every cached value against fresh_price; returns each fresh
-        value and each link ETX it read."""
-        cfg, link_rx = case_inputs(case)
-        priced, etxs = [], []
-        reselect = Node._reselect
-
-        def checked(self):
-            for nid, c in self.candidates.items():
-                value = fresh_price(cfg.objective, self, nid, c)
-                assert (self.id, nid, c.through) == (self.id, nid, value)
-                priced.append(value)
-                etxs.append(self.link_etx.get(nid, ETX_INITIAL))
-            return reselect(self)
-        monkeypatch.setattr(Node, "_reselect", checked)
-        run_scenario(cfg, link_rx=link_rx)
-        return priced, etxs
-
-    @pytest.mark.parametrize("mixed", [False, True])
-    def test_cache_matches_fresh_pricing(self, monkeypatch, mixed):
-        _, etxs = self.run(monkeypatch,
-                           "per-link-ratios" if mixed else "random-etx")
-        # the estimates moved off their initial value, so re-pricing was due
-        assert len(set(etxs)) > 10
-
-    def test_of0_cache_is_the_rank_through(self, monkeypatch):
-        priced, _ = self.run(monkeypatch, "random-of0")
-        assert len(set(priced)) > 3
-
-
 class TestRepeatedDio:
     """A DIO repeating its sender's rank and cost only refreshes
     last_heard: the candidate's value is already current."""
@@ -451,53 +411,3 @@ class TestInlineFilter:
             node._dirty = True
             node._reselect()
         assert weighed == [expected]
-
-
-class TestLazyHousekeeping:
-    """Waking only on the ticks that can purge purges on the same ticks as
-    waking on every tick, also when the expiry shrinks under a pending tick.
-    The poll-every-tick variant of test_simulate checks whole runs."""
-
-    @staticmethod
-    def quiet_neighbour_purge(monkeypatch, polled, shrink):
-        """A joined node whose parent keeps speaking, while neighbour 7 (one
-        hop worse) falls silent at 0 s.  At 200 s, with trickle backed off
-        so far that 7 is not yet stale, `shrink` cuts the expiry to its
-        20 s floor; returns the purges that follow."""
-        if polled:
-            poll_every_tick(monkeypatch)
-        wakes = record_wakes(monkeypatch)
-        proto = ProtocolConfig(parent_expiry_floor_s=20.0)
-        sim, _, nodes, _ = make_net(line_positions(2), proto=proto,
-                                    with_sink=False)
-        n1 = nodes[1]
-        n1.start()
-        n1.on_dio(DioMessage(0, ROOT_RANK))
-        n1.on_dio(DioMessage(7, ROOT_RANK + RANK_UNIT))
-        for t in range(10, 200, 10):
-            sim.schedule(to_us(t), None, None,
-                         lambda: n1.on_dio(DioMessage(0, ROOT_RANK)))
-        sim.run_until(to_us(200.0))
-        assert 7 in n1.candidates and n1._expiry_us() > to_us(200.0)
-        shrink(n1)
-        sim.run_until(to_us(300.0))
-        monkeypatch.undo()
-        return purges(wakes)
-
-    def test_trickle_reset_brings_the_purge_forward(self, monkeypatch):
-        def solicited(node):
-            node.on_dis(2)
-            assert node.joined
-        lazy = self.quiet_neighbour_purge(monkeypatch, False, solicited)
-        assert [ids for _, _, ids in lazy] == [(7,)]
-        assert lazy == self.quiet_neighbour_purge(monkeypatch, True,
-                                                  solicited)
-
-    def test_detach_brings_the_purge_of_worse_candidates_forward(
-            self, monkeypatch):
-        def orphaned(node):
-            expire(node, 0)
-            assert not node.joined and 7 in node.candidates
-        lazy = self.quiet_neighbour_purge(monkeypatch, False, orphaned)
-        assert [ids for _, _, ids in lazy] == [(7,)]
-        assert lazy == self.quiet_neighbour_purge(monkeypatch, True, orphaned)

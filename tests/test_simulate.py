@@ -293,27 +293,6 @@ def digests(result):
             hashlib.sha256(row).hexdigest())
 
 
-def poll_every_tick(monkeypatch):
-    """Make each sensor wake on every tick of its housekeeping grid, as a
-    fixed-period poll does: the reference the lazy ticks must match."""
-    start = Node.start
-
-    def schedule_tick(node, due):
-        node._hk_event = node.sim.schedule(due, None, None, node._housekeeping)
-
-    def started(self):
-        start(self)
-        if self.role == SENSOR:
-            schedule_tick(self, self._hk_origin)
-
-    def next_tick(self):        # runs only inside a tick once started
-        if self.role == SENSOR and self._hk_event is None:
-            now, period = self.sim.now, self._hk_period_us
-            schedule_tick(self, now + period - (now - self._hk_origin) % period)
-    monkeypatch.setattr(Node, "start", started)
-    monkeypatch.setattr(Node, "_arm_housekeeping", next_tick)
-
-
 def record_wakes(monkeypatch):
     """Every housekeeping wake as (t, node, ids it purged), in order."""
     wakes = []
@@ -332,19 +311,51 @@ def purges(wakes):
     return [wake for wake in wakes if wake[2]]
 
 
+def fresh_price(objective, node, nid, c):
+    """The value selection weighs for candidate nid, priced from its rank,
+    cost and link ETX without the node's cache."""
+    if objective == "of0":
+        return of0_rank(c.rank)
+    if c.cost is None or c.cost >= MAX_PATH_COST:
+        return MAX_PATH_COST
+    return mrhof_path_cost(c.cost, node.link_etx.get(nid, ETX_INITIAL))
+
+
+def stale_prices(objective, node, priced):
+    """Each candidate of node whose cached value is not a fresh pricing, as
+    (node, candidate, cached, fresh); adds each (fresh value, link ETX) it
+    prices to the set `priced`."""
+    stale = []
+    for nid, c in node.candidates.items():
+        value = fresh_price(objective, node, nid, c)
+        if c.through != value:
+            stale.append((node.id, nid, c.through, value))
+        priced.add((value, node.link_etx.get(nid, ETX_INITIAL)))
+    return stale
+
+
 class Shipped(NamedTuple):
     """A case's run as the shipped code makes it, with what it did."""
     result: RunResult
     digests: tuple[str, str]
     work: dict                  # in the shape of Case.work
     wakes: list                 # as record_wakes takes them
+    stale: list                 # as stale_prices gives them, at every call
+    priced: set                 # as stale_prices adds them, at every call
 
 
 @functools.cache
 def shipped(case):
     """CASES[case]'s shipped run, made once per session.  Callers must not
-    mutate its result, and must take it before patching anything."""
-    calls = Counter()
+    mutate its result, and must take it before patching anything.  Every
+    selection call is priced afresh at entry, the calls it skips included."""
+    calls, stale, priced = Counter(), [], set()
+    objective = CASES[case].config["objective"]
+    reselect = Node._reselect
+
+    def priced_reselect(self):
+        stale.extend(stale_prices(objective, self, priced))
+        return reselect(self)
     with pytest.MonkeyPatch.context() as mp:
         def count(owner, name, key):
             call = getattr(owner, name)
@@ -358,6 +369,7 @@ def shipped(case):
         count(rplsim.rpl, "of0_select_parent", "selections")
         count(rplsim.rpl, "mrhof_select_parent", "selections")
         count(rplsim.rpl, "etx_update", "etx_updates")
+        mp.setattr(Node, "_reselect", priced_reselect)
         wakes = record_wakes(mp)
         result = run_case(case)
     tx = Counter(r[3] for r in result.trace.records if r[1] == "tx")
@@ -365,7 +377,7 @@ def shipped(case):
                 scheduled=calls["scheduled"], cancelled=calls["cancelled"],
                 selections=calls["selections"],
                 etx_updates=calls["etx_updates"], tx=dict(sorted(tx.items())))
-    run = Shipped(result, digests(result), work, wakes)
+    run = Shipped(result, digests(result), work, wakes, stale, priced)
     gc.freeze()     # kept all session, so later runs' collections skip it
     return run
 
@@ -398,6 +410,37 @@ def facts(run):
 def test_case_covers_its_facts(case):
     assert CASES[case].covers <= EVERY_FACT
     assert sorted(CASES[case].covers - facts(shipped(case))) == []
+
+
+def test_lines_match_the_json_module(tmp_path):
+    """write_jsonl's hand-built lines are the json module's, on a run that
+    holds every record kind and a null parent (test_case_covers_its_facts)."""
+    trace = shipped("every-record-shape").result.trace
+    records = [record_dict(r) for r in trace.records]
+    for record in records:
+        for key, value in record.items():
+            assert isinstance(value, TRACE_FIELDS[record["ev"]][key])
+            assert (value is None or type(value) is int
+                    or json.dumps(value) == f'"{value}"'), (key, value)
+    path = tmp_path / "trace.jsonl"
+    trace.write_jsonl(str(path))
+    with open(path, encoding="utf-8", newline="") as fh:
+        lines = fh.readlines()
+    assert lines == [json.dumps(r, sort_keys=True, separators=(",", ":"))
+                     + "\n" for r in records]
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_cached_prices_are_fresh(case):
+    """Each candidate's cached value equals a fresh pricing at every call of
+    the shipped selection: under MRHOF its cost and the current link ETX,
+    under OF0 the rank through it."""
+    run = shipped(case)
+    assert run.stale == []
+    # the values moved, so a stale cache would have been seen
+    assert len({value for value, _ in run.priced}) > 3
+    if CASES[case].config["objective"] == "etx":
+        assert len({etx for _, etx in run.priced}) > 10
 
 
 def rx_names_first_frame_of_its_kind(result):
@@ -487,30 +530,17 @@ def test_check_run_sees_a_planted_defect(defect):
 # it parts from the shipped code.  Each takes the case, its shipped run and
 # a monkeypatch, and returns its own traced run.
 
-def fresh_price(objective, node, nid, c):
-    """The value selection weighs for candidate nid, priced from its rank,
-    cost and link ETX without the node's cache."""
-    if objective == "of0":
-        return of0_rank(c.rank)
-    if c.cost is None or c.cost >= MAX_PATH_COST:
-        return MAX_PATH_COST
-    return mrhof_path_cost(c.cost, node.link_etx.get(nid, ETX_INITIAL))
-
-
 def always_evaluate(case, run, monkeypatch):
     """Selection evaluated on every call, the reference for the skip of an
     evaluation whose inputs did not move.  On every call each candidate's
     cached value must equal a fresh pricing, and on every exit the rank must
     be INFINITE_RANK exactly when there is no parent, as `joined` reads."""
     cfg, link_rx = case_inputs(case)
-    priced, evaluations = set(), []
+    evaluations = []
     reselect = Node._reselect
 
     def evaluated(self):
-        for nid, c in self.candidates.items():
-            value = fresh_price(cfg.objective, self, nid, c)
-            assert (self.id, nid, c.through) == (self.id, nid, value)
-            priced.add(value)
+        assert stale_prices(cfg.objective, self, set()) == []
         evaluations.append(self.id)
         self._dirty = True
         consistent = reselect(self)
@@ -519,16 +549,29 @@ def always_evaluate(case, run, monkeypatch):
     monkeypatch.setattr(Node, "_reselect", evaluated)
     result = run_scenario(cfg, link_rx=link_rx, trace=True)
     assert len(evaluations) > run.work["selections"]
-    # the values moved, so a stale cache would have been seen
-    assert len(priced) > (3 if cfg.objective == "of0" else 10)
     return result
 
 
 def poll(case, run, monkeypatch):
-    """Each sensor woken on every tick of its housekeeping grid, the
-    reference for waking only on the ticks that can purge: the same purges,
-    from more wakes."""
-    poll_every_tick(monkeypatch)
+    """Each sensor woken on every tick of its housekeeping grid, as a
+    fixed-period poll does: the one reference for waking only on the ticks
+    that can purge.  It must give the same purges, from more wakes."""
+    start = Node.start
+
+    def schedule_tick(node, due):
+        node._hk_event = node.sim.schedule(due, None, None, node._housekeeping)
+
+    def started(self):
+        start(self)
+        if self.role == SENSOR:
+            schedule_tick(self, self._hk_origin)
+
+    def next_tick(self):        # runs only inside a tick once started
+        if self.role == SENSOR and self._hk_event is None:
+            now, period = self.sim.now, self._hk_period_us
+            schedule_tick(self, now + period - (now - self._hk_origin) % period)
+    monkeypatch.setattr(Node, "start", started)
+    monkeypatch.setattr(Node, "_arm_housekeeping", next_tick)
     wakes = record_wakes(monkeypatch)
     result = run_case(case)
     assert purges(wakes) == purges(run.wakes)

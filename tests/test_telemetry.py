@@ -1,17 +1,14 @@
 """Energy ledger arithmetic, packet accounting and trace encoding."""
 
-import json
 import pathlib
 
 import pytest
 
-from oracles import record_dict
 from rplsim.engine import to_us
 from rplsim.scenario import ScenarioConfig
 from rplsim.simulate import run_scenario
 from rplsim.telemetry import (CPU, TRACE_FIELDS, EnergyCurrents, EnergyLedger,
                               MetricsReport, RX, TraceRecorder, TX)
-from test_simulate import shipped
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -162,46 +159,6 @@ class TestConvergence:
 
 
 class TestTraceEncoding:
-    def test_lines_match_the_json_module(self, tmp_path):
-        trace = shipped("every-record-shape").result.trace
-        # the case covers every record shape (test_case_covers_its_facts)
-        records = [record_dict(r) for r in trace.records]
-        for record in records:
-            for key, value in record.items():
-                assert isinstance(value, TRACE_FIELDS[record["ev"]][key])
-                assert (value is None or type(value) is int
-                        or json.dumps(value) == f'"{value}"'), (key, value)
-        path = tmp_path / "trace.jsonl"
-        trace.write_jsonl(str(path))
-        with open(path, encoding="utf-8", newline="") as fh:
-            lines = fh.readlines()
-        assert lines == [json.dumps(r, sort_keys=True, separators=(",", ":"))
-                         + "\n" for r in records]
-
-    def test_synthetic_lines_match_the_json_module(self, tmp_path):
-        t, src, frame = 2_454_564, 3, 7
-        later = 2_454_565
-        records = [
-            (t - 2048, "tx", src, "dio", frame),
-            (t, "rx", 4, frame), (t, "rx", 5, frame),
-            (t, "tx", 9, "ack", 11), (later, "rx", 2, 11),
-            (t, "fwd", 4, "3-1"),
-            (t, "send", 3, "3-2", "critical"),
-            (later, "deliver", 0, "3-2"),
-            (later, "drop", 5, "5-1", "queue-overflow"),
-            (later, "parent", 6, None, 65535), (later, "parent", 6, 2, 768),
-        ]
-        trace = TraceRecorder(enabled=True)
-        for record in records:
-            trace.emit(record)
-        assert {r[1] for r in records} == set(TRACE_FIELDS)
-        expected = [json.dumps(record_dict(r), sort_keys=True,
-                               separators=(",", ":")) + "\n" for r in records]
-        path = tmp_path / "trace.jsonl"
-        trace.write_jsonl(str(path))
-        with open(path, encoding="utf-8", newline="") as fh:
-            assert fh.readlines() == expected
-
     def test_readme_table_lists_the_schema(self):
         text = README.read_text(encoding="utf-8")
         start = text.index("| `ev`", text.index("**Event trace**"))
