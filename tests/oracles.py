@@ -13,6 +13,7 @@ import math
 from collections import defaultdict, deque
 
 from rplsim.engine import to_us
+from rplsim.objective import MRHOF_ETX
 from rplsim.telemetry import TRACE_FIELDS
 
 ETX_SCALE = 128
@@ -207,18 +208,23 @@ def held_packets(result) -> set:
 def check_packets(result) -> list[str]:
     """Per-packet conservation, read from the run's trace.
 
-    Each sent pid has at most one fate (a deliver or a drop); each fwd and
-    each fate comes after the pid's send, and no fwd after its fate; the
-    pids with no fate are exactly held_packets; the delivered packets'
-    hops and latencies, derived from the trace, sum to the metrics' totals.
+    Each send comes after the run's warmup, and each sent pid has at most
+    one fate (a deliver or a drop); each fwd and each fate comes after the
+    pid's send, and no fwd after its fate; the pids with no fate are exactly
+    held_packets; the delivered packets' hops and latencies, derived from
+    the trace, sum to the metrics' totals.
     """
     sent, fated, problems = set(), {}, []
+    warmup = to_us(result.config.warmup_s)
     for rec in result.trace.records:
         ev = rec[1]
         if ev not in ("send", "fwd", "deliver", "drop"):
             continue
         pid = rec[3]
         if ev == "send":
+            if rec[0] <= warmup:
+                problems.append(f"{pid}: sent at {rec[0]}, not after the "
+                                f"warmup {warmup}")
             if pid in sent:
                 problems.append(f"{pid}: sent twice")
             sent.add(pid)
@@ -247,11 +253,15 @@ def check_tree(result) -> list[str]:
     Each joined sensor's parent is joined and among the candidates it
     heard, and its rank exceeds the rank that parent advertised to it; its
     chain of preferred parents, walked here, reaches the sink without
-    visiting a node twice.
+    visiting a node twice.  Under MRHOF the sink's path cost is 0, and a
+    sensor's is at least one perfect link's ETX per hop of its chain.
     """
     nodes, problems = result.nodes, []
+    mrhof = result.config.objective == MRHOF_ETX
     if nodes[0].role != "sink":
         problems.append(f"node 0 has role {nodes[0].role}")
+    if mrhof and nodes[0].path_cost != 0:
+        problems.append(f"sink path cost {nodes[0].path_cost}")
     for nid, node in nodes.items():
         if not node.joined or node.role == "sink":
             continue
@@ -273,6 +283,12 @@ def check_tree(result) -> list[str]:
                 break
             seen.add(hop)
             hop = nodes[hop].preferred_parent
+        else:       # seen holds one node per hop of a chain that ended
+            floor = ETX_SCALE * len(seen)
+            if mrhof and hop is not None and (node.path_cost is None
+                                              or node.path_cost < floor):
+                problems.append(f"node {nid} path cost {node.path_cost} "
+                                f"below {floor}, for {len(seen)} hops")
     return problems
 
 

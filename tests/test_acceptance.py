@@ -19,8 +19,8 @@ from contextlib import contextmanager
 
 import pytest
 
-from oracles import (bfs_hops, check_run, dijkstra_etx, disk_edges,
-                     held_packets, unicast_expectation)
+from oracles import (bfs_hops, check_run, check_tree, dijkstra_etx,
+                     disk_edges, held_packets, unicast_expectation)
 from rplsim import cli
 from rplsim.cli import load_sweep, result_to_row, sweep_tasks
 from rplsim.engine import derive_stream, to_us
@@ -70,6 +70,13 @@ def criterion(number, name):
     print(f"criterion {number:2d} ({name}): PASS")
 
 
+def tree_failures(result):
+    """check_tree's problems, each led by the run's seed; the oracle reads
+    only the nodes, which an untraced run holds too."""
+    return [f"seed={result.config.seed} check_tree: {problem}"
+            for problem in check_tree(result)]
+
+
 def oracle_graphs(count=50):
     """50 seeded random connected layouts with 5..10 nodes each."""
     graphs = []
@@ -107,7 +114,7 @@ def of0_bfs_failures(graph):
     cfg, positions = graph
     result = run_scenario(cfg, positions=positions)
     hops = bfs_hops(positions, cfg.medium.tx_range_m)
-    failures = []
+    failures = tree_failures(result)
     for nid, snap in result.nodes.items():
         if snap.rank >= 0xFFFF:
             failures.append(f"seed={cfg.seed} node {nid} never joined")
@@ -140,7 +147,7 @@ def mrhof_dijkstra_failures(graph):
         traffic_classes=("high-critical",))
     result = run_scenario(run_cfg, positions=positions, link_rx=link_rx)
     optimal = dijkstra_etx(positions, cfg.medium.tx_range_m, link_rx)
-    failures = []
+    failures = tree_failures(result)
     for nid, snap in result.nodes.items():
         if snap.role == "sink":
             continue
@@ -195,6 +202,20 @@ def test_criterion_4_loop_freedom(paper_grid_runs):
         assert len(paper_grid_runs) == 120
         problems = grid_problems(paper_grid_runs, "check_tree")
         assert not problems, "\n".join(problems[:20])
+
+
+def test_paper_grid_row_facts(paper_grid_runs):
+    """Every run of the grid converges before its warmup ends, and the three
+    seeds of each of its 40 cells give three different rows."""
+    cells = {}
+    for c in paper_grid_runs:
+        row = c["row"]
+        assert row["convergence_s"] != "", c["cell"]
+        assert float(row["convergence_s"]) < float(row["warmup_s"]), c["cell"]
+        cells.setdefault(row["scenario_id"], set()).add(
+            tuple(value for key, value in row.items() if key != "seed"))
+    assert len(cells) == 40
+    assert all(len(rows) == 3 for rows in cells.values())
 
 
 def test_paper_grid_derived_digests(paper_grid_runs, tmp_path, monkeypatch):

@@ -368,27 +368,21 @@ def unopenable(tmp_path):
 
 
 class TestRun:
-    def test_successful_run_appends_one_row(self, tmp_path, capsys):
+    def test_repeat_invocations_write_identical_rows(self, tmp_path):
+        # both append to one --out, the second under the first one's header
         config = write_json(tmp_path / "c.json", GOOD_CONFIG)
-        out = str(tmp_path / "out.csv")
-        assert main(["run", "--config", config, "--out", out]) == 0
+        out, traces = str(tmp_path / "o.csv"), []
+        for name in ("a", "b"):
+            trace = tmp_path / f"{name}.jsonl"
+            assert main(["run", "--config", config, "--out", out,
+                         "--trace", str(trace)]) == 0
+            traces.append(trace.read_bytes())
         rows = read_rows(out)
-        assert len(rows) == 1
         assert list(rows[0]) == CSV_COLUMNS
+        assert len(rows) == 2 and rows[0] == rows[1]
         assert rows[0]["scenario_id"] == "grid9_of0_rx100"
         assert rows[0]["pdr_total"] != ""
-
-    def test_repeat_invocations_write_identical_rows(self, tmp_path):
-        config = write_json(tmp_path / "c.json", GOOD_CONFIG)
-        written = []
-        for name in ("a", "b"):
-            out, trace = tmp_path / f"{name}.csv", tmp_path / f"{name}.jsonl"
-            assert main(["run", "--config", config, "--out", str(out),
-                         "--trace", str(trace)]) == 0
-            written.append((out.read_bytes(), trace.read_bytes()))
-        (csv_a, trace_a), (csv_b, trace_b) = written
-        assert csv_a == csv_b
-        assert trace_a and trace_a == trace_b
+        assert traces[0] and traces[0] == traces[1]
 
     def test_seed_override_lands_in_row(self, tmp_path):
         config = write_json(tmp_path / "c.json", GOOD_CONFIG)
@@ -425,13 +419,16 @@ class TestRun:
         assert "header" in capsys.readouterr().err
         assert out.read_text(encoding="utf-8") == "scenario_id,pdr\nx,1.0\n"
 
-    def test_appends_under_a_matching_header(self, tmp_path):
+    def test_trace_naming_the_out_file_exits_2_and_keeps_it(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_scenario", never_run)
         config = write_json(tmp_path / "c.json", GOOD_CONFIG)
-        out = str(tmp_path / "o.csv")
-        assert main(["run", "--config", config, "--out", out]) == 0
-        assert main(["run", "--config", config, "--out", out]) == 0
-        rows = read_rows(out)
-        assert len(rows) == 2 and rows[0] == rows[1]
+        out, before = tmp_path / "o.csv", ",".join(CSV_COLUMNS) + "\nrow\n"
+        out.write_text(before, encoding="utf-8")
+        assert main(["run", "--config", config, "--out", str(out),
+                     "--trace", f"{tmp_path}/./o.csv"]) == 2
+        assert "--trace" in capsys.readouterr().err
+        assert out.read_text(encoding="utf-8") == before
 
     def test_malformed_json_exits_2(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -688,8 +685,7 @@ class TestShippedArtifacts:
         # a load-time refusal is a REFUSED or BAD_SWEEPS entry or a value of
         # the bound walk, all in this module; elsewhere only these older
         # named tests, which keep their ids, call refusal or cli_refusal
-        kept = ["test_medium.py: test_backoff_window_must_round_to_two_us",
-                "test_scenario.py: test_bad_traffic_class",
+        kept = ["test_scenario.py: test_bad_traffic_class",
                 "test_scenario.py: "
                 "test_config_built_in_python_meets_the_schema",
                 "test_scenario.py: "
@@ -706,14 +702,16 @@ class TestShippedArtifacts:
                     elsewhere.append(f"{path.name}: {func.name}")
         assert elsewhere == kept
 
-    def test_shipped_run_configs_keep_their_ids(self, tmp_path):
-        # the ids these files once set by hand are the derived ones
-        out = str(tmp_path / "out.csv")
-        for name in ("grid20_of0", "random40_etx_rx80"):
-            config = str(ROOT / "configs" / f"{name}.json")
-            assert main(["run", "--config", config, "--out", out]) == 0
-        assert [row["scenario_id"] for row in read_rows(out)] \
-            == ["grid20_of0_rx100", "random40_etx_rx80"]
+    def test_shipped_run_configs_keep_their_ids(self):
+        # each file is a paper-grid task, whose row PAPER_GRID_SHA256 in
+        # test_acceptance.py pins, and the id it once set by hand is derived
+        tasks = [scenario_from_dict(raw) for raw in sweep_tasks(
+            load_sweep(str(ROOT / "configs" / "paper_sweep.json")))]
+        for name, scenario_id in (("grid20_of0", "grid20_of0_rx100"),
+                                  ("random40_etx_rx80", "random40_etx_rx80")):
+            cfg = load_scenario(str(ROOT / "configs" / f"{name}.json"))
+            assert cfg in tasks
+            assert cfg.scenario_id == scenario_id
 
     def test_schema_documents_are_valid_json(self):
         for name in ("scenario", "sweep"):

@@ -12,7 +12,6 @@ from rplsim.engine import Simulator, to_us
 from rplsim.medium import FrameKind, Medium, MediumConfig, Outcome
 from rplsim.scenario import radio_links
 from rplsim.telemetry import NULL_TRACE, TraceRecorder
-from test_cli import refusal
 
 SEC = to_us(1.0)
 
@@ -106,16 +105,6 @@ class TestInRange:
 
 
 class TestConfig:
-    def test_backoff_window_must_round_to_two_us(self):
-        # a 1 us window draws every backoff as 0: a radio that finds the
-        # channel busy would sense again at the same instant forever; 1.5 us
-        # rounds to 2 and is accepted (test_scenario.py's timer edges)
-        document = {"node_count": 5, "topology": "grid", "objective": "of0",
-                    "rx_success_ratio": 1.0,
-                    "medium": {"backoff_window_s": 1.4e-6}}
-        assert refusal(document) \
-            .startswith("medium.backoff_window_s: must be at least 2 us")
-
     def test_airtime_is_exact_at_default_bitrate(self):
         cfg = MediumConfig()
         assert cfg.airtime_us(64) == 2048

@@ -105,18 +105,6 @@ class TestJoin:
         assert sink.joined
 
 
-class TestLineConvergence:
-    def test_ranks_grow_one_unit_per_hop(self):
-        cfg = ScenarioConfig(node_count=5, topology="random", objective="of0",
-                             rx_success_ratio=1.0, duration_s=180.0,
-                             warmup_s=60.0, traffic_classes=())
-        result = run_scenario(cfg, positions=line_positions(5))
-        for nid in range(5):
-            assert result.nodes[nid].rank == 256 * (nid + 1)
-        for nid in range(1, 5):
-            assert result.nodes[nid].preferred_parent == nid - 1
-
-
 class TestTrickle:
     def joined_sensor(self):
         sim, _, nodes, metrics = make_net(line_positions(2))
@@ -327,16 +315,6 @@ class TestParentExpiry:
         sim.run_until(to_us(150.0))
         assert not n1.candidates
         assert not n1.joined
-
-    def test_adaptive_window_keeps_parent_during_trickle_backoff(self):
-        # defaults: expiry stretches with the trickle interval, so a healthy
-        # but quiet parent is not purged
-        cfg = ScenarioConfig(node_count=9, topology="grid", objective="of0",
-                             rx_success_ratio=1.0, grid_spacing_m=60.0,
-                             duration_s=600.0, warmup_s=60.0,
-                             traffic_classes=())
-        result = run_scenario(cfg)
-        assert all(snap.joined for snap in result.nodes.values())
 
 
 class TestRepeatedDio:

@@ -12,7 +12,6 @@ from rplsim.scenario import (PERIODIC_CLASSES, SEND_INTERVAL_S, ConfigError,
                              generate_random_topology, load_schema,
                              scenario_from_dict,
                              unit_disk_connected)
-from rplsim.simulate import run_scenario
 from rplsim.telemetry import TRAFFIC_CLASSES
 from test_cli import refusal
 
@@ -39,13 +38,6 @@ class TestValidation:
     def test_medium_override_applies(self):
         cfg = cfg_with(medium={"max_transmissions": 6})
         assert cfg.medium.max_transmissions == 6
-
-    def test_rx_ratio_is_every_links_ratio(self):
-        cfg = cfg_with(node_count=5, topology="grid", rx_success_ratio=0.8,
-                       warmup_s=0.0, duration_s=1.0)
-        medium = run_scenario(cfg).nodes[0].medium
-        assert {ratio for radio in medium.radios.values()
-                for ratio in radio.neighbors.values()} == {0.8}
 
     # built in Python as well, by refusal: a tuple, not a JSON list
     @pytest.mark.parametrize("field, values", [
