@@ -368,21 +368,27 @@ def unopenable(tmp_path):
 
 
 class TestRun:
-    def test_repeat_invocations_write_identical_rows(self, tmp_path):
-        # both append to one --out, the second under the first one's header
+    def test_successful_run_appends_one_row(self, tmp_path, capsys):
         config = write_json(tmp_path / "c.json", GOOD_CONFIG)
-        out, traces = str(tmp_path / "o.csv"), []
-        for name in ("a", "b"):
-            trace = tmp_path / f"{name}.jsonl"
-            assert main(["run", "--config", config, "--out", out,
-                         "--trace", str(trace)]) == 0
-            traces.append(trace.read_bytes())
+        out = str(tmp_path / "out.csv")
+        assert main(["run", "--config", config, "--out", out]) == 0
         rows = read_rows(out)
+        assert len(rows) == 1
         assert list(rows[0]) == CSV_COLUMNS
-        assert len(rows) == 2 and rows[0] == rows[1]
         assert rows[0]["scenario_id"] == "grid9_of0_rx100"
         assert rows[0]["pdr_total"] != ""
-        assert traces[0] and traces[0] == traces[1]
+
+    def test_repeat_invocations_write_identical_rows(self, tmp_path):
+        config = write_json(tmp_path / "c.json", GOOD_CONFIG)
+        written = []
+        for name in ("a", "b"):
+            out, trace = tmp_path / f"{name}.csv", tmp_path / f"{name}.jsonl"
+            assert main(["run", "--config", config, "--out", str(out),
+                         "--trace", str(trace)]) == 0
+            written.append((out.read_bytes(), trace.read_bytes()))
+        (csv_a, trace_a), (csv_b, trace_b) = written
+        assert csv_a == csv_b
+        assert trace_a and trace_a == trace_b
 
     def test_seed_override_lands_in_row(self, tmp_path):
         config = write_json(tmp_path / "c.json", GOOD_CONFIG)
@@ -418,6 +424,14 @@ class TestRun:
         assert main(["run", "--config", config, "--out", str(out)]) == 2
         assert "header" in capsys.readouterr().err
         assert out.read_text(encoding="utf-8") == "scenario_id,pdr\nx,1.0\n"
+
+    def test_appends_under_a_matching_header(self, tmp_path):
+        config = write_json(tmp_path / "c.json", GOOD_CONFIG)
+        out = str(tmp_path / "o.csv")
+        assert main(["run", "--config", config, "--out", out]) == 0
+        assert main(["run", "--config", config, "--out", out]) == 0
+        rows = read_rows(out)
+        assert len(rows) == 2 and rows[0] == rows[1]
 
     def test_trace_naming_the_out_file_exits_2_and_keeps_it(
             self, tmp_path, capsys, monkeypatch):

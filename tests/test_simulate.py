@@ -1,5 +1,6 @@
-"""Whole-run behavior: memory, warmup alignment, OF equivalences, and the
-pinned runs every byte-keeping reference and relation is checked on."""
+"""Whole-run behavior: determinism, memory, warmup alignment, OF
+equivalences, and the pinned runs every byte-keeping reference and
+relation is checked on."""
 
 import functools
 import gc
@@ -28,6 +29,15 @@ from rplsim.scenario import (ConfigError, ScenarioConfig, generate_topology,
                              radio_links)
 from rplsim.simulate import RunResult, run_scenario
 from rplsim.telemetry import DROP_CAUSES, TRACE_FIELDS
+
+
+class TestDeterminism:
+    def test_different_seeds_change_the_run(self):
+        base = dict(node_count=20, topology="random", objective="of0",
+                    rx_success_ratio=0.8, duration_s=300.0, warmup_s=60.0)
+        a = run_scenario(ScenarioConfig(seed=1, **base), trace=True)
+        b = run_scenario(ScenarioConfig(seed=2, **base), trace=True)
+        assert a.trace.records != b.trace.records
 
 
 class TestMemory:

@@ -147,6 +147,16 @@ class TestConvergence:
         result = run_scenario(cfg, positions=positions)
         assert result.metrics.convergence_us is None
 
+    def test_twenty_node_cold_start_converges_before_warmup(self):
+        for seed in range(1, 11):
+            cfg = ScenarioConfig(node_count=20, topology="random",
+                                 objective="of0", rx_success_ratio=1.0,
+                                 duration_s=120.0, warmup_s=60.0, seed=seed)
+            result = run_scenario(cfg)
+            assert result.metrics.convergence_us is not None
+            assert result.metrics.convergence_us < to_us(60.0), \
+                f"seed {seed} converged late"
+
 
 class TestTraceEncoding:
     def test_readme_table_lists_the_schema(self):
