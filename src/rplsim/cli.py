@@ -99,9 +99,13 @@ def append_rows(path: str, rows: list[dict[str, str]]) -> None:
 # ----------------------------------------------------------------------- run
 
 def cmd_run(args) -> int:
-    if args.trace is not None and \
-            os.path.realpath(args.trace) == os.path.realpath(args.out):
-        raise ConfigError("--trace: names the --out file; give it another")
+    if args.trace is not None:
+        if os.path.realpath(args.trace) == os.path.realpath(args.out):
+            raise ConfigError("--trace: names the --out file; give it another")
+        if (os.path.exists(args.trace) and os.path.exists(args.out)
+                and os.path.samefile(args.trace, args.out)):
+            raise ConfigError("--trace: is a hard link to the --out file; "
+                              "give it another")
     cfg = load_scenario(args.config)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)

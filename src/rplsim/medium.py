@@ -6,22 +6,22 @@ ratio, except that frames overlapping in time at a receiver destroy each
 other there (no capture).  A radio is half duplex: it hears itself, so
 while it transmits it receives nothing and senses the channel busy.
 
-A radio serves one job (one frame) at a time from a FIFO.  A broadcast
+A radio serves one queued frame at a time from a FIFO.  A broadcast
 (dst None) is sent once; a unicast is acknowledged and retried up to
 max_transmissions times.  Every attempt backs off uniformly at random and
 senses the channel first.  ACKs are sent after a fixed turnaround without
-carrier sensing, outside any job, and can be lost like data.  Each copy of
-a retried data frame is ACKed but passed up once: the job keeps one frame,
-whose only receiver is its destination, so it knows if a copy arrived.
+carrier sensing, never queued, and can be lost like data.  Each copy of a
+retried data frame is ACKed but passed up once: every attempt airs the same
+frame, whose only receiver is its destination, so it records if one arrived.
 
 A unicast attempt's ACK timeout is due ack_timeout after its data ends and
 is queued only once no ACK can come (data missed, destination on air at the
 turnaround, ACK lost); the config keeps every ACK's end before its timeout.
 
-Every job ends one way: the radio is freed, the job's callback runs, then
-the next queued job starts unless the callback queued one.  A frame
-reaches its receivers, in ascending id order, in the event that ends its
-airtime, after the sender's bookkeeping (job end or ACK timeout).
+Every queued frame ends one way: the radio is freed, the frame's callback
+runs, then the next queued frame starts unless the callback queued one.  A
+frame reaches its receivers, in ascending id order, in the event that ends
+its airtime, after the sender's bookkeeping (frame end or ACK timeout).
 """
 
 from __future__ import annotations
@@ -80,10 +80,17 @@ class MediumConfig:
 
 @dataclass(slots=True)
 class Frame:
+    """One frame, and for a queued one its MAC state: a broadcast (dst
+    None), ended by on_done(), or a retried unicast, ended by
+    on_done(success, attempts, data_delivered).  An ACK is never queued."""
     kind: FrameKind
     dst: int | None          # None for broadcast
     payload: object = None
     frame_id: int = 0
+    on_done: Callable | None = None
+    attempts: int = 0
+    data_delivered: bool = False     # ground truth, for packet accounting
+    ack_due: int | None = None   # while awaiting an ACK: when it times out
 
 
 @dataclass(slots=True)
@@ -94,19 +101,8 @@ class Transmission:
     corrupted: frozenset[int] = frozenset()   # replaced only on an overlap
 
 
-@dataclass(slots=True)
-class _Job:
-    """One queued frame: a broadcast (dst None), ended by on_done(), or a
-    retried unicast, ended by on_done(success, attempts, data_delivered)."""
-    frame: Frame
-    on_done: Callable | None
-    attempts: int = 0
-    data_delivered: bool = False     # ground truth, for packet accounting
-    ack_due: int | None = None   # while awaiting an ACK: when it times out
-
-
 class _Radio:
-    """One node's radio: who it hears, its node's jitter and ledger, jobs."""
+    """One node's radio: who it hears, its node's jitter and ledger, frames."""
 
     __slots__ = ("node_id", "neighbors", "audible", "jitter", "ledger",
                  "receiver", "queue", "current")
@@ -119,8 +115,8 @@ class _Radio:
         self.jitter = jitter
         self.ledger = ledger
         self.receiver: Callable[[Frame, int], None] | None = None
-        self.queue: deque[_Job] = deque()
-        self.current: _Job | None = None
+        self.queue: deque[Frame] = deque()
+        self.current: Frame | None = None
 
 
 class Medium:
@@ -187,37 +183,37 @@ class Medium:
     def _queue(self, sender, kind, dst, payload, on_done) -> None:
         self._next_frame_id += 1
         radio = self.radios[sender]
-        radio.queue.append(_Job(Frame(kind, dst, payload, self._next_frame_id),
-                                on_done))
+        radio.queue.append(Frame(kind, dst, payload, self._next_frame_id,
+                                 on_done))
         self._start_next(radio)
 
     def _start_next(self, radio: _Radio) -> None:
         if radio.current is not None or not radio.queue:
             return
-        job = radio.current = radio.queue.popleft()
-        job.attempts += 1
-        self._begin_csma(radio, job)
+        frame = radio.current = radio.queue.popleft()
+        frame.attempts += 1
+        self._begin_csma(radio, frame)
 
     def _finish(self, radio: _Radio, *result) -> None:
-        """Free the radio, report the job's result, start the next job."""
-        job = radio.current
+        """Free the radio, report the frame's result, start the next frame."""
+        frame = radio.current
         radio.current = None
-        if job.on_done is not None:
-            job.on_done(*result)
+        if frame.on_done is not None:
+            frame.on_done(*result)
         self._start_next(radio)
 
-    def _begin_csma(self, radio: _Radio, job: _Job) -> None:
+    def _begin_csma(self, radio: _Radio, frame: Frame) -> None:
         def sense() -> None:
             if radio.audible.isdisjoint(self._active):
-                self._transmit(radio, job, job.frame)
+                self._transmit(radio, frame)
             else:
-                self._begin_csma(radio, job)  # busy: a fresh backoff
+                self._begin_csma(radio, frame)  # busy: a fresh backoff
 
         sim = self.sim     # per-frame events skip schedule_in's extra call
         backoff = radio.jitter.randrange(self._backoff_window_us)
         sim.schedule(sim.now + backoff, None, None, sense)
 
-    def _transmit(self, radio: _Radio, job: _Job | None, frame: Frame) -> None:
+    def _transmit(self, radio: _Radio, frame: Frame) -> None:
         if frame.dst is None:
             victims = radio.neighbors          # its keys, ascending
         else:
@@ -251,15 +247,17 @@ class Medium:
                     receiver.ledger.charge(RX, airtime)
                     if tracing:
                         trace.emit((now, "rx", r, frame.frame_id))
-            repeat = job is not None and job.data_delivered  # a copy went up
+            repeat = frame.data_delivered          # a copy already went up
             if dst is None:
                 self._finish(radio)
-            else:                                  # data, or an ACK (no job)
-                if job is not None:
-                    job.data_delivered |= bool(delivered)
-                    job.ack_due = now + self._ack_timeout_us
+            elif kind is ACK:                      # never queued: no state
+                if not delivered:                  # no ACK can reach dst now
+                    self._no_ack(dst)
+            else:
+                frame.data_delivered |= bool(delivered)
+                frame.ack_due = now + self._ack_timeout_us
                 if not delivered:                  # no ACK can come now
-                    self._no_ack(sender if job is not None else dst)
+                    self._no_ack(sender)
             # receivers react last, so whatever the sender scheduled above
             # keeps its place ahead of what they schedule
             for receiver in delivered:
@@ -274,10 +272,10 @@ class Medium:
         self.sim.schedule(self.sim.now + airtime, None, None, end_of_airtime)
 
     def _receive_ack(self, radio: _Radio, from_id: int) -> None:
-        job = radio.current           # a broadcast never awaits an ACK
-        if (job is not None and job.ack_due is not None
-                and job.frame.dst == from_id):
-            self._finish(radio, True, job.attempts, job.data_delivered)
+        frame = radio.current         # a broadcast never awaits an ACK
+        if (frame is not None and frame.ack_due is not None
+                and frame.dst == from_id):
+            self._finish(radio, True, frame.attempts, frame.data_delivered)
 
     def _send_ack(self, radio: _Radio, dst: int) -> None:
         self._next_frame_id += 1
@@ -287,22 +285,23 @@ class Medium:
             if radio.node_id in self._active:
                 self._no_ack(dst)          # half duplex: drop the ACK
                 return
-            self._transmit(radio, None, ack)
+            self._transmit(radio, ack)
 
         sim = self.sim
         sim.schedule(sim.now + self._ack_turnaround_us, None, None, fire)
 
     def _no_ack(self, sender: int) -> None:
-        """No ACK can reach sender's job now: queue its timeout for ack_due."""
+        """No ACK can come for sender's frame: queue its ack_due timeout."""
         radio = self.radios[sender]
-        job = radio.current
+        frame = radio.current
 
         def timeout() -> None:
-            job.ack_due = None
-            if job.attempts < self.cfg.max_transmissions:
-                job.attempts += 1
-                self._begin_csma(radio, job)
+            frame.ack_due = None
+            if frame.attempts < self.cfg.max_transmissions:
+                frame.attempts += 1
+                self._begin_csma(radio, frame)
             else:
-                self._finish(radio, False, job.attempts, job.data_delivered)
+                self._finish(radio, False, frame.attempts,
+                             frame.data_delivered)
 
-        self.sim.schedule(job.ack_due, None, None, timeout)
+        self.sim.schedule(frame.ack_due, None, None, timeout)

@@ -201,8 +201,9 @@ def radio_links(positions: dict[int, tuple[float, float]], tx_range: float,
 
     Nodes within tx_range hear each other (closed boundary), nobody else
     does.  A link's ratio is rx_ratio unless a link_rx entry names the link,
-    either way round (a later entry wins).  An entry naming no link, or
-    whose ratio is not a number in [0, 1], is a ConfigError.
+    either way round (a later entry wins).  A link_rx that is no dict keyed
+    by pairs, an entry naming no link, or one whose ratio is not a number in
+    [0, 1], is a ConfigError.
     """
     ids = sorted(positions)
     links: dict[int, dict[int, float]] = {a: {} for a in ids}
@@ -210,7 +211,12 @@ def radio_links(positions: dict[int, tuple[float, float]], tx_range: float,
         for b in ids[i + 1:]:
             if math.dist(positions[a], positions[b]) <= tx_range:
                 links[a][b] = links[b][a] = rx_ratio
-    for (a, b), ratio in (link_rx or {}).items():
+    link_rx = {} if link_rx is None else link_rx
+    if not isinstance(link_rx, dict) or not all(
+            isinstance(key, tuple) and len(key) == 2 for key in link_rx):
+        raise ConfigError("link_rx: must be a dict keyed by (a, b) pairs of "
+                          "node ids")
+    for (a, b), ratio in link_rx.items():
         if not (b in links.get(a, ()) and not isinstance(ratio, bool)
                 and isinstance(ratio, (int, float)) and 0 <= ratio <= 1):
             raise ConfigError(f"link_rx[({a}, {b})]: must join two in-range "

@@ -193,15 +193,15 @@ def deliveries(records: list[tuple]) -> dict[str, tuple[int, int]]:
 
 def held_packets(result) -> set:
     """The pids of the packets a run ends with in a node's queue or in a
-    MAC data job whose data no receiver got."""
+    queued MAC data frame that no receiver got."""
     held = set()
     for nid, node in result.nodes.items():
         held.update(packet.pid for packet in node.queue)
         radio = node.medium.radios[nid]
-        for job in (radio.current, *radio.queue):
-            if (job is not None and job.frame.kind.label == "data"
-                    and not job.data_delivered):
-                held.add(job.frame.payload.pid)
+        for frame in (radio.current, *radio.queue):
+            if (frame is not None and frame.kind.label == "data"
+                    and not frame.data_delivered):
+                held.add(frame.payload.pid)
     return held
 
 

@@ -299,7 +299,7 @@ def test_criterion_6_directional_claim():
 
 def test_criterion_7_medium_statistics():
     """The reception law (a link delivers each frame with its ratio) and the
-    ACK/retry law (a job takes attempts until one data frame and its ACK
+    ACK/retry law (a unicast takes attempts until one data copy and its ACK
     both arrive, at most max_transmissions) on one link at rx 0.8."""
     with criterion(7, "medium reception and retry statistics"):
         # imported here: test_medium brings scipy and hypothesis, about 1.4 s
@@ -365,7 +365,8 @@ def test_paper_grid_frame_facts(paper_grid_runs):
 
 def test_paper_grid_in_flight_packets(paper_grid_runs):
     """README's figure: 14 of the 120 runs end with one packet sent but with
-    no deliver or drop (queued, or in a MAC job), and no run ends with more."""
+    no deliver or drop (queued, or in the frame a radio serves), and no run
+    ends with more."""
     assert Counter(c["unfated"] for c in paper_grid_runs) == {0: 106, 1: 14}
 
 

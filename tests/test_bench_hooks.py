@@ -15,7 +15,7 @@ import pytest
 
 import rplsim.simulate
 from rplsim.engine import Event, Simulator
-from rplsim.medium import Frame, FrameKind, Transmission, _Job, _Radio
+from rplsim.medium import Frame, FrameKind, Transmission, _Radio
 from rplsim.rpl import CandidateInfo, DataPacket, DioMessage, Node
 from rplsim.scenario import ScenarioConfig
 from rplsim.simulate import run_scenario
@@ -95,11 +95,11 @@ def test_hooks_count_a_traced_run(hooks, objective):
         assert values[f"medium.frames_tx.{kind.value}"] == sent[kind.value]
 
 
-@pytest.mark.parametrize("cls", [Frame, Transmission, _Job, _Radio, DataPacket,
+@pytest.mark.parametrize("cls", [Frame, Transmission, _Radio, DataPacket,
                                  CandidateInfo, DioMessage, Event],
                          ids=lambda cls: cls.__name__)
 def test_per_frame_classes_keep_slots(cls):
-    # one of these is made per frame, airing, job, packet, DIO or event, so
+    # one of these is made per frame, airing, radio, packet, DIO or event, so
     # each stays free of a per-instance __dict__
     assert "__slots__" in vars(cls)
     assert all("__dict__" not in vars(base) for base in cls.__mro__)

@@ -444,6 +444,20 @@ class TestRun:
         assert "--trace" in capsys.readouterr().err
         assert out.read_text(encoding="utf-8") == before
 
+    def test_trace_hard_linked_to_the_out_file_exits_2_and_keeps_it(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_scenario", never_run)
+        config = write_json(tmp_path / "c.json", GOOD_CONFIG)
+        out, before = tmp_path / "r.csv", ",".join(CSV_COLUMNS) + "\nrow\n"
+        out.write_text(before, encoding="utf-8")
+        os.link(out, tmp_path / "h.csv")
+        assert main(["run", "--config", config, "--out", str(out),
+                     "--trace", str(tmp_path / "h.csv")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: --trace: is a hard link to the --out file; "
+            "give it another\n")
+        assert out.read_text(encoding="utf-8") == before
+
     def test_malformed_json_exits_2(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")
@@ -681,6 +695,15 @@ class TestShippedArtifacts:
                        if (name := (alias.asname or alias.name)
                            .split(".")[0]) not in used]
         assert not unused
+
+    def test_module_entry_point_exits_0(self):
+        # python -m rplsim.cli reaches main through cli.py's own sys.exit;
+        # -m puts the working directory, src/, on the child's path
+        child = subprocess.run(
+            [sys.executable, "-m", "rplsim.cli", "--help"],
+            cwd=ROOT / "src", capture_output=True, text=True)
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.startswith("usage: rplsim ")
 
     def test_a_failing_hypothesis_test_is_reported(self, tmp_path):
         # hypothesis reports a failing example through libcst, whose import

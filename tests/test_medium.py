@@ -322,8 +322,8 @@ class TestUnicast:
 
 
 class TestJobEnd:
-    """Broadcast done, ACK heard and attempts exhausted end a job one way:
-    the radio is freed, the callback runs, then the next job starts."""
+    """Broadcast done, ACK heard and attempts exhausted end a queued frame
+    one way: the radio is freed, the callback runs, then the next starts."""
 
     def test_frame_queued_from_broadcast_on_done_starts_next(self):
         positions = {0: (0.0, 0.0), 1: (50.0, 0.0)}
@@ -335,7 +335,7 @@ class TestJobEnd:
         def queue_dio():
             medium.broadcast(0, FrameKind.DIO,
                              on_done=lambda: log.append(("dio", len(drawn))))
-            log.append((radio.current.frame.kind, len(radio.queue)))
+            log.append((radio.current.kind, len(radio.queue)))
 
         medium.broadcast(0, FrameKind.DIS, on_done=queue_dio)
         sim.run_until(SEC)
@@ -371,10 +371,10 @@ class TestJobEnd:
         results, checked = [], []
 
         def on_data(frame, src):
-            # 0's job awaits an ACK; an ACK from 2 arrives first
-            job = radio.current
+            # 0's data frame awaits an ACK; an ACK from 2 arrives first
+            data = radio.current
             medium._receive_ack(radio, 2)
-            checked.append((radio.current is job, job.ack_due is None))
+            checked.append((radio.current is data, data.ack_due is None))
 
         medium.set_receiver(1, on_data)
         medium.unicast_with_ack(0, 1, None,
@@ -387,7 +387,7 @@ class TestJobEnd:
 class TestAckTimeout:
     """A unicast attempt's timeout is queued only once no ACK can come, and
     is due ack_timeout after the data frame's end whichever way the ACK is
-    missed.  Without its timeout the job would never end."""
+    missed.  Without its timeout the frame would never end."""
 
     @staticmethod
     def run(positions, on_data=None, **cfg_kwargs):

@@ -96,6 +96,16 @@ class TestJoin:
         assert selects == []
         assert (n1.rank, n1.preferred_parent) == (512, 0)
 
+    @pytest.mark.parametrize("cost", [None, MAX_PATH_COST, MAX_PATH_COST + 1])
+    def test_mrhof_dio_without_a_usable_cost_is_never_selected(self, cost):
+        # no path cost, or a saturated one, offers no path to the sink
+        _, _, nodes, _ = make_net(line_positions(3), objective="etx")
+        n2 = nodes[2]
+        n2.on_dio(DioMessage(1, 512, cost))
+        assert n2.candidates[1].through == MAX_PATH_COST
+        assert not n2._selectable(n2.candidates[1])
+        assert (n2.preferred_parent, n2.joined) == (None, False)
+
     def test_sink_state_is_immutable(self):
         sim, _, nodes, _ = make_net(line_positions(2))
         sink = nodes[0]

@@ -85,16 +85,23 @@ class TestObjectiveEquivalence:
         assert depths_of0 == depths_etx
 
 
+# not a dict keyed by pairs: a bare id, a triple, a list of entries
+MALFORMED_LINK_RX = [{1: 0.5}, {(1, 2, 3): 0.5}, [((1, 2), 0.5)]]
+
+
 # a self-pair and an out-of-range pair name no radio link
 @pytest.mark.parametrize("link_rx", [{(1, 2): 7.0}, {(1, 2): -1.0},
                                      {(1, 2): math.nan}, {(1, 999): 0.5},
                                      {(1, 1): 0.0}, {(1, 3): 0.0},
-                                     {(1, 2): True}, {(1, 2): False}])
+                                     {(1, 2): True}, {(1, 2): False},
+                                     *MALFORMED_LINK_RX])
 def test_bad_link_rx_is_refused(link_rx):
     cfg = ScenarioConfig(node_count=9, topology="grid", objective="etx",
                          rx_success_ratio=0.8, duration_s=120.0, warmup_s=30.0)
-    with pytest.raises(ConfigError,
-                       match=r"^link_rx\[\(1, (1|2|3|999)\)\]: "):
+    match = (r"^link_rx: must be a dict keyed by \(a, b\) pairs of node ids$"
+             if link_rx in MALFORMED_LINK_RX
+             else r"^link_rx\[\(1, (1|2|3|999)\)\]: ")
+    with pytest.raises(ConfigError, match=match):
         run_scenario(cfg, link_rx=link_rx)
 
 
@@ -110,6 +117,18 @@ def test_bad_positions_are_refused(positions):
                          rx_success_ratio=1.0, duration_s=120.0, warmup_s=30.0)
     with pytest.raises(ConfigError, match=r"^positions: "):
         run_scenario(cfg, positions=positions)
+
+
+def test_depth_is_none_off_the_tree():
+    # a detached sensor, and sensors whose preferred parents form a loop,
+    # reach no sink
+    cfg = ScenarioConfig(node_count=5, topology="grid", objective="of0",
+                         rx_success_ratio=1.0, duration_s=60.0, warmup_s=30.0)
+    result = run_scenario(cfg)
+    parents = {1: 0, 2: 3, 3: 2, 4: None}
+    for nid, parent in parents.items():
+        result.nodes[nid].preferred_parent = parent
+    assert [result.depth(nid) for nid in range(5)] == [0, 1, None, None, None]
 
 
 def run_positions(cfg):
