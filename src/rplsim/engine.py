@@ -39,10 +39,6 @@ class Event:
 
     __slots__ = ("action", "cancelled")
 
-    def __init__(self, action: Callable[[], None]) -> None:
-        self.action = action
-        self.cancelled = False
-
     def cancel(self) -> None:
         self.cancelled = True
 
@@ -65,7 +61,9 @@ class Simulator:
             raise SchedulingError(
                 f"event scheduled in the past: t={fire_time} < clock={self.now}"
             )
-        event = Event(action)
+        event = object.__new__(Event)       # no __init__ frame per event
+        event.action = action
+        event.cancelled = False
         heappush(self._heap, (fire_time, self._seq, event))
         self._seq += 1
         return event
@@ -95,6 +93,18 @@ class Simulator:
             self.events_processed += processed
         self.now = end_time
         return self.now
+
+
+def below(stream: random.Random, n: int) -> int:
+    """stream.randrange(n) as CPython 3.11 draws it, value and stream state
+    alike, from getrandbits alone and without randrange's two frames."""
+    if n < 1:
+        raise ValueError("empty range for below()")
+    k = n.bit_length()
+    r = stream.getrandbits(k)
+    while r >= n:
+        r = stream.getrandbits(k)
+    return r
 
 
 def derive_stream(master_seed: int, purpose_tag: str,

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Collection
 
-from .engine import Simulator, US_PER_S, derive_stream, to_us
+from .engine import Simulator, US_PER_S, below, derive_stream, to_us
 from .telemetry import (RX, TX, EnergyCurrents, EnergyLedger, TraceRecorder,
                         NULL_TRACE)
 
@@ -185,14 +185,10 @@ class Medium:
         radio = self.radios[sender]
         radio.queue.append(Frame(kind, dst, payload, self._next_frame_id,
                                  on_done))
-        self._start_next(radio)
-
-    def _start_next(self, radio: _Radio) -> None:
-        if radio.current is not None or not radio.queue:
-            return
-        frame = radio.current = radio.queue.popleft()
-        frame.attempts += 1
-        self._begin_csma(radio, frame)
+        if radio.current is None:
+            frame = radio.current = radio.queue.popleft()
+            frame.attempts = 1
+            self._begin_csma(radio, frame)
 
     def _finish(self, radio: _Radio, *result) -> None:
         """Free the radio, report the frame's result, start the next frame."""
@@ -200,7 +196,10 @@ class Medium:
         radio.current = None
         if frame.on_done is not None:
             frame.on_done(*result)
-        self._start_next(radio)
+        if radio.current is None and radio.queue:
+            frame = radio.current = radio.queue.popleft()
+            frame.attempts = 1
+            self._begin_csma(radio, frame)
 
     def _begin_csma(self, radio: _Radio, frame: Frame) -> None:
         def sense() -> None:
@@ -210,7 +209,7 @@ class Medium:
                 self._begin_csma(radio, frame)  # busy: a fresh backoff
 
         sim = self.sim     # per-frame events skip schedule_in's extra call
-        backoff = radio.jitter.randrange(self._backoff_window_us)
+        backoff = below(radio.jitter, self._backoff_window_us)
         sim.schedule(sim.now + backoff, None, None, sense)
 
     def _transmit(self, radio: _Radio, frame: Frame) -> None:

@@ -19,10 +19,25 @@ beacon rate is governed by structural changes, not per-sample ETX jitter.
 
 Both objectives select by one rule.  A candidate carries the value its
 objective weighs: the rank through it under OF0, the path cost through it
-under MRHOF (re-priced as its link_etx moves).  Selection skips a candidate
-ranked no lower than this node or with a saturated value, and a DIO or purge
-that touches only skipped candidates selects nothing.  A detached node goes
-silent and solicits with DIS; it never advertises INFINITE_RANK.
+under MRHOF (re-priced as its link_etx moves).  Selection weighs the
+selectable candidates (ranked below this node, value unsaturated) and keeps
+the parent unless one is worth less than the parent's value minus the
+hysteresis h: 192 under MRHOF (RFC 6719), 0 under OF0 (RFC 6552).  A
+detached node goes silent and solicits with DIS; it never advertises
+INFINITE_RANK.
+
+Selection runs only when its answer can change.  After a selection whose
+rank did not rise, (rank, parent) is a fixpoint: the selectable set can only
+have shrunk, the parent (ranked below the node) stays in it, and no other
+member is worth less than the parent's value minus h.  From a fixpoint:
+- a non-parent candidate that appears, changes or expires changes nothing
+  unless it ends selectable and, if there is a parent, worth less than that
+  bound (a tie keeps the parent);
+- a parent whose value falls or holds and that stays selectable stays the
+  parent, since every other candidate is still worth at least the old
+  bound; only the rank is recomputed;
+- any other change, and a selection whose rank rose (which can admit
+  candidates), makes the next selection scan every candidate.
 """
 
 from __future__ import annotations
@@ -30,12 +45,12 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .engine import to_us
+from .engine import below, to_us
 from .medium import DATA, DIO, DIS, Frame, Medium
 from .objective import (ETX_INITIAL, INFINITE_RANK, MAX_PATH_COST, MRHOF_ETX,
-                        OF0, RANK_UNIT, ROOT_RANK, etx_update, mrhof_path_cost,
-                        mrhof_rank, mrhof_select_parent, of0_rank,
-                        of0_select_parent)
+                        OF0, PARENT_SWITCH_THRESHOLD, RANK_UNIT, ROOT_RANK,
+                        etx_update, mrhof_path_cost, mrhof_rank,
+                        mrhof_select_parent, of0_rank, of0_select_parent)
 from .telemetry import CPU, MetricsReport
 
 SINK = "sink"
@@ -130,8 +145,9 @@ class Node:
         self._pkt_seq = 0
         self._cpu_process_us = to_us(proto.cpu_process_s)
         self._last_advertised_rank = self.rank
-        # set when a selection input (a candidate's rank or cost, its link
-        # ETX, this node's rank or parent) may have moved since selection ran
+        # set when the next selection must scan every candidate, by the skip
+        # rules above; clear when (rank, parent) is a fixpoint.  A 30th
+        # attribute would cost every node CPython's shared key table.
         self._dirty = True
         medium.set_receiver(node_id, self._on_frame)
 
@@ -145,8 +161,8 @@ class Node:
             self._trickle_reset()
         else:
             self._schedule_dis()
-            self._hk_origin = self.sim.now + self.jitter.randrange(
-                self._hk_period_us)
+            self._hk_origin = self.sim.now + below(self.jitter,
+                                                   self._hk_period_us)
 
     # ------------------------------------------------------------ reception
 
@@ -162,7 +178,7 @@ class Node:
         if self.role == SINK:
             self.trickle.counter += 1
             return
-        known = self.candidates.get(dio.sender)
+        known, kept = self.candidates.get(dio.sender), False
         if known is not None and known.rank == dio.advertised_rank \
                 and known.cost == dio.path_cost:
             known.last_heard = self.sim.now  # ETX moves keep through current
@@ -171,10 +187,10 @@ class Node:
                 dio.advertised_rank, dio.path_cost,
                 self._price(dio.sender, dio.advertised_rank, dio.path_cost),
                 self.sim.now)
-            self._dirty |= self._selectable(known) or self._selectable(heard)
+            kept = self._mark(dio.sender, heard)
         if self._hk_event is None:      # a newer last_heard purges no sooner
             self._arm_housekeeping()
-        if self._reselect() and self.preferred_parent is not None:  # joined
+        if self._reselect(kept) and self.preferred_parent is not None:  # joined
             self.trickle.counter += 1
 
     def on_dis(self, from_id: int) -> None:
@@ -215,26 +231,44 @@ class Node:
         return c is not None and c.rank < self.rank \
             and c.through < MAX_PATH_COST
 
-    def _reselect(self) -> bool:
-        """Re-run parent selection if an input moved; True when it stayed
-        consistent, else reset trickle: the parent switched, or the rank moved
-        and now sits a full hop increment away from what this node last
-        advertised."""
-        if not self._dirty:
+    def _mark(self, nid: int, c: CandidateInfo | None) -> bool:
+        """Set _dirty if candidate nid's new state c (None: purged) may change
+        the selection, by the skip rules of the module docstring; True when
+        the selection can keep the parent unscanned and recompute the rank."""
+        parent = self.preferred_parent
+        own, h = (self.rank, 0) if self.objective == OF0 else \
+            (self.path_cost, PARENT_SWITCH_THRESHOLD)
+        if nid != parent:
+            self._dirty |= self._selectable(c) and (
+                parent is None or c.through < own - h)
+            return False
+        kept = self._selectable(c) and c.through <= own
+        self._dirty |= not kept
+        return kept
+
+    def _reselect(self, kept: bool = False) -> bool:
+        """Select a parent if the answer can change, keeping the parent
+        unscanned if `kept` (as _mark returns it) and not _dirty; True when
+        the node stayed consistent, else reset trickle: the parent switched,
+        or the rank moved and now sits a full hop increment away from what
+        this node last advertised."""
+        dirty = self._dirty
+        if not dirty and not kept:
             return True
         old_rank, old_parent = self.rank, self.preferred_parent
-
         candidates = self.candidates
-        values = {nid: c.through for nid, c in candidates.items()  # as _selectable
-                  if c.rank < old_rank and c.through < MAX_PATH_COST}
         of0 = self.objective == OF0
-        select = of0_select_parent if of0 else mrhof_select_parent
-        choice = select(values, old_parent)
+        choice = old_parent                 # kept unscanned unless dirty
+        if dirty:
+            values = {nid: c.through for nid, c in candidates.items()
+                      if c.rank < old_rank and c.through < MAX_PATH_COST}
+            select = of0_select_parent if of0 else mrhof_select_parent
+            choice = select(values, old_parent)     # values as _selectable
         new_rank, new_cost = INFINITE_RANK, None
         if choice is not None and of0:      # OF0 weighs the rank itself
-            new_rank = values[choice]
+            new_rank = candidates[choice].through
         elif choice is not None:
-            new_cost = values[choice]
+            new_cost = candidates[choice].through
             new_rank = mrhof_rank(candidates[choice].rank, new_cost)
         if choice is None or new_rank >= INFINITE_RANK:
             choice, new_rank, new_cost = None, INFINITE_RANK, None
@@ -242,9 +276,8 @@ class Node:
         self.rank, self.path_cost, self.preferred_parent = \
             new_rank, new_cost, choice
 
-        # an unchanged (rank, parent) is a fixpoint until an input moves
-        self._dirty = (self.rank, self.preferred_parent) != (old_rank, old_parent)
-        if self._dirty and self.trace.enabled:
+        self._dirty = new_rank > old_rank   # else a fixpoint
+        if (new_rank, choice) != (old_rank, old_parent) and self.trace.enabled:
             self.trace.emit((self.sim.now, "parent", self.id,
                              self.preferred_parent, self.rank))
         joined = choice is not None         # only sensors select
@@ -300,7 +333,8 @@ class Node:
                  if now - c.last_heard > expiry]
         if stale:
             for nid in stale:
-                self._dirty |= self._selectable(self.candidates.pop(nid))
+                del self.candidates[nid]
+                self._mark(nid, None)
             self._reselect()
         self._arm_housekeeping()
 
@@ -321,7 +355,7 @@ class Node:
         st = self.trickle
         st.counter = 0
         half = st.current_interval_us // 2
-        st.t_us = half + self.jitter.randrange(st.current_interval_us - half)
+        st.t_us = half + below(self.jitter, st.current_interval_us - half)
         self._arm(st.t_us, self._trickle_fire)
 
     def _trickle_fire(self) -> None:
@@ -398,12 +432,11 @@ class Node:
             self.link_etx[parent] = etx_update(
                 before, attempts, success, self.medium.cfg.max_transmissions,
                 self.sim.now)
-            if self.link_etx[parent] != before:
-                self._dirty = True
-                known = self.candidates.get(parent)
-                if known is not None:
-                    known.through = self._price(parent, known.rank, known.cost)
-            self._reselect()
+            known, kept = self.candidates.get(parent), False
+            if self.link_etx[parent] != before and known is not None:
+                known.through = self._price(parent, known.rank, known.cost)
+                kept = self._mark(parent, known)
+            self._reselect(kept)
         if not success and not data_delivered:
             self._drop(packet, "mac-failure")
         self._service_queue()

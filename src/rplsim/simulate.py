@@ -109,11 +109,11 @@ def run_scenario(cfg: ScenarioConfig,
 
         def fire() -> None:
             node.app_generate()
-            sim.schedule_in(next_send_time(node.traffic_class, sim.now, stream)
-                            - sim.now, fire)
+            sim.schedule(next_send_time(node.traffic_class, sim.now, stream),
+                         None, None, fire)
 
-        first = next_send_time(node.traffic_class, warmup_us, stream)
-        sim.schedule_in(first - sim.now, fire)
+        sim.schedule(next_send_time(node.traffic_class, warmup_us, stream),
+                     None, None, fire)
 
     for nid in sensor_ids:
         if nodes[nid].traffic_class is not None:

@@ -1,10 +1,13 @@
 """Event kernel: ordering, clock discipline, stream derivation."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rplsim.engine import SchedulingError, Simulator, derive_stream, to_us
+from rplsim.engine import (SchedulingError, Simulator, below, derive_stream,
+                           to_us)
 
 
 def test_schedule_at_current_time_fires_first():
@@ -117,3 +120,21 @@ def test_streams_do_not_perturb_each_other():
 def test_unknown_purpose_rejected():
     with pytest.raises(ValueError):
         derive_stream(1, "weather")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 255, 256, 257, 125000, 2**32 + 1])
+def test_below_draws_as_randrange(n):
+    # the same values and the same stream state after, including the draws
+    # randrange rejects (about half of them for 257), so backoff, trickle and
+    # housekeeping draws rest only on getrandbits
+    for seed in range(5):
+        ours, reference = random.Random(seed), random.Random(seed)
+        assert [below(ours, n) for _ in range(40)] == \
+            [reference.randrange(n) for _ in range(40)]
+        assert ours.getstate() == reference.getstate()
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_below_refuses_an_empty_range(n):
+    with pytest.raises(ValueError):
+        below(random.Random(1), n)

@@ -1,5 +1,7 @@
 """RPL node behavior: joining, trickle, parent maintenance, forwarding."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -399,3 +401,16 @@ class TestInlineFilter:
             node._dirty = True
             node._reselect()
         assert weighed == [expected]
+
+
+def test_nodes_share_one_key_table():
+    # Node keeps no __slots__, so its attributes live in an instance dict;
+    # CPython 3.11 shares one key table among a class's instances only up to
+    # 29 attributes, and past that every node carries a 1.5 kB dict of its
+    # own and loses the specialized attribute loads of the per-event path
+    cfg = ScenarioConfig(node_count=9, topology="grid", objective="etx",
+                         rx_success_ratio=0.8, duration_s=120.0,
+                         warmup_s=30.0)
+    for node in run_scenario(cfg).nodes.values():
+        state = vars(node)
+        assert sys.getsizeof(state) < sys.getsizeof(dict(state)), len(state)

@@ -23,7 +23,8 @@ from rplsim.cli import result_to_row
 from rplsim.engine import Event, Simulator, derive_stream, to_us
 from rplsim.medium import MediumConfig
 from rplsim.objective import (ETX_INITIAL, INFINITE_RANK, MAX_PATH_COST,
-                              mrhof_path_cost, of0_rank)
+                              mrhof_path_cost, mrhof_rank, mrhof_select_parent,
+                              of0_rank, of0_select_parent)
 from rplsim.rpl import SENSOR, Node, ProtocolConfig
 from rplsim.scenario import (ConfigError, ScenarioConfig, generate_topology,
                              radio_links)
@@ -250,7 +251,7 @@ CASES = {
         ("2ff93b2705caaedf4daca0dfecb3d5c720cb716806382560e5194d5f58dbaba1",
          "c192221b10044bc3a601a00c70e479d5e378281d0be8924e9625ee2743500381"),
         work=dict(
-            processed=5616, scheduled=5874, cancelled=170, selections=817,
+            processed=5616, scheduled=5874, cancelled=170, selections=390,
             etx_updates=387, tx=dict(ack=535, data=1050, dio=304, dis=25)),
         covers=frozenset({"detach", "purge", "mac-failure"})),
     "lossy-grid-of0": Case(
@@ -259,7 +260,7 @@ CASES = {
         ("0669e99c9f7876a49c1510fd9ef9564371b2a2ff3aeb95ee70f9af28b58f01ec",
          "6be85a5970720a7acf103e0e99375a08493dc33f718f3872f75b2195ca76c471"),
         work=dict(
-            processed=5159, scheduled=5348, cancelled=101, selections=84,
+            processed=5159, scheduled=5348, cancelled=101, selections=32,
             etx_updates=0, tx=dict(ack=677, data=1032, dio=184, dis=29))),
 }
 
@@ -332,6 +333,25 @@ def stale_prices(objective, node, priced):
     return stale
 
 
+def full_selection(objective, node):
+    """The (rank, parent) that a selection weighing every candidate gives
+    node now: the objective module's own rule over fresh prices of the
+    candidates ranked below the node, with its current parent kept within
+    the hysteresis."""
+    values = {}
+    for nid, c in node.candidates.items():
+        value = fresh_price(objective, node, nid, c)
+        if c.rank < node.rank and value < MAX_PATH_COST:
+            values[nid] = value
+    select = of0_select_parent if objective == "of0" else mrhof_select_parent
+    choice = select(values, node.preferred_parent)
+    if choice is None:
+        return INFINITE_RANK, None
+    rank = values[choice] if objective == "of0" else \
+        mrhof_rank(node.candidates[choice].rank, values[choice])
+    return (rank, choice) if rank < INFINITE_RANK else (INFINITE_RANK, None)
+
+
 class Shipped(NamedTuple):
     """A case's run as the shipped code makes it, with what it did."""
     result: RunResult
@@ -340,20 +360,27 @@ class Shipped(NamedTuple):
     wakes: list                 # as record_wakes takes them
     stale: list                 # as stale_prices gives them, at every call
     priced: set                 # as stale_prices adds them, at every call
+    unlike: list                # calls whose answer full_selection differs
 
 
 @functools.cache
 def shipped(case):
     """CASES[case]'s shipped run, made once per session.  Callers must not
     mutate its result, and must take it before patching anything.  Every
-    selection call is priced afresh at entry, the calls it skips included."""
-    calls, stale, priced = Counter(), [], set()
+    selection call is priced afresh at entry and its (rank, parent) answer
+    compared with a full selection's, the calls it skips included."""
+    calls, stale, priced, unlike = Counter(), [], set(), []
     objective = CASES[case].config["objective"]
     reselect = Node._reselect
 
-    def priced_reselect(self):
+    def priced_reselect(self, *kept):
         stale.extend(stale_prices(objective, self, priced))
-        return reselect(self)
+        expected = full_selection(objective, self)
+        consistent = reselect(self, *kept)
+        answer = (self.rank, self.preferred_parent)
+        if answer != expected:
+            unlike.append((self.sim.now, self.id, answer, expected))
+        return consistent
     with pytest.MonkeyPatch.context() as mp:
         def count(owner, name, key):
             call = getattr(owner, name)
@@ -375,7 +402,7 @@ def shipped(case):
                 scheduled=calls["scheduled"], cancelled=calls["cancelled"],
                 selections=calls["selections"],
                 etx_updates=calls["etx_updates"], tx=dict(sorted(tx.items())))
-    run = Shipped(result, digests(result), work, wakes, stale, priced)
+    run = Shipped(result, digests(result), work, wakes, stale, priced, unlike)
     gc.freeze()     # kept all session, so later runs' collections skip it
     return run
 
@@ -439,6 +466,13 @@ def test_cached_prices_are_fresh(case):
     assert len({value for value, _ in run.priced}) > 3
     if CASES[case].config["objective"] == "etx":
         assert len({etx for _, etx in run.priced}) > 10
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_lazy_selection_is_exact(case):
+    """Every selection call, skipped, kept-parent or full, leaves the
+    (rank, parent) that a full selection over the same inputs gives."""
+    assert shipped(case).unlike == []
 
 
 def rx_names_first_frame_of_its_kind(result):
@@ -543,17 +577,18 @@ def test_check_run_sees_a_planted_defect(defect):
 # a monkeypatch, and returns its own traced run.
 
 def always_evaluate(case, run, monkeypatch):
-    """Selection evaluated on every call, the reference for the skip of an
-    evaluation whose inputs did not move.  On every exit the rank must be
+    """Selection scanning every candidate on every call, the reference for
+    each skip rule: _dirty set forces the full scan, so neither a skip nor
+    the kept-parent shortcut runs.  On every exit the rank must be
     INFINITE_RANK exactly when there is no parent, as `joined` reads."""
     cfg, link_rx = case_inputs(case)
     evaluations = []
     reselect = Node._reselect
 
-    def evaluated(self):
+    def evaluated(self, *kept):
         evaluations.append(self.id)
         self._dirty = True
-        consistent = reselect(self)
+        consistent = reselect(self, *kept)
         assert (self.rank == INFINITE_RANK) == (self.preferred_parent is None)
         return consistent
     monkeypatch.setattr(Node, "_reselect", evaluated)
