@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import csv
 import functools
@@ -298,7 +297,9 @@ def cmd_plot_data(args) -> int:
 
 # ---------------------------------------------------------------------- main
 
+# argparse (and gettext) load only to parse a command line, not for result_to_row
 def positive_int(text: str) -> int:
+    import argparse
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1 (got {value})")
@@ -306,6 +307,7 @@ def positive_int(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
     parser = argparse.ArgumentParser(
         prog="rplsim",
         description="Deterministic RPL routing simulator (OF0 vs ETX/MRHOF)")

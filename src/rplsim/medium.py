@@ -64,6 +64,7 @@ LOST_COLLISION = Outcome.LOST_COLLISION
 
 @dataclass(frozen=True)
 class MediumConfig:
+    """The radio and MAC parameters every node of a run shares."""
     tx_range_m: float = 100.0
     bitrate_bps: int = 250_000
     max_transmissions: int = 4      # 1 attempt + 3 retries
@@ -95,6 +96,7 @@ class Frame:
 
 @dataclass(slots=True)
 class Transmission:
+    """One airing of a frame, and the receivers it can reach."""
     frame: Frame
     victims: Collection[int]     # receivers whose outcome matters, ascending
     ratios: dict[int, float]     # the sender's reception ratio by receiver

@@ -60,6 +60,7 @@ DIS_JITTER = (0.9, 1.1)     # a DIS wait is dis_period_s times a uniform draw
 
 @dataclass(frozen=True)
 class ProtocolConfig:
+    """The RPL timers and limits every node of a run shares."""
     trickle_i_min_s: float = 4.096
     trickle_doublings: int = 8
     trickle_redundancy_k: int = 10
@@ -74,6 +75,7 @@ class ProtocolConfig:
 
 @dataclass(slots=True)
 class DioMessage:
+    """A DIO's payload: its sender's rank and, under MRHOF, path cost."""
     sender: int
     advertised_rank: int
     path_cost: int | None = None
@@ -81,6 +83,7 @@ class DioMessage:
 
 @dataclass
 class TrickleState:
+    """One node's trickle timer for DIOs, in microseconds."""
     i_min_us: int
     max_interval_us: int
     redundancy_k: int
@@ -91,6 +94,7 @@ class TrickleState:
 
 @dataclass(slots=True)
 class CandidateInfo:
+    """What a node last heard from one neighbour that sent it a DIO."""
     rank: int
     cost: int | None
     through: int         # the value selection weighs; saturated if unusable
@@ -99,6 +103,7 @@ class CandidateInfo:
 
 @dataclass(slots=True)
 class DataPacket:
+    """One application packet on its way to the sink."""
     pid: str
     traffic_class: str
     created: int

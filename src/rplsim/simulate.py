@@ -24,6 +24,7 @@ from .telemetry import EnergyLedger, MetricsReport, TraceRecorder, NULL_TRACE
 
 @dataclass
 class RunResult:
+    """One finished run: its config, metrics, nodes, ledgers and trace."""
     config: ScenarioConfig
     metrics: MetricsReport
     nodes: dict[int, Node]              # as the run left them

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .engine import US_PER_S
 
@@ -160,37 +161,63 @@ TRACE_FIELDS = {
 }
 _FIELDS = {(ev, len(f)): f for ev, f in TRACE_FIELDS.items()}
 _ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_TUPLE = {ev: itemgetter(*f) for ev, f in TRACE_FIELDS.items()}
+_CHUNK = 4096                   # records a recorder holds as tuples at most
+
+
+def _encode(records: list[tuple]) -> str:
+    """The JSONL text of records; each line is what _ENCODE makes of its dict."""
+    lines = []
+    add = lines.append
+    for r in records:
+        match r:
+            case (t, "rx", node, frame):
+                add(f'{{"ev":"rx","frame":{frame},"node":{node},"t":{t}}}\n')
+            case (t, "tx", node, kind, frame):
+                add(f'{{"ev":"tx","frame":{frame},"kind":"{kind}",'
+                    f'"node":{node},"t":{t}}}\n')
+            case (t, "send", node, pkt, cls):
+                add(f'{{"cls":"{cls}","ev":"send","node":{node},'
+                    f'"pkt":"{pkt}","t":{t}}}\n')
+            case (t, ("fwd" | "deliver") as ev, node, pkt):
+                add(f'{{"ev":"{ev}","node":{node},"pkt":"{pkt}","t":{t}}}\n')
+            case _:                           # the rare kinds, or KeyError
+                add(_ENCODE(dict(zip(_FIELDS[r[1], len(r)], r))) + "\n")
+    return "".join(lines)
 
 
 class TraceRecorder:
-    """Collects trace records in `records`, tuples laid out by TRACE_FIELDS.
-    Writing fails on an unknown kind or width; disabled, it keeps none."""
+    """Holds the trace as JSONL text, encoded every _CHUNK records, and shows
+    it in `records` as tuples laid out by TRACE_FIELDS, decoded from the text.
+    Encoding fails on an unknown kind or width; disabled, it keeps none."""
 
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
-        self.records: list[tuple] = []
+        self._chunks: list[str] = []
+        self._tail: list[tuple] = []
+        self._view: list[tuple] | None = None
 
     def emit(self, record: tuple) -> None:
         if self.enabled:
-            self.records.append(record)
+            self._view = None
+            self._tail.append(record)
+            if len(self._tail) == _CHUNK:
+                self._chunks.append(_encode(self._tail))
+                self._tail.clear()
+
+    @property
+    def records(self) -> list[tuple]:
+        """The records in emit order; one list, kept until the next emit."""
+        if self._view is None:
+            arrays = ("[" + c[:-1].replace("\n", ",") + "]" for c in self._chunks)
+            self._view = [_TUPLE[d["ev"]](d) for a in arrays for d in json.loads(a)]
+            self._view += self._tail
+        return self._view
 
     def write_jsonl(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            write = fh.write          # line by line, no file-sized string
-            for r in self.records:
-                match r:     # each line is what _ENCODE makes of its dict
-                    case (t, "rx", node, frame):
-                        write(f'{{"ev":"rx","frame":{frame},"node":{node},"t":{t}}}\n')
-                    case (t, "tx", node, kind, frame):
-                        write(f'{{"ev":"tx","frame":{frame},"kind":"{kind}",'
-                              f'"node":{node},"t":{t}}}\n')
-                    case (t, "send", node, pkt, cls):
-                        write(f'{{"cls":"{cls}","ev":"send","node":{node},'
-                              f'"pkt":"{pkt}","t":{t}}}\n')
-                    case (t, ("fwd" | "deliver") as ev, node, pkt):
-                        write(f'{{"ev":"{ev}","node":{node},"pkt":"{pkt}","t":{t}}}\n')
-                    case _:                   # the rare kinds, or KeyError
-                        write(_ENCODE(dict(zip(_FIELDS[r[1], len(r)], r))) + "\n")
+            fh.writelines(self._chunks)
+            fh.write(_encode(self._tail))
 
 
 NULL_TRACE = TraceRecorder(enabled=False)

@@ -14,14 +14,27 @@ The counts are exact and repeat on every run of the same tree, so one
 counted run can rank a change that wall-clock pairs cannot resolve; a speed
 claim still needs wall-time pairs.  It is not part of Tier-1 (pytest does
 not collect it) and takes about a minute.
+
+    PYTHONPATH=src python3 tests/opcount.py --memory [--repeat N]
+
+instead measures memory under tracemalloc, for two seed-1 runs each made
+untraced and then traced: random OF0 at rx 1.0 with 100 nodes for 900 s, and
+random MRHOF at rx 0.8 with 800 nodes for 300 s on the square above.  It
+prints the Python heap live when the run returns (its result still held)
+and the peak during it, in MB, and the traced run's extra live bytes per
+trace record.  These counts repeat exactly from one invocation to the next;
+a repeat within one invocation reads a few kB lower, as the first run also
+fills one-time caches.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
+import tracemalloc
 from collections import Counter
 
 from rplsim.scenario import ScenarioConfig
@@ -32,6 +45,13 @@ RUNS = {
     "grid-etx-100": dict(node_count=100, topology="grid"),
     "random-etx-800": dict(node_count=800, topology="random",
                            area_side_m=300.0 * math.sqrt(800 / 100)),
+}
+MEMORY_RUNS = {
+    "random-of0-100-900s": dict(node_count=100, topology="random",
+                                objective="of0", rx_success_ratio=1.0,
+                                duration_s=900.0),
+    "random-etx-800-300s": dict(**RUNS["random-etx-800"], objective="etx",
+                                rx_success_ratio=0.8, duration_s=300.0),
 }
 
 
@@ -77,11 +97,40 @@ def report(name: str, events: int, opcodes: Counter, frames: Counter) -> None:
         print(f"  {module:<14} {n / events:8.2f}")
 
 
+def heap(cfg: ScenarioConfig, trace: bool) -> tuple[int, int, int]:
+    """Bytes live at the run's return and at its peak, and its records."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = run_scenario(cfg, trace=trace)
+        live, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return live, peak, len(result.trace.records)
+
+
+def memory(repeat: int) -> None:
+    for name, fields in MEMORY_RUNS.items():
+        cfg = ScenarioConfig(seed=1, **fields)
+        for _ in range(repeat):
+            bare, _, _ = heap(cfg, False)
+            live, peak, records = heap(cfg, True)
+            print(f"{name}: live {live / 2**20:.2f} MB ({live} B), "
+                  f"peak {peak / 2**20:.2f} MB ({peak} B), untraced live "
+                  f"{bare / 2**20:.2f} MB ({bare} B); {records} records, "
+                  f"{(live - bare) / records:.1f} B/record")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--repeat", type=int, default=1,
                         help="count each run this many times (default 1)")
+    parser.add_argument("--memory", action="store_true",
+                        help="measure the heap of traced runs instead")
     args = parser.parse_args(argv)
+    if args.memory:
+        memory(args.repeat)
+        return 0
     per_event = {}
     for name, fields in RUNS.items():
         cfg = ScenarioConfig(objective="etx", rx_success_ratio=0.8,

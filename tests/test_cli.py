@@ -358,6 +358,19 @@ def fresh_serial_sweep(tmp_path_factory):
     return child.stdout.splitlines()[-1], out
 
 
+ROW_WITHOUT_PARSER = """
+import sys
+from rplsim.cli import result_to_row
+from rplsim.scenario import ScenarioConfig
+from rplsim.simulate import run_scenario
+row = result_to_row(run_scenario(ScenarioConfig(
+    node_count=5, topology="grid", objective="of0", rx_success_ratio=0.95,
+    duration_s=60.0, warmup_s=10.0)))
+print(row["rx_ratio"])
+print(sorted({"argparse", "gettext"} & set(sys.modules)))
+"""
+
+
 def never_run(*args, **kwargs):
     raise AssertionError("a run started despite a bad path")
 
@@ -704,6 +717,14 @@ class TestShippedArtifacts:
             cwd=ROOT / "src", capture_output=True, text=True)
         assert child.returncode == 0, child.stderr
         assert child.stdout.startswith("usage: rplsim ")
+
+    def test_a_row_is_built_without_argparse(self):
+        # importers of result_to_row, such as single-run benchmarks and
+        # notebooks, load no argparse and no gettext with it
+        child = subprocess.run(
+            [sys.executable, "-c", ROW_WITHOUT_PARSER], cwd=ROOT / "src",
+            capture_output=True, text=True, check=True)
+        assert child.stdout.splitlines() == ["0.95", "[]"]
 
     def test_a_failing_hypothesis_test_is_reported(self, tmp_path):
         # hypothesis reports a failing example through libcst, whose import

@@ -29,7 +29,7 @@ from rplsim.rpl import SENSOR, Node, ProtocolConfig
 from rplsim.scenario import (ConfigError, ScenarioConfig, generate_topology,
                              radio_links)
 from rplsim.simulate import RunResult, run_scenario
-from rplsim.telemetry import DROP_CAUSES, TRACE_FIELDS
+from rplsim.telemetry import DROP_CAUSES, TRACE_FIELDS, TraceRecorder
 
 
 class TestDeterminism:
@@ -437,11 +437,21 @@ def test_case_covers_its_facts(case):
     assert sorted(CASES[case].covers - facts(shipped(case))) == []
 
 
-def test_lines_match_the_json_module(tmp_path):
+def test_lines_match_the_json_module(tmp_path, monkeypatch):
     """write_jsonl's hand-built lines are the json module's, on a run that
-    holds every record kind and a null parent (test_case_covers_its_facts)."""
-    trace = shipped("every-record-shape").result.trace
-    records = [record_dict(r) for r in trace.records]
+    holds every record kind and a null parent (test_case_covers_its_facts).
+    The tuples are taken as emitted: `records` is decoded from those lines,
+    so lines rebuilt from it would repeat a template that swapped two
+    fields."""
+    emitted, emit = [], TraceRecorder.emit
+
+    def kept(self, record):
+        emitted.append(record)
+        emit(self, record)
+    monkeypatch.setattr(TraceRecorder, "emit", kept)
+    trace = run_case("every-record-shape").trace
+    assert trace.records == emitted
+    records = [record_dict(r) for r in emitted]
     for record in records:
         for key, value in record.items():
             assert isinstance(value, TRACE_FIELDS[record["ev"]][key])
@@ -486,7 +496,7 @@ def rx_names_first_frame_of_its_kind(result):
         elif rec[1] == "rx":
             rec = (*rec[:3], first[kind[rec[3]]])
         planted.append(rec)
-    result.trace.records = planted
+    result.trace.records[:] = planted
 
 
 def drop_first_deliver(result):

@@ -1,5 +1,6 @@
 """Energy ledger arithmetic, packet accounting and trace encoding."""
 
+import json
 import pathlib
 
 import pytest
@@ -7,7 +8,8 @@ import pytest
 from rplsim.engine import to_us
 from rplsim.scenario import ScenarioConfig
 from rplsim.simulate import run_scenario
-from rplsim.telemetry import (CPU, TRACE_FIELDS, EnergyCurrents, EnergyLedger,
+from rplsim.telemetry import (_CHUNK, CPU, DROP_CAUSES, TRACE_FIELDS,
+                              TRAFFIC_CLASSES, EnergyCurrents, EnergyLedger,
                               MetricsReport, RX, TraceRecorder, TX)
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -180,3 +182,62 @@ class TestTraceEncoding:
         trace.emit(record)
         with pytest.raises(KeyError):
             trace.write_jsonl(str(tmp_path / "trace.jsonl"))
+
+
+def synthetic(count: int) -> list[tuple]:
+    """count records, the kinds in turn: every frame kind, traffic class and
+    drop cause, and every third parent record a null parent."""
+    records = []
+    for t in range(count):
+        node, pid, i = t % 40, f"{t % 40}-{t}", t % 4
+        records.append([
+            (t, "tx", node, ("dio", "dis", "data", "ack")[i], t),
+            (t, "rx", node + 1, t - 1),
+            (t, "send", node, pid, TRAFFIC_CLASSES[i]),
+            (t, "fwd", node, pid),
+            (t, "deliver", 0, pid),
+            (t, "drop", node, pid, DROP_CAUSES[i]),
+            (t, "parent", node, None if t % 3 == 0 else node + 1, 256 * t),
+        ][t % len(TRACE_FIELDS)])
+    return records
+
+
+class TestChunkedTrace:
+    """A recorder encodes every _CHUNK records into text as they come."""
+
+    def test_lines_and_records_across_chunks(self, tmp_path):
+        emitted = synthetic(2 * _CHUNK + 100)
+        trace = TraceRecorder(enabled=True)
+        for i, record in enumerate(emitted):
+            if i in (0, 5, _CHUNK, _CHUNK + 7):    # each read, then emits
+                assert trace.records == emitted[:i]
+            trace.emit(record)
+        assert trace.records == emitted
+        path = tmp_path / "trace.jsonl"
+        trace.write_jsonl(str(path))
+        with open(path, encoding="utf-8", newline="") as fh:
+            lines = fh.readlines()
+        assert lines == [json.dumps(dict(zip(TRACE_FIELDS[r[1]], r)),
+                                    sort_keys=True, separators=(",", ":"))
+                         + "\n" for r in emitted]
+        assert trace.records == emitted
+
+    def test_records_is_one_list_until_the_next_emit(self):
+        trace = TraceRecorder(enabled=True)
+        emitted = synthetic(_CHUNK + 2)
+        for record in emitted[:-1]:
+            trace.emit(record)
+        view = trace.records
+        view[:] = view[:3]          # planted records stay until an emit
+        assert trace.records is view
+        trace.emit(emitted[-1])
+        assert trace.records == emitted
+
+    def test_disabled_recorder_keeps_nothing(self, tmp_path):
+        trace = TraceRecorder(enabled=False)
+        for record in synthetic(_CHUNK + 1):
+            trace.emit(record)
+        assert trace.records == []
+        path = tmp_path / "trace.jsonl"
+        trace.write_jsonl(str(path))
+        assert path.read_bytes() == b""
