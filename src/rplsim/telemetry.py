@@ -1,4 +1,4 @@
-"""Energy accounting and run metrics.
+"""Energy accounting, run metrics and the event trace.
 
 Each node carries an EnergyLedger of integer-microsecond state durations.
 The CPU dimension (active vs low-power) partitions elapsed time exactly;
@@ -17,11 +17,18 @@ the radio dimension (tx, rx) is a subset of it.  Charging rules:
 
 Power follows the two-rail model: every state duration times its current
 draw, summed across both rails, times supply voltage.
+
+The event trace: a TraceRecorder streams it as JSONL to an anonymous
+temporary file, _CHUNK records at a time, so a run never holds more than
+one chunk of record tuples.  The file is unlinked as it is made, so nothing
+is left on disk, and closed when the recorder goes; `records` decodes the
+tuples back from it with json.
 """
 
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -159,14 +166,14 @@ TRACE_FIELDS = {
     "drop": {**_HEAD, "pkt": str, "cause": str},
     "parent": {**_HEAD, "parent": int | None, "rank": int},
 }
-_FIELDS = {(ev, len(f)): f for ev, f in TRACE_FIELDS.items()}
-_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 _TUPLE = {ev: itemgetter(*f) for ev, f in TRACE_FIELDS.items()}
 _CHUNK = 4096                   # records a recorder holds as tuples at most
 
 
 def _encode(records: list[tuple]) -> str:
-    """The JSONL text of records; each line is what _ENCODE makes of its dict."""
+    """The JSONL text of records: each line is json.dumps of the record as a
+    dict, keys sorted, compact separators.  A record of an unknown kind or
+    width raises KeyError."""
     lines = []
     add = lines.append
     for r in records:
@@ -181,19 +188,27 @@ def _encode(records: list[tuple]) -> str:
                     f'"pkt":"{pkt}","t":{t}}}\n')
             case (t, ("fwd" | "deliver") as ev, node, pkt):
                 add(f'{{"ev":"{ev}","node":{node},"pkt":"{pkt}","t":{t}}}\n')
-            case _:                           # the rare kinds, or KeyError
-                add(_ENCODE(dict(zip(_FIELDS[r[1], len(r)], r))) + "\n")
+            case (t, "parent", node, parent, rank):
+                parent = "null" if parent is None else parent
+                add(f'{{"ev":"parent","node":{node},"parent":{parent},'
+                    f'"rank":{rank},"t":{t}}}\n')
+            case (t, "drop", node, pkt, cause):
+                add(f'{{"cause":"{cause}","ev":"drop","node":{node},'
+                    f'"pkt":"{pkt}","t":{t}}}\n')
+            case _:
+                raise KeyError(f"malformed trace record: {r!r}")
     return "".join(lines)
 
 
 class TraceRecorder:
-    """Holds the trace as JSONL text, encoded every _CHUNK records, and shows
-    it in `records` as tuples laid out by TRACE_FIELDS, decoded from the text.
-    Encoding fails on an unknown kind or width; disabled, it keeps none."""
+    """Streams the trace as JSONL text, encoded every _CHUNK records, into an
+    anonymous temporary file, and shows it in `records` as tuples laid out by
+    TRACE_FIELDS, decoded from that file.  Encoding fails on an unknown kind
+    or width; disabled, it keeps none."""
 
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
-        self._chunks: list[str] = []
+        self._file = None               # opened at the first full chunk
         self._tail: list[tuple] = []
         self._view: list[tuple] | None = None
 
@@ -202,22 +217,41 @@ class TraceRecorder:
             self._view = None
             self._tail.append(record)
             if len(self._tail) == _CHUNK:
-                self._chunks.append(_encode(self._tail))
-                self._tail.clear()
+                self._spill()
+
+    def _spill(self) -> None:
+        """Append the tail's text to the file and let the tuples go."""
+        if self._file is None:
+            import tempfile
+            # unlinked at creation, so nothing outlives the process; append
+            # mode writes at the end wherever a read left the offset
+            self._file = tempfile.TemporaryFile("a+b")
+            weakref.finalize(self, self._file.close)
+        self._file.write(_encode(self._tail).encode())
+        self._file.flush()      # a forked copy must hold no bytes to flush
+        self._tail.clear()
 
     @property
     def records(self) -> list[tuple]:
         """The records in emit order; one list, kept until the next emit."""
         if self._view is None:
-            arrays = ("[" + c[:-1].replace("\n", ",") + "]" for c in self._chunks)
-            self._view = [_TUPLE[d["ev"]](d) for a in arrays for d in json.loads(a)]
+            self._view = []
+            if self._file is not None:
+                self._file.seek(0)
+                while block := self._file.read(1 << 18):
+                    block += self._file.readline()      # to its last line's end
+                    array = b"[" + block[:-1].replace(b"\n", b",") + b"]"
+                    self._view += [_TUPLE[d["ev"]](d) for d in json.loads(array)]
             self._view += self._tail
         return self._view
 
     def write_jsonl(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(self._chunks)
-            fh.write(_encode(self._tail))
+        with open(path, "wb") as fh:
+            if self._file is not None:
+                self._file.seek(0)
+                while block := self._file.read(1 << 18):
+                    fh.write(block)
+            fh.write(_encode(self._tail).encode())
 
 
 NULL_TRACE = TraceRecorder(enabled=False)

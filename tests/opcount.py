@@ -21,10 +21,11 @@ instead measures memory under tracemalloc, for two seed-1 runs each made
 untraced and then traced: random OF0 at rx 1.0 with 100 nodes for 900 s, and
 random MRHOF at rx 0.8 with 800 nodes for 300 s on the square above.  It
 prints the Python heap live when the run returns (its result still held)
-and the peak during it, in MB, and the traced run's extra live bytes per
-trace record.  These counts repeat exactly from one invocation to the next;
-a repeat within one invocation reads a few kB lower, as the first run also
-fills one-time caches.
+and the peak during it, in MB, the traced run's extra live bytes per trace
+record, and the bytes of JSONL text its recorder keeps on disk instead.
+These counts repeat exactly from one invocation to the next; a repeat
+within one invocation reads a few kB lower, as the first run also fills
+one-time caches.
 """
 
 from __future__ import annotations
@@ -97,8 +98,9 @@ def report(name: str, events: int, opcodes: Counter, frames: Counter) -> None:
         print(f"  {module:<14} {n / events:8.2f}")
 
 
-def heap(cfg: ScenarioConfig, trace: bool) -> tuple[int, int, int]:
-    """Bytes live at the run's return and at its peak, and its records."""
+def heap(cfg: ScenarioConfig, trace: bool) -> tuple[int, int, int, int]:
+    """Bytes live at the run's return and at its peak, its records, and the
+    bytes of trace text its recorder keeps in its temporary file."""
     gc.collect()
     tracemalloc.start()
     try:
@@ -106,19 +108,22 @@ def heap(cfg: ScenarioConfig, trace: bool) -> tuple[int, int, int]:
         live, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return live, peak, len(result.trace.records)
+    spilled = result.trace._file
+    disk = 0 if spilled is None else os.fstat(spilled.fileno()).st_size
+    return live, peak, len(result.trace.records), disk
 
 
 def memory(repeat: int) -> None:
     for name, fields in MEMORY_RUNS.items():
         cfg = ScenarioConfig(seed=1, **fields)
         for _ in range(repeat):
-            bare, _, _ = heap(cfg, False)
-            live, peak, records = heap(cfg, True)
+            bare, _, _, _ = heap(cfg, False)
+            live, peak, records, disk = heap(cfg, True)
             print(f"{name}: live {live / 2**20:.2f} MB ({live} B), "
                   f"peak {peak / 2**20:.2f} MB ({peak} B), untraced live "
                   f"{bare / 2**20:.2f} MB ({bare} B); {records} records, "
-                  f"{(live - bare) / records:.1f} B/record")
+                  f"{(live - bare) / records:.1f} B/record; on disk "
+                  f"{disk / 2**20:.2f} MB ({disk} B)")
 
 
 def main(argv: list[str] | None = None) -> int:

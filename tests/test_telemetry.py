@@ -1,7 +1,10 @@
 """Energy ledger arithmetic, packet accounting and trace encoding."""
 
+import gc
 import json
+import os
 import pathlib
+import tracemalloc
 
 import pytest
 
@@ -174,9 +177,10 @@ class TestTraceEncoding:
     @pytest.mark.parametrize("record", [
         (5, "fwd", 1), (5, "fwd", 1, "1-1", 2), (5, "hop", 1, "1-1"),
         (5, "rx", 1), (5, "rx", 1, 0, 64, 1), (5, "tx", 1, "dio", 64, 1),
-        (5, "deliver", 0, "1-1", 2, 1001)],
+        (5, "deliver", 0, "1-1", 2, 1001), (5, "parent", 1, None),
+        (5, "drop", 1, "1-1", "ttl", 2)],
         ids=["short", "long", "unknown-ev", "short-rx", "six-field-rx",
-             "long-tx", "six-field-deliver"])
+             "long-tx", "six-field-deliver", "short-parent", "long-drop"])
     def test_malformed_record_raises(self, record, tmp_path):
         trace = TraceRecorder(enabled=True)
         trace.emit(record)
@@ -202,6 +206,17 @@ def synthetic(count: int) -> list[tuple]:
     return records
 
 
+def json_lines(records: list[tuple]) -> str:
+    """The JSONL text of records as the json module writes each one."""
+    return "".join(json.dumps(dict(zip(TRACE_FIELDS[r[1]], r)),
+                              sort_keys=True, separators=(",", ":")) + "\n"
+                   for r in records)
+
+
+def open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
 class TestChunkedTrace:
     """A recorder encodes every _CHUNK records into text as they come."""
 
@@ -215,11 +230,7 @@ class TestChunkedTrace:
         assert trace.records == emitted
         path = tmp_path / "trace.jsonl"
         trace.write_jsonl(str(path))
-        with open(path, encoding="utf-8", newline="") as fh:
-            lines = fh.readlines()
-        assert lines == [json.dumps(dict(zip(TRACE_FIELDS[r[1]], r)),
-                                    sort_keys=True, separators=(",", ":"))
-                         + "\n" for r in emitted]
+        assert path.read_bytes() == json_lines(emitted).encode()
         assert trace.records == emitted
 
     def test_records_is_one_list_until_the_next_emit(self):
@@ -241,3 +252,88 @@ class TestChunkedTrace:
         path = tmp_path / "trace.jsonl"
         trace.write_jsonl(str(path))
         assert path.read_bytes() == b""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="counts open files in /proc/self/fd")
+class TestSpilledTrace:
+    """A recorder streams each full chunk into an anonymous temporary file,
+    opened at the first one and closed when the recorder goes."""
+
+    def test_dropping_a_recorder_closes_its_file(self):
+        fds = open_fds()
+        trace = TraceRecorder(enabled=True)
+        emitted = synthetic(2 * _CHUNK)
+        for record in emitted[:_CHUNK - 1]:
+            trace.emit(record)
+        assert open_fds() == fds            # a short trace opens no file
+        for record in emitted[_CHUNK - 1:]:
+            trace.emit(record)
+        assert open_fds() == fds + 1        # one file holds every chunk
+        del trace
+        assert open_fds() == fds
+
+    def test_each_write_holds_the_whole_trace(self, tmp_path):
+        emitted = synthetic(3 * _CHUNK + 5)
+        trace = TraceRecorder(enabled=True)
+        for record in emitted[:2 * _CHUNK + 1]:
+            trace.emit(record)
+        first, again, later = (tmp_path / f"{name}.jsonl"
+                               for name in ("first", "again", "later"))
+        trace.write_jsonl(str(first))
+        trace.write_jsonl(str(again))
+        assert (first.read_bytes() == again.read_bytes()
+                == json_lines(emitted[:2 * _CHUNK + 1]).encode())
+        for record in emitted[2 * _CHUNK + 1:]:
+            trace.emit(record)
+        trace.write_jsonl(str(later))
+        assert later.read_bytes() == json_lines(emitted).encode()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_copy_leaves_the_parents_file_alone(self, tmp_path):
+        """A child that drops its copy closes only its own descriptor: it
+        writes nothing to the file the two share, and removes nothing."""
+        emitted = synthetic(2 * _CHUNK + 5)
+        trace = TraceRecorder(enabled=True)
+        for record in emitted:
+            trace.emit(record)
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                fds = open_fds()
+                del trace
+                gc.collect()
+                code = 0 if open_fds() == fds - 1 else 2
+            finally:
+                os._exit(code)
+        assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+        assert trace.records == emitted
+        path = tmp_path / "trace.jsonl"
+        trace.write_jsonl(str(path))
+        assert path.read_bytes() == json_lines(emitted).encode()
+
+
+def test_a_traced_run_holds_under_one_chunk_of_text(tmp_path):
+    """The trace of a run whose records fill three chunks and start a fourth
+    costs less live heap than one chunk of its JSONL text: the chunks are on
+    disk, and the tail of 1,390 records is all the recorder holds."""
+    cfg = ScenarioConfig(seed=1, node_count=100, topology="random",
+                         objective="of0", rx_success_ratio=1.0,
+                         duration_s=240.0)
+    live = {}
+    for trace in (False, True):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            result = run_scenario(cfg, trace=trace)
+            gc.collect()                # and empty the tuple free lists
+            live[trace] = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+    records = len(result.trace.records)
+    assert records // _CHUNK == 3
+    path = tmp_path / "trace.jsonl"
+    result.trace.write_jsonl(str(path))
+    chunk_text = _CHUNK * path.stat().st_size / records
+    assert live[True] - live[False] < chunk_text, (live, chunk_text)
