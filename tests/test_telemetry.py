@@ -4,6 +4,8 @@ import gc
 import json
 import os
 import pathlib
+import signal
+import time
 import tracemalloc
 
 import pytest
@@ -307,7 +309,14 @@ class TestSpilledTrace:
                 code = 0 if open_fds() == fds - 1 else 2
             finally:
                 os._exit(code)
-        assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+        deadline = time.monotonic() + 30
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0:
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child did not exit within 30 s")
+            time.sleep(0.01)
+        assert os.waitstatus_to_exitcode(done[1]) == 0
         assert trace.records == emitted
         path = tmp_path / "trace.jsonl"
         trace.write_jsonl(str(path))
