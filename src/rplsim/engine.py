@@ -3,7 +3,7 @@
 Virtual time is a 64-bit count of microseconds so event ordering is exact
 and identical on every platform; the clock is the plain attribute
 Simulator.now, which only run_until writes.  An event is an action queued
-a delay after now; equal fire times dequeue in scheduling (FIFO) order.
+at a time not before now; equal times dequeue in scheduling (FIFO) order.
 Randomness is drawn from streams derived from (master_seed, purpose,
 node), so each subsystem's draw sequence is independent of how many draws
 the others make.
@@ -67,10 +67,6 @@ class Simulator:
         heappush(self._heap, (fire_time, self._seq, event))
         self._seq += 1
         return event
-
-    def schedule_in(self, delay: int, action: Callable[[], None]) -> Event:
-        """Queue action to run delay microseconds from now."""
-        return self.schedule(self.now + delay, None, None, action)
 
     def run_until(self, end_time: int) -> int:
         """Process every event with fire_time <= end_time; clock ends at end_time."""

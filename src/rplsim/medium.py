@@ -210,7 +210,7 @@ class Medium:
             else:
                 self._begin_csma(radio, frame)  # busy: a fresh backoff
 
-        sim = self.sim     # per-frame events skip schedule_in's extra call
+        sim = self.sim
         backoff = below(radio.jitter, self._backoff_window_us)
         sim.schedule(sim.now + backoff, None, None, sense)
 

@@ -327,8 +327,7 @@ class Node:
                 return
             self._hk_event.cancel()
         self._hk_due = due
-        self._hk_event = self.sim.schedule_in(due - self.sim.now,
-                                              self._housekeeping)
+        self._hk_event = self.sim.schedule(due, None, None, self._housekeeping)
 
     def _housekeeping(self) -> None:
         self._hk_event = None
@@ -349,7 +348,8 @@ class Node:
         """Make `action` the one pending timer; handlers clear `_timer` first."""
         if self._timer is not None:
             self._timer.cancel()
-        self._timer = self.sim.schedule_in(delay_us, action)
+        self._timer = self.sim.schedule(self.sim.now + delay_us, None, None,
+                                        action)
 
     def _trickle_reset(self) -> None:
         self.trickle.current_interval_us = self.trickle.i_min_us

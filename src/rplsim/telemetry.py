@@ -21,8 +21,8 @@ draw, summed across both rails, times supply voltage.
 The event trace: a TraceRecorder streams it as JSONL to an anonymous
 temporary file, _CHUNK records at a time, so a run never holds more than
 one chunk of record tuples.  The file is unlinked as it is made, so nothing
-is left on disk, and closed when the recorder goes; `records` decodes the
-tuples back from it with json.
+is left on disk, and closed when the recorder goes.  The recorder only
+writes; read_jsonl decodes the file write_jsonl copies out.
 """
 
 from __future__ import annotations
@@ -200,21 +200,30 @@ def _encode(records: list[tuple]) -> str:
     return "".join(lines)
 
 
+def read_jsonl(path: str) -> list[tuple]:
+    """The record tuples of a trace that write_jsonl wrote to path, in emit
+    order and laid out by TRACE_FIELDS."""
+    records = []
+    with open(path, "rb") as fh:
+        while block := fh.read(1 << 18):
+            block += fh.readline()      # to its last line's end
+            array = b"[" + block[:-1].replace(b"\n", b",") + b"]"
+            records += [_TUPLE[d["ev"]](d) for d in json.loads(array)]
+    return records
+
+
 class TraceRecorder:
     """Streams the trace as JSONL text, encoded every _CHUNK records, into an
-    anonymous temporary file, and shows it in `records` as tuples laid out by
-    TRACE_FIELDS, decoded from that file.  Encoding fails on an unknown kind
-    or width; disabled, it keeps none."""
+    anonymous temporary file that write_jsonl copies out.  Encoding fails on
+    an unknown kind or width; disabled, it keeps none."""
 
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
-        self._file = None               # opened at the first full chunk
+        self._file = None               # opened at the first spill
         self._tail: list[tuple] = []
-        self._view: list[tuple] | None = None
 
     def emit(self, record: tuple) -> None:
         if self.enabled:
-            self._view = None
             self._tail.append(record)
             if len(self._tail) == _CHUNK:
                 self._spill()
@@ -231,27 +240,12 @@ class TraceRecorder:
         self._file.flush()      # a forked copy must hold no bytes to flush
         self._tail.clear()
 
-    @property
-    def records(self) -> list[tuple]:
-        """The records in emit order; one list, kept until the next emit."""
-        if self._view is None:
-            self._view = []
-            if self._file is not None:
-                self._file.seek(0)
-                while block := self._file.read(1 << 18):
-                    block += self._file.readline()      # to its last line's end
-                    array = b"[" + block[:-1].replace(b"\n", b",") + b"]"
-                    self._view += [_TUPLE[d["ev"]](d) for d in json.loads(array)]
-            self._view += self._tail
-        return self._view
-
     def write_jsonl(self, path: str) -> None:
+        self._spill()
+        self._file.seek(0)
         with open(path, "wb") as fh:
-            if self._file is not None:
-                self._file.seek(0)
-                while block := self._file.read(1 << 18):
-                    fh.write(block)
-            fh.write(_encode(self._tail).encode())
+            while block := self._file.read(1 << 18):
+                fh.write(block)
 
 
 NULL_TRACE = TraceRecorder(enabled=False)

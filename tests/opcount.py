@@ -38,6 +38,7 @@ import sys
 import tracemalloc
 from collections import Counter
 
+from oracles import trace_records
 from rplsim.scenario import ScenarioConfig
 from rplsim.simulate import run_scenario
 
@@ -110,7 +111,8 @@ def heap(cfg: ScenarioConfig, trace: bool) -> tuple[int, int, int, int]:
         tracemalloc.stop()
     spilled = result.trace._file
     disk = 0 if spilled is None else os.fstat(spilled.fileno()).st_size
-    return live, peak, len(result.trace.records), disk
+    records = len(trace_records(result.trace)) if trace else 0
+    return live, peak, records, disk
 
 
 def memory(repeat: int) -> None:

@@ -3,18 +3,22 @@
 Everything here is deliberately written against first principles (graph
 search, enumeration, summation over trace records) rather than reusing the
 simulator's own code paths.  Each run oracle in ORACLES takes a finished,
-traced RunResult and returns its problems; check_run applies them all.
+traced RunResult, and those in TRACE_ORACLES also its trace records as
+read_jsonl reads them back from the written JSONL; each returns its
+problems, and check_run applies them all.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import os
+import tempfile
 from collections import defaultdict, deque
 
 from rplsim.engine import to_us
 from rplsim.objective import MRHOF_ETX
-from rplsim.telemetry import TRACE_FIELDS
+from rplsim.telemetry import TRACE_FIELDS, read_jsonl
 
 ETX_SCALE = 128
 US_PER_S = 1_000_000
@@ -105,6 +109,15 @@ def unicast_expectation(per_attempt_success: float,
     }
 
 
+def trace_records(trace) -> list[tuple]:
+    """A recorder's trace as record tuples: its JSONL, written by
+    write_jsonl to a temporary file and read back by read_jsonl."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "trace.jsonl")
+        trace.write_jsonl(path)
+        return read_jsonl(path)
+
+
 def record_dict(record: tuple) -> dict:
     """A trace record tuple as the JSON object its line should hold."""
     return dict(zip(TRACE_FIELDS[record[1]], record, strict=True))
@@ -146,7 +159,7 @@ def replay_energy(records: list[tuple], medium,
     return acc
 
 
-def check_frames(result) -> list[str]:
+def check_frames(result, records: list[tuple]) -> list[str]:
     """Each frame's facts, held in its tx records only.
 
     Every tx of one frame (a retried unicast airs its frame again) has the
@@ -156,7 +169,7 @@ def check_frames(result) -> list[str]:
     """
     airtime, problems = airtime_by_kind(result.config.medium), []
     aired, latest = {}, {}      # (node, kind) and the latest tx t, by frame
-    for rec in result.trace.records:
+    for rec in records:
         if rec[1] == "tx":
             facts, frame = rec[2:4], rec[4]
             first = aired.setdefault(frame, facts)
@@ -205,7 +218,7 @@ def held_packets(result) -> set:
     return held
 
 
-def check_packets(result) -> list[str]:
+def check_packets(result, records: list[tuple]) -> list[str]:
     """Per-packet conservation, read from the run's trace.
 
     Each send comes after the run's warmup, and each sent pid has at most
@@ -216,7 +229,7 @@ def check_packets(result) -> list[str]:
     """
     sent, fated, problems = set(), {}, []
     warmup = to_us(result.config.warmup_s)
-    for rec in result.trace.records:
+    for rec in records:
         ev = rec[1]
         if ev not in ("send", "fwd", "deliver", "drop"):
             continue
@@ -239,7 +252,7 @@ def check_packets(result) -> list[str]:
         problems.append(f"{pid}: no fate, and no queue or job holds it")
     for pid in sorted(held - unfated):
         problems.append(f"{pid}: held at the end, but not an unfated send")
-    paths, m = deliveries(result.trace.records).values(), result.metrics
+    paths, m = deliveries(records).values(), result.metrics
     derived = (sum(h for h, _ in paths), sum(lat for _, lat in paths))
     if derived != (m.hop_total, m.latency_total_us):
         problems.append(f"derived (hops, latency) totals {derived}, metrics "
@@ -307,11 +320,11 @@ def check_energy(result) -> list[str]:
     return problems
 
 
-def check_replay(result) -> list[str]:
+def check_replay(result, records: list[tuple]) -> list[str]:
     """Each node's tx, rx and cpu time, replayed from the trace by
     replay_energy, equal its ledger's."""
     cfg, problems = result.config, []
-    replayed = replay_energy(result.trace.records, cfg.medium,
+    replayed = replay_energy(records, cfg.medium,
                              to_us(cfg.protocol.cpu_process_s))
     for nid, ledger in result.ledgers.items():
         got = replayed[nid]
@@ -323,12 +336,16 @@ def check_replay(result) -> list[str]:
 
 
 # Every oracle a finished, traced run must pass
-ORACLES = (check_packets, check_frames, check_tree, check_energy,
-           check_replay)
+TRACE_ORACLES = (check_packets, check_frames, check_replay)
+ORACLES = (*TRACE_ORACLES, check_tree, check_energy)
 
 
-def check_run(result) -> list[str]:
+def check_run(result, records: list[tuple] | None = None) -> list[str]:
     """The problems every oracle finds in the run, each led by the name of
-    the oracle that found it."""
+    the oracle that found it.  The trace oracles read records, by default
+    the run's trace read back once by trace_records."""
+    if records is None:
+        records = trace_records(result.trace)
     return [f"{oracle.__name__}: {problem}" for oracle in ORACLES
-            for problem in oracle(result)]
+            for problem in (oracle(result, records)
+                            if oracle in TRACE_ORACLES else oracle(result))]

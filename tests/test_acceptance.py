@@ -95,7 +95,7 @@ def oracle_graphs(count=50):
 
 # --------------------------------------------------------------- criterion 1
 
-def test_criterion_1_determinism():
+def test_criterion_1_determinism(tmp_path):
     with criterion(1, "determinism"):
         cfg = ScenarioConfig(node_count=40, topology="random",
                              objective="etx", rx_success_ratio=0.8,
@@ -104,8 +104,11 @@ def test_criterion_1_determinism():
         second = run_scenario(cfg, trace=True)
         row_a, row_b = result_to_row(first), result_to_row(second)
         assert row_a == row_b
-        assert first.trace.records == second.trace.records
-        assert first.trace.records
+        for name, result in (("first", first), ("second", second)):
+            result.trace.write_jsonl(str(tmp_path / f"{name}.jsonl"))
+        written = (tmp_path / "first.jsonl").read_bytes()
+        assert written == (tmp_path / "second.jsonl").read_bytes()
+        assert written
 
 
 # --------------------------------------------------------------- criterion 2

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import rplsim.simulate
+from oracles import trace_records
 from rplsim.engine import Event, Simulator
 from rplsim.medium import Frame, FrameKind, Transmission, _Radio
 from rplsim.rpl import CandidateInfo, DataPacket, DioMessage, Node
@@ -81,7 +82,7 @@ def test_hooks_count_a_traced_run(hooks, objective):
     assert tracer.absent == {}
     values, absent = hooks.layer_metrics(tracer, 0.0)
     assert absent == {}
-    records = result.trace.records
+    records = trace_records(result.trace)
     by_event = Counter(r[1] for r in records)
     assert by_event["rx"] > 0
     assert values["medium.rx.delivered"] == by_event["rx"]

@@ -709,6 +709,45 @@ class TestShippedArtifacts:
                            .split(".")[0]) not in used]
         assert not unused
 
+    def test_every_definition_is_used(self):
+        # each function, class, method and module constant in src/rplsim is
+        # read somewhere outside its own definition, in src/, tests/ or
+        # perfbench/; perfbench/hooks.py names its targets in strings such
+        # as "Simulator.schedule", so each dotted part of a string counts
+        used = {}
+        for path in [*(ROOT / "src").rglob("*.py"),
+                     *(ROOT / "tests").glob("*.py"),
+                     *(ROOT / "perfbench").glob("*.py")]:
+            for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+                if isinstance(node, ast.Constant) and isinstance(node.value,
+                                                                 str):
+                    names = node.value.split(".")
+                elif isinstance(getattr(node, "ctx", None), ast.Load):
+                    names = [getattr(node, "id", getattr(node, "attr", None))]
+                else:
+                    continue
+                for name in names:
+                    used.setdefault(name, []).append((path, node.lineno))
+        unused = []
+        for path in sorted((ROOT / "src" / "rplsim").rglob("*.py")):
+            defined = []
+            for node in ast.parse(path.read_text("utf-8")).body:
+                if isinstance(node, ast.ClassDef):
+                    defined += [(method.name, method) for method in node.body
+                                if isinstance(method, ast.FunctionDef)]
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    defined.append((node.name, node))
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    defined += [(name.id, node) for name in ast.walk(node)
+                                if isinstance(name, ast.Name)
+                                and isinstance(name.ctx, ast.Store)]
+            unused += [f"{path.name}: {name}" for name, node in defined
+                       if not (name.startswith("__") and name.endswith("__"))
+                       and all(at == path and node.lineno <= line
+                               <= node.end_lineno
+                               for at, line in used.get(name, []))]
+        assert not unused
+
     def test_module_entry_point_exits_0(self):
         # python -m rplsim.cli reaches main through cli.py's own sys.exit;
         # -m puts the working directory, src/, on the child's path

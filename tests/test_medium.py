@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
-from oracles import disk_edges
+from oracles import disk_edges, trace_records
 from rplsim.engine import Simulator, to_us
 from rplsim.medium import FrameKind, Medium, MediumConfig, Outcome
 from rplsim.scenario import radio_links
@@ -227,7 +227,7 @@ class TestDelivery:
         medium.broadcast(0, FrameKind.DIS)
         sim.run_until(SEC)
         assert sim.events_processed == 2        # CSMA sense, TX_END
-        (tx,) = [r for r in trace.records if r[1] == "tx"]
+        (tx,) = [r for r in trace_records(trace) if r[1] == "tx"]
         end = tx[0] + medium.cfg.airtime_us(medium.cfg.control_frame_bytes)
         assert heard == [(end, 1), (end, 2), (end, 3)]
 
@@ -244,7 +244,7 @@ class TestDelivery:
         sim.schedule(1700, None, None,
                      lambda: medium.broadcast(0, FrameKind.DIS))
         sim.run_until(SEC)
-        start = {r[3]: r[0] for r in trace.records if r[1] == "tx"}
+        start = {r[3]: r[0] for r in trace_records(trace) if r[1] == "tx"}
         assert start["dis"] < start["ack"] < start["dis"] + 2048
         assert [(r, o) for f, r, o in drawn if f.kind is FrameKind.DIS] \
             == [(1, Outcome.LOST_COLLISION)]
@@ -343,7 +343,7 @@ class TestJobEnd:
         assert [(f.kind, r, o) for f, r, o in drawn] == [
             (FrameKind.DIS, 1, Outcome.DELIVERED),
             (FrameKind.DIO, 1, Outcome.DELIVERED)]
-        sent = [r[3] for r in trace.records if r[1] == "tx"]
+        sent = [r[3] for r in trace_records(trace) if r[1] == "tx"]
         assert sent == ["dis", "dio"]
 
     def test_ack_during_broadcast_leaves_the_job_alone(self):
@@ -355,9 +355,10 @@ class TestJobEnd:
                          on_done=lambda: seen.append(len(drawn)))
         medium._send_ack(medium.radios[1], 0)     # heard during 0's backoff
         sim.run_until(SEC)
-        ack, dis = [r for r in trace.records if r[1] == "tx"]
+        records = trace_records(trace)
+        ack, dis = [r for r in records if r[1] == "tx"]
         assert (ack[3], dis[3]) == ("ack", "dis")
-        heard = [(r[2], r[3]) for r in trace.records if r[1] == "rx"]
+        heard = [(r[2], r[3]) for r in records if r[1] == "rx"]
         assert heard == [(0, ack[4]), (1, dis[4])]
         assert [(f.kind, r, o) for f, r, o in drawn] == [
             (FrameKind.ACK, 0, Outcome.DELIVERED),
@@ -401,7 +402,7 @@ class TestAckTimeout:
         medium.unicast_with_ack(0, 1, None,
                                 lambda *r: results.append((sim.now, *r)))
         sim.run_until(SEC)
-        sent = {r[3]: r[0] for r in trace.records if r[1] == "tx"}
+        sent = {r[3]: r[0] for r in trace_records(trace) if r[1] == "tx"}
         cfg = medium.cfg
         due = (sent["data"] + cfg.airtime_us(cfg.data_frame_bytes)
                + to_us(cfg.ack_timeout_s))
@@ -426,7 +427,8 @@ class TestAckTimeout:
         # 1's ACK at 0
         results, due, sent = self.run(
             {0: (0.0, 0.0), 1: (80.0, 0.0), 2: (-80.0, 0.0)},
-            on_data=lambda sim, medium: sim.schedule_in(
-                100, lambda: medium.broadcast(2, FrameKind.DIS)))
+            on_data=lambda sim, medium: sim.schedule(
+                sim.now + 100, None, None,
+                lambda: medium.broadcast(2, FrameKind.DIS)))
         assert sent["dis"] < sent["ack"] < sent["dis"] + 2048
         assert results == [(due, False, 1, True)]

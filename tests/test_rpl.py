@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rplsim.rpl
-from oracles import check_run, deliveries
+from oracles import check_run, deliveries, trace_records
 from rplsim.engine import Event, to_us
 from rplsim.objective import (ETX_INITIAL, INFINITE_RANK, MAX_PATH_COST,
                               RANK_UNIT, ROOT_RANK, mrhof_path_cost)
@@ -262,10 +262,11 @@ class TestForwarding:
                              warmup_s=30.0,
                              traffic_classes=("high-critical",))
         result = run_scenario(cfg, positions=line_positions(4), trace=True)
-        paths = deliveries(result.trace.records)     # pid: (hops, latency)
+        records = trace_records(result.trace)
+        paths = deliveries(records)     # pid: (hops, latency)
         far = [hops for pid, (hops, _) in paths.items() if pid[:2] == "3-"]
         assert far and all(hops == 3 for hops in far)
-        assert check_run(result) == []
+        assert check_run(result, records) == []
 
     def test_unjoined_generation_is_a_no_route_drop(self):
         sim, _, nodes, metrics = make_net(line_positions(2))

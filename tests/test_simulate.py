@@ -18,7 +18,7 @@ from typing import NamedTuple
 import pytest
 
 import rplsim.rpl
-from oracles import check_run, record_dict
+from oracles import check_run, record_dict, trace_records
 from rplsim.cli import result_to_row
 from rplsim.engine import Event, Simulator, derive_stream, to_us
 from rplsim.medium import MediumConfig
@@ -29,7 +29,8 @@ from rplsim.rpl import SENSOR, Node, ProtocolConfig
 from rplsim.scenario import (ConfigError, ScenarioConfig, generate_topology,
                              radio_links)
 from rplsim.simulate import RunResult, run_scenario
-from rplsim.telemetry import DROP_CAUSES, TRACE_FIELDS, TraceRecorder
+from rplsim.telemetry import (DROP_CAUSES, TRACE_FIELDS, TraceRecorder,
+                              read_jsonl)
 
 
 class TestDeterminism:
@@ -38,7 +39,7 @@ class TestDeterminism:
                     rx_success_ratio=0.8, duration_s=300.0, warmup_s=60.0)
         a = run_scenario(ScenarioConfig(seed=1, **base), trace=True)
         b = run_scenario(ScenarioConfig(seed=2, **base), trace=True)
-        assert a.trace.records != b.trace.records
+        assert trace_records(a.trace) != trace_records(b.trace)
 
 
 class TestMemory:
@@ -70,7 +71,8 @@ class TestWarmup:
                              duration_s=700.0, warmup_s=60.0,
                              traffic_classes=("low-critical",))
         result = run_scenario(cfg, trace=True)
-        sends = sorted(r[0] for r in result.trace.records if r[1] == "send")
+        sends = sorted(r[0] for r in trace_records(result.trace)
+                       if r[1] == "send")
         assert sends[0] == to_us(360.0)
 
 
@@ -355,6 +357,7 @@ def full_selection(objective, node):
 class Shipped(NamedTuple):
     """A case's run as the shipped code makes it, with what it did."""
     result: RunResult
+    decoded: list               # its trace, as trace_records reads it
     digests: tuple[str, str]
     work: dict                  # in the shape of Case.work
     wakes: list                 # as record_wakes takes them
@@ -397,12 +400,14 @@ def shipped(case):
         mp.setattr(Node, "_reselect", priced_reselect)
         wakes = record_wakes(mp)
         result = run_case(case)
-    tx = Counter(r[3] for r in result.trace.records if r[1] == "tx")
+    records = trace_records(result.trace)
+    tx = Counter(r[3] for r in records if r[1] == "tx")
     work = dict(processed=result.nodes[0].sim.events_processed,
                 scheduled=calls["scheduled"], cancelled=calls["cancelled"],
                 selections=calls["selections"],
                 etx_updates=calls["etx_updates"], tx=dict(sorted(tx.items())))
-    run = Shipped(result, digests(result), work, wakes, stale, priced, unlike)
+    run = Shipped(result, records, digests(result), work, wakes, stale,
+                  priced, unlike)
     gc.freeze()     # kept all session, so later runs' collections skip it
     return run
 
@@ -410,7 +415,7 @@ def shipped(case):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_trace_and_row_digests(case):
     run = shipped(case)
-    assert check_run(run.result) == []     # a moved case says why first
+    assert check_run(run.result, run.decoded) == []  # a moved case says why
     assert run.digests == CASES[case].digests
 
 
@@ -421,7 +426,7 @@ def test_work_counts(case):
 
 def facts(run):
     """The EVERY_FACT names a shipped run holds."""
-    records = [record_dict(r) for r in run.result.trace.records]
+    records = [record_dict(r) for r in run.decoded]
     held = {r["ev"] for r in records}
     held |= {r["cause"] for r in records if r["ev"] == "drop"}
     if any(r["ev"] == "parent" and r["parent"] is None for r in records):
@@ -439,10 +444,10 @@ def test_case_covers_its_facts(case):
 
 def test_lines_match_the_json_module(tmp_path, monkeypatch):
     """write_jsonl's hand-built lines are the json module's, on a run that
-    holds every record kind and a null parent (test_case_covers_its_facts).
-    The tuples are taken as emitted: `records` is decoded from those lines,
-    so lines rebuilt from it would repeat a template that swapped two
-    fields."""
+    holds every record kind and a null parent (test_case_covers_its_facts),
+    and read_jsonl gives back the tuples as emitted.  The lines are checked
+    against the emitted tuples: lines rebuilt from a decode of themselves
+    would repeat a template that swapped two fields."""
     emitted, emit = [], TraceRecorder.emit
 
     def kept(self, record):
@@ -450,7 +455,6 @@ def test_lines_match_the_json_module(tmp_path, monkeypatch):
         emit(self, record)
     monkeypatch.setattr(TraceRecorder, "emit", kept)
     trace = run_case("every-record-shape").trace
-    assert trace.records == emitted
     records = [record_dict(r) for r in emitted]
     for record in records:
         for key, value in record.items():
@@ -463,6 +467,7 @@ def test_lines_match_the_json_module(tmp_path, monkeypatch):
         lines = fh.readlines()
     assert lines == [json.dumps(r, sort_keys=True, separators=(",", ":"))
                      + "\n" for r in records]
+    assert read_jsonl(str(path)) == emitted
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -485,33 +490,32 @@ def test_lazy_selection_is_exact(case):
     assert shipped(case).unlike == []
 
 
-def rx_names_first_frame_of_its_kind(result):
+def rx_names_first_frame_of_its_kind(result, records):
     # a frame that an earlier tx aired, by one node with one kind, so only
     # the rx's time, the end of its frame's latest airing, can give it away
     kind, first, planted = {}, {}, []
-    for rec in result.trace.records:
+    for rec in records:
         if rec[1] == "tx":
             kind[rec[4]] = rec[3]
             first.setdefault(rec[3], rec[4])
         elif rec[1] == "rx":
             rec = (*rec[:3], first[kind[rec[3]]])
         planted.append(rec)
-    result.trace.records[:] = planted
+    records[:] = planted
 
 
-def drop_first_deliver(result):
-    records = result.trace.records
+def drop_first_deliver(result, records):
     records.remove(next(rec for rec in records if rec[1] == "deliver"))
 
 
-def detach_a_parent(result):
+def detach_a_parent(result, records):
     # the parent of a joined sensor whose parent is not the sink
     child = next(node for node in result.nodes.values()
                  if node.preferred_parent not in (None, 0))
     result.nodes[child.preferred_parent].preferred_parent = None
 
 
-def loop_a_parent(result):
+def loop_a_parent(result, records):
     # the parent of a joined sensor, a sensor that heard it, takes it as its
     # own parent
     nodes = result.nodes
@@ -521,7 +525,7 @@ def loop_a_parent(result):
     nodes[child.preferred_parent].preferred_parent = child.id
 
 
-def adopt_an_unheard_parent(result):
+def adopt_an_unheard_parent(result, records):
     # a joined sensor that never heard the sink takes it as its parent
     child = next(node for node in result.nodes.values()
                  if node.preferred_parent not in (None, 0)
@@ -529,23 +533,22 @@ def adopt_an_unheard_parent(result):
     child.preferred_parent = 0
 
 
-def raise_cpu(result):
+def raise_cpu(result, records):
     result.ledgers[1].cpu_us += 1
 
 
-def send_before_warmup(result):
-    records = result.trace.records
+def send_before_warmup(result, records):
     index = next(i for i, rec in enumerate(records) if rec[1] == "send")
     records[index] = (0, *records[index][1:])
 
 
-def cost_below_hops(result):
+def cost_below_hops(result, records):
     # a joined MRHOF sensor claims a free path to the sink
     next(node for node in result.nodes.values()
          if node.joined and node.role == SENSOR).path_cost = 0
 
 
-def move_lpm_to_tx(result):
+def move_lpm_to_tx(result, records):
     # cpu + lpm is still the elapsed time; only the trace can tell
     ledger = result.ledgers[1]
     ledger.tx_us += 1
@@ -553,7 +556,8 @@ def move_lpm_to_tx(result):
     ledger.lpm_us -= 1
 
 
-# A defect planted in a finished run, and the oracles that must see it
+# A defect planted in a finished run or in its trace records, and the
+# oracles that must see it
 PLANTED = {
     "rx-names-first-frame-of-its-kind": (rx_names_first_frame_of_its_kind,
                                          {"check_frames"}),
@@ -573,9 +577,10 @@ PLANTED = {
 def test_check_run_sees_a_planted_defect(defect):
     plant, oracles = PLANTED[defect]
     result = run_case("lossy-random-etx")
-    plant(result)
-    assert {problem.split(":", 1)[0] for problem in check_run(result)} \
-        == oracles
+    records = trace_records(result.trace)
+    plant(result, records)
+    assert {problem.split(":", 1)[0]
+            for problem in check_run(result, records)} == oracles
 
 
 # Each variant below runs a case another way that must give the bytes of

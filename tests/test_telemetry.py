@@ -15,7 +15,7 @@ from rplsim.scenario import ScenarioConfig
 from rplsim.simulate import run_scenario
 from rplsim.telemetry import (_CHUNK, CPU, DROP_CAUSES, TRACE_FIELDS,
                               TRAFFIC_CLASSES, EnergyCurrents, EnergyLedger,
-                              MetricsReport, RX, TraceRecorder, TX)
+                              MetricsReport, RX, TraceRecorder, TX, read_jsonl)
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -220,40 +220,32 @@ def open_fds() -> int:
 
 
 class TestChunkedTrace:
-    """A recorder encodes every _CHUNK records into text as they come."""
+    """A recorder encodes every _CHUNK records into text as they come, and
+    read_jsonl reads back the records of each write."""
 
     def test_lines_and_records_across_chunks(self, tmp_path):
+        # the whole trace spans two of read_jsonl's 256 kB blocks
         emitted = synthetic(2 * _CHUNK + 100)
         trace = TraceRecorder(enabled=True)
-        for i, record in enumerate(emitted):
-            if i in (0, 5, _CHUNK, _CHUNK + 7):    # each read, then emits
-                assert trace.records == emitted[:i]
-            trace.emit(record)
-        assert trace.records == emitted
         path = tmp_path / "trace.jsonl"
+        for i, record in enumerate(emitted):
+            if i in (0, 5, _CHUNK, _CHUNK + 7):    # each write, then emits
+                trace.write_jsonl(str(path))
+                assert read_jsonl(str(path)) == emitted[:i]
+            trace.emit(record)
         trace.write_jsonl(str(path))
         assert path.read_bytes() == json_lines(emitted).encode()
-        assert trace.records == emitted
-
-    def test_records_is_one_list_until_the_next_emit(self):
-        trace = TraceRecorder(enabled=True)
-        emitted = synthetic(_CHUNK + 2)
-        for record in emitted[:-1]:
-            trace.emit(record)
-        view = trace.records
-        view[:] = view[:3]          # planted records stay until an emit
-        assert trace.records is view
-        trace.emit(emitted[-1])
-        assert trace.records == emitted
+        assert path.stat().st_size > 1 << 18
+        assert read_jsonl(str(path)) == emitted
 
     def test_disabled_recorder_keeps_nothing(self, tmp_path):
         trace = TraceRecorder(enabled=False)
         for record in synthetic(_CHUNK + 1):
             trace.emit(record)
-        assert trace.records == []
         path = tmp_path / "trace.jsonl"
         trace.write_jsonl(str(path))
         assert path.read_bytes() == b""
+        assert read_jsonl(str(path)) == []
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
@@ -317,7 +309,6 @@ class TestSpilledTrace:
                 pytest.fail("the forked child did not exit within 30 s")
             time.sleep(0.01)
         assert os.waitstatus_to_exitcode(done[1]) == 0
-        assert trace.records == emitted
         path = tmp_path / "trace.jsonl"
         trace.write_jsonl(str(path))
         assert path.read_bytes() == json_lines(emitted).encode()
@@ -340,9 +331,9 @@ def test_a_traced_run_holds_under_one_chunk_of_text(tmp_path):
             live[trace] = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-    records = len(result.trace.records)
-    assert records // _CHUNK == 3
     path = tmp_path / "trace.jsonl"
     result.trace.write_jsonl(str(path))
+    records = len(read_jsonl(str(path)))
+    assert records // _CHUNK == 3
     chunk_text = _CHUNK * path.stat().st_size / records
     assert live[True] - live[False] < chunk_text, (live, chunk_text)
