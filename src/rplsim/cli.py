@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import functools
+import gc
 import itertools
 import json
 import math
@@ -239,7 +240,10 @@ def cmd_sweep(args) -> int:
     workers = min(args.parallel, len(configs))  # the pool forks them all
     if workers > 1:     # only a parallel sweep loads the pool's modules
         import concurrent.futures
-    with (concurrent.futures.ProcessPoolExecutor(max_workers=workers)
+    # a worker freezes the heap it forks with, so each run's gc.collect()
+    # walks only that run's objects
+    with (concurrent.futures.ProcessPoolExecutor(max_workers=workers,
+                                                 initializer=gc.freeze)
           if workers > 1 else contextlib.nullcontext()) as pool:
         # outcomes come in task (grid) order; each row is appended as it
         # comes, so an interrupted sweep keeps those done

@@ -33,8 +33,7 @@ from enum import Enum
 from typing import Callable, Collection
 
 from .engine import Simulator, US_PER_S, below, derive_stream, to_us
-from .telemetry import (RX, TX, EnergyCurrents, EnergyLedger, TraceRecorder,
-                        NULL_TRACE)
+from .telemetry import EnergyCurrents, EnergyLedger, TraceRecorder, NULL_TRACE
 
 
 class FrameKind(Enum):
@@ -104,10 +103,12 @@ class Transmission:
 
 
 class _Radio:
-    """One node's radio: who it hears, its node's jitter and ledger, frames."""
+    """One node's radio: who it hears, its node's jitter and ledger, frames,
+    and the airtime it sent and received, which the run books to the ledger
+    when it ends."""
 
     __slots__ = ("node_id", "neighbors", "audible", "jitter", "ledger",
-                 "receiver", "queue", "current")
+                 "receiver", "queue", "current", "tx_us", "rx_us")
 
     def __init__(self, node_id: int, neighbors: dict[int, float],
                  jitter: random.Random, ledger: EnergyLedger):
@@ -119,6 +120,8 @@ class _Radio:
         self.receiver: Callable[[Frame, int], None] | None = None
         self.queue: deque[Frame] = deque()
         self.current: Frame | None = None
+        self.tx_us = 0
+        self.rx_us = 0
 
 
 class Medium:
@@ -234,7 +237,7 @@ class Medium:
             dst, kind = frame.dst, frame.kind
             del self._active[sender]
             now = self.sim.now
-            radio.ledger.charge(TX, airtime)
+            radio.tx_us += airtime
             trace, tracing = self.trace, self.trace.enabled
             if tracing:
                 trace.emit((now - airtime, "tx", sender, kind.label,
@@ -245,7 +248,7 @@ class Medium:
                 if deliver(tx, r, stream) is DELIVERED:
                     receiver = radios[r]
                     delivered.append(receiver)
-                    receiver.ledger.charge(RX, airtime)
+                    receiver.rx_us += airtime
                     if tracing:
                         trace.emit((now, "rx", r, frame.frame_id))
             repeat = frame.data_delivered          # a copy already went up

@@ -51,7 +51,7 @@ from .objective import (ETX_INITIAL, INFINITE_RANK, MAX_PATH_COST, MRHOF_ETX,
                         OF0, PARENT_SWITCH_THRESHOLD, RANK_UNIT, ROOT_RANK,
                         etx_update, mrhof_path_cost, mrhof_rank,
                         mrhof_select_parent, of0_rank, of0_select_parent)
-from .telemetry import CPU, MetricsReport
+from .telemetry import MetricsReport
 
 SINK = "sink"
 SENSOR = "sensor"
@@ -112,7 +112,9 @@ class DataPacket:
 
 class Node:
     """One sensor, or the sink if its id is 0, on its medium's clock and
-    trace and its radio's ledger and jitter; mutated only by the event loop."""
+    trace and its radio's jitter; mutated only by the event loop.  It counts
+    the packets it processes; the run charges their CPU time to its radio's
+    ledger when it ends, so the ledger is empty until then."""
 
     def __init__(self, node_id: int, traffic_class: str | None,
                  objective: str, proto: ProtocolConfig, medium: Medium,
@@ -124,9 +126,7 @@ class Node:
         self.proto = proto
         self.sim = medium.sim
         self.medium = medium
-        radio = medium.radios[node_id]
-        self.ledger = radio.ledger
-        self.jitter = radio.jitter
+        self.jitter = medium.radios[node_id].jitter
         self.metrics = metrics
         self.trace = medium.trace
 
@@ -148,7 +148,7 @@ class Node:
         self._hk_due = 0
         self._in_flight: tuple[DataPacket, int] | None = None  # in the MAC
         self._pkt_seq = 0
-        self._cpu_process_us = to_us(proto.cpu_process_s)
+        self.processed = 0       # packets handled, each costing cpu_process_s
         self._last_advertised_rank = self.rank
         # set when the next selection must scan every candidate, by the skip
         # rules above; clear when (rank, parent) is a fixpoint.  A 30th
@@ -203,7 +203,7 @@ class Node:
             self._trickle_reset()
 
     def on_data(self, packet: DataPacket, from_id: int) -> None:
-        self.ledger.charge(CPU, self._cpu_process_us)
+        self.processed += 1
         packet.hops += 1
         now = self.sim.now
         if self.role == SINK:
@@ -400,7 +400,7 @@ class Node:
         packet = DataPacket(pid=f"{self.id}-{self._pkt_seq}",
                             traffic_class=self.traffic_class,
                             created=self.sim.now)
-        self.ledger.charge(CPU, self._cpu_process_us)
+        self.processed += 1
         if self.trace.enabled:
             self.trace.emit((self.sim.now, "send", self.id, packet.pid,
                              packet.traffic_class))

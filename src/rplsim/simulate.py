@@ -4,8 +4,11 @@ run_scenario is the single entry point used by the CLI, the sweep driver,
 and the test suite; it derives the topology and traffic streams, builds the
 topology, schedules traffic and keeps the end-of-run books.  The medium
 derives its own and each radio's jitter stream and gives each radio its
-ledger; a Node takes both from its radio.  Its RunResult holds the run's
-own Node objects, as the run left them, and their ledgers.
+ledger; a Node takes its jitter stream from its radio.  While the run goes,
+a radio counts the airtime it sends and receives and a Node the packets it
+processes; the ledgers stay empty until the run ends, when each is charged
+once per rail (tx, rx, cpu) and finalized.  Its RunResult holds the run's
+own Node objects, as the run left them, and their radios' ledgers.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ from .medium import Medium
 from .rpl import Node, SINK
 from .scenario import (ConfigError, ScenarioConfig, assign_traffic_classes,
                        generate_topology, next_send_time, radio_links)
-from .telemetry import EnergyLedger, MetricsReport, TraceRecorder, NULL_TRACE
+from .telemetry import (CPU, RX, TX, EnergyLedger, MetricsReport,
+                        TraceRecorder, NULL_TRACE)
 
 
 @dataclass
@@ -77,7 +81,8 @@ def run_scenario(cfg: ScenarioConfig,
     # It walks the caller's whole heap: about 5-9 ms after a 100-node run in
     # a fresh interpreter, 57-82 ms on average in the test session.  A
     # long-running host can gc.collect(); gc.freeze() its settled heap, as
-    # tests/conftest.py does; a library must not freeze its host's heap.
+    # tests/conftest.py and the sweep's pool workers (cli) do; a library must
+    # not freeze its host's heap.
     gc.collect()
     sim = Simulator()
     if positions is None:
@@ -122,7 +127,12 @@ def run_scenario(cfg: ScenarioConfig,
 
     sim.run_until(duration_us)
 
-    ledgers = {nid: node.ledger for nid, node in nodes.items()}
-    for ledger in ledgers.values():
+    cpu_process_us = to_us(cfg.protocol.cpu_process_s)
+    ledgers = {}
+    for nid, radio in medium.radios.items():
+        ledger = ledgers[nid] = radio.ledger
+        ledger.charge(TX, radio.tx_us)
+        ledger.charge(RX, radio.rx_us)
+        ledger.charge(CPU, nodes[nid].processed * cpu_process_us)
         ledger.finalize(duration_us)
     return RunResult(cfg, metrics, nodes, ledgers, recorder, duration_us)

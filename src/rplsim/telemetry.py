@@ -4,14 +4,17 @@ Each node carries an EnergyLedger of integer-microsecond state durations.
 The CPU dimension (active vs low-power) partitions elapsed time exactly;
 the radio dimension (tx, rx) is a subset of it.  Charging rules:
 
-  * tx is charged to the sender for every frame's airtime, rx to a node
-    for every frame actually delivered to it; delivered frames never
-    overlap each other or the node's own transmissions, so radio time is
-    a disjoint union of intervals.
-  * the ledger books every tx or rx window as CPU-active time as well, in
-    the same charge; a cpu charge adds the fixed processing cost per
+  * tx is the sender's airtime of every frame, rx a node's airtime of
+    every frame actually delivered to it; delivered frames never overlap
+    each other or the node's own transmissions, so radio time is a
+    disjoint union of intervals.
+  * the ledger books tx and rx time as CPU-active time as well, in the
+    same charge; a cpu charge adds the fixed processing cost per
     application packet handled (generated, forwarded, or delivered at the
     sink).
+  * during the run the radio counts its tx and rx airtime and the node the
+    packets it handles; the ledger stays empty until the run ends, when
+    run_scenario charges it once per rail (tx, rx, cpu) and finalizes it.
   * low-power time is never charged: finalize sets it to the rest of the
     elapsed time.
 

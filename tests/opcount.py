@@ -1,6 +1,6 @@
 """Python opcodes and frames per processed event, by module.
 
-    PYTHONPATH=src python3 tests/opcount.py [--repeat N]
+    PYTHONPATH=src python3 tests/opcount.py [--repeat N] [--top N]
 
 Runs three fixed untraced scenarios at seed 1, each 300 s with the default
 60 s warmup: random and grid MRHOF at rx 0.8 with 100 nodes, and random
@@ -8,7 +8,11 @@ MRHOF at rx 0.8 with 800 nodes on a square of side 300 * sqrt(n / 100) m,
 which keeps the node density of the 100-node run.  Each run is counted
 under sys.settrace with f_trace_opcodes: every Python frame entered and
 every opcode executed, split by the module whose code ran it.  Work done
-in C (heapq, getrandbits, dict builtins) is not weighed.
+in C (heapq, getrandbits, dict builtins) is not weighed.  --top N also
+lists the N functions that run the most opcodes per processed event, each
+with its calls (frames entered) and opcodes per call; a function is named
+by module and qualified name, so the __init__s that dataclasses generate
+share one row under <string>.
 
 The counts are exact and repeat on every run of the same tree, so one
 counted run can rank a change that wall-clock pairs cannot resolve; a speed
@@ -66,17 +70,21 @@ def module_of(filename: str) -> str:
 
 
 def count(cfg: ScenarioConfig) -> tuple[int, Counter, Counter]:
-    """The run's processed events, and its opcodes and frames by file."""
-    opcodes: Counter = Counter()
+    """The run's processed events, and its opcodes and frames by module and
+    function."""
+    opcodes: Counter = Counter()        # by id: a code object hashes slowly
     frames: Counter = Counter()
+    codes = {}
 
     def local(frame, event, arg):
         if event == "opcode":
-            opcodes[frame.f_code.co_filename] += 1
+            opcodes[id(frame.f_code)] += 1
         return local
 
     def entered(frame, event, arg):      # called once per new Python frame
-        frames[frame.f_code.co_filename] += 1
+        code = frame.f_code
+        codes[id(code)] = code
+        frames[id(code)] += 1
         frame.f_trace_opcodes = True
         return local
 
@@ -85,18 +93,36 @@ def count(cfg: ScenarioConfig) -> tuple[int, Counter, Counter]:
         result = run_scenario(cfg)
     finally:
         sys.settrace(None)
-    return result.nodes[0].sim.events_processed, opcodes, frames
+
+    def named(counts: Counter) -> Counter:
+        """counts summed by (module, qualified name); 3.10 has no
+        co_qualname, so there a function goes by its bare name."""
+        by_name: Counter = Counter()
+        for i, n in counts.items():
+            code = codes[i]
+            by_name[module_of(code.co_filename),
+                    getattr(code, "co_qualname", code.co_name)] += n
+        return by_name
+    return result.nodes[0].sim.events_processed, named(opcodes), named(frames)
 
 
-def report(name: str, events: int, opcodes: Counter, frames: Counter) -> None:
+def report(name: str, events: int, opcodes: Counter, frames: Counter,
+           top: int) -> None:
     by_module: Counter = Counter()
-    for filename, n in opcodes.items():
-        by_module[module_of(filename)] += n
+    for (module, _), n in opcodes.items():
+        by_module[module] += n
     print(f"{name}: events {events} "
           f"opcodes/event {sum(opcodes.values()) / events:.2f} "
           f"frames/event {sum(frames.values()) / events:.3f}")
     for module, n in by_module.most_common():
         print(f"  {module:<14} {n / events:8.2f}")
+    if top:
+        print(f"  {'opcodes/event':>13} {'calls':>9} {'opcodes/call':>12}"
+              f"  function")
+    for (module, qualname), n in opcodes.most_common(top):
+        calls = frames[module, qualname]
+        print(f"  {n / events:13.2f} {calls:9d} {n / calls:12.1f}"
+              f"  {module}:{qualname}")
 
 
 def heap(cfg: ScenarioConfig, trace: bool) -> tuple[int, int, int, int]:
@@ -132,6 +158,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--repeat", type=int, default=1,
                         help="count each run this many times (default 1)")
+    parser.add_argument("--top", type=int, default=0, metavar="N",
+                        help="also list the N functions that run the most "
+                        "opcodes per event")
     parser.add_argument("--memory", action="store_true",
                         help="measure the heap of traced runs instead")
     args = parser.parse_args(argv)
@@ -144,7 +173,7 @@ def main(argv: list[str] | None = None) -> int:
                              duration_s=300.0, seed=1, **fields)
         for _ in range(args.repeat):
             events, opcodes, frames = count(cfg)
-            report(name, events, opcodes, frames)
+            report(name, events, opcodes, frames, args.top)
             per_event[name] = sum(opcodes.values()) / events
     print(f"growth 100 -> 800 (random): "
           f"{per_event['random-etx-800'] / per_event['random-etx-100']:.3f}x")

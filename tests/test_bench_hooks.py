@@ -68,8 +68,9 @@ def test_hooks_bind_and_count_every_event(hooks, monkeypatch):
 def test_hooks_count_a_traced_run(hooks, objective):
     # the trace counts the work without the hooks: each hooked count
     # matches it only while the medium and rpl still make every counted
-    # call (deliver once per receiver, charge once per charge, emit once
-    # per record), so a hot-path cut cannot skip one unseen
+    # call (deliver once per receiver, emit once per record), so a hot-path
+    # cut cannot skip one unseen; each node's ledger takes three charges,
+    # one per rail, after run_until
     tracer = hooks.Tracer()
     restore = hooks.install(tracer)
     try:
@@ -88,8 +89,7 @@ def test_hooks_count_a_traced_run(hooks, objective):
     assert values["medium.rx.delivered"] == by_event["rx"]
     assert values["objective.select_calls"] > 0
     assert values["telemetry.trace_records"] == len(records)
-    assert values["telemetry.ledger_charges"] == sum(
-        by_event[ev] for ev in ("tx", "rx", "send", "fwd", "deliver"))
+    assert values["telemetry.ledger_charges"] == 3 * cfg.node_count
     sent = Counter(r[3] for r in records if r[1] == "tx")
     assert set(sent) <= {kind.value for kind in FrameKind}
     for kind in FrameKind:
@@ -104,3 +104,17 @@ def test_per_frame_classes_keep_slots(cls):
     # each stays free of a per-instance __dict__
     assert "__slots__" in vars(cls)
     assert all("__dict__" not in vars(base) for base in cls.__mro__)
+
+
+def test_nodes_keep_the_shared_key_table():
+    # CPython 3.11 shares one key table among the __dict__s of a class's
+    # instances only while they hold fewer than 30 attributes; a 30th grew
+    # each Node's dict from 296 B to 1,584 B and slowed every run that
+    # builds nodes, which undid the gain of booking energy once per run
+    cfg = ScenarioConfig(node_count=20, topology="random", objective="etx",
+                         rx_success_ratio=0.8, duration_s=120.0,
+                         warmup_s=30.0, seed=3)
+    sizes = {len(vars(node)) for node in run_scenario(cfg).nodes.values()}
+    assert max(sizes) < 30, (
+        f"a Node holds {max(sizes)} attributes; at 30 or more its __dict__ "
+        f"leaves the shared key table and grows from 296 B to 1,584 B")

@@ -6,6 +6,7 @@ import contextlib
 import copy
 import csv
 import dataclasses
+import gc
 import io
 import json
 import math
@@ -326,6 +327,11 @@ def dying_worker(cfg):
     return run_cell(cfg)
 
 
+def freeze_count_worker(cfg):
+    """Report the pool worker's gc freeze count as the cell's error."""
+    return None, f"freeze count {gc.get_freeze_count()}"
+
+
 # run in a fresh interpreter: a single run and a serial sweep, then the
 # pool's modules that the interpreter loaded (none, since only a parallel
 # sweep needs a process pool)
@@ -580,6 +586,24 @@ class TestSweep:
                           if index not in lost])
         assert (tmp_path / "cut.csv.summary.csv").exists()
 
+    def test_pool_workers_freeze_the_heap_they_fork_with(self, tmp_path,
+                                                         monkeypatch):
+        # conftest.py froze this session's heap; thawed, a worker's heap is
+        # frozen only if the worker froze what it forked with
+        spec = write_json(tmp_path / "s.json",
+                          dict(SWEEP_SPEC, seeds_per_cell=1))
+        monkeypatch.setattr(cli, "_sweep_worker", freeze_count_worker)
+        out = tmp_path / "frozen.csv"
+        gc.unfreeze()
+        try:
+            assert main(["sweep", "--spec", spec, "--parallel", "2",
+                         "--out", str(out)]) == 1
+        finally:
+            gc.freeze()
+        counts = [int(f["error"].removeprefix("freeze count "))
+                  for f in read_rows(str(out) + ".failures.csv")]
+        assert len(counts) == 4 and min(counts) > 0
+
     def test_failed_cell_is_recorded_and_sweep_continues(self, tmp_path,
                                                          capsys):
         spec = dict(SWEEP_SPEC, node_counts=[5], rx_ratios=[1.0],
@@ -617,10 +641,10 @@ class TestSweep:
         cells = len(sweep_tasks(spec))
         pools = []
 
-        def checked(max_workers):
+        def checked(max_workers, **kwargs):
             assert max_workers <= cells
             pools.append(max_workers)
-            return pool(max_workers=max_workers)
+            return pool(max_workers=max_workers, **kwargs)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", checked)
         out = str(tmp_path / "o.csv")
         assert main(["sweep", "--spec", write_json(tmp_path / "s.json", spec),

@@ -22,7 +22,7 @@ def make_medium(positions, seed=1, trace=None, link_rx=None,
     cfg = MediumConfig(**cfg_kwargs)
     links = radio_links(positions, cfg.tx_range_m, rx_success_ratio, link_rx)
     medium = Medium(sim, cfg, links, seed, trace=trace or NULL_TRACE)
-    return sim, medium, {nid: r.ledger for nid, r in medium.radios.items()}
+    return sim, medium, medium.radios
 
 
 def collect_frames(medium, nodes):
@@ -114,8 +114,8 @@ class TestConfig:
     def test_airtime_table_matches_config_where_rounding_matters(self):
         # at 19,200 bps no frame size is a whole number of microseconds
         positions = {0: (0.0, 0.0), 1: (50.0, 0.0)}
-        sim, medium, ledgers = make_medium(positions, bitrate_bps=19_200,
-                                           ack_timeout_s=0.01)
+        sim, medium, radios = make_medium(positions, bitrate_bps=19_200,
+                                          ack_timeout_s=0.01)
         cfg = medium.cfg
         control = cfg.control_frame_bytes
         sizes = {"dio": control, "dis": control,
@@ -128,8 +128,8 @@ class TestConfig:
         medium.unicast_with_ack(0, 1, None, lambda *r: done.append(r))
         sim.run_until(SEC)
         assert done == [(True, 1, True)]
-        assert ledgers[0].tx_us == cfg.airtime_us(64) + cfg.airtime_us(50)
-        assert ledgers[1].tx_us == cfg.airtime_us(11)
+        assert radios[0].tx_us == cfg.airtime_us(64) + cfg.airtime_us(50)
+        assert radios[1].tx_us == cfg.airtime_us(11)
 
 
 class TestBroadcast:
@@ -147,14 +147,13 @@ class TestBroadcast:
 
     def test_no_receivers_still_charges_sender(self):
         positions = {0: (0.0, 0.0), 1: (500.0, 0.0)}
-        sim, medium, ledgers = make_medium(positions)
+        sim, medium, radios = make_medium(positions)
         drawn, done = record_outcomes(medium), []
         medium.broadcast(0, FrameKind.DIS, on_done=lambda: done.append(1))
         sim.run_until(SEC)
         assert drawn == [] and done == [1]
-        assert ledgers[0].tx_us == 2048
-        assert ledgers[0].cpu_us == 2048
-        assert ledgers[1].rx_us == 0
+        assert radios[0].tx_us == 2048
+        assert radios[1].rx_us == 0
 
     def test_sender_never_receives_own_frame(self):
         positions = {0: (0.0, 0.0), 1: (50.0, 0.0)}
@@ -236,8 +235,8 @@ class TestDelivery:
         # DIS is on air, so 1 misses the DIS
         positions = {0: (0.0, 0.0), 1: (80.0, 0.0), 2: (160.0, 0.0)}
         trace = TraceRecorder(enabled=True)
-        sim, medium, ledgers = make_medium(positions, trace=trace,
-                                           backoff_window_s=2e-6)
+        sim, medium, radios = make_medium(positions, trace=trace,
+                                          backoff_window_s=2e-6)
         collect_frames(medium, positions)
         drawn, unicasts = record_outcomes(medium), []
         medium.unicast_with_ack(2, 1, None, lambda *r: unicasts.append(r))
@@ -248,7 +247,7 @@ class TestDelivery:
         assert start["dis"] < start["ack"] < start["dis"] + 2048
         assert [(r, o) for f, r, o in drawn if f.kind is FrameKind.DIS] \
             == [(1, Outcome.LOST_COLLISION)]
-        assert ledgers[1].rx_us == 1600          # 2's data frame only
+        assert radios[1].rx_us == 1600           # 2's data frame only
         assert unicasts == [(True, 1, True)]
 
 

@@ -9,6 +9,7 @@ import json
 import math
 import pathlib
 import random
+import sys
 import tempfile
 import weakref
 from collections import Counter
@@ -29,8 +30,8 @@ from rplsim.rpl import SENSOR, Node, ProtocolConfig
 from rplsim.scenario import (ConfigError, ScenarioConfig, generate_topology,
                              radio_links)
 from rplsim.simulate import RunResult, run_scenario
-from rplsim.telemetry import (DROP_CAUSES, TRACE_FIELDS, TraceRecorder,
-                              read_jsonl)
+from rplsim.telemetry import (CPU, DROP_CAUSES, RX, TRACE_FIELDS, TX,
+                              EnergyLedger, TraceRecorder, read_jsonl)
 
 
 class TestDeterminism:
@@ -62,6 +63,45 @@ class TestMemory:
         # collection walks only what the tests made since; without the
         # freeze Tier-1 spends 13-19 s more in those collections
         assert gc.get_freeze_count() > 0
+
+
+class TestEnergyBooking:
+    def test_ledgers_are_charged_once_per_rail_after_the_run(self,
+                                                              monkeypatch):
+        # radios count airtime and nodes processed packets while the run
+        # goes; each ledger is charged from those counts once run_until is
+        # off the stack
+        run_until = Simulator.run_until.__code__
+        charge = EnergyLedger.charge
+        charges = []
+
+        def recorded(self, state, duration_us):
+            frame, inside = sys._getframe(1), False
+            while frame is not None:
+                inside |= frame.f_code is run_until
+                frame = frame.f_back
+            charges.append((self, state, inside))
+            charge(self, state, duration_us)
+        monkeypatch.setattr(EnergyLedger, "charge", recorded)
+        cfg = ScenarioConfig(node_count=20, topology="random", objective="etx",
+                             rx_success_ratio=0.8, duration_s=200.0,
+                             warmup_s=60.0, seed=3)
+        result = run_scenario(cfg, trace=True)
+        assert not any(inside for _, _, inside in charges)
+        assert len(charges) == 3 * cfg.node_count
+        radios = result.nodes[0].medium.radios
+        cpu_process_us = to_us(cfg.protocol.cpu_process_s)
+        for nid, ledger in result.ledgers.items():
+            radio, node = radios[nid], result.nodes[nid]
+            assert ledger is radio.ledger
+            assert sorted(state for led, state, _ in charges
+                          if led is ledger) == sorted([TX, RX, CPU])
+            assert (ledger.tx_us, ledger.rx_us, ledger.cpu_us) == (
+                radio.tx_us, radio.rx_us,
+                radio.tx_us + radio.rx_us + node.processed * cpu_process_us)
+        assert all(radios[nid].rx_us > 0 for nid in result.ledgers)
+        assert result.nodes[0].processed > 0
+        assert check_run(result, trace_records(result.trace)) == []
 
 
 class TestWarmup:
